@@ -334,6 +334,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     """
     if algorithm not in (1, 2):
         raise ScenarioError("algorithm must be 1 or 2")
+    if n_frames < 1:
+        raise ScenarioError(f"n_frames must be >= 1, got {n_frames}")
     config, qos = scenario.config, scenario.qos
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
     cfg = _adaptive_cfg(scenario, resolved)

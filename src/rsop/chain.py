@@ -10,9 +10,10 @@ formal state: every slot starts there.
 The model is mean-field: channel occupancy grows stage by stage with the
 average number of SUs that started transmitting earlier, and every SU sees
 the same stage-dependent occupancy and error probabilities.  Throughput and
-interference follow from per-state occupation probabilities plus a pruned
-chain that yields the probability a competitor never transmits on a given
-channel from a given stage on.
+interference follow from per-state occupation probabilities plus the
+probability a competitor never transmits on a given channel from a given
+stage on (the disposition total of a chain pruned of that channel's exits,
+in closed form).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .core import max_sensing_stages, remaining_times
 from .detector import (
     detection_prob,
     false_alarm_prob,
+    stage_snr,
     threshold_for_detection,
     threshold_for_false_alarm,
 )
-from .errors import ScenarioError
+from .errors import RsopError, ScenarioError
 
 _CLAMP_TOL = 1e-9
 
@@ -38,7 +40,8 @@ def _clamp01(x, what: str):
     """Clamp probabilities to [0, 1]; drift beyond 1e-9 is a real bug."""
     x = np.asarray(x, dtype=float)
     worst = max(float(np.max(x, initial=0.0)) - 1.0, -float(np.min(x, initial=1.0)))
-    assert worst <= _CLAMP_TOL, f"{what} left [0,1] by {worst:.3e}"
+    if worst > _CLAMP_TOL:
+        raise RsopError(f"{what} left [0,1] by {worst:.3e}")
     return np.clip(x, 0.0, 1.0)
 
 
@@ -167,9 +170,7 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     presence = config.presence_prob
     if not resolved.per_stage_snr:
         q1 = (1.0 - presence) * p_fa + presence * p_d[:, 0]
-        mean_senders = config.n_su * params.p / config.n_pu
-        gamma2 = (presence * config.pu_power
-                  + mean_senders * (1.0 - q1) * config.su_power) / config.noise_power
+        gamma2 = stage_snr(config, params, slice(None), 2, q1_m=q1)
         pd2 = _clamp01(detection_prob(lam, params.tau, f_s, gamma2), "p_d")
         gamma[:, 1:] = gamma2[:, None]
         p_d[:, 1:] = pd2[:, None]
@@ -247,64 +248,42 @@ def occupancy_evolution(config: NetworkConfig, params: SensingParams,
 
 
 # ---------------------------------------------------------------------------
-# State-occupation probabilities, full and pruned
+# State-occupation probabilities
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ChainDistribution:
-    """Per-state occupation probabilities of one SU's chain walk.
-
-    ``blocked`` is zero for the full chain.  For a pruned chain it holds the
-    deleted transition mass (the walker would have transmitted on the pruned
-    channel), so ``disposition_total() + blocked == 1``.
-    """
+    """Per-state occupation probabilities of one SU's chain walk."""
 
     pi_ho: np.ndarray       # (n_stages,) probability of reaching HO_n
     pi_channel: np.ndarray  # (n_pu, n_stages) probability of probing m at stage n
     pi_t: np.ndarray        # (n_stages,) transmission-state entry probability
     pi_i: np.ndarray        # (n_stages,) interference-state entry probability
     pi_te: float            # probability of terminating without transmitting
-    blocked: float = 0.0
 
     def disposition_total(self) -> float:
         return float(self.pi_te + np.sum(self.pi_t) + np.sum(self.pi_i))
 
 
 def state_distribution(config: NetworkConfig, params: SensingParams,
-                       profiles: StageProfiles, occupancy: OccupancyTable,
-                       pruned: tuple[int, int] | None = None) -> ChainDistribution:
-    """Occupation probabilities of HO_n, m^(n), T_n, I_n and TE.
-
-    ``pruned=(m0, n0)`` (0-based channel, 1-based stage) removes the edges
-    from m0's probe states to T_n and I_n for every stage >= n0.  The removed
-    probability mass is deleted, not rerouted: the resulting sub-stochastic
-    disposition total is exactly the probability that the walker never
-    transmits on channel m0 at stages n0..delta while otherwise following the
-    unmodified dynamics.
-    """
+                       profiles: StageProfiles,
+                       occupancy: OccupancyTable) -> ChainDistribution:
+    """Occupation probabilities of HO_n, m^(n), T_n, I_n and TE."""
     npu, ns = config.n_pu, profiles.n_stages
     pi_ho = np.zeros(ns)
     pi_ch = np.zeros((npu, ns))
     pi_t = np.zeros(ns)
     pi_i = np.zeros(ns)
-    blocked = 0.0
 
     pi_ho[0] = 1.0
     pi_te = 0.0
     for n in range(1, ns + 1):
         i = n - 1
         pi_ch[:, i] = params.p / config.n_pu * pi_ho[i]
-        t_terms = (1.0 - occupancy.occ[:, i]) * (1.0 - profiles.p_fa) * pi_ch[:, i]
-        i_terms = occupancy.occ[:, i] * (1.0 - profiles.p_d[:, i]) * pi_ch[:, i]
-        if pruned is not None and n >= pruned[1]:
-            m0 = pruned[0]
-            blocked += float(t_terms[m0] + i_terms[m0])
-            t_terms = t_terms.copy()
-            i_terms = i_terms.copy()
-            t_terms[m0] = 0.0
-            i_terms[m0] = 0.0
-        pi_t[i] = float(np.sum(t_terms))
-        pi_i[i] = float(np.sum(i_terms))
+        pi_t[i] = float(np.sum(
+            (1.0 - occupancy.occ[:, i]) * (1.0 - profiles.p_fa) * pi_ch[:, i]))
+        pi_i[i] = float(np.sum(
+            occupancy.occ[:, i] * (1.0 - profiles.p_d[:, i]) * pi_ch[:, i]))
         cont = (1.0 - params.p) + params.p / config.n_pu * float(
             np.sum(occupancy.q[:, i]))
         if n < ns:
@@ -312,40 +291,22 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
         else:
             pi_te = cont * pi_ho[i]
     return ChainDistribution(pi_ho=pi_ho, pi_channel=pi_ch, pi_t=pi_t, pi_i=pi_i,
-                             pi_te=pi_te, blocked=blocked)
-
-
-def pruned_no_tx_prob(config: NetworkConfig, params: SensingParams,
-                      profiles: StageProfiles, occupancy: OccupancyTable,
-                      m: int, n: int) -> float:
-    """Y_{m,n}: probability one SU never transmits on channel ``m`` (0-based)
-    at stages ``n``..delta, via the pruned chain's disposition total."""
-    dist = state_distribution(config, params, profiles, occupancy, pruned=(m, n))
-    return dist.disposition_total()
+                             pi_te=pi_te)
 
 
 def _no_tx_matrix(dist: ChainDistribution, profiles: StageProfiles,
                   occupancy: OccupancyTable) -> np.ndarray:
-    """Y for every (channel, stage) in one pass.
+    """Y_{m,n}: probability one SU never transmits on channel m at stages
+    n..delta, for every (channel, stage) in one pass.
 
-    Entries of the pruned chain differ from the full chain only in which T/I
-    exits are counted, so Y_{m,n} = 1 - sum_{i>=n} pi_channel[m,i] (1 - q[m,i]).
-    The pruned-chain construction in :func:`pruned_no_tx_prob` is the
-    reference; tests pin the equality.
+    A chain pruned of m's T/I exits from stage n on differs from the full
+    chain only in which exits are counted, so its disposition total is
+    Y_{m,n} = 1 - sum_{i>=n} pi_channel[m,i] (1 - q[m,i]).  The test suite's
+    pruned-chain walker is the reference; tests pin the equality.
     """
     exit_prob = dist.pi_channel * (1.0 - occupancy.q)
     tail = np.cumsum(exit_prob[:, ::-1], axis=1)[:, ::-1]
     return _clamp01(1.0 - tail, "no-tx probability")
-
-
-def success_prob(config: NetworkConfig, profiles: StageProfiles,
-                 occupancy: OccupancyTable, dist: ChainDistribution,
-                 m: int, n: int, no_tx: float) -> float:
-    """Q_{T_n,m}: one SU transmits on free channel ``m`` at stage ``n`` and no
-    competitor transmits there at any stage >= n."""
-    i = n - 1
-    p_t = dist.pi_channel[m, i] * (1.0 - occupancy.occ[m, i]) * (1.0 - profiles.p_fa[m])
-    return float(p_t * no_tx ** (config.n_su - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -379,30 +340,20 @@ class ChainResult:
 
 
 def avg_throughput(config: NetworkConfig, params: SensingParams,
-                   profiles: StageProfiles, occupancy: OccupancyTable,
-                   dist: ChainDistribution,
-                   no_tx: np.ndarray | None = None) -> float:
+                   success: np.ndarray) -> float:
     """Average per-SU throughput r = (1/T) sum_{m,n} Q_{T_n,m} RT_n C_R."""
-    if no_tx is None:
-        no_tx = _no_tx_matrix(dist, profiles, occupancy)
-    p_t = (dist.pi_channel * (1.0 - occupancy.occ)
-           * (1.0 - profiles.p_fa)[:, None])
-    q_succ = p_t * no_tx ** (config.n_su - 1)
-    rt = remaining_times(profiles.n_stages, config.slot_duration, params.tau,
+    rt = remaining_times(success.shape[1], config.slot_duration, params.tau,
                          config.handoff_time)
-    return float(np.sum(q_succ * rt[None, :]) * config.tx_rate
+    return float(np.sum(success * rt[None, :]) * config.tx_rate
                  / config.slot_duration)
 
 
 def avg_interference(config: NetworkConfig, params: SensingParams,
-                     profiles: StageProfiles, occupancy: OccupancyTable,
-                     dist: ChainDistribution) -> float:
+                     no_interf: np.ndarray) -> float:
     """Normalized interference t_I = sum_{m,n} (1 - Z_{I_n,m}) RT_n / (T N_p)."""
-    p_i = dist.pi_channel * occupancy.occ * (1.0 - profiles.p_d)
-    z = (1.0 - p_i) ** config.n_su
-    rt = remaining_times(profiles.n_stages, config.slot_duration, params.tau,
+    rt = remaining_times(no_interf.shape[1], config.slot_duration, params.tau,
                          config.handoff_time)
-    return float(np.sum((1.0 - z) * rt[None, :])
+    return float(np.sum((1.0 - no_interf) * rt[None, :])
                  / (config.slot_duration * config.n_pu))
 
 
@@ -417,7 +368,9 @@ def analyze(config: NetworkConfig, params: SensingParams,
     profiles = stage_profiles(config, params, resolved, n_stages)
     occupancy = occupancy_evolution(config, params, profiles)
     dist = state_distribution(config, params, profiles, occupancy)
-    assert abs(dist.disposition_total() - 1.0) <= 1e-9, "disposition leak"
+    leak = dist.disposition_total() - 1.0
+    if abs(leak) > _CLAMP_TOL:
+        raise RsopError(f"chain disposition leaks {leak:.3e} of probability mass")
 
     no_tx = _no_tx_matrix(dist, profiles, occupancy)
     p_t = (dist.pi_channel * (1.0 - occupancy.occ)
@@ -426,8 +379,8 @@ def analyze(config: NetworkConfig, params: SensingParams,
     p_i = dist.pi_channel * occupancy.occ * (1.0 - profiles.p_d)
     no_interf = (1.0 - p_i) ** config.n_su
 
-    r = avg_throughput(config, params, profiles, occupancy, dist, no_tx)
-    t_i = avg_interference(config, params, profiles, occupancy, dist)
+    r = avg_throughput(config, params, success)
+    t_i = avg_interference(config, params, no_interf)
     return ChainResult(
         params=params,
         n_stages=n_stages,

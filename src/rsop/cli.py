@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import bundled_scenario_path, bundled_scenarios, load_scenario
-from .errors import RsopError
+from .errors import RsopError, ScenarioError
 from .experiments import (
     run_adapt,
     run_analyze,
@@ -102,6 +102,8 @@ def main(argv=None) -> int:
             for name, path in bundled_scenarios().items():
                 print(f"{name}\t{path}")
             return 0
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         scenario = _load(args.scenario)
         out = Path(args.out)
         if args.kind == "analyze":

@@ -30,7 +30,8 @@ def q_inverse(p):
 
 
 def _check_samples(tau, f_s):
-    if np.any(np.asarray(tau) * f_s < 1.0):
+    # method-form reductions: these checks run once per simulated stage
+    if (np.asarray(tau) * f_s < 1.0).any():
         raise TooFewSamples(f"tau*f_s={np.min(np.asarray(tau) * f_s)} < 1 sample")
 
 
@@ -42,10 +43,10 @@ def false_alarm_prob(lambda_norm, tau, f_s):
 
 def misdetection_prob(lambda_norm, tau, f_s, gamma):
     """Misdetection probability at received SNR ``gamma`` (linear)."""
-    if np.any(np.asarray(gamma) < 0):
+    g = np.asarray(gamma, dtype=float)
+    if (g < 0).any():
         raise DegenerateSnr("gamma must be nonnegative")
     _check_samples(tau, f_s)
-    g = np.asarray(gamma, dtype=float)
     arg = (np.asarray(lambda_norm) - 1.0 - g) * np.sqrt(
         np.asarray(tau) * f_s / (1.0 + 2.0 * g)
     )
@@ -99,8 +100,8 @@ def min_sensing_time(gamma, f_s, p_fa_max: float, p_d_min: float):
     return float(out) if np.isscalar(gamma) or np.ndim(gamma) == 0 else out
 
 
-def stage_snr(config, params, m: int, n: int, q1_m: float | None = None) -> float:
-    """Mean received SNR of channel ``m`` (0-based) at sensing stage ``n``.
+def stage_snr(config, params, m, n: int, q1_m=None):
+    """Mean received SNR of channel(s) ``m`` (0-based) at sensing stage ``n``.
 
     Stage 1 sees only the PU: gamma = sigma_p^2 / sigma_z^2.  From stage 2 on
     the average accumulates the SUs that started transmitting at stage 1:
@@ -112,13 +113,15 @@ def stage_snr(config, params, m: int, n: int, q1_m: float | None = None) -> floa
     per-channel mean mixes PU-present and PU-absent slots; it is evaluated
     literally, with the mean-field count of stage-1 transmitters.  ``q1_m`` is
     the stage-1 handoff probability of channel m, supplied by the chain model.
+    An integer ``m`` gives a float; a slice or index array of channels gives
+    an array, with ``q1_m`` matching it.
     """
-    gamma1 = config.pu_power[m] / config.noise_power
     if n <= 1:
-        return float(gamma1)
-    if q1_m is None:
+        gamma = config.pu_power[m] / config.noise_power
+    elif q1_m is None:
         raise ValueError("stage_snr needs q1_m for stages >= 2")
-    su_part = (config.n_su * params.p / config.n_pu) * (1.0 - q1_m) * config.su_power
-    return float(
-        (config.presence_prob[m] * config.pu_power[m] + su_part) / config.noise_power
-    )
+    else:
+        senders = (config.n_su * params.p / config.n_pu) * (1.0 - q1_m)
+        gamma = (config.presence_prob[m] * config.pu_power[m]
+                 + senders * config.su_power) / config.noise_power
+    return gamma if np.ndim(gamma) else float(gamma)

@@ -8,19 +8,19 @@ every figure-style experiment produces the data behind it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .adaptive import run_adaptive, subgradient_field
-from .chain import analyze, resolve_detector
+from .chain import analyze_scenario, resolve_detector
 from .config import Scenario
 from .core import upper_bound_throughput
 from .errors import ScenarioError
 from .optimizer import optimize_scenario
-from .simulator import simulate_scenario
+from .simulator import SuSchedules, simulate_scenario, simulate_slots
 
 
 def _fmt(value) -> str:
@@ -106,15 +106,15 @@ def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
             raise ScenarioError(f"unknown sweep axis {axis!r}")
     rows = []
     for v in values:
-        res = (analyze_at(scenario, p=float(v)) if axis == "p"
-               else analyze_at(scenario, tau=float(v)))
+        res = (analyze_scenario(scenario, p=float(v)) if axis == "p"
+               else analyze_scenario(scenario, tau=float(v)))
         rows.append((res.params.tau, res.params.p, res.throughput,
                      res.network_throughput, res.interference, res.p_md_max))
     path = write_csv(out_dir / f"analyze_{axis}.csv",
                      _meta(scenario, seed, axis=axis),
                      ["tau", "p", "r", "network_r", "t_i", "p_md_max"], rows)
     detail = write_csv(out_dir / "chain_detail.csv", _meta(scenario, seed),
-                       _DETAIL_COLUMNS, chain_detail_rows(analyze_at(scenario)))
+                       _DETAIL_COLUMNS, chain_detail_rows(analyze_scenario(scenario)))
     best = max(rows, key=lambda r: r[3])
     out = ExperimentOutput([path, detail], {
         "axis": axis, "best_network_r": best[3], "best_tau": best[0],
@@ -122,13 +122,6 @@ def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
     })
     out.manifest(out_dir, f"analyze_{axis}")
     return out
-
-
-def analyze_at(scenario: Scenario, tau: float | None = None,
-               p: float | None = None):
-    sc = scenario.with_params(tau=tau, p=p)
-    resolved = resolve_detector(sc.config, sc.detector, sc.qos, scenario.params.tau)
-    return analyze(sc.config, sc.params, resolved)
 
 
 def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
@@ -140,6 +133,8 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
     ``trace_rows`` > 0 additionally dumps up to that many per-slot, per-SU
     outcome rows from a dedicated replication (debugging aid)."""
     out_dir = Path(out_dir)
+    if axis is not None and not values:
+        raise ScenarioError(f"a sweep along {axis!r} needs values")
     rows = []
     sweep = [(None, None)]
     if axis == "p":
@@ -178,9 +173,6 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
 def _write_trace(scenario: Scenario, out_dir: Path, seed, protocol: str,
                  cap: int) -> Path:
     """Per-slot, per-SU outcome rows from one short replication, capped."""
-    from .chain import resolve_detector
-    from .simulator import SuSchedules, simulate_slots
-
     resolved = resolve_detector(scenario.config, scenario.detector,
                                 scenario.qos, scenario.params.tau)
     schedules = SuSchedules.homogeneous(scenario.config, scenario.params)
@@ -262,20 +254,18 @@ def run_false_alarm_sweep(scenario: Scenario, out_dir,
                           seed=0) -> ExperimentOutput:
     """Throughput against the false-alarm probability for several network
     densities (detection held fixed via the explicit detector)."""
-    from dataclasses import replace as dc_replace
-
     out_dir = Path(out_dir)
     rows = []
     for n_su in n_su_values:
         for p_fa in p_fa_values:
-            config = dc_replace(scenario.config, n_su=int(n_su))
-            det = dc_replace(scenario.detector, mode="explicit",
-                             p_fa=float(p_fa),
-                             p_d=scenario.detector.p_d
-                             if scenario.detector.p_d is not None
-                             else scenario.qos.p_d_min)
-            sc = dc_replace(scenario, config=config, detector=det,
-                            name=f"{scenario.name}_ns{n_su}_pfa{p_fa}")
+            config = replace(scenario.config, n_su=int(n_su))
+            det = replace(scenario.detector, mode="explicit",
+                          p_fa=float(p_fa),
+                          p_d=scenario.detector.p_d
+                          if scenario.detector.p_d is not None
+                          else scenario.qos.p_d_min)
+            sc = replace(scenario, config=config, detector=det,
+                         name=f"{scenario.name}_ns{n_su}_pfa{p_fa}")
             m = simulate_scenario(sc, n_slots=n_slots, seed=seed)
             rows.append((int(n_su), float(p_fa), m.throughput,
                          m.network_throughput, m.interference,
@@ -323,6 +313,10 @@ def run_subgradient_field(scenario: Scenario, out_dir, taus=None, ps=None,
     out_dir = Path(out_dir)
     if taus is None or ps is None:
         raise ScenarioError("subgradient-field needs explicit probe points")
+    if len(taus) != len(ps):
+        raise ScenarioError(
+            f"subgradient-field needs one p per tau, got {len(taus)} taus "
+            f"and {len(ps)} ps")
     points = subgradient_field(scenario, taus, ps,
                                n_realizations=n_realizations, seed=seed)
     rows = [(pt.tau, pt.p, pt.mean_g[0], pt.mean_g[1], pt.grad_f[0],

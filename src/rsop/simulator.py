@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ResolvedDetector
+from .chain import ResolvedDetector, resolve_detector
 from .config import NetworkConfig, SensingParams
 from .core import max_sensing_stages
-from .detector import q_function
+from .detector import false_alarm_prob, misdetection_prob
 from .errors import ScenarioError
 
 
@@ -45,34 +45,23 @@ class SuSchedules:
 
     @classmethod
     def homogeneous(cls, config: NetworkConfig, params: SensingParams) -> "SuSchedules":
-        delta = max_sensing_stages(config.slot_duration, params.tau,
-                                   config.handoff_time, config.n_pu)
-        tau = np.full((config.n_su, delta), params.tau)
-        p = np.full((config.n_su, delta), params.p)
-        return cls(tau=tau, p=p, delta=np.full(config.n_su, delta, dtype=int))
+        """Every SU at the same (tau, p)."""
+        return cls.from_stage_table(config, np.full((config.n_su, 1), params.tau),
+                                    np.full((config.n_su, 1), params.p))
 
     @classmethod
     def from_per_su(cls, config: NetworkConfig, taus, ps) -> "SuSchedules":
         """One scalar (tau, p) per SU, constant across stages."""
-        taus = np.asarray(taus, dtype=float)
-        ps = np.asarray(ps, dtype=float)
-        if taus.shape != (config.n_su,) or ps.shape != (config.n_su,):
-            raise ScenarioError("per-SU parameter arrays must have length n_su")
-        delta = np.array([
-            max_sensing_stages(config.slot_duration, t, config.handoff_time,
-                               config.n_pu)
-            for t in taus
-        ])
-        stages = int(np.max(delta))
-        return cls(tau=np.repeat(taus[:, None], stages, axis=1),
-                   p=np.repeat(ps[:, None], stages, axis=1), delta=delta)
+        return cls.from_stage_table(config, np.reshape(taus, (-1, 1)),
+                                    np.reshape(ps, (-1, 1)))
 
     @classmethod
     def from_stage_table(cls, config: NetworkConfig, tau_table, p_table) -> "SuSchedules":
         """Full per-SU, per-stage tables (fine-tuning mode).
 
         The stage budget uses each SU's stage-1 sensing time; later stages may
-        shorten the probe, which only adds slack."""
+        shorten the probe, which only adds slack.  Tables shorter than the
+        longest budget repeat their last stage."""
         tau_table = np.asarray(tau_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
@@ -82,12 +71,8 @@ class SuSchedules:
                                config.n_pu)
             for t in tau_table[:, 0]
         ])
-        stages = int(np.max(delta))
-        if tau_table.shape[1] < stages:
-            pad = stages - tau_table.shape[1]
-            tau_table = np.pad(tau_table, ((0, 0), (0, pad)), mode="edge")
-            p_table = np.pad(p_table, ((0, 0), (0, pad)), mode="edge")
-        return cls(tau=tau_table[:, :stages], p=p_table[:, :stages], delta=delta)
+        cols = np.minimum(np.arange(np.max(delta)), tau_table.shape[1] - 1)
+        return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta)
 
 
 @dataclass
@@ -204,12 +189,11 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
             p_md_here = np.full((S, NS), 1.0 - resolved.explicit_p_d(n))
         else:
             lam_here = resolved.lambda_norm[ch]
-            w = tau_n[None, :] * config.sampling_freq
-            p_fa_here = q_function((lam_here - 1.0) * np.sqrt(w))
+            f_s = config.sampling_freq
+            p_fa_here = false_alarm_prob(lam_here, tau_n[None, :], f_s)
             gamma = (pu_here * config.pu_power[ch]
                      + count_here * config.su_power) / config.noise_power
-            p_md_here = 1.0 - q_function(
-                (lam_here - 1.0 - gamma) * np.sqrt(w / (1.0 + 2.0 * gamma)))
+            p_md_here = misdetection_prob(lam_here, tau_n[None, :], f_s, gamma)
 
         decided_free = np.where(busy, u_sense < p_md_here, u_sense >= p_fa_here)
         if protocol == "conventional":
@@ -268,13 +252,6 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     )
 
 
-def run_slot(config: NetworkConfig, schedules: SuSchedules,
-             resolved: ResolvedDetector, rng: np.random.Generator,
-             protocol: str = "modified") -> SlotBatch:
-    """One slot; a convenience view over :func:`simulate_slots`."""
-    return simulate_slots(config, schedules, resolved, 1, rng, protocol=protocol)
-
-
 @dataclass
 class RunMetrics:
     """Aggregated Monte Carlo outcomes (means are per slot)."""
@@ -298,31 +275,42 @@ class RunMetrics:
     se_interference: float = float("nan")
 
 
+# RunMetrics fields that are plain per-slot means, and the SlotBatch arrays
+# they average.
+_BATCH_MEANS = {
+    "interference": "network_interference",
+    "su_caused_interference": "su_interference",
+    "sensing_overhead": "overhead",
+    "handoffs": "handoffs",
+    "delay": "delay",
+    "success_rate": "success",
+    "collision_rate": "collided",
+    "interference_entry_rate": "interfered_entry",
+}
+
+
+def _error_fields(net_samples: np.ndarray, interf_samples: np.ndarray) -> dict:
+    """Standard errors of the mean and 1.96-SE half-widths of the network
+    throughput and interference, from per-slot or per-replication samples."""
+    out = {}
+    for name, x in (("network_throughput", net_samples),
+                    ("interference", interf_samples)):
+        se = float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else float("nan")
+        out[f"se_{name}"] = se
+        out[f"ci_{name}"] = 1.96 * se
+    return out
+
+
 def _metrics_from_batch(batch: SlotBatch) -> RunMetrics:
-    S = batch.throughput.shape[0]
     per_su = batch.throughput.mean(axis=0)
-    net_per_slot = batch.throughput.sum(axis=1)
-    se_net = float(net_per_slot.std(ddof=1) / np.sqrt(S)) if S > 1 else float("nan")
-    se_int = (float(batch.network_interference.std(ddof=1) / np.sqrt(S))
-              if S > 1 else float("nan"))
     return RunMetrics(
-        n_slots=S,
+        n_slots=batch.throughput.shape[0],
         n_reps=1,
         throughput=float(per_su.mean()),
         network_throughput=float(per_su.sum()),
         per_su_throughput=per_su,
-        interference=float(batch.network_interference.mean()),
-        su_caused_interference=float(batch.su_interference.mean()),
-        sensing_overhead=float(batch.overhead.mean()),
-        handoffs=float(batch.handoffs.mean()),
-        delay=float(batch.delay.mean()),
-        success_rate=float(batch.success.mean()),
-        collision_rate=float(batch.collided.mean()),
-        interference_entry_rate=float(batch.interfered_entry.mean()),
-        se_network_throughput=se_net,
-        se_interference=se_int,
-        ci_network_throughput=1.96 * se_net,
-        ci_interference=1.96 * se_int,
+        **{f: float(getattr(batch, a).mean()) for f, a in _BATCH_MEANS.items()},
+        **_error_fields(batch.throughput.sum(axis=1), batch.network_interference),
     )
 
 
@@ -366,30 +354,16 @@ def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
     if n_reps == 1:
         return reps[0]
 
-    net = np.array([r.network_throughput for r in reps])
-    per_su = np.mean([r.per_su_throughput for r in reps], axis=0)
-    interf = np.array([r.interference for r in reps])
-    se_net = float(net.std(ddof=1) / np.sqrt(n_reps))
-    se_int = float(interf.std(ddof=1) / np.sqrt(n_reps))
+    def samples(field):
+        return np.array([getattr(r, field) for r in reps])
+
     return RunMetrics(
         n_slots=n_slots,
         n_reps=n_reps,
-        throughput=float(np.mean([r.throughput for r in reps])),
-        network_throughput=float(net.mean()),
-        per_su_throughput=per_su,
-        interference=float(interf.mean()),
-        su_caused_interference=float(np.mean([r.su_caused_interference for r in reps])),
-        sensing_overhead=float(np.mean([r.sensing_overhead for r in reps])),
-        handoffs=float(np.mean([r.handoffs for r in reps])),
-        delay=float(np.mean([r.delay for r in reps])),
-        success_rate=float(np.mean([r.success_rate for r in reps])),
-        collision_rate=float(np.mean([r.collision_rate for r in reps])),
-        interference_entry_rate=float(np.mean([r.interference_entry_rate
-                                               for r in reps])),
-        se_network_throughput=se_net,
-        se_interference=se_int,
-        ci_network_throughput=1.96 * se_net,
-        ci_interference=1.96 * se_int,
+        per_su_throughput=np.mean([r.per_su_throughput for r in reps], axis=0),
+        **{f: float(samples(f).mean())
+           for f in ("throughput", "network_throughput", *_BATCH_MEANS)},
+        **_error_fields(samples("network_throughput"), samples("interference")),
     )
 
 
@@ -398,8 +372,6 @@ def simulate_scenario(scenario, n_slots: int, seed, protocol: str = "modified",
                       tau: float | None = None, p: float | None = None,
                       pu_model: str = "iid") -> RunMetrics:
     """Scenario-level convenience wrapper around :func:`monte_carlo`."""
-    from .chain import resolve_detector
-
     sc = scenario.with_params(tau=tau, p=p)
     resolved = resolve_detector(sc.config, sc.detector, sc.qos, scenario.params.tau)
     schedules = SuSchedules.homogeneous(sc.config, sc.params)

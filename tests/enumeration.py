@@ -1,20 +1,24 @@
-"""Independent brute-force oracle for the chain model.
+"""Independent brute-force oracles for the chain model.
 
 Each SU is an independent walker over the sensing stages with the same
 per-(channel, stage) transition probabilities the mean-field tables supply.
 This module enumerates every joint outcome of all walkers explicitly - every
 combination of terminal signatures, probability-weighted - and reads off
 throughput and interference directly from the success/overlap definitions,
-without the occupation-probability algebra, the pruned chain, or the
-power-of-counts shortcuts used by the analyzer.  Feasible for small networks
-(n_su <= 3, few stages); the analyzer must match it to float accuracy.
+without the occupation-probability algebra, the closed-form no-tx table, or
+the power-of-counts shortcuts used by the analyzer.  Feasible for small
+networks (n_su <= 3, few stages); the analyzer must match it to float
+accuracy.
+
+It also holds the pruned-chain construction of the no-tx probability, the
+stage-by-stage definition the analyzer's closed form must reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rsop.chain import OccupancyTable, StageProfiles
+from rsop.chain import ChainDistribution, OccupancyTable, StageProfiles
 from rsop.config import NetworkConfig, SensingParams
 from rsop.core import remaining_times
 
@@ -106,3 +110,52 @@ def enumerate_metrics(config: NetworkConfig, params: SensingParams,
             interference += float(np.sum(hit * joint_prob)) * rt[nn - 1]
     interference /= config.slot_duration * config.n_pu
     return throughput, interference
+
+
+def pruned_walk(config: NetworkConfig, params: SensingParams,
+                profiles: StageProfiles, occupancy: OccupancyTable,
+                m0: int, n0: int) -> tuple[float, float]:
+    """(kept, blocked) probability mass of one walker on a pruned chain.
+
+    The pruned chain deletes the edges from channel ``m0``'s probe states
+    (0-based) to T_n and I_n at every stage n >= ``n0`` (1-based); the deleted
+    mass is not rerouted.  ``kept`` is the disposition total of what remains,
+    which is the probability the walker never transmits on m0 at stages
+    n0..delta while otherwise following the unmodified dynamics; ``blocked``
+    is the deleted mass, so the two sum to one.
+    """
+    reach = 1.0  # probability of reaching the current handoff state
+    kept = blocked = 0.0
+    for stage in range(1, profiles.n_stages + 1):
+        stay = 1.0 - params.p
+        for m in range(config.n_pu):
+            probe = params.p / config.n_pu
+            occ = occupancy.occ[m, stage - 1]
+            p_fa = profiles.p_fa[m]
+            p_d = profiles.p_d[m, stage - 1]
+            exits = reach * probe * ((1.0 - occ) * (1.0 - p_fa) + occ * (1.0 - p_d))
+            if m == m0 and stage >= n0:
+                blocked += exits
+            else:
+                kept += exits
+            stay += probe * (occ * p_d + (1.0 - occ) * p_fa)
+        reach *= stay
+    return kept + reach, blocked
+
+
+def pruned_no_tx_prob(config: NetworkConfig, params: SensingParams,
+                      profiles: StageProfiles, occupancy: OccupancyTable,
+                      m: int, n: int) -> float:
+    """Y_{m,n}: probability one SU never transmits on channel ``m`` (0-based)
+    at stages ``n``..delta, via the pruned chain's disposition total."""
+    return pruned_walk(config, params, profiles, occupancy, m, n)[0]
+
+
+def success_prob(config: NetworkConfig, profiles: StageProfiles,
+                 occupancy: OccupancyTable, dist: ChainDistribution,
+                 m: int, n: int, no_tx: float) -> float:
+    """Q_{T_n,m}: one SU transmits on free channel ``m`` at stage ``n`` and no
+    competitor transmits there at any stage >= n."""
+    i = n - 1
+    p_t = dist.pi_channel[m, i] * (1.0 - occupancy.occ[m, i]) * (1.0 - profiles.p_fa[m])
+    return float(p_t * no_tx ** (config.n_su - 1))

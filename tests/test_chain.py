@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import default_qos, explicit_detector, make_config, make_scenario
+from enumeration import pruned_no_tx_prob, pruned_walk, success_prob
+from rsop import chain
 from rsop.chain import (
+    _clamp01,
     _no_tx_matrix,
     analyze,
     analyze_scenario,
     occupancy_evolution,
-    pruned_no_tx_prob,
     resolve_detector,
     stage_profiles,
     state_distribution,
-    success_prob,
 )
 from rsop.config import DetectorSpec, SensingParams
 from rsop.core import upper_bound_throughput
+from rsop.errors import RsopError
 
 T = 10e-3
 
@@ -95,10 +97,30 @@ class TestStateDistribution:
         # pruned chains conserve mass only together with the blocked share
         for m in range(3):
             for n in range(1, 7):
-                pr = state_distribution(config, params, prof, occ, pruned=(m, n))
-                assert pr.disposition_total() + pr.blocked == pytest.approx(
-                    1.0, abs=1e-9)
-                assert pr.blocked > 0
+                kept, blocked = pruned_walk(config, params, prof, occ, m, n)
+                assert kept + blocked == pytest.approx(1.0, abs=1e-9)
+                assert blocked > 0
+
+
+class TestInvariants:
+    def test_clamp_tolerates_rounding_and_rejects_drift(self):
+        assert _clamp01(np.array([-1e-12, 0.5, 1.0 + 1e-12]), "x").tolist() == \
+            [0.0, 0.5, 1.0]
+        for bad in (1.0 + 2e-9, -2e-9):
+            with pytest.raises(RsopError, match="x left"):
+                _clamp01(np.array([0.5, bad]), "x")
+
+    def test_disposition_leak_raises(self, monkeypatch):
+        def leaky(*args):
+            dist = state_distribution(*args)
+            dist.pi_te += 1e-6
+            return dist
+
+        monkeypatch.setattr(chain, "state_distribution", leaky)
+        config = make_config(n_su=3, n_pu=2)
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        with pytest.raises(RsopError, match="disposition"):
+            analyze(config, SensingParams(1e-3, 0.5), resolved)
 
 
 class TestPrunedNoTx:

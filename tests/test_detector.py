@@ -157,6 +157,17 @@ class TestStageSnr:
         g2 = stage_snr(config, SensingParams(1e-3, 0.8), 0, 2, q1_m=0.5)
         assert g2 == pytest.approx(1.3 * 0.1)
 
+    def test_channel_slice_matches_scalar_calls(self):
+        config = make_config(n_su=20, n_pu=3, presence=[0.2, 0.5, 0.8],
+                             pu_power=[0.1, 0.2, 0.3])
+        params = SensingParams(1e-3, 0.8)
+        q1 = np.array([0.3, 0.5, 0.7])
+        for n in (1, 2):
+            g = stage_snr(config, params, slice(None), n, q1_m=q1)
+            assert g.shape == (3,)
+            assert g.tolist() == [stage_snr(config, params, m, n, q1_m=q1[m])
+                                  for m in range(3)]
+
     def test_later_stages_reuse_stage2(self):
         config = make_config(n_su=20, n_pu=10)
         params = SensingParams(1e-3, 0.8)

@@ -118,3 +118,20 @@ class TestCli:
         rc = main(["analyze", "--scenario", "nope", "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "validation_ns2_np5", "--seed", "-1"],
+        ["simulate", "--scenario", "validation_ns2_np5", "--axis", "p"],
+        ["subgradient-field", "--scenario", "adapt_ns3_np7",
+         "--taus", "0.001", "0.002", "--ps", "0.5"],
+        ["adapt", "--scenario", "adapt_ns3_np7", "--frames", "0"],
+    ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
+            "zero-frames"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not list(tmp_path.iterdir())

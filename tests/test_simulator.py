@@ -9,7 +9,6 @@ from rsop.simulator import (
     SuSchedules,
     monte_carlo,
     run_replication,
-    run_slot,
     simulate_slots,
 )
 
@@ -57,12 +56,6 @@ class TestSingleSlotSemantics:
                                np.random.default_rng(3))
         assert batch.overhead.max() <= schedules.max_stages
 
-    def test_run_slot_is_one_slot(self):
-        config = make_config(n_su=2, n_pu=2)
-        schedules, resolved = setup(config, 1e-3, 0.8, 0.1, 0.9)
-        batch = run_slot(config, schedules, resolved, np.random.default_rng(4))
-        assert batch.throughput.shape == (1, 2)
-
 
 class TestDeterminismContracts:
     def test_same_seed_bit_identical(self):
@@ -107,6 +100,31 @@ class TestDeterminismContracts:
         mc = monte_carlo(config, schedules, resolved, "modified", 200, 1,
                          base_seed=11)
         assert mc.network_throughput == direct.network_throughput
+
+    def test_replicated_aggregation_pins_every_field(self):
+        config = make_config(n_su=3, n_pu=3, presence=0.4)
+        schedules, resolved = setup(config, 1e-3, 0.7, 0.1, 0.9)
+        reps = [run_replication(config, schedules, resolved, "modified", 250, seq)
+                for seq in np.random.SeedSequence(13).spawn(3)]
+        mc = monte_carlo(config, schedules, resolved, "modified", 250, 3,
+                         base_seed=13)
+        assert (mc.n_slots, mc.n_reps) == (250, 3)
+        for field in ("throughput", "network_throughput", "interference",
+                      "su_caused_interference", "sensing_overhead", "handoffs",
+                      "delay", "success_rate", "collision_rate",
+                      "interference_entry_rate"):
+            assert getattr(mc, field) == pytest.approx(
+                np.mean([getattr(r, field) for r in reps]), rel=1e-12, abs=0.0)
+        assert np.allclose(mc.per_su_throughput,
+                           np.mean([r.per_su_throughput for r in reps], axis=0),
+                           rtol=1e-12, atol=0.0)
+        for se_field, field in (("se_network_throughput", "network_throughput"),
+                                ("se_interference", "interference")):
+            samples = np.array([getattr(r, field) for r in reps])
+            se = samples.std(ddof=1) / np.sqrt(3)
+            assert getattr(mc, se_field) == pytest.approx(se, rel=1e-12)
+            ci_field = "ci_" + se_field[3:]
+            assert getattr(mc, ci_field) == pytest.approx(1.96 * se, rel=1e-12)
 
 
 class TestStatistics:
