@@ -27,8 +27,6 @@ from .config import (
 )
 from .core import (
     max_sensing_stages,
-    remaining_time,
-    draw_sensing_order,
     upper_bound_throughput,
 )
 from .detector import (
@@ -68,8 +66,6 @@ __all__ = [
     "bundled_scenarios",
     "bundled_scenario_path",
     "max_sensing_stages",
-    "remaining_time",
-    "draw_sensing_order",
     "upper_bound_throughput",
     "q_function",
     "q_inverse",

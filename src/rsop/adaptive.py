@@ -139,24 +139,34 @@ def frame_estimate(batch: SlotBatch, su: int, n_ep: int, p_md: float) -> FrameEs
     )
 
 
+def _improved(r_est, prev_r_est, t_i_est, p_md, qos: QosConstraints):
+    """Event A: throughput did not drop and both caps held.
+
+    Ties (>=) count as improvement.  Works elementwise on arrays too."""
+    return ((r_est >= prev_r_est) & (t_i_est <= qos.t_i_max)
+            & (p_md <= qos.p_md_max))
+
+
+def _raw_step(improved, grew, delta: float):
+    """(flip, g): a coordinate keeps its last direction on improvement and
+    reverses otherwise, so flip = XOR(improved, grew) and the step subtracted
+    from it is g = +-delta.  Works elementwise on arrays too."""
+    flip = improved != grew
+    return flip, delta * (2 * flip - 1)
+
+
 def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
                 cfg: AdaptiveConfig) -> tuple[AdaptiveState, UpdateRecord]:
     """One coarse update of (tau, p) from frame-k estimates.
 
-    Improvement event: throughput did not drop and both caps held.  Each
-    coordinate keeps its last direction on improvement and reverses otherwise,
-    moving by alpha_k times the fixed increment, then projects onto the box.
-    Ties (>=) count as improvement, exactly as the comparison is written.
+    Each coordinate moves by alpha_k times its raw step (``_raw_step``), then
+    is projected onto the box.
     """
-    improved = (est.r_est >= state.prev_r_est
-                and est.t_i_est <= qos.t_i_max
-                and est.p_md <= qos.p_md_max)
+    improved = _improved(est.r_est, state.prev_r_est, est.t_i_est, est.p_md, qos)
     tau_grew = state.tau >= state.prev_tau
     p_grew = state.p >= state.prev_p
-    flip_tau = improved != tau_grew
-    flip_p = improved != p_grew
-    g_tau = cfg.delta_tau if flip_tau else -cfg.delta_tau
-    g_p = cfg.delta_p if flip_p else -cfg.delta_p
+    flip_tau, g_tau = _raw_step(improved, tau_grew, cfg.delta_tau)
+    flip_p, g_p = _raw_step(improved, p_grew, cfg.delta_p)
 
     alpha = cfg.alpha(state.k)
     tau_next = min(max(state.tau - g_tau * alpha, cfg.tau_floor), cfg.slot_duration)
@@ -281,10 +291,6 @@ class AdaptiveRun:
     final_tau: np.ndarray
     final_p: np.ndarray
 
-    def window(self) -> list[FrameLog]:
-        start = (3 * len(self.frames)) // 4
-        return self.frames[start:]
-
 
 def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
     ad = scenario.adaptive
@@ -311,18 +317,16 @@ def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
 
 def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector,
                    tau: float, p: float) -> float:
-    """Worst-stage misdetection an SU computes locally for its current tau."""
-    if resolved.mode == "explicit":
-        return float(np.max(1.0 - resolved.p_d_stages))
-    stages = min(2, max_sensing_stages(config.slot_duration, tau,
-                                       config.handoff_time, config.n_pu))
+    """Worst-stage misdetection an SU computes locally for its current tau:
+    the ``p_md_max`` of ``analyze``, over the same delta(tau) stages."""
+    stages = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
+                                config.n_pu)
     prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved, stages)
     return float(np.max(prof.p_md))
 
 
 def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
-                 seed=0, track_objective: bool = False,
-                 f_star: float | None = None) -> AdaptiveRun:
+                 seed=0, track_objective: bool = False) -> AdaptiveRun:
     """Run the closed loop: simulate frames, update every SU, log the path.
 
     ``algorithm`` 1 adapts a single (tau, p) per SU per frame; 2 additionally
@@ -495,13 +499,9 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
                 r_a, _ = frame_means(tau, p, per_quadrant)
                 r_b, t_b = frame_means(tau2, p2, per_quadrant)
                 p_md = _analytic_p_md(config, resolved, tau2, p2)
-                improved = ((r_b >= r_a)
-                            & (t_b <= qos.t_i_max)[:, None]
-                            & (p_md <= qos.p_md_max))
-                tau_grew = tau2 >= tau
-                p_grew = p2 >= p
-                g_tau = np.where(improved != tau_grew, cfg.delta_tau, -cfg.delta_tau)
-                g_p = np.where(improved != p_grew, cfg.delta_p, -cfg.delta_p)
+                improved = _improved(r_b, r_a, t_b[:, None], p_md, qos)
+                _, g_tau = _raw_step(improved, tau2 >= tau, cfg.delta_tau)
+                _, g_p = _raw_step(improved, p2 >= p, cfg.delta_p)
                 g_samples.append(np.stack([g_tau.mean(axis=1), g_p.mean(axis=1)],
                                           axis=1))
         mean_g = np.concatenate(g_samples, axis=0).mean(axis=0)

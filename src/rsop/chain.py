@@ -9,7 +9,9 @@ formal state: every slot starts there.
 
 The model is mean-field: channel occupancy grows stage by stage with the
 average number of SUs that started transmitting earlier, and every SU sees
-the same stage-dependent occupancy and error probabilities.  Throughput and
+the same stage-dependent occupancy and error probabilities.  One recursion
+over the stages yields occupancy, sensing counts and the handoff population;
+every other table is array algebra over its output.  Throughput and
 interference follow from per-state occupation probabilities plus the
 probability a competitor never transmits on a given channel from a given
 stage on (the disposition total of a chain pruned of that channel's exits,
@@ -45,11 +47,6 @@ def _clamp01(x, what: str):
     return np.clip(x, 0.0, 1.0)
 
 
-def _fa_power(p_fa: np.ndarray, exponent: float) -> np.ndarray:
-    """p_fa ** exponent with the 0**0 = 1 convention (no sensors, no effect)."""
-    return np.power(p_fa, exponent)  # numpy already defines 0.0**0.0 == 1.0
-
-
 # ---------------------------------------------------------------------------
 # Detector resolution and stage profiles
 # ---------------------------------------------------------------------------
@@ -64,10 +61,10 @@ class ResolvedDetector:
     p_d_stages: np.ndarray | None = None     # explicit mode, indexed by stage
     per_stage_snr: bool = False
 
-    def explicit_p_d(self, stage: int) -> float:
-        """Explicit-mode detection probability at 1-based ``stage``."""
-        idx = min(stage, len(self.p_d_stages)) - 1
-        return float(self.p_d_stages[idx])
+    def explicit_p_d(self, stage):
+        """Explicit-mode detection probability at 1-based ``stage`` (or array
+        of stages); stages past the listed ones repeat the last entry."""
+        return self.p_d_stages[np.minimum(stage, len(self.p_d_stages)) - 1]
 
 
 def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
@@ -148,54 +145,35 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     """
     npu, ns = config.n_pu, n_stages
     if resolved.mode == "explicit":
-        p_fa = np.full(npu, resolved.p_fa)
-        p_d = np.empty((npu, ns))
-        for n in range(1, ns + 1):
-            p_d[:, n - 1] = resolved.explicit_p_d(n)
-        return StageProfiles(p_fa=p_fa, p_d=p_d, gamma=np.zeros((npu, ns)),
-                             n_stages=ns)
+        p_d = resolved.explicit_p_d(np.arange(1, ns + 1))
+        return StageProfiles(p_fa=np.full(npu, resolved.p_fa),
+                             p_d=np.tile(p_d, (npu, 1)),
+                             gamma=np.zeros((npu, ns)), n_stages=ns)
 
     lam = resolved.lambda_norm
     f_s = config.sampling_freq
-    p_fa = _clamp01(np.broadcast_to(
-        np.atleast_1d(false_alarm_prob(lam, params.tau, f_s)), (npu,)
-    ).copy(), "p_fa")
+    p_fa = _clamp01(false_alarm_prob(lam, params.tau, f_s), "p_fa")
     gamma = np.zeros((npu, ns))
     p_d = np.zeros((npu, ns))
-    gamma[:, 0] = config.snr_stage1
-    p_d[:, 0] = _clamp01(detection_prob(lam, params.tau, f_s, gamma[:, 0]), "p_d")
-    if ns == 1:
-        return StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
+    profiles = StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
 
+    def detect(i, snr):
+        gamma[:, i] = snr
+        p_d[:, i] = _clamp01(detection_prob(lam, params.tau, f_s, snr), "p_d")
+
+    detect(0, config.snr_stage1)
     presence = config.presence_prob
-    if not resolved.per_stage_snr:
+    if ns > 1 and resolved.per_stage_snr:
+        # Exact per-stage extension: each stage sees every earlier transmitter.
+        _walk(config, params, profiles, lambda i, senders: detect(
+            i, (presence * config.pu_power + senders * config.su_power)
+            / config.noise_power))
+    elif ns > 1:
         q1 = (1.0 - presence) * p_fa + presence * p_d[:, 0]
-        gamma2 = stage_snr(config, params, slice(None), 2, q1_m=q1)
-        pd2 = _clamp01(detection_prob(lam, params.tau, f_s, gamma2), "p_d")
-        gamma[:, 1:] = gamma2[:, None]
-        p_d[:, 1:] = pd2[:, None]
-        return StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
-
-    # Exact per-stage extension: interleave the handoff-population recursion
-    # with the SNR accumulation so each stage sees all earlier transmitters.
-    n_ho = float(config.n_su)
-    occ = presence.copy()
-    exponent = 0.0
-    cum_tx = np.zeros(npu)
-    for n in range(2, ns + 1):
-        l_prev = params.p / config.n_pu * n_ho
-        q_prev = (1.0 - occ) * p_fa + occ * p_d[:, n - 2]
-        cum_tx += l_prev * (1.0 - q_prev)
-        gamma[:, n - 1] = (presence * config.pu_power
-                           + cum_tx * config.su_power) / config.noise_power
-        p_d[:, n - 1] = _clamp01(
-            detection_prob(lam, params.tau, f_s, gamma[:, n - 1]), "p_d")
-        u_prev = 1.0 - _fa_power(p_fa, l_prev)
-        occ = _clamp01(occ + (1.0 - presence) * _fa_power(p_fa, exponent) * u_prev,
-                       "occupancy")
-        exponent += l_prev
-        n_ho *= (1.0 - params.p) + params.p / config.n_pu * float(np.sum(q_prev))
-    return StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
+        detect(1, stage_snr(config, params, slice(None), 2, q1_m=q1))
+        gamma[:, 2:] = gamma[:, 1:2]
+        p_d[:, 2:] = p_d[:, 1:2]
+    return profiles
 
 
 # ---------------------------------------------------------------------------
@@ -216,34 +194,47 @@ def occupancy_evolution(config: NetworkConfig, params: SensingParams,
 
     with q_m^(n) = P_m0^(n) Pfa + P_m1^(n) P_d^(n) evaluated at the stage-n
     occupancy and detection probability.  Mean counts enter the false-alarm
-    powers as real exponents, with 0**0 = 1.
+    powers as real exponents, with 0**0 = 1 (no sensors, no effect).
+    """
+    return _walk(config, params, profiles)
+
+
+def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
+          detect=None) -> OccupancyTable:
+    """The one stage recursion of the model (see ``occupancy_evolution``).
+
+    ``detect(i, senders)``, when given, fills the detection column of 0-based
+    stage i >= 1 in ``profiles`` before that stage's q is formed, from the
+    mean number of SUs per channel that started transmitting earlier,
+    senders = sum_{k<i} L^(k) (1 - q^(k)).
     """
     npu, ns = config.n_pu, profiles.n_stages
-    presence = config.presence_prob
+    vacant = 1.0 - config.presence_prob
     p_fa = profiles.p_fa
-    occ = np.zeros((npu, ns))
-    u = np.zeros((npu, ns))
-    q = np.zeros((npu, ns))
-    l = np.zeros(ns)
-    n_ho = np.zeros(ns)
+    share = params.p / npu
+    occ = np.empty((npu, ns))
+    q = np.empty((npu, ns))
+    l = np.empty(ns)
+    n_ho = np.empty(ns)
 
-    occ[:, 0] = presence
+    occ[:, 0] = config.presence_prob
     n_ho[0] = config.n_su
     exponent = 0.0
-    for n in range(1, ns + 1):
-        i = n - 1
-        l[i] = params.p / config.n_pu * n_ho[i]
-        u[:, i] = 1.0 - _fa_power(p_fa, l[i])
-        q[:, i] = _clamp01(
-            (1.0 - occ[:, i]) * p_fa + occ[:, i] * profiles.p_d[:, i], "q")
-        if n < ns:
-            occ[:, i + 1] = _clamp01(
-                occ[:, i] + (1.0 - presence) * _fa_power(p_fa, exponent) * u[:, i],
-                "occupancy",
-            )
-            n_ho[i + 1] = ((1.0 - params.p)
-                           + params.p / config.n_pu * float(np.sum(q[:, i]))) * n_ho[i]
-            exponent += l[i]
+    senders = np.zeros(npu)
+    for i in range(ns):
+        if i > 0:
+            occ[:, i] = _clamp01(
+                occ[:, i - 1]
+                + vacant * np.power(p_fa, exponent) * (1.0 - np.power(p_fa, l[i - 1])),
+                "occupancy")
+            n_ho[i] = ((1.0 - params.p) + share * float(np.sum(q[:, i - 1]))) * n_ho[i - 1]
+            exponent += l[i - 1]
+            if detect is not None:
+                senders = senders + l[i - 1] * (1.0 - q[:, i - 1])
+                detect(i, senders)
+        l[i] = share * n_ho[i]
+        q[:, i] = _clamp01((1.0 - occ[:, i]) * p_fa + occ[:, i] * profiles.p_d[:, i], "q")
+    u = 1.0 - np.power(p_fa[:, None], l)
     return OccupancyTable(occ=occ, u=u, l=l, n_ho=n_ho, q=q)
 
 
@@ -257,6 +248,8 @@ class ChainDistribution:
 
     pi_ho: np.ndarray       # (n_stages,) probability of reaching HO_n
     pi_channel: np.ndarray  # (n_pu, n_stages) probability of probing m at stage n
+    p_t: np.ndarray         # (n_pu, n_stages) entry into T_n through channel m
+    p_i: np.ndarray         # (n_pu, n_stages) entry into I_n through channel m
     pi_t: np.ndarray        # (n_stages,) transmission-state entry probability
     pi_i: np.ndarray        # (n_stages,) interference-state entry probability
     pi_te: float            # probability of terminating without transmitting
@@ -268,43 +261,34 @@ class ChainDistribution:
 def state_distribution(config: NetworkConfig, params: SensingParams,
                        profiles: StageProfiles,
                        occupancy: OccupancyTable) -> ChainDistribution:
-    """Occupation probabilities of HO_n, m^(n), T_n, I_n and TE."""
-    npu, ns = config.n_pu, profiles.n_stages
-    pi_ho = np.zeros(ns)
-    pi_ch = np.zeros((npu, ns))
-    pi_t = np.zeros(ns)
-    pi_i = np.zeros(ns)
+    """Occupation probabilities of HO_n, m^(n), T_n, I_n and TE.
 
-    pi_ho[0] = 1.0
-    pi_te = 0.0
-    for n in range(1, ns + 1):
-        i = n - 1
-        pi_ch[:, i] = params.p / config.n_pu * pi_ho[i]
-        pi_t[i] = float(np.sum(
-            (1.0 - occupancy.occ[:, i]) * (1.0 - profiles.p_fa) * pi_ch[:, i]))
-        pi_i[i] = float(np.sum(
-            occupancy.occ[:, i] * (1.0 - profiles.p_d[:, i]) * pi_ch[:, i]))
-        cont = (1.0 - params.p) + params.p / config.n_pu * float(
-            np.sum(occupancy.q[:, i]))
-        if n < ns:
-            pi_ho[i + 1] = cont * pi_ho[i]
-        else:
-            pi_te = cont * pi_ho[i]
-    return ChainDistribution(pi_ho=pi_ho, pi_channel=pi_ch, pi_t=pi_t, pi_i=pi_i,
+    An SU reaches HO_n with the handoff population's share N_HO^(n) / N_s and
+    probes each channel with probability p / N_p from there.  A probe enters
+    T_n when the channel is free and no false alarm fires, I_n when it is
+    busy and missed; what reaches the last stage and does not leave there
+    terminates.
+    """
+    pi_ho = occupancy.n_ho / config.n_su
+    pi_ch = np.tile(params.p / config.n_pu * pi_ho, (config.n_pu, 1))
+    p_t = pi_ch * (1.0 - occupancy.occ) * (1.0 - profiles.p_fa)[:, None]
+    p_i = pi_ch * occupancy.occ * (1.0 - profiles.p_d)
+    pi_te = float(pi_ho[-1] - np.sum(p_t[:, -1] + p_i[:, -1]))
+    return ChainDistribution(pi_ho=pi_ho, pi_channel=pi_ch, p_t=p_t, p_i=p_i,
+                             pi_t=p_t.sum(axis=0), pi_i=p_i.sum(axis=0),
                              pi_te=pi_te)
 
 
-def _no_tx_matrix(dist: ChainDistribution, profiles: StageProfiles,
-                  occupancy: OccupancyTable) -> np.ndarray:
+def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
     """Y_{m,n}: probability one SU never transmits on channel m at stages
     n..delta, for every (channel, stage) in one pass.
 
     A chain pruned of m's T/I exits from stage n on differs from the full
     chain only in which exits are counted, so its disposition total is
-    Y_{m,n} = 1 - sum_{i>=n} pi_channel[m,i] (1 - q[m,i]).  The test suite's
-    pruned-chain walker is the reference; tests pin the equality.
+    Y_{m,n} = 1 - sum_{i>=n} (p_T + p_I)[m,i].  The test suite's pruned-chain
+    walker is the reference; tests pin the equality.
     """
-    exit_prob = dist.pi_channel * (1.0 - occupancy.q)
+    exit_prob = dist.p_t + dist.p_i
     tail = np.cumsum(exit_prob[:, ::-1], axis=1)[:, ::-1]
     return _clamp01(1.0 - tail, "no-tx probability")
 
@@ -329,14 +313,6 @@ class ChainResult:
     network_throughput: float  # N_s * r
     interference: float        # t_I, normalized by T * N_p
     p_md_max: float            # max over (m, n) of misdetection
-
-    @property
-    def r(self) -> float:
-        return self.throughput
-
-    @property
-    def t_i(self) -> float:
-        return self.interference
 
 
 def avg_throughput(config: NetworkConfig, params: SensingParams,
@@ -372,12 +348,9 @@ def analyze(config: NetworkConfig, params: SensingParams,
     if abs(leak) > _CLAMP_TOL:
         raise RsopError(f"chain disposition leaks {leak:.3e} of probability mass")
 
-    no_tx = _no_tx_matrix(dist, profiles, occupancy)
-    p_t = (dist.pi_channel * (1.0 - occupancy.occ)
-           * (1.0 - profiles.p_fa)[:, None])
-    success = p_t * no_tx ** (config.n_su - 1)
-    p_i = dist.pi_channel * occupancy.occ * (1.0 - profiles.p_d)
-    no_interf = (1.0 - p_i) ** config.n_su
+    no_tx = _no_tx_matrix(dist)
+    success = dist.p_t * no_tx ** (config.n_su - 1)
+    no_interf = (1.0 - dist.p_i) ** config.n_su
 
     r = avg_throughput(config, params, success)
     t_i = avg_interference(config, params, no_interf)

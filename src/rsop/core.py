@@ -1,4 +1,4 @@
-"""Slot timing arithmetic, sensing-order draws, and the ideal throughput bound."""
+"""Slot timing arithmetic and the ideal throughput bound."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidTiming, StageOutOfRange
+from .errors import InvalidTiming
 
 
 def max_sensing_stages(slot_duration: float, tau: float, handoff_time: float,
@@ -27,37 +27,15 @@ def max_sensing_stages(slot_duration: float, tau: float, handoff_time: float,
     return 1 + min(extra, n_pu - 1)
 
 
-def remaining_time(stage: int, slot_duration: float, tau: float,
-                   handoff_time: float) -> float:
-    """Transmission time left after the stage-``stage`` probe ends.
-
-    RT_n = T - tau - (n - 1)(tau + tau_h).  Raises StageOutOfRange when the
-    stage does not fit in the slot (negative remainder).
-    """
-    if stage < 1:
-        raise StageOutOfRange(f"stage={stage} must be at least 1")
-    rt = slot_duration - tau - (stage - 1) * (tau + handoff_time)
-    if rt < 0:
-        raise StageOutOfRange(f"stage={stage} leaves no time in the slot")
-    return rt
-
-
 def remaining_times(n_stages: int, slot_duration: float, tau: float,
                     handoff_time: float) -> np.ndarray:
-    """RT_n for n = 1..n_stages as an array."""
+    """Transmission time left after each probe ends, for n = 1..n_stages.
+
+    RT_n = T - tau - (n - 1)(tau + tau_h); it is nonnegative for every stage
+    n <= delta (``max_sensing_stages``).
+    """
     n = np.arange(1, n_stages + 1)
     return slot_duration - tau - (n - 1) * (tau + handoff_time)
-
-
-def draw_sensing_order(rng: np.random.Generator, n_pu: int, delta: int) -> np.ndarray:
-    """Random sensing order: ``delta`` channels drawn i.i.d. uniform, 1-based.
-
-    Drawn with replacement; every handoff state routes to every channel with
-    the same probability regardless of history.
-    """
-    if delta < 1:
-        raise StageOutOfRange(f"delta={delta} must be at least 1")
-    return rng.integers(1, n_pu + 1, size=delta)
 
 
 def upper_bound_throughput(n_su: int, presence_prob) -> float:

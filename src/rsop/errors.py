@@ -13,10 +13,6 @@ class InvalidTiming(RsopError):
     """Slot timing arithmetic received an impossible sensing time."""
 
 
-class StageOutOfRange(RsopError):
-    """A sensing-stage index does not fit inside the slot."""
-
-
 class TooFewSamples(RsopError):
     """Energy detector asked to integrate fewer than one sample."""
 

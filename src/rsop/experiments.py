@@ -133,7 +133,7 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
     ``trace_rows`` > 0 additionally dumps up to that many per-slot, per-SU
     outcome rows from a dedicated replication (debugging aid)."""
     out_dir = Path(out_dir)
-    if axis is not None and not values:
+    if axis is not None and (values is None or len(values) == 0):
         raise ScenarioError(f"a sweep along {axis!r} needs values")
     rows = []
     sweep = [(None, None)]

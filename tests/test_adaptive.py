@@ -8,6 +8,7 @@ from rsop.adaptive import (
     AdaptiveConfig,
     AdaptiveState,
     FrameEstimate,
+    _analytic_p_md,
     alg1_update,
     alg2_stage_schedule,
     check_step_schedule,
@@ -17,7 +18,8 @@ from rsop.adaptive import (
     frame_estimate,
     run_adaptive,
 )
-from rsop.config import AdaptiveDefaults
+from rsop.chain import analyze, resolve_detector
+from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams
 from rsop.errors import InvalidSchedule, ScenarioError, ShortFrame
 
 T = 10e-3
@@ -228,6 +230,24 @@ class TestClosedLoop:
         best = [fl.f_best for fl in run.frames if not math.isnan(fl.f_best)]
         assert best, "no feasible visited points recorded"
         assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
+
+
+class TestAnalyticMisdetection:
+    @pytest.mark.parametrize("detector", [
+        explicit_detector(0.1, (0.9, 0.5)),
+        DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3),
+        DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3,
+                     per_stage_snr=True),
+    ], ids=["explicit-list", "saturating", "per-stage-snr"])
+    def test_matches_the_analyzer(self, detector):
+        # 6 ms leaves room for one probe, 1 ms for nine: the local check must
+        # look at exactly the stages the optimizer's analyzer looks at
+        config = make_config(n_su=20, n_pu=10, presence=0.5)
+        resolved = resolve_detector(config, detector, default_qos(), 1e-3)
+        for tau in (6e-3, 3e-3, 1e-3):
+            for p in (0.3, 0.9):
+                expect = analyze(config, SensingParams(tau, p), resolved).p_md_max
+                assert _analytic_p_md(config, resolved, tau, p) == expect
 
 
 class TestFrameEstimate:

@@ -102,6 +102,17 @@ class TestStateDistribution:
                 assert blocked > 0
 
 
+    def test_entry_tables_carry_the_stage_totals(self):
+        config = make_config(n_su=4, n_pu=3, presence=[0.2, 0.5, 0.9])
+        params, prof, occ = tables(config, 8e-4, 0.65, 0.2, (0.8, 0.9, 0.95), 6)
+        dist = state_distribution(config, params, prof, occ)
+        assert np.array_equal(dist.pi_t, dist.p_t.sum(axis=0))
+        assert np.array_equal(dist.pi_i, dist.p_i.sum(axis=0))
+        # T and I entries are exactly the probes that do not hand off
+        exits = dist.pi_channel * (1.0 - occ.q)
+        assert np.max(np.abs(dist.p_t + dist.p_i - exits)) <= 1e-15
+
+
 class TestInvariants:
     def test_clamp_tolerates_rounding_and_rejects_drift(self):
         assert _clamp01(np.array([-1e-12, 0.5, 1.0 + 1e-12]), "x").tolist() == \
@@ -147,7 +158,7 @@ class TestPrunedNoTx:
         config = make_config(n_su=5, n_pu=4, presence=[0.1, 0.45, 0.7, 0.95])
         params, prof, occ = tables(config, 6e-4, 0.55, 0.25, 0.85, 7)
         dist = state_distribution(config, params, prof, occ)
-        fast = _no_tx_matrix(dist, prof, occ)
+        fast = _no_tx_matrix(dist)
         for m in range(4):
             for n in range(1, 8):
                 assert fast[m, n - 1] == pytest.approx(
@@ -256,6 +267,23 @@ class TestEnergyProfiles:
         prof = stage_profiles(config, SensingParams(1e-3, 0.8), resolved, 5)
         assert np.all(np.diff(prof.gamma[0, 1:]) > 0)
         assert np.all(np.diff(prof.p_d[0]) >= -1e-12)
+
+    def test_per_stage_snr_counts_earlier_transmitters(self):
+        config = make_config(n_su=20, n_pu=10, presence=[0.2, 0.5] * 5,
+                             pu_power=0.1, su_power=0.1)
+        det = DetectorSpec(mode="energy", calibration="pd_min",
+                           calibrate_tau=1e-3, per_stage_snr=True)
+        resolved = resolve_detector(config, det, default_qos(), 1e-3)
+        params = SensingParams(1e-3, 0.8)
+        prof = stage_profiles(config, params, resolved, 6)
+        occ = occupancy_evolution(config, params, prof)
+        senders = np.concatenate(
+            [np.zeros((10, 1)), np.cumsum(occ.l * (1.0 - occ.q), axis=1)[:, :-1]],
+            axis=1)
+        expect = ((config.presence_prob * config.pu_power)[:, None]
+                  + senders * config.su_power) / config.noise_power
+        assert np.allclose(prof.gamma[:, 0], config.snr_stage1, rtol=0, atol=0)
+        assert np.allclose(prof.gamma[:, 1:], expect[:, 1:], rtol=1e-12, atol=0)
 
     def test_scenario_entry_point(self):
         config = make_config(n_su=3, n_pu=7, presence=0.5, pu_power=0.1,

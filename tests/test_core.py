@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from rsop.core import (
-    draw_sensing_order,
-    max_sensing_stages,
-    remaining_time,
-    remaining_times,
-    upper_bound_throughput,
-)
-from rsop.errors import InvalidTiming, StageOutOfRange
+from rsop.core import max_sensing_stages, remaining_times, upper_bound_throughput
+from rsop.errors import InvalidTiming
 
 T = 10e-3
 TAU_H = 1e-7
@@ -44,58 +38,28 @@ class TestMaxSensingStages:
 
 class TestRemainingTime:
     def test_first_stage(self):
-        assert remaining_time(1, T, 2e-3, TAU_H) == pytest.approx(T - 2e-3)
+        assert remaining_times(1, T, 2e-3, TAU_H)[0] == pytest.approx(T - 2e-3)
 
     def test_third_stage(self):
         # 10ms - 1ms - 2 * 1.0001ms = 6.9998 ms
-        assert remaining_time(3, T, 1e-3, TAU_H) == pytest.approx(6.9998e-3)
+        assert remaining_times(3, T, 1e-3, TAU_H)[2] == pytest.approx(6.9998e-3)
 
     def test_positive_at_last_stage(self):
         for tau in (1e-4, 1e-3, 3e-3, 4.9e-3):
             delta = max_sensing_stages(T, tau, TAU_H, 50)
-            assert remaining_time(delta, T, tau, TAU_H) >= 0.0
+            assert np.all(remaining_times(delta, T, tau, TAU_H) >= 0.0)
 
     def test_out_of_range(self):
-        with pytest.raises(StageOutOfRange):
-            remaining_time(0, T, 1e-3, TAU_H)
-        with pytest.raises(StageOutOfRange):
-            remaining_time(12, T, 1e-3, TAU_H)
+        # no stage 0; stage 12 at tau = 1 ms ends after the slot does
+        assert remaining_times(0, T, 1e-3, TAU_H).shape == (0,)
+        assert remaining_times(12, T, 1e-3, TAU_H)[11] < 0.0
+        assert max_sensing_stages(T, 1e-3, TAU_H, 50) < 12
 
     def test_constant_step(self):
         rts = remaining_times(6, T, 1e-3, TAU_H)
         steps = np.diff(rts)
         assert np.allclose(steps, -(1e-3 + TAU_H))
         assert np.all(np.diff(rts) < 0)
-
-
-class TestDrawSensingOrder:
-    def test_single_channel(self, rng):
-        assert draw_sensing_order(rng, 1, 3).tolist() == [1, 1, 1]
-
-    def test_deterministic_given_seed(self):
-        a = draw_sensing_order(np.random.default_rng(7), 9, 6)
-        b = draw_sensing_order(np.random.default_rng(7), 9, 6)
-        assert np.array_equal(a, b)
-
-    def test_range_and_length(self, rng):
-        order = draw_sensing_order(rng, 4, 11)
-        assert order.shape == (11,)
-        assert order.min() >= 1 and order.max() <= 4
-
-    def test_uniform_marginals(self):
-        # frequency of each channel at each position within 4 sigma
-        rng = np.random.default_rng(2024)
-        n, delta, n_pu = 200_000, 3, 5
-        draws = np.array([draw_sensing_order(rng, n_pu, delta) for _ in range(n)])
-        sigma = np.sqrt(0.2 * 0.8 / n)
-        for pos in range(delta):
-            for ch in range(1, n_pu + 1):
-                freq = np.mean(draws[:, pos] == ch)
-                assert abs(freq - 0.2) < 4 * sigma
-
-    def test_invalid_delta(self, rng):
-        with pytest.raises(StageOutOfRange):
-            draw_sensing_order(rng, 5, 0)
 
 
 class TestUpperBound:

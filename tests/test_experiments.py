@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import explicit_detector, make_config, make_scenario
@@ -71,6 +72,20 @@ class TestKinds:
                  if not l.startswith("#")]
         assert len(lines) - 1 <= 17  # header + capped rows
         assert lines[0].startswith("slot,su,transmitted")
+
+    def test_simulate_sweep_takes_a_list_or_an_array(self, tmp_path,
+                                                     small_scenario):
+        csv = []
+        for name, values in (("list", [0.3, 0.6]),
+                             ("array", np.array([0.3, 0.6]))):
+            run_simulate(small_scenario, tmp_path / name, axis="p",
+                         values=values, n_slots=200, seed=3)
+            csv.append((tmp_path / name / "simulate_p.csv").read_bytes())
+        assert csv[0] == csv[1]
+        for empty in (None, [], np.array([])):
+            with pytest.raises(ScenarioError, match="needs values"):
+                run_simulate(small_scenario, tmp_path / "empty", axis="p",
+                             values=empty)
 
     def test_chain_detail_shape(self, tmp_path, small_scenario):
         out = run_analyze(small_scenario, tmp_path, axis="p", values=[0.3],
