@@ -474,7 +474,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
     per_quadrant = max(1, n_realizations // 4)
     rng = np.random.default_rng(seed)
 
-    def analyzer_r(tau: float, p: float) -> float:
+    def analyzer_r(tau: float, p: float | np.ndarray):
         return analyze(config, SensingParams(tau=tau, p=p), resolved).throughput
 
     def frame_means(tau: float, p: float, count: int):
@@ -508,7 +508,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
 
         h_tau, h_p = cfg.delta_tau, cfg.delta_p
         df_dtau = -(analyzer_r(tau + h_tau, p) - analyzer_r(tau - h_tau, p)) / (2 * h_tau)
-        df_dp = -(analyzer_r(tau, p + h_p) - analyzer_r(tau, p - h_p)) / (2 * h_p)
+        df_dp = -np.subtract(*analyzer_r(tau, np.array([p + h_p, p - h_p]))) / (2 * h_p)
         grad_f = np.array([df_dtau, df_dp])
         inner = float(mean_g @ grad_f)
         out.append(FieldPoint(tau=tau, p=p, mean_g=mean_g, grad_f=grad_f,

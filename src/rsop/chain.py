@@ -15,7 +15,8 @@ every other table is array algebra over its output.  Throughput and
 interference follow from per-state occupation probabilities plus the
 probability a competitor never transmits on a given channel from a given
 stage on (the disposition total of a chain pruned of that channel's exits,
-in closed form).
+in closed form).  An array ``params.p`` evaluates a tau row (tau, p_i) at
+once: tables gain a leading point axis (``...`` below), metrics are arrays.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
 class StageProfiles:
     """Per-channel, per-stage sensing error probabilities and mean SNRs."""
 
-    p_fa: np.ndarray       # (n_pu,) stage-constant false alarm
-    p_d: np.ndarray        # (n_pu, n_stages) detection probability
-    gamma: np.ndarray      # (n_pu, n_stages) mean SNR; zeros in explicit mode
+    p_fa: np.ndarray       # (n_pu,) stage-constant false alarm, p-independent
+    p_d: np.ndarray        # (..., n_pu, n_stages) detection probability
+    gamma: np.ndarray      # (..., n_pu, n_stages) mean SNR; zeros in explicit mode
     n_stages: int
 
     @property
@@ -141,25 +142,26 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     Stage 1 evaluates the detector at the lone-PU SNR; stage 2 at the mean
     SNR including the expected stage-1 SU transmitters; stages >= 3 reuse the
     stage-2 value (detection saturates) unless ``per_stage_snr`` keeps
-    accumulating transmitters stage by stage.
+    accumulating transmitters stage by stage; p enters only through those.
     """
     npu, ns = config.n_pu, n_stages
+    points = np.shape(params.p)
     if resolved.mode == "explicit":
         p_d = resolved.explicit_p_d(np.arange(1, ns + 1))
         return StageProfiles(p_fa=np.full(npu, resolved.p_fa),
-                             p_d=np.tile(p_d, (npu, 1)),
-                             gamma=np.zeros((npu, ns)), n_stages=ns)
+                             p_d=np.tile(p_d, points + (npu, 1)),
+                             gamma=np.zeros(points + (npu, ns)), n_stages=ns)
 
     lam = resolved.lambda_norm
     f_s = config.sampling_freq
     p_fa = _clamp01(false_alarm_prob(lam, params.tau, f_s), "p_fa")
-    gamma = np.zeros((npu, ns))
-    p_d = np.zeros((npu, ns))
+    gamma = np.zeros(points + (npu, ns))
+    p_d = np.zeros(points + (npu, ns))
     profiles = StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
 
     def detect(i, snr):
-        gamma[:, i] = snr
-        p_d[:, i] = _clamp01(detection_prob(lam, params.tau, f_s, snr), "p_d")
+        gamma[..., i] = snr
+        p_d[..., i] = _clamp01(detection_prob(lam, params.tau, f_s, snr), "p_d")
 
     detect(0, config.snr_stage1)
     presence = config.presence_prob
@@ -169,11 +171,18 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
             i, (presence * config.pu_power + senders * config.su_power)
             / config.noise_power))
     elif ns > 1:
-        q1 = (1.0 - presence) * p_fa + presence * p_d[:, 0]
-        detect(1, stage_snr(config, params, slice(None), 2, q1_m=q1))
-        gamma[:, 2:] = gamma[:, 1:2]
-        p_d[:, 2:] = p_d[:, 1:2]
+        q1 = _handoff_prob(presence, p_fa, p_d[..., 0])
+        # a row's p as a column, so that it broadcasts against the per-channel q1
+        column = SensingParams(params.tau, params.p[:, None]) if points else params
+        detect(1, stage_snr(config, column, slice(None), 2, q1_m=q1))
+        gamma[..., 2:] = gamma[..., 1:2]
+        p_d[..., 2:] = p_d[..., 1:2]
     return profiles
+
+
+def _handoff_prob(occ, p_fa, p_d):
+    """Probability q that a probe hands off: false alarm if free, detection if busy."""
+    return (1.0 - occ) * p_fa + occ * p_d
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +215,35 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
     ``detect(i, senders)``, when given, fills the detection column of 0-based
     stage i >= 1 in ``profiles`` before that stage's q is formed, from the
     mean number of SUs per channel that started transmitting earlier,
-    senders = sum_{k<i} L^(k) (1 - q^(k)).
+    senders = sum_{k<i} L^(k) (1 - q^(k)).  Range checks run on the finished tables.
     """
     npu, ns = config.n_pu, profiles.n_stages
     vacant = 1.0 - config.presence_prob
     p_fa = profiles.p_fa
-    share = params.p / npu
-    occ = np.empty((npu, ns))
-    q = np.empty((npu, ns))
-    l = np.empty(ns)
-    n_ho = np.empty(ns)
+    p = np.asarray(params.p, dtype=float)
+    share = p / npu
+    occ, q = np.empty((2,) + p.shape + (npu, ns))
+    l, n_ho = np.empty((2,) + p.shape + (ns,))
 
-    occ[:, 0] = config.presence_prob
-    n_ho[0] = config.n_su
-    exponent = 0.0
-    senders = np.zeros(npu)
+    occ[..., 0] = config.presence_prob
+    n_ho[..., 0] = config.n_su
+    exponent = np.zeros(p.shape + (1,))
+    senders = np.zeros(p.shape + (npu,))
     for i in range(ns):
         if i > 0:
-            occ[:, i] = _clamp01(
-                occ[:, i - 1]
-                + vacant * np.power(p_fa, exponent) * (1.0 - np.power(p_fa, l[i - 1])),
-                "occupancy")
-            n_ho[i] = ((1.0 - params.p) + share * float(np.sum(q[:, i - 1]))) * n_ho[i - 1]
-            exponent += l[i - 1]
+            l_prev = l[..., i - 1, None]
+            occ[..., i] = (occ[..., i - 1] + vacant * np.power(p_fa, exponent)
+                           * (1.0 - np.power(p_fa, l_prev)))
+            n_ho[..., i] = ((1.0 - p) + share * q[..., i - 1].sum(axis=-1)) * n_ho[..., i - 1]
+            exponent = exponent + l_prev
             if detect is not None:
-                senders = senders + l[i - 1] * (1.0 - q[:, i - 1])
+                senders = senders + l_prev * (1.0 - q[..., i - 1])
                 detect(i, senders)
-        l[i] = share * n_ho[i]
-        q[:, i] = _clamp01((1.0 - occ[:, i]) * p_fa + occ[:, i] * profiles.p_d[:, i], "q")
-    u = 1.0 - np.power(p_fa[:, None], l)
-    return OccupancyTable(occ=occ, u=u, l=l, n_ho=n_ho, q=q)
+        l[..., i] = share * n_ho[..., i]
+        q[..., i] = _handoff_prob(occ[..., i], p_fa, profiles.p_d[..., i])
+    u = 1.0 - np.power(p_fa[:, None], l[..., None, :])
+    return OccupancyTable(occ=_clamp01(occ, "occupancy"), u=u, l=l, n_ho=n_ho,
+                          q=_clamp01(q, "q"))
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +254,16 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
 class ChainDistribution:
     """Per-state occupation probabilities of one SU's chain walk."""
 
-    pi_ho: np.ndarray       # (n_stages,) probability of reaching HO_n
-    pi_channel: np.ndarray  # (n_pu, n_stages) probability of probing m at stage n
-    p_t: np.ndarray         # (n_pu, n_stages) entry into T_n through channel m
-    p_i: np.ndarray         # (n_pu, n_stages) entry into I_n through channel m
-    pi_t: np.ndarray        # (n_stages,) transmission-state entry probability
-    pi_i: np.ndarray        # (n_stages,) interference-state entry probability
-    pi_te: float            # probability of terminating without transmitting
+    pi_ho: np.ndarray       # (..., n_stages) probability of reaching HO_n
+    pi_channel: np.ndarray  # (..., n_pu, n_stages) probability of probing m at stage n
+    p_t: np.ndarray         # (..., n_pu, n_stages) entry into T_n through channel m
+    p_i: np.ndarray         # (..., n_pu, n_stages) entry into I_n through channel m
+    pi_t: np.ndarray        # (..., n_stages) transmission-state entry probability
+    pi_i: np.ndarray        # (..., n_stages) interference-state entry probability
+    pi_te: float | np.ndarray  # probability of terminating without transmitting
 
-    def disposition_total(self) -> float:
-        return float(self.pi_te + np.sum(self.pi_t) + np.sum(self.pi_i))
+    def disposition_total(self) -> float | np.ndarray:
+        return self.pi_te + self.pi_t.sum(axis=-1) + self.pi_i.sum(axis=-1)
 
 
 def state_distribution(config: NetworkConfig, params: SensingParams,
@@ -270,12 +278,13 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
     terminates.
     """
     pi_ho = occupancy.n_ho / config.n_su
-    pi_ch = np.tile(params.p / config.n_pu * pi_ho, (config.n_pu, 1))
+    share = np.asarray(params.p, dtype=float)[..., None] / config.n_pu
+    pi_ch = np.tile((share * pi_ho)[..., None, :], (config.n_pu, 1))
     p_t = pi_ch * (1.0 - occupancy.occ) * (1.0 - profiles.p_fa)[:, None]
     p_i = pi_ch * occupancy.occ * (1.0 - profiles.p_d)
-    pi_te = float(pi_ho[-1] - np.sum(p_t[:, -1] + p_i[:, -1]))
+    pi_te = pi_ho[..., -1] - np.sum(p_t[..., -1] + p_i[..., -1], axis=-1)
     return ChainDistribution(pi_ho=pi_ho, pi_channel=pi_ch, p_t=p_t, p_i=p_i,
-                             pi_t=p_t.sum(axis=0), pi_i=p_i.sum(axis=0),
+                             pi_t=p_t.sum(axis=-2), pi_i=p_i.sum(axis=-2),
                              pi_te=pi_te)
 
 
@@ -289,7 +298,7 @@ def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
     walker is the reference; tests pin the equality.
     """
     exit_prob = dist.p_t + dist.p_i
-    tail = np.cumsum(exit_prob[:, ::-1], axis=1)[:, ::-1]
+    tail = np.cumsum(exit_prob[..., ::-1], axis=-1)[..., ::-1]
     return _clamp01(1.0 - tail, "no-tx probability")
 
 
@@ -299,16 +308,16 @@ def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
 
 @dataclass
 class ChainResult:
-    """Everything the analytic model says about one (tau, p) point."""
+    """Everything the analytic model says about one (tau, p) point or row."""
 
     params: SensingParams
     n_stages: int
     profiles: StageProfiles
     occupancy: OccupancyTable
     dist: ChainDistribution
-    no_tx: np.ndarray          # Y_{m,n}, (n_pu, n_stages)
-    success: np.ndarray        # Q_{T_n,m}, (n_pu, n_stages)
-    no_interf: np.ndarray      # Z_{I_n,m}, (n_pu, n_stages)
+    no_tx: np.ndarray          # Y_{m,n}, (..., n_pu, n_stages)
+    success: np.ndarray        # Q_{T_n,m}, (..., n_pu, n_stages)
+    no_interf: np.ndarray      # Z_{I_n,m}, (..., n_pu, n_stages)
     throughput: float          # r, per-SU, in units of C_R
     network_throughput: float  # N_s * r
     interference: float        # t_I, normalized by T * N_p
@@ -318,25 +327,25 @@ class ChainResult:
 def avg_throughput(config: NetworkConfig, params: SensingParams,
                    success: np.ndarray) -> float:
     """Average per-SU throughput r = (1/T) sum_{m,n} Q_{T_n,m} RT_n C_R."""
-    rt = remaining_times(success.shape[1], config.slot_duration, params.tau,
+    rt = remaining_times(success.shape[-1], config.slot_duration, params.tau,
                          config.handoff_time)
-    return float(np.sum(success * rt[None, :]) * config.tx_rate
-                 / config.slot_duration)
+    return (np.sum(success * rt, axis=(-2, -1)) * config.tx_rate
+            / config.slot_duration)
 
 
 def avg_interference(config: NetworkConfig, params: SensingParams,
                      no_interf: np.ndarray) -> float:
     """Normalized interference t_I = sum_{m,n} (1 - Z_{I_n,m}) RT_n / (T N_p)."""
-    rt = remaining_times(no_interf.shape[1], config.slot_duration, params.tau,
+    rt = remaining_times(no_interf.shape[-1], config.slot_duration, params.tau,
                          config.handoff_time)
-    return float(np.sum((1.0 - no_interf) * rt[None, :])
-                 / (config.slot_duration * config.n_pu))
+    return (np.sum((1.0 - no_interf) * rt, axis=(-2, -1))
+            / (config.slot_duration * config.n_pu))
 
 
 def analyze(config: NetworkConfig, params: SensingParams,
             resolved: ResolvedDetector,
             n_stages: int | None = None) -> ChainResult:
-    """Full analytic evaluation of one (tau, p) point (deterministic)."""
+    """Full analytic evaluation of one (tau, p) point or row (deterministic)."""
     params.validate(config.slot_duration)
     if n_stages is None:
         n_stages = max_sensing_stages(config.slot_duration, params.tau,
@@ -344,8 +353,8 @@ def analyze(config: NetworkConfig, params: SensingParams,
     profiles = stage_profiles(config, params, resolved, n_stages)
     occupancy = occupancy_evolution(config, params, profiles)
     dist = state_distribution(config, params, profiles, occupancy)
-    leak = dist.disposition_total() - 1.0
-    if abs(leak) > _CLAMP_TOL:
+    leak = np.max(np.abs(dist.disposition_total() - 1.0))
+    if leak > _CLAMP_TOL:
         raise RsopError(f"chain disposition leaks {leak:.3e} of probability mass")
 
     no_tx = _no_tx_matrix(dist)
@@ -366,7 +375,7 @@ def analyze(config: NetworkConfig, params: SensingParams,
         throughput=r,
         network_throughput=config.n_su * r,
         interference=t_i,
-        p_md_max=float(np.max(profiles.p_md)),
+        p_md_max=np.max(profiles.p_md, axis=(-2, -1)),
     )
 
 

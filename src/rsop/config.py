@@ -112,12 +112,12 @@ class SensingParams:
     """Decision variables: sensing time tau (s) and sensing probability p."""
 
     tau: float
-    p: float
+    p: float | np.ndarray  # an array is a tau row for the batched chain analyzer
 
     def validate(self, slot_duration: float):
         if not 0 <= self.tau <= slot_duration:
             raise ScenarioError(f"tau={self.tau} outside [0, T={slot_duration}]")
-        if not 0 <= self.p <= 1:
+        if not 0 <= np.min(self.p) <= np.max(self.p) <= 1:
             raise ScenarioError(f"p={self.p} outside [0, 1]")
 
 

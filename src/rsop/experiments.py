@@ -92,9 +92,9 @@ _DETAIL_COLUMNS = ["tau", "p", "channel", "stage", "occupancy", "p_fa", "p_d",
 
 def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
                 values=None, seed=0) -> ExperimentOutput:
-    """Analyzer sweep over p (default) or tau; the data behind the tradeoff
-    figures.  Also writes the per-(channel, stage) tables at the nominal
-    point."""
+    """Analyzer sweep over p (default; one batched call at the nominal tau) or
+    tau; the data behind the tradeoff figures.  Also writes the per-(channel,
+    stage) tables at the nominal point."""
     out_dir = Path(out_dir)
     if values is None:
         if axis == "p":
@@ -104,12 +104,12 @@ def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
             values = np.linspace(lo, 0.5 * scenario.config.slot_duration, 40)
         else:
             raise ScenarioError(f"unknown sweep axis {axis!r}")
-    rows = []
-    for v in values:
-        res = (analyze_scenario(scenario, p=float(v)) if axis == "p"
-               else analyze_scenario(scenario, tau=float(v)))
-        rows.append((res.params.tau, res.params.p, res.throughput,
-                     res.network_throughput, res.interference, res.p_md_max))
+    results = ([analyze_scenario(scenario, p=np.asarray(values, dtype=float))]
+               if axis == "p" else
+               [analyze_scenario(scenario, tau=float(v)) for v in values])
+    rows = [tuple(row) for res in results for row in np.column_stack(np.broadcast_arrays(
+        res.params.tau, res.params.p, res.throughput, res.network_throughput,
+        res.interference, res.p_md_max))]
     path = write_csv(out_dir / f"analyze_{axis}.csv",
                      _meta(scenario, seed, axis=axis),
                      ["tau", "p", "r", "network_r", "t_i", "p_md_max"], rows)

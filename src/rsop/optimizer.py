@@ -14,8 +14,12 @@ import numpy as np
 
 from .chain import ResolvedDetector, analyze, resolve_detector
 from .config import NetworkConfig, QosConstraints, SensingParams
+from .core import max_sensing_stages
 from .detector import min_sensing_time
 from .errors import EmptyGrid, ScenarioError
+
+# (channel x stage) cells per batched analyzer call; caps the tables' memory
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass
@@ -81,13 +85,23 @@ def evaluate_point(config: NetworkConfig, tau: float, p: float,
                    qos: QosConstraints, resolved: ResolvedDetector) -> PointEval:
     """Analyze one (tau, p) point and check the interference and misdetection
     caps (the box constraints hold by construction)."""
-    if not 0 <= tau <= config.slot_duration or not 0 <= p <= 1:
+    return _evaluate_row(config, tau, np.array([p]), qos, resolved)[0]
+
+
+def _evaluate_row(config: NetworkConfig, tau: float, ps: np.ndarray,
+                  qos: QosConstraints, resolved: ResolvedDetector) -> list[PointEval]:
+    """:func:`evaluate_point` at every p in ``ps``, in batched analyzer calls."""
+    if not (0 <= tau <= config.slot_duration and 0 <= np.min(ps) <= np.max(ps) <= 1):
         raise ScenarioError("evaluate_point called outside the decision box")
-    result = analyze(config, SensingParams(tau=tau, p=p), resolved)
-    feasible = (result.interference <= qos.t_i_max
-                and result.p_md_max <= qos.p_md_max)
-    return PointEval(tau=tau, p=p, r=result.throughput, t_i=result.interference,
-                     p_md_max=result.p_md_max, feasible=feasible)
+    n_stages = max_sensing_stages(config.slot_duration, tau, config.handoff_time, config.n_pu)
+    chunk = max(1, _CHUNK_CELLS // (config.n_pu * n_stages))
+    table = []
+    for lo in range(0, len(ps), chunk):
+        res = analyze(config, SensingParams(tau, ps[lo:lo + chunk]), resolved, n_stages)
+        cols = (res.params.p, res.throughput, res.interference, res.p_md_max,
+                (res.interference <= qos.t_i_max) & (res.p_md_max <= qos.p_md_max))
+        table += [PointEval(tau, *pt) for pt in zip(*(c.tolist() for c in cols))]
+    return table
 
 
 def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
@@ -98,25 +112,21 @@ def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
     Returns the feasible point with maximum throughput; ties break toward
     smaller tau, then smaller p, so the result does not depend on evaluation
     order.  When nothing is feasible the best-throughput infeasible point is
-    reported with ``feasible=False``.  ``evaluator`` may replace the default
-    analyzer-backed :func:`evaluate_point` (e.g. a simulation-backed mode).
+    reported with ``feasible=False``.  The analyzer runs row by row, batched;
+    ``evaluator(tau, p)`` may replace it, and only it runs on ``n_jobs`` threads.
     """
+    taus, ps = grid.tau_values(), grid.p_values()
     if evaluator is None:
         if resolved is None:
             raise ScenarioError("brute_force_optimize needs a resolved detector "
                                 "or an explicit evaluator")
-
-        def evaluator(tau, p):
-            return evaluate_point(config, tau, p, qos, resolved)
-
-    points = [(tau, p) for tau in grid.tau_values() for p in grid.p_values()]
-    if not points:
-        raise EmptyGrid("no grid points")
-    if n_jobs > 1:
+        table = [pt for tau in taus for pt in _evaluate_row(config, tau, ps, qos, resolved)]
+    elif n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            table = list(pool.map(lambda tp: evaluator(*tp), points))
+            table = list(pool.map(evaluator, np.repeat(taus, len(ps)),
+                                  np.tile(ps, len(taus))))
     else:
-        table = [evaluator(tau, p) for tau, p in points]
+        table = [evaluator(tau, p) for tau in taus for p in ps]
 
     def key(pt: PointEval):
         # feasibility first, then throughput, then small tau, then small p

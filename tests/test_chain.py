@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import default_qos, explicit_detector, make_config, make_scenario
 from enumeration import pruned_no_tx_prob, pruned_walk, success_prob
-from rsop import chain
+from rsop import chain, optimizer
 from rsop.chain import (
+    StageProfiles,
     _clamp01,
     _no_tx_matrix,
     analyze,
@@ -14,9 +17,16 @@ from rsop.chain import (
     stage_profiles,
     state_distribution,
 )
-from rsop.config import DetectorSpec, SensingParams
+from rsop.config import (
+    DetectorSpec,
+    SensingParams,
+    bundled_scenario_path,
+    bundled_scenarios,
+    load_scenario,
+)
 from rsop.core import upper_bound_throughput
 from rsop.errors import RsopError
+from rsop.optimizer import GridSpec, brute_force_optimize, evaluate_point
 
 T = 10e-3
 
@@ -132,6 +142,16 @@ class TestInvariants:
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
         with pytest.raises(RsopError, match="disposition"):
             analyze(config, SensingParams(1e-3, 0.5), resolved)
+
+    def test_walk_checks_every_point_of_the_finished_table(self):
+        # P_fa > 1 drives occupancy below 0 from stage 2 on, but only where
+        # SUs sense: the p = 0 point keeps occupancy 0, the p = 0.5 one drifts
+        config = make_config(n_su=4, n_pu=2, presence=0.0)
+        profiles = StageProfiles(p_fa=np.full(2, 1.5), p_d=np.full((2, 2, 4), 0.9),
+                                 gamma=np.zeros((2, 2, 4)), n_stages=4)
+        with pytest.raises(RsopError, match=r"occupancy left \[0,1\]"):
+            occupancy_evolution(config, SensingParams(1e-3, np.array([0.0, 0.5])),
+                                profiles)
 
 
 class TestPrunedNoTx:
@@ -295,3 +315,59 @@ class TestEnergyProfiles:
         assert 0 < res.throughput < 1
         override = analyze_scenario(sc, p=0.0)
         assert override.throughput == 0.0
+
+
+class TestBatchedRow:
+    """One call over the points (tau, p_i) of a row matches the points
+    evaluated one at a time."""
+
+    @staticmethod
+    def assert_row_matches(config, tau, ps, resolved):
+        row = analyze(config, SensingParams(tau, ps), resolved)
+        for k, p in enumerate(ps):
+            one = analyze(config, SensingParams(tau, float(p)), resolved)
+            for name in ("throughput", "interference", "p_md_max"):
+                assert abs(getattr(row, name)[k] - getattr(one, name)) <= 1e-12, name
+            for name in ("no_tx", "success", "no_interf"):
+                diff = getattr(row, name)[k] - getattr(one, name)
+                assert np.max(np.abs(diff)) <= 1e-12, name
+        return row
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_every_bundled_scenario_on_its_default_grid(self, name):
+        sc = load_scenario(bundled_scenario_path(name))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=16, p_steps=16)
+        for tau in grid.tau_values():
+            self.assert_row_matches(sc.config, tau, grid.p_values(), resolved)
+
+    def test_p_zero_in_a_row(self):
+        config = make_config(n_su=5, n_pu=3, presence=[0.3, 0.5, 0.7])
+        resolved = resolve_detector(config, explicit_detector(0.2, 0.85), None, 1e-3)
+        row = self.assert_row_matches(config, 7e-4, np.array([0.0, 0.4, 1.0]),
+                                      resolved)
+        assert row.throughput[0] == 0.0 and row.interference[0] == 0.0
+
+    def test_per_stage_snr(self):
+        sc = load_scenario(bundled_scenario_path("dense_ns20_np5"))
+        detector = replace(sc.detector, per_stage_snr=True)
+        resolved = resolve_detector(sc.config, detector, sc.qos, sc.params.tau)
+        assert resolved.per_stage_snr and resolved.mode == "energy"
+        row = self.assert_row_matches(sc.config, sc.params.tau,
+                                      np.linspace(0.0, 1.0, 7), resolved)
+        assert row.n_stages > 2
+
+    def test_row_split_across_chunks(self, monkeypatch):
+        config = make_config(n_su=4, n_pu=3, presence=0.5)
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        grid = GridSpec(tau_lo=5e-4, tau_hi=4e-3, tau_steps=3, p_lo=0.0,
+                        p_hi=1.0, p_steps=7)
+        # 3 channels x 2 or 3 stages: chunks of 2 or 4 points, never a whole row
+        monkeypatch.setattr(optimizer, "_CHUNK_CELLS", 24)
+        res = brute_force_optimize(config, grid, default_qos(), resolved=resolved)
+        assert len(res.table) == 21
+        for pt in res.table:
+            one = evaluate_point(config, pt.tau, pt.p, default_qos(), resolved)
+            assert (pt.tau, pt.p, pt.feasible) == (one.tau, one.p, one.feasible)
+            assert abs(pt.r - one.r) <= 1e-12
+            assert abs(pt.t_i - one.t_i) <= 1e-12

@@ -89,6 +89,17 @@ class TestBruteForce:
                                  n_jobs=4)
         assert (a.tau_star, a.p_star, a.r_star) == (b.tau_star, b.p_star, b.r_star)
 
+    def test_pool_runs_a_supplied_evaluator(self):
+        grid = GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=5, p_lo=0.1,
+                        p_hi=1.0, p_steps=7)
+        ev = stub_evaluator(lambda t, p: -(t - 4e-4) ** 2 - (p - 0.6) ** 2,
+                            lambda t, p: p < 0.9)
+        a = brute_force_optimize(make_config(), grid, default_qos(), evaluator=ev)
+        b = brute_force_optimize(make_config(), grid, default_qos(), evaluator=ev,
+                                 n_jobs=3)
+        assert a.table == b.table
+        assert (a.tau_star, a.p_star) == (b.tau_star, b.p_star)
+
 
 class TestEvaluatePoint:
     def test_idle_point(self):
