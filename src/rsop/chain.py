@@ -40,10 +40,10 @@ _CLAMP_TOL = 1e-9
 
 
 def _clamp01(x, what: str):
-    """Clamp probabilities to [0, 1]; drift beyond 1e-9 is a real bug."""
+    """Clamp probabilities to [0, 1]; drift beyond 1e-9 or NaN is a real bug."""
     x = np.asarray(x, dtype=float)
     worst = max(float(np.max(x, initial=0.0)) - 1.0, -float(np.min(x, initial=1.0)))
-    if worst > _CLAMP_TOL:
+    if not worst <= _CLAMP_TOL:  # also true for NaN, which np.max propagates
         raise RsopError(f"{what} left [0,1] by {worst:.3e}")
     return np.clip(x, 0.0, 1.0)
 

@@ -5,11 +5,17 @@ for a sensing SU when its PU is present or when another SU started
 transmitting there at an *earlier* stage (same-stage starters sense in
 parallel and collide).  Sensing decisions are Bernoulli draws at the analytic
 error probabilities, with detection evaluated at the realized accumulated
-signal power when the energy detector is in use.
+signal power when the energy detector is in use.  P_fa depends only on the
+SU's tau and the channel, P_md only on those, the PU state and the number of
+earlier SU transmitters, so each stage evaluates :mod:`rsop.detector` once on
+a table of those cells and every probe reads its threshold with one gather.
 
-Slots are i.i.d., so the whole batch is simulated as vectorized arrays with a
-short loop over sensing stages.  Replications are embarrassingly parallel
-with independent seeded streams and order-independent aggregation.
+Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
+a short loop over sensing stages.  A replication runs as consecutive batches
+of at most ``BLOCK_SLOTS`` (8192) slots on one generator, folded into one
+(count, mean, M2) reducer, so its memory is bounded by the block size and not
+by the number of slots.  Replications are embarrassingly parallel with
+independent seeded streams and order-independent aggregation.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .config import NetworkConfig, SensingParams
 from .core import max_sensing_stages
 from .detector import false_alarm_prob, misdetection_prob
 from .errors import ScenarioError
+
+# Slots per simulate_slots call in a replication; a longer run is streamed.
+BLOCK_SLOTS = 8192
 
 
 @dataclass
@@ -94,40 +103,34 @@ class SlotBatch:
     pu_busy_fraction: float         # realized PU duty cycle (diagnostic)
 
 
-def _pu_presence(config: NetworkConfig, n_slots: int, rng: np.random.Generator,
-                 model: str, hold_slots: float) -> np.ndarray:
-    """Per-slot, per-channel PU presence.
+def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
+                     tau_n: np.ndarray, n: int) -> np.ndarray:
+    """Sensing thresholds of stage ``n``, shape (N_s, N_p, 2, N_s + 1), by
+    (SU, channel, PU present, SUs transmitting there from earlier stages).
 
-    "iid" draws each slot independently (the model the analyzer assumes).
-    "onoff" runs a two-state chain per channel with the same stationary
-    presence probability and mean busy holding time ``hold_slots``; it exists
-    for robustness studies only.
+    A probe decides "free" when the channel is busy and u < P_md, or idle and
+    u >= P_fa, that is when (u < table[cell]) == busy.  So the busy cells hold
+    P_md at the cell's SNR and the idle cell (PU absent, count 0) holds P_fa.
     """
-    presence = config.presence_prob
-    if model == "iid":
-        return rng.random((n_slots, config.n_pu)) < presence[None, :]
-    if model != "onoff":
-        raise ScenarioError(f"unknown PU model {model!r}")
-    if hold_slots < 1:
-        raise ScenarioError("onoff hold_slots must be >= 1")
-    p_down = np.minimum(1.0, 1.0 / hold_slots)  # busy -> free
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_up = np.where(presence < 1.0,
-                        np.minimum(1.0, presence * p_down / (1.0 - presence)),
-                        1.0)
-    out = np.empty((n_slots, config.n_pu), dtype=bool)
-    state = rng.random(config.n_pu) < presence
-    for s in range(n_slots):
-        u = rng.random(config.n_pu)
-        state = np.where(state, u >= p_down, u < p_up)
-        out[s] = state
-    return out
+    ns = config.n_su
+    if resolved.mode == "explicit":
+        table = np.full((ns, config.n_pu, 2, ns + 1),
+                        1.0 - resolved.explicit_p_d(n))
+        table[:, :, 0, 0] = resolved.p_fa
+        return table
+    lam, f_s = resolved.lambda_norm, config.sampling_freq
+    gamma = (np.arange(2)[:, None] * config.pu_power[:, None, None]
+             + np.arange(ns + 1) * config.su_power) / config.noise_power
+    table = misdetection_prob(lam[:, None, None], tau_n[:, None, None, None],
+                              f_s, gamma)
+    table[:, :, 0, 0] = false_alarm_prob(lam, tau_n[:, None], f_s)
+    return table
 
 
 def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
                    resolved: ResolvedDetector, n_slots: int,
-                   rng: np.random.Generator, protocol: str = "modified",
-                   pu_model: str = "iid", pu_hold_slots: float = 10.0) -> SlotBatch:
+                   rng: np.random.Generator,
+                   protocol: str = "modified") -> SlotBatch:
     """Simulate ``n_slots`` independent slots for all SUs.
 
     The random stream is consumed in a fixed order independent of outcomes,
@@ -141,21 +144,30 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         raise ScenarioError(f"unknown protocol {protocol!r}")
     S, NS, NP = n_slots, config.n_su, config.n_pu
     T = config.slot_duration
+    K = NS + 1  # earlier transmitters on a channel: 0..N_s
 
-    pu = _pu_presence(config, S, rng, pu_model, pu_hold_slots)
+    pu = rng.random((S, NP)) < config.presence_prob[None, :]
+    # flat (slot, channel) state code pu * K + (SUs transmitting there): 0 is
+    # idle; ``mark`` is scratch space over the same index
+    cell = (pu * K).ravel()
+    mark = np.empty(S * NP, dtype=np.intp)
+    slot_base = np.arange(S)[:, None] * NP      # flat (slot, channel) index
+    su_base = np.arange(NS) * (NP * 2 * K)      # threshold-table row of each SU
 
     searching = np.ones((S, NS), dtype=bool)
-    su_count = np.zeros((S, NP), dtype=np.int32)   # transmitters from earlier stages
     tx_channel = np.full((S, NS), -1, dtype=np.int32)
     tx_stage = np.zeros((S, NS), dtype=np.int32)
-    tx_rt = np.zeros((S, NS))
     interfered_entry = np.zeros((S, NS), dtype=bool)
     overhead = np.zeros((S, NS), dtype=np.int32)
     net_interf = np.zeros(S)
-    su_interf = np.zeros((S, NS))
     elapsed = np.zeros(S)
+    M = schedules.max_stages
+    rt_at = np.zeros((S, M + 1))   # remaining time after stage n; 0 at n = 0
+    # per stage, SUs by descending tau; index NS (tau 0) means "none active"
+    by_tau = np.argsort(-schedules.tau, axis=0, kind="stable")
+    tau_desc = np.vstack([schedules.tau[by_tau, np.arange(M)], np.zeros(M)])
 
-    for n in range(1, schedules.max_stages + 1):
+    for n in range(1, M + 1):
         in_budget = schedules.delta >= n
         active = searching & in_budget[None, :]
         # Draws happen for the full (S, NS) grid every stage to keep the
@@ -169,33 +181,28 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         p_n = schedules.p[:, n - 1]
 
         # stage timing: longest sensing duration among SUs still searching
-        dur = np.max(np.where(active, tau_n[None, :], 0.0), axis=1)
+        ordered = active[:, by_tau[:, n - 1]]
+        dur = tau_desc[np.where(ordered.any(axis=1), ordered.argmax(axis=1), NS),
+                       n - 1]
         if n >= 2:
             elapsed += np.where(dur > 0, config.handoff_time, 0.0)
         elapsed += dur
         rt = np.maximum(T - elapsed, 0.0)
+        rt_at[:, n] = rt
 
         if protocol == "modified":
             senses = active & (u_gate < p_n[None, :])
         else:
             senses = active
 
-        pu_here = np.take_along_axis(pu, ch, axis=1)
-        count_here = np.take_along_axis(su_count, ch, axis=1)
-        busy = pu_here | (count_here > 0)
-
-        if resolved.mode == "explicit":
-            p_fa_here = np.full((S, NS), resolved.p_fa)
-            p_md_here = np.full((S, NS), 1.0 - resolved.explicit_p_d(n))
-        else:
-            lam_here = resolved.lambda_norm[ch]
-            f_s = config.sampling_freq
-            p_fa_here = false_alarm_prob(lam_here, tau_n[None, :], f_s)
-            gamma = (pu_here * config.pu_power[ch]
-                     + count_here * config.su_power) / config.noise_power
-            p_md_here = misdetection_prob(lam_here, tau_n[None, :], f_s, gamma)
-
-        decided_free = np.where(busy, u_sense < p_md_here, u_sense >= p_fa_here)
+        flat = slot_base + ch
+        state = np.take(cell, flat)
+        busy = state != 0
+        code = ch * (2 * K)
+        code += su_base
+        code += state
+        thr = _threshold_table(config, resolved, tau_n, n)
+        decided_free = (u_sense < np.take(thr, code)) == busy
         if protocol == "conventional":
             will_tx = senses & decided_free & (u_gate < p_n[None, :])
         else:
@@ -203,33 +210,30 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
 
         overhead += senses
         new_tx = will_tx & (rt > 0.0)[:, None]
-        rows, cols = np.nonzero(new_tx)
-        picked = ch[rows, cols]
-        tx_channel[rows, cols] = picked
-        tx_stage[rows, cols] = n
-        tx_rt[rows, cols] = rt[rows]
+        np.copyto(tx_channel, ch, where=new_tx)
+        np.copyto(tx_stage, n, where=new_tx)
 
         started_busy = new_tx & busy
-        interfered_entry |= started_busy
-        b_rows, b_cols = np.nonzero(started_busy)
-        if b_rows.size:
-            su_interf[b_rows, b_cols] += rt[b_rows] / (T * NP)
-            ev = np.zeros((S, NP), dtype=bool)
-            ev[b_rows, ch[b_rows, b_cols]] = True
-            net_interf += ev.sum(axis=1) * rt / (T * NP)
+        if started_busy.any():
+            interfered_entry |= started_busy
+            # busy channels entered, once per (slot, channel): of repeated
+            # indices, only the one whose mark survives is counted
+            hit = flat[started_busy]
+            k = np.arange(hit.size)
+            mark[hit] = k
+            entered = np.bincount(hit[mark[hit] == k] // NP, minlength=S)
+            net_interf += entered * rt / (T * NP)
 
         # SUs that decided to transmit but ran out of slot time just stop.
         searching &= ~will_tx
-        np.add.at(su_count, (rows, picked), 1)
+        np.add.at(cell, flat[new_tx], 1)
 
     transmitted = tx_stage > 0
-    pu_at_tx = np.zeros((S, NS), dtype=bool)
-    count_at_tx = np.zeros((S, NS), dtype=np.int32)
-    rows, cols = np.nonzero(transmitted)
-    pu_at_tx[rows, cols] = pu[rows, tx_channel[rows, cols]]
-    count_at_tx[rows, cols] = su_count[rows, tx_channel[rows, cols]]
-    success = transmitted & ~pu_at_tx & (count_at_tx == 1)
-    collided = transmitted & (count_at_tx >= 2)
+    tx_rt = np.take(rt_at, np.arange(S)[:, None] * (M + 1) + tx_stage)
+    # state of the channel each SU transmitted on (masked where it did not)
+    at_tx = np.take(cell, slot_base + tx_channel)
+    success = transmitted & (at_tx == 1)   # PU absent and the SU alone
+    collided = transmitted & (at_tx % K >= 2)
     throughput = np.where(success, tx_rt * config.tx_rate / T, 0.0)
     delay = np.where(transmitted, T - tx_rt, T)
     stages_entered = np.where(transmitted, tx_stage, schedules.delta[None, :])
@@ -244,7 +248,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         tx_stage=tx_stage,
         tx_channel=tx_channel,
         network_interference=net_interf,
-        su_interference=su_interf,
+        su_interference=np.where(interfered_entry, tx_rt / (T * NP), 0.0),
         overhead=overhead,
         handoffs=handoffs,
         delay=delay,
@@ -287,51 +291,99 @@ _BATCH_MEANS = {
     "collision_rate": "collided",
     "interference_entry_rate": "interfered_entry",
 }
+# The scalar means a _Moments vector holds, before the per-SU throughput, and
+# the rows of those whose standard error is reported.
+_MEAN_FIELDS = ("throughput", "network_throughput", *_BATCH_MEANS)
+_SPREAD = ("network_throughput", "interference")
+_SPREAD_ROWS = [_MEAN_FIELDS.index(f) for f in _SPREAD]
 
 
-def _error_fields(net_samples: np.ndarray, interf_samples: np.ndarray) -> dict:
-    """Standard errors of the mean and 1.96-SE half-widths of the network
-    throughput and interference, from per-slot or per-replication samples."""
-    out = {}
-    for name, x in (("network_throughput", net_samples),
-                    ("interference", interf_samples)):
-        se = float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else float("nan")
-        out[f"se_{name}"] = se
-        out[f"ci_{name}"] = 1.96 * se
-    return out
+@dataclass
+class _Moments:
+    """Sample count, means and sums of squared deviations (M2) of a run.
 
+    ``mean`` holds the _MEAN_FIELDS, then the per-SU throughput; ``m2`` the
+    spread of the _SPREAD samples (per slot within a replication, per
+    replication across them).  Blocks merge with the pairwise update of Chan,
+    Golub and LeVeque (Welford's update when one side is a single sample), so
+    a run of any length keeps one block of slots in memory.
+    """
 
-def _metrics_from_batch(batch: SlotBatch) -> RunMetrics:
-    per_su = batch.throughput.mean(axis=0)
-    return RunMetrics(
-        n_slots=batch.throughput.shape[0],
-        n_reps=1,
-        throughput=float(per_su.mean()),
-        network_throughput=float(per_su.sum()),
-        per_su_throughput=per_su,
-        **{f: float(getattr(batch, a).mean()) for f, a in _BATCH_MEANS.items()},
-        **_error_fields(batch.throughput.sum(axis=1), batch.network_interference),
-    )
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def _of(cls, mean: np.ndarray, spread: np.ndarray) -> "_Moments":
+        centered = spread - spread.mean(axis=1, keepdims=True)
+        return cls(spread.shape[1], mean, (centered * centered).sum(axis=1))
+
+    @classmethod
+    def of_batch(cls, batch: SlotBatch) -> "_Moments":
+        per_su = batch.throughput.mean(axis=0)
+        means = [per_su.mean(), per_su.sum(),
+                 *(getattr(batch, a).mean() for a in _BATCH_MEANS.values())]
+        return cls._of(np.concatenate([means, per_su]),
+                       np.stack([batch.throughput.sum(axis=1),
+                                 batch.network_interference]))
+
+    @classmethod
+    def of_replications(cls, reps: list["RunMetrics"]) -> "_Moments":
+        # one contiguous row per field, so each mean is that of a 1-D array
+        samples = np.array([[*(getattr(r, f) for f in _MEAN_FIELDS),
+                             *r.per_su_throughput] for r in reps]).T.copy()
+        return cls._of(samples.mean(axis=1), samples[_SPREAD_ROWS])
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        d = delta[_SPREAD_ROWS]
+        return _Moments(n, self.mean + delta * (other.n / n),
+                        self.m2 + other.m2 + d * d * (self.n * other.n / n))
+
+    def metrics(self, n_slots: int, n_reps: int) -> "RunMetrics":
+        """Means, standard errors of the mean and 1.96-SE half-widths."""
+        se = ([float(v) for v in np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)]
+              if self.n > 1 else [float("nan")] * len(_SPREAD))
+        k = len(_MEAN_FIELDS)
+        return RunMetrics(
+            n_slots=n_slots,
+            n_reps=n_reps,
+            per_su_throughput=self.mean[k:],
+            **{f: float(v) for f, v in zip(_MEAN_FIELDS, self.mean[:k])},
+            **{f"se_{f}": v for f, v in zip(_SPREAD, se)},
+            **{f"ci_{f}": 1.96 * v for f, v in zip(_SPREAD, se)},
+        )
 
 
 def run_replication(config: NetworkConfig, schedules: SuSchedules,
                     resolved: ResolvedDetector, protocol: str, n_slots: int,
-                    seed, pu_model: str = "iid",
-                    pu_hold_slots: float = 10.0) -> RunMetrics:
-    """One seeded replication; deterministic given the seed."""
+                    seed) -> RunMetrics:
+    """One seeded replication; deterministic given the seed.
+
+    The slots run as consecutive ``simulate_slots`` calls of at most
+    BLOCK_SLOTS slots on one generator, folded into one reducer, so memory
+    is bounded by the block size.  A run of at most BLOCK_SLOTS slots is one
+    call, and its metrics are those of that batch."""
     if n_slots < 1:
         raise ScenarioError("n_slots must be >= 1")
     rng = np.random.default_rng(seed)
-    batch = simulate_slots(config, schedules, resolved, n_slots, rng,
-                           protocol=protocol, pu_model=pu_model,
-                           pu_hold_slots=pu_hold_slots)
-    return _metrics_from_batch(batch)
+    total = None
+    for start in range(0, n_slots, BLOCK_SLOTS):
+        # ``batch`` keeps the previous block alive until the next one exists:
+        # freed first, it lets malloc trim the heap, and each block then
+        # faults its pages in afresh (6x the page faults, 1.5x the time).
+        batch = simulate_slots(config, schedules, resolved,
+                               min(BLOCK_SLOTS, n_slots - start), rng,
+                               protocol=protocol)
+        block = _Moments.of_batch(batch)
+        total = block if total is None else total.merge(block)
+    return total.metrics(n_slots, 1)
 
 
 def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
                 resolved: ResolvedDetector, protocol: str, n_slots: int,
-                n_reps: int, base_seed, n_jobs: int = 1,
-                pu_model: str = "iid", pu_hold_slots: float = 10.0) -> RunMetrics:
+                n_reps: int, base_seed, n_jobs: int = 1) -> RunMetrics:
     """Replicated Monte Carlo with deterministic seeding.
 
     Replication seeds are spawned from ``base_seed``; aggregation runs in
@@ -343,7 +395,7 @@ def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
 
     def one(seq):
         return run_replication(config, schedules, resolved, protocol, n_slots,
-                               seq, pu_model=pu_model, pu_hold_slots=pu_hold_slots)
+                               seq)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -353,27 +405,16 @@ def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
 
     if n_reps == 1:
         return reps[0]
-
-    def samples(field):
-        return np.array([getattr(r, field) for r in reps])
-
-    return RunMetrics(
-        n_slots=n_slots,
-        n_reps=n_reps,
-        per_su_throughput=np.mean([r.per_su_throughput for r in reps], axis=0),
-        **{f: float(samples(f).mean())
-           for f in ("throughput", "network_throughput", *_BATCH_MEANS)},
-        **_error_fields(samples("network_throughput"), samples("interference")),
-    )
+    return _Moments.of_replications(reps).metrics(n_slots, n_reps)
 
 
 def simulate_scenario(scenario, n_slots: int, seed, protocol: str = "modified",
                       n_reps: int = 1, n_jobs: int = 1,
-                      tau: float | None = None, p: float | None = None,
-                      pu_model: str = "iid") -> RunMetrics:
+                      tau: float | None = None,
+                      p: float | None = None) -> RunMetrics:
     """Scenario-level convenience wrapper around :func:`monte_carlo`."""
     sc = scenario.with_params(tau=tau, p=p)
     resolved = resolve_detector(sc.config, sc.detector, sc.qos, scenario.params.tau)
     schedules = SuSchedules.homogeneous(sc.config, sc.params)
     return monte_carlo(sc.config, schedules, resolved, protocol, n_slots,
-                       n_reps, seed, n_jobs=n_jobs, pu_model=pu_model)
+                       n_reps, seed, n_jobs=n_jobs)

@@ -131,6 +131,11 @@ class TestInvariants:
             with pytest.raises(RsopError, match="x left"):
                 _clamp01(np.array([0.5, bad]), "x")
 
+    def test_clamp_rejects_nan(self):
+        for values in ([np.nan, 0.5], [0.5, np.nan], [np.nan]):
+            with pytest.raises(RsopError, match="x left"):
+                _clamp01(np.array(values), "x")
+
     def test_disposition_leak_raises(self, monkeypatch):
         def leaky(*args):
             dist = state_distribution(*args)

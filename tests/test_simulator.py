@@ -1,12 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import explicit_detector, make_config
 from rsop.chain import resolve_detector
-from rsop.config import SensingParams
+from rsop.config import DetectorSpec, SensingParams
+from rsop.detector import false_alarm_prob, misdetection_prob
 from rsop.errors import ScenarioError
 from rsop.simulator import (
+    BLOCK_SLOTS,
+    SlotBatch,
     SuSchedules,
+    _Moments,
+    _threshold_table,
     monte_carlo,
     run_replication,
     simulate_slots,
@@ -127,6 +134,83 @@ class TestDeterminismContracts:
             assert getattr(mc, ci_field) == pytest.approx(1.96 * se, rel=1e-12)
 
 
+class TestThresholdTable:
+    def test_energy_cells_are_the_detector_formulas(self):
+        config = make_config(n_su=3, n_pu=4, presence=[0.2, 0.5, 0.8, 0.4],
+                             pu_power=[0.05, 0.1, 0.4, 1.5], su_power=0.3)
+        resolved = resolve_detector(
+            config, DetectorSpec(mode="energy", threshold=1.02), None, 1e-3)
+        tau_n = np.array([1e-4, 3e-4, 7e-4])
+        table = _threshold_table(config, resolved, tau_n, 2)
+        assert table.shape == (3, 4, 2, 4)
+        lam, f_s = resolved.lambda_norm, config.sampling_freq
+        for j, m, pu, count in np.ndindex(table.shape):
+            if pu == 0 and count == 0:
+                expect = false_alarm_prob(lam[m], tau_n[j], f_s)
+            else:
+                gamma = ((pu * config.pu_power[m] + count * config.su_power)
+                         / config.noise_power)
+                expect = misdetection_prob(lam[m], tau_n[j], f_s, gamma)
+            assert table[j, m, pu, count] == expect
+
+    def test_explicit_cells_follow_the_stage(self):
+        config = make_config(n_su=2, n_pu=3)
+        resolved = resolve_detector(
+            config, explicit_detector(0.15, [0.6, 0.8, 0.95]), None, 1e-3)
+        for n, p_d in ((1, 0.6), (2, 0.8), (3, 0.95), (5, 0.95)):
+            table = _threshold_table(config, resolved, np.full(2, 1e-3), n)
+            for j, m, pu, count in np.ndindex(table.shape):
+                expect = 0.15 if pu == 0 and count == 0 else 1.0 - p_d
+                assert table[j, m, pu, count] == expect
+
+
+class TestStreaming:
+    def test_one_block_is_the_batch_metrics(self):
+        config = make_config(n_su=3, n_pu=4, presence=0.4)
+        schedules, resolved = setup(config, 1e-3, 0.7, 0.1, 0.9)
+        for n_slots in (1, 500, BLOCK_SLOTS):
+            run = run_replication(config, schedules, resolved, "modified",
+                                  n_slots, 8)
+            batch = simulate_slots(config, schedules, resolved, n_slots,
+                                   np.random.default_rng(8))
+            direct = _Moments.of_batch(batch).metrics(n_slots, 1)
+            for field in dataclasses.fields(run):
+                a, b = getattr(run, field.name), getattr(direct, field.name)
+                if field.name == "per_su_throughput":
+                    assert np.array_equal(a, b)
+                else:
+                    assert a == b or (np.isnan(a) and np.isnan(b))
+
+    def test_blocks_merge_like_one_batch(self):
+        # three full blocks plus a remainder against the concatenated batch
+        config = make_config(n_su=2, n_pu=3, presence=0.3)
+        schedules, resolved = setup(config, 1e-3, 0.8, 0.1, 0.7)
+        n_slots = 3 * BLOCK_SLOTS + 1000
+        run = run_replication(config, schedules, resolved, "modified",
+                              n_slots, 4)
+        rng = np.random.default_rng(4)
+        parts = [simulate_slots(config, schedules, resolved,
+                                min(BLOCK_SLOTS, n_slots - s), rng)
+                 for s in range(0, n_slots, BLOCK_SLOTS)]
+        assert len(parts) == 4
+        whole = SlotBatch(**{
+            f.name: (np.concatenate([getattr(b, f.name) for b in parts])
+                     if f.name != "pu_busy_fraction" else 0.0)
+            for f in dataclasses.fields(SlotBatch)})
+        direct = _Moments.of_batch(whole).metrics(n_slots, 1)
+        assert run.n_slots == direct.n_slots == n_slots
+        for field in ("throughput", "network_throughput", "interference",
+                      "su_caused_interference", "sensing_overhead", "handoffs",
+                      "delay", "success_rate", "collision_rate",
+                      "interference_entry_rate", "se_network_throughput",
+                      "se_interference", "ci_network_throughput",
+                      "ci_interference"):
+            assert getattr(run, field) == pytest.approx(
+                getattr(direct, field), rel=1e-12, abs=0.0)
+        assert np.allclose(run.per_su_throughput, direct.per_su_throughput,
+                           rtol=1e-12, atol=0.0)
+
+
 class TestStatistics:
     def test_matches_exact_pair_collision_value(self):
         # N_s=2, N_p=2, one stage, perfect sensing of free channels:
@@ -154,14 +238,6 @@ class TestStatistics:
         mod = run_replication(config, schedules, resolved, "modified", 4000, 21)
         conv = run_replication(config, schedules, resolved, "conventional", 4000, 22)
         assert mod.sensing_overhead < 0.9 * conv.sensing_overhead
-
-    def test_onoff_pu_model_keeps_stationary_presence(self):
-        config = make_config(n_su=1, n_pu=3, presence=[0.2, 0.5, 0.8])
-        schedules, resolved = setup(config, 1e-3, 0.5, 0.1, 0.9)
-        rng = np.random.default_rng(6)
-        batch = simulate_slots(config, schedules, resolved, 20000, rng,
-                               pu_model="onoff", pu_hold_slots=8)
-        assert batch.pu_busy_fraction == pytest.approx(0.5, abs=0.02)
 
 
 class TestSchedules:
