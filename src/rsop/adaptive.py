@@ -7,6 +7,13 @@ suggested by the comparison (coarse tuning).  The fine-tuning variant
 additionally tilts the per-stage schedule inside each slot: later stages sense
 a little shorter and more eagerly.  No messages pass between SUs.
 
+The SUs update independently and in lockstep, so the closed loop holds their
+state as (N_s,) arrays: each frame makes one simulator call, one
+``stage_profiles`` call for every SU's misdetection check (each SU masked to
+its own delta(tau) stages), one estimate, one update and, for fine tuning,
+one broadcast of the per-stage tables.  Called with one SU's floats, the
+same functions give that SU's view.
+
 The update is a projected stochastic subgradient step, so the classic
 square-summable step-size machinery applies; the diagnostics here implement
 its norm identity, convergence bound, and a Monte Carlo check that the mean
@@ -83,57 +90,69 @@ class AdaptiveConfig:
 
 @dataclass
 class AdaptiveState:
-    """One SU's view of the adaptation: current point, previous point, k."""
+    """Every SU's view of the adaptation: current point, previous point and
+    last throughput estimate as (N_s,) arrays, and the shared frame index k.
 
-    tau: float
-    p: float
-    prev_tau: float
-    prev_p: float
-    prev_r_est: float
+    Floats in place of the arrays make the one-SU view; every function here
+    takes either."""
+
+    tau: np.ndarray
+    p: np.ndarray
+    prev_tau: np.ndarray
+    prev_p: np.ndarray
+    prev_r_est: np.ndarray
     k: int = 1
 
     @classmethod
-    def initial(cls, tau1: float, p1: float, tau_min: float) -> "AdaptiveState":
+    def initial(cls, tau1: float, p1: float, tau_min: float,
+                n_su: int) -> "AdaptiveState":
         """Algorithm start: (tau^0, p^0) = (tau_min, 0) and a zero throughput
         baseline, so the first comparison treats any throughput as progress."""
-        return cls(tau=tau1, p=p1, prev_tau=tau_min, prev_p=0.0, prev_r_est=0.0)
+        def full(value):
+            return np.full(n_su, float(value))
+        return cls(tau=full(tau1), p=full(p1), prev_tau=full(tau_min),
+                   prev_p=full(0.0), prev_r_est=full(0.0))
 
 
 @dataclass
 class FrameEstimate:
-    """What one SU learns from one frame."""
+    """What the SUs learn from one frame (arrays over SUs, or one SU's floats)."""
 
-    r_est: float      # mean ACKed throughput over the frame
-    t_i_est: float    # mean normalized interference time over the frame
-    p_md: float       # analytic misdetection at the SU's current tau (worst stage)
+    r_est: np.ndarray    # mean ACKed throughput over the frame
+    t_i_est: float       # mean normalized interference time over the frame
+    p_md: np.ndarray     # analytic misdetection at the SU's current tau (worst stage)
 
 
 @dataclass
 class UpdateRecord:
-    """Events and the raw subgradient of one coarse update."""
+    """Events and the raw subgradient of one coarse update, per SU."""
 
     k: int
-    improved: bool       # event A
-    tau_grew: bool       # event B
-    p_grew: bool         # event C
-    flip_tau: bool       # event D = XOR(A, B)
-    flip_p: bool         # event E = XOR(A, C)
-    g_tau: float         # +-delta_tau, before step size and projection
-    g_p: float           # +-delta_p
+    improved: np.ndarray  # event A
+    tau_grew: np.ndarray  # event B
+    p_grew: np.ndarray    # event C
+    flip_tau: np.ndarray  # event D = XOR(A, B)
+    flip_p: np.ndarray    # event E = XOR(A, C)
+    g_tau: np.ndarray     # +-delta_tau, before step size and projection
+    g_p: np.ndarray       # +-delta_p
 
 
-def frame_estimate(batch: SlotBatch, su: int, n_ep: int, p_md: float) -> FrameEstimate:
-    """Fold one frame of slot outcomes into the SU's estimates.
+def frame_estimate(batch: SlotBatch, su, n_ep: int, p_md) -> FrameEstimate:
+    """Fold one frame of slot outcomes into the SUs' estimates.
 
-    Throughput comes from the SU's own ACKs.  The interference estimate is the
-    frame mean of the network interference sample; an SU cannot observe
-    PU overlap on its own, so the simulator acts as the reporting oracle (the
-    per-SU caused share is also in the batch for diagnostics).
+    ``su`` is one SU's index (float estimates) or an index array or slice of
+    SUs (arrays in that order), with ``p_md`` to match.  Throughput comes
+    from each SU's own ACKs.  The interference estimate is the frame mean of
+    the network interference sample; an SU cannot observe PU overlap on its
+    own, so the simulator acts as the reporting oracle (the per-SU caused
+    share is also in the batch for diagnostics).
     """
     if batch.throughput.shape[0] < n_ep:
         raise ShortFrame(f"frame has {batch.throughput.shape[0]} < {n_ep} slots")
+    # one contiguous row per SU, so each mean is that of a 1-D array
+    acks = np.ascontiguousarray(batch.throughput[:n_ep].T[su])
     return FrameEstimate(
-        r_est=float(batch.throughput[:n_ep, su].mean()),
+        r_est=acks.mean(axis=-1),
         t_i_est=float(batch.network_interference[:n_ep].mean()),
         p_md=p_md,
     )
@@ -157,7 +176,7 @@ def _raw_step(improved, grew, delta: float):
 
 def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
                 cfg: AdaptiveConfig) -> tuple[AdaptiveState, UpdateRecord]:
-    """One coarse update of (tau, p) from frame-k estimates.
+    """One coarse update of every SU's (tau, p) from frame-k estimates.
 
     Each coordinate moves by alpha_k times its raw step (``_raw_step``), then
     is projected onto the box.
@@ -169,8 +188,9 @@ def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
     flip_p, g_p = _raw_step(improved, p_grew, cfg.delta_p)
 
     alpha = cfg.alpha(state.k)
-    tau_next = min(max(state.tau - g_tau * alpha, cfg.tau_floor), cfg.slot_duration)
-    p_next = min(max(state.p - g_p * alpha, 0.0), 1.0)
+    tau_next = np.minimum(np.maximum(state.tau - g_tau * alpha, cfg.tau_floor),
+                          cfg.slot_duration)
+    p_next = np.minimum(np.maximum(state.p - g_p * alpha, 0.0), 1.0)
 
     record = UpdateRecord(k=state.k, improved=improved, tau_grew=tau_grew,
                           p_grew=p_grew, flip_tau=flip_tau, flip_p=flip_p,
@@ -181,18 +201,22 @@ def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
     return new_state, record
 
 
-def alg2_stage_schedule(state: AdaptiveState, delta: int,
+def alg2_stage_schedule(state: AdaptiveState, delta,
                         cfg: AdaptiveConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fine-tuned per-stage schedule for the current frame.
 
     tau decreases linearly toward its floor and p increases linearly toward 1
     as the stage index grows; stage 1 uses the frame-level point, so zero fine
-    increments reproduce the coarse algorithm exactly."""
-    if delta < 1:
+    increments reproduce the coarse algorithm exactly.  One SU with budget
+    ``delta`` gets (delta,) arrays; (N_s,) states and budgets get
+    (N_s, max delta) tables, each SU padded with its own last stage."""
+    delta = np.asarray(delta)
+    if (delta < 1).any():
         raise ScenarioError("delta must be >= 1")
-    n = np.arange(delta)
-    tau = np.maximum(cfg.tau_floor, state.tau - n * cfg.delta_tau_fine)
-    p = np.minimum(1.0, state.p + n * cfg.delta_p_fine)
+    n = np.minimum(np.arange(delta.max()), delta[..., None] - 1)
+    tau = np.maximum(cfg.tau_floor,
+                     np.asarray(state.tau)[..., None] - n * cfg.delta_tau_fine)
+    p = np.minimum(1.0, np.asarray(state.p)[..., None] + n * cfg.delta_p_fine)
     return tau, p
 
 
@@ -315,14 +339,26 @@ def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
     )
 
 
-def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector,
-                   tau: float, p: float) -> float:
-    """Worst-stage misdetection an SU computes locally for its current tau:
-    the ``p_md_max`` of ``analyze``, over the same delta(tau) stages."""
-    stages = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
+def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p):
+    """Worst-stage misdetection each SU computes locally for its current tau:
+    the ``p_md_max`` of ``analyze``, over the same delta(tau) stages.
+
+    Scalars give one SU's value.  Aligned (N_s,) arrays give every SU's value
+    from one ``stage_profiles`` call over the longest budget; the stages past
+    an SU's own delta are masked out before its max (p_md >= 0)."""
+    deltas = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
                                 config.n_pu)
-    prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved, stages)
-    return float(np.max(prof.p_md))
+    prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved,
+                          int(np.max(deltas)))
+    beyond = np.arange(prof.n_stages) >= np.expand_dims(deltas, -1)
+    return np.max(np.where(beyond[..., None, :], 0.0, prof.p_md), axis=(-2, -1))
+
+
+def _standard_error(samples: np.ndarray) -> float:
+    """Standard error of the mean; NaN for fewer than two samples."""
+    if samples.size < 2:
+        return float("nan")
+    return float(samples.std(ddof=1) / np.sqrt(samples.size))
 
 
 def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
@@ -331,10 +367,11 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
 
     ``algorithm`` 1 adapts a single (tau, p) per SU per frame; 2 additionally
     spreads a per-stage schedule inside each slot.  Updates are synchronous at
-    frame boundaries and SUs share nothing but the air.  With
-    ``track_objective`` every visited point is also scored by the analyzer
-    (feasible points only) to maintain the running-best objective that the
-    convergence bound speaks about.
+    frame boundaries and SUs share nothing but the air, so each frame runs
+    the misdetection check, the estimate and the update once, as arrays over
+    the SUs.  With ``track_objective`` every visited point is also scored by
+    the analyzer (feasible points only) to maintain the running-best
+    objective that the convergence bound speaks about.
     """
     if algorithm not in (1, 2):
         raise ScenarioError("algorithm must be 1 or 2")
@@ -346,8 +383,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     ad = scenario.adaptive
     tau1 = ad.initial_tau if ad.initial_tau is not None else scenario.params.tau
     p1 = ad.initial_p if ad.initial_p is not None else scenario.params.p
-    states = [AdaptiveState.initial(tau1, p1, cfg.tau_floor)
-              for _ in range(config.n_su)]
+    state = AdaptiveState.initial(tau1, p1, cfg.tau_floor, config.n_su)
     rng = np.random.default_rng(seed)
 
     analyze_cache: dict[tuple, tuple[float, bool]] = {}
@@ -364,68 +400,44 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     frames: list[FrameLog] = []
     f_best = math.inf
     for _ in range(n_frames):
-        taus = np.array([s.tau for s in states])
-        ps = np.array([s.p for s in states])
         if algorithm == 2:
-            deltas = [max_sensing_stages(config.slot_duration, s.tau,
-                                         config.handoff_time, config.n_pu)
-                      for s in states]
-            stages = max(deltas)
-            tau_table = np.empty((config.n_su, stages))
-            p_table = np.empty((config.n_su, stages))
-            for j, s in enumerate(states):
-                tj, pj = alg2_stage_schedule(s, deltas[j], cfg)
-                tau_table[j, :deltas[j]] = tj
-                p_table[j, :deltas[j]] = pj
-                if deltas[j] < stages:
-                    tau_table[j, deltas[j]:] = tj[-1]
-                    p_table[j, deltas[j]:] = pj[-1]
-            schedules = SuSchedules.from_stage_table(config, tau_table, p_table)
+            deltas = max_sensing_stages(config.slot_duration, state.tau,
+                                        config.handoff_time, config.n_pu)
+            schedules = SuSchedules.from_stage_table(
+                config, *alg2_stage_schedule(state, deltas, cfg))
         else:
-            schedules = SuSchedules.from_per_su(config, taus, ps)
+            schedules = SuSchedules.from_per_su(config, state.tau, state.p)
 
         batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
-
-        ests = []
-        for j, s in enumerate(states):
-            p_md = _analytic_p_md(config, resolved, s.tau, s.p)
-            ests.append(frame_estimate(batch, j, cfg.n_ep, p_md))
+        p_md = _analytic_p_md(config, resolved, state.tau, state.p)
+        est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
 
         f_visited = float("nan")
         if track_objective:
-            vals = []
-            for s in states:
-                f_val, feas = objective(s.tau, s.p)
-                if feas:
-                    vals.append(f_val)
+            vals = [f_val for f_val, feas in map(objective, state.tau, state.p)
+                    if feas]
             if vals:
                 f_visited = float(np.mean(vals))
                 f_best = min(f_best, f_visited)
 
-        records = []
-        new_states = []
-        for s, est in zip(states, ests):
-            ns, rec = alg1_update(s, est, qos, cfg)
-            new_states.append(ns)
-            records.append(rec)
-
-        g_norm_sq = float(sum(r.g_tau**2 + r.g_p**2 for r in records))
+        new_state, rec = alg1_update(state, est, qos, cfg)
         frames.append(FrameLog(
-            k=records[0].k,
-            tau=taus,
-            p=ps,
-            r_est=np.array([e.r_est for e in ests]),
-            t_i_est=ests[0].t_i_est,
-            improved=np.array([r.improved for r in records]),
-            flip_tau=np.array([r.flip_tau for r in records]),
-            flip_p=np.array([r.flip_p for r in records]),
-            g_norm_sq=g_norm_sq,
+            k=rec.k,
+            tau=state.tau,
+            p=state.p,
+            r_est=est.r_est,
+            t_i_est=est.t_i_est,
+            improved=rec.improved,
+            flip_tau=rec.flip_tau,
+            flip_p=rec.flip_p,
+            # summed in SU order
+            g_norm_sq=float(sum(rec.g_tau**2 + rec.g_p**2)),
             network_throughput=float(batch.throughput.sum(axis=1).mean()),
-            interference=float(batch.network_interference.mean()),
+            interference=est.t_i_est,  # the frame is the whole batch
             f_visited=f_visited,
             f_best=f_best if f_best < math.inf else float("nan"),
         ))
-        states = new_states
+        state = new_state
 
     window = frames[(3 * len(frames)) // 4:]
     net = np.array([f.network_throughput for f in window])
@@ -434,10 +446,10 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
         frames=frames,
         converged_network_throughput=float(net.mean()),
         converged_interference=float(interf.mean()),
-        se_network_throughput=float(net.std(ddof=1) / np.sqrt(len(net))),
-        se_interference=float(interf.std(ddof=1) / np.sqrt(len(interf))),
-        final_tau=np.array([s.tau for s in states]),
-        final_p=np.array([s.p for s in states]),
+        se_network_throughput=_standard_error(net),
+        se_interference=_standard_error(interf),
+        final_tau=state.tau,
+        final_p=state.p,
     )
 
 

@@ -41,11 +41,12 @@ _CLAMP_TOL = 1e-9
 
 def _clamp01(x, what: str):
     """Clamp probabilities to [0, 1]; drift beyond 1e-9 or NaN is a real bug."""
+    # method-form reductions: this check runs several times per analyzed point
     x = np.asarray(x, dtype=float)
-    worst = max(float(np.max(x, initial=0.0)) - 1.0, -float(np.min(x, initial=1.0)))
-    if not worst <= _CLAMP_TOL:  # also true for NaN, which np.max propagates
+    worst = max(float(x.max(initial=0.0)) - 1.0, -float(x.min(initial=1.0)))
+    if not worst <= _CLAMP_TOL:  # also true for NaN, which max propagates
         raise RsopError(f"{what} left [0,1] by {worst:.3e}")
-    return np.clip(x, 0.0, 1.0)
+    return x.clip(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,7 @@ class StageProfiles:
     """Per-channel, per-stage sensing error probabilities and mean SNRs."""
 
     p_fa: np.ndarray       # (n_pu,) stage-constant false alarm, p-independent
+                           # ((..., n_pu) when tau is an array)
     p_d: np.ndarray        # (..., n_pu, n_stages) detection probability
     gamma: np.ndarray      # (..., n_pu, n_stages) mean SNR; zeros in explicit mode
     n_stages: int
@@ -143,6 +145,9 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     SNR including the expected stage-1 SU transmitters; stages >= 3 reuse the
     stage-2 value (detection saturates) unless ``per_stage_snr`` keeps
     accumulating transmitters stage by stage; p enters only through those.
+    ``params.tau`` is a scalar, or an array aligned with ``params.p`` (one
+    point per entry, e.g. per SU); an array tau gives ``p_fa`` a leading
+    point axis too.
     """
     npu, ns = config.n_pu, n_stages
     points = np.shape(params.p)
@@ -154,14 +159,15 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
 
     lam = resolved.lambda_norm
     f_s = config.sampling_freq
-    p_fa = _clamp01(false_alarm_prob(lam, params.tau, f_s), "p_fa")
+    tau = np.asarray(params.tau)[..., None]  # against the per-channel lambda
+    p_fa = _clamp01(false_alarm_prob(lam, tau, f_s), "p_fa")
     gamma = np.zeros(points + (npu, ns))
     p_d = np.zeros(points + (npu, ns))
     profiles = StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
 
     def detect(i, snr):
         gamma[..., i] = snr
-        p_d[..., i] = _clamp01(detection_prob(lam, params.tau, f_s, snr), "p_d")
+        p_d[..., i] = _clamp01(detection_prob(lam, tau, f_s, snr), "p_d")
 
     detect(0, config.snr_stage1)
     presence = config.presence_prob
@@ -173,7 +179,7 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     elif ns > 1:
         q1 = _handoff_prob(presence, p_fa, p_d[..., 0])
         # a row's p as a column, so that it broadcasts against the per-channel q1
-        column = SensingParams(params.tau, params.p[:, None]) if points else params
+        column = SensingParams(params.tau, params.p[..., None]) if points else params
         detect(1, stage_snr(config, column, slice(None), 2, q1_m=q1))
         gamma[..., 2:] = gamma[..., 1:2]
         p_d[..., 2:] = p_d[..., 1:2]
@@ -241,7 +247,7 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
                 detect(i, senders)
         l[..., i] = share * n_ho[..., i]
         q[..., i] = _handoff_prob(occ[..., i], p_fa, profiles.p_d[..., i])
-    u = 1.0 - np.power(p_fa[:, None], l[..., None, :])
+    u = 1.0 - np.power(p_fa[..., None], l[..., None, :])
     return OccupancyTable(occ=_clamp01(occ, "occupancy"), u=u, l=l, n_ho=n_ho,
                           q=_clamp01(q, "q"))
 

@@ -111,7 +111,8 @@ class NetworkConfig:
 class SensingParams:
     """Decision variables: sensing time tau (s) and sensing probability p."""
 
-    tau: float
+    tau: float | np.ndarray  # an array, aligned with p, is one point per entry
+                             # (``chain.stage_profiles`` only)
     p: float | np.ndarray  # an array is a tau row for the batched chain analyzer
 
     def validate(self, slot_duration: float):

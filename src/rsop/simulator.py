@@ -7,8 +7,9 @@ parallel and collide).  Sensing decisions are Bernoulli draws at the analytic
 error probabilities, with detection evaluated at the realized accumulated
 signal power when the energy detector is in use.  P_fa depends only on the
 SU's tau and the channel, P_md only on those, the PU state and the number of
-earlier SU transmitters, so each stage evaluates :mod:`rsop.detector` once on
-a table of those cells and every probe reads its threshold with one gather.
+earlier SU transmitters, so each call evaluates :mod:`rsop.detector` once on
+a table of those cells for every stage and every probe reads its threshold
+with one gather.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  A replication runs as consecutive batches
@@ -75,11 +76,8 @@ class SuSchedules:
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
             raise ScenarioError("stage tables must be (n_su, n_stages) and congruent")
-        delta = np.array([
-            max_sensing_stages(config.slot_duration, t, config.handoff_time,
-                               config.n_pu)
-            for t in tau_table[:, 0]
-        ])
+        delta = max_sensing_stages(config.slot_duration, tau_table[:, 0],
+                                   config.handoff_time, config.n_pu)
         cols = np.minimum(np.arange(np.max(delta)), tau_table.shape[1] - 1)
         return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta)
 
@@ -104,26 +102,30 @@ class SlotBatch:
 
 
 def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
-                     tau_n: np.ndarray, n: int) -> np.ndarray:
-    """Sensing thresholds of stage ``n``, shape (N_s, N_p, 2, N_s + 1), by
-    (SU, channel, PU present, SUs transmitting there from earlier stages).
+                     tau: np.ndarray) -> np.ndarray:
+    """Sensing thresholds of every stage, shape (M, N_s, N_p, 2, N_s + 1), by
+    (stage, SU, channel, PU present, SUs transmitting there from earlier
+    stages), for the (N_s, M) per-stage sensing times ``tau``.
 
     A probe decides "free" when the channel is busy and u < P_md, or idle and
-    u >= P_fa, that is when (u < table[cell]) == busy.  So the busy cells hold
-    P_md at the cell's SNR and the idle cell (PU absent, count 0) holds P_fa.
+    u >= P_fa, that is when (u < table[n - 1][cell]) == busy at stage n.  So
+    the busy cells hold P_md at the cell's SNR and the idle cell (PU absent,
+    count 0) holds P_fa.
     """
-    ns = config.n_su
+    ns, m = tau.shape
     if resolved.mode == "explicit":
-        table = np.full((ns, config.n_pu, 2, ns + 1),
-                        1.0 - resolved.explicit_p_d(n))
-        table[:, :, 0, 0] = resolved.p_fa
+        p_md = 1.0 - resolved.explicit_p_d(np.arange(1, m + 1))
+        table = np.tile(p_md[:, None, None, None, None],
+                        (1, ns, config.n_pu, 2, ns + 1))
+        table[:, :, :, 0, 0] = resolved.p_fa
         return table
     lam, f_s = resolved.lambda_norm, config.sampling_freq
     gamma = (np.arange(2)[:, None] * config.pu_power[:, None, None]
              + np.arange(ns + 1) * config.su_power) / config.noise_power
-    table = misdetection_prob(lam[:, None, None], tau_n[:, None, None, None],
+    tau_sn = tau.T[:, :, None]  # (stage, SU, 1), against the per-channel lambda
+    table = misdetection_prob(lam[:, None, None], tau_sn[..., None, None],
                               f_s, gamma)
-    table[:, :, 0, 0] = false_alarm_prob(lam, tau_n[:, None], f_s)
+    table[:, :, :, 0, 0] = false_alarm_prob(lam, tau_sn, f_s)
     return table
 
 
@@ -162,6 +164,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     net_interf = np.zeros(S)
     elapsed = np.zeros(S)
     M = schedules.max_stages
+    thresholds = _threshold_table(config, resolved, schedules.tau)
     rt_at = np.zeros((S, M + 1))   # remaining time after stage n; 0 at n = 0
     # per stage, SUs by descending tau; index NS (tau 0) means "none active"
     by_tau = np.argsort(-schedules.tau, axis=0, kind="stable")
@@ -177,7 +180,6 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         u_sense = rng.random((S, NS))
         if not active.any():
             break
-        tau_n = schedules.tau[:, n - 1]
         p_n = schedules.p[:, n - 1]
 
         # stage timing: longest sensing duration among SUs still searching
@@ -201,8 +203,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         code = ch * (2 * K)
         code += su_base
         code += state
-        thr = _threshold_table(config, resolved, tau_n, n)
-        decided_free = (u_sense < np.take(thr, code)) == busy
+        decided_free = (u_sense < np.take(thresholds[n - 1], code)) == busy
         if protocol == "conventional":
             will_tx = senses & decided_free & (u_gate < p_n[None, :])
         else:

@@ -1,8 +1,11 @@
 import math
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from adaptive_reference import run_adaptive_per_su
 from conftest import default_qos, explicit_detector, make_config, make_scenario
 from rsop.adaptive import (
     AdaptiveConfig,
@@ -19,8 +22,10 @@ from rsop.adaptive import (
     run_adaptive,
 )
 from rsop.chain import analyze, resolve_detector
-from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams
+from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams, load_bundled
+from rsop.core import max_sensing_stages
 from rsop.errors import InvalidSchedule, ScenarioError, ShortFrame
+from rsop.simulator import SuSchedules, simulate_slots
 
 T = 10e-3
 
@@ -232,13 +237,17 @@ class TestClosedLoop:
         assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
 
 
+DETECTORS = [
+    explicit_detector(0.1, (0.9, 0.5)),
+    DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3),
+    DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3,
+                 per_stage_snr=True),
+]
+DETECTOR_IDS = ["explicit-list", "saturating", "per-stage-snr"]
+
+
 class TestAnalyticMisdetection:
-    @pytest.mark.parametrize("detector", [
-        explicit_detector(0.1, (0.9, 0.5)),
-        DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3),
-        DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3,
-                     per_stage_snr=True),
-    ], ids=["explicit-list", "saturating", "per-stage-snr"])
+    @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
     def test_matches_the_analyzer(self, detector):
         # 6 ms leaves room for one probe, 1 ms for nine: the local check must
         # look at exactly the stages the optimizer's analyzer looks at
@@ -248,6 +257,20 @@ class TestAnalyticMisdetection:
             for p in (0.3, 0.9):
                 expect = analyze(config, SensingParams(tau, p), resolved).p_md_max
                 assert _analytic_p_md(config, resolved, tau, p) == expect
+
+    @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
+    def test_arrays_match_the_analyzer_per_point(self, detector):
+        # one call over SUs whose budgets range from one stage (6 ms) to nine
+        config = make_config(n_su=20, n_pu=10, presence=0.5)
+        resolved = resolve_detector(config, detector, default_qos(), 1e-3)
+        taus = np.array([6e-3, 1e-3, 3e-3, 6e-3, 1.5e-3, 1e-3])
+        ps = np.array([0.3, 0.9, 0.5, 0.9, 0.1, 0.3])
+        deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
+        assert deltas.min() == 1 and deltas.max() == 9
+        got = _analytic_p_md(config, resolved, taus, ps)
+        assert got.shape == taus.shape
+        for tau, p, value in zip(taus, ps, got):
+            assert value == analyze(config, SensingParams(tau, p), resolved).p_md_max
 
 
 class TestFrameEstimate:
@@ -286,3 +309,134 @@ class TestFrameEstimate:
                                np.random.default_rng(0))
         est = frame_estimate(batch, 0, 25, p_md=0.1)
         assert est.r_est == pytest.approx((T - 2e-3) / T)
+
+
+def _batch(n_su=4, n_pu=3, slots=30, seed=0):
+    config = make_config(n_su=n_su, n_pu=n_pu, presence=0.3)
+    resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+    sched = SuSchedules.from_per_su(config, np.linspace(5e-4, 2e-3, n_su),
+                                    np.linspace(0.3, 0.9, n_su))
+    return simulate_slots(config, sched, resolved, slots,
+                          np.random.default_rng(seed))
+
+
+class TestArrayViews:
+    """The array entry points equal their one-SU views, SU by SU."""
+
+    def test_frame_estimate(self):
+        batch = _batch()
+        p_md = np.array([0.1, 0.2, 0.3, 0.4])
+        every = frame_estimate(batch, slice(None), 25, p_md)
+        for j in range(4):
+            one = frame_estimate(batch, j, 25, p_md[j])
+            assert every.r_est[j] == one.r_est
+            assert every.t_i_est == one.t_i_est
+            assert every.p_md[j] == one.p_md
+
+    def test_alg1_update(self):
+        c = cfg()
+        state = AdaptiveState(tau=np.array([1e-3, 9e-4, T, 2e-4]),
+                              p=np.array([0.5, 0.5, 1.0, 0.0]),
+                              prev_tau=np.array([9e-4, 1e-3, T - 1e-4, 3e-4]),
+                              prev_p=np.array([0.5, 0.6, 0.9, 0.1]),
+                              prev_r_est=np.array([0.3, 0.3, 0.1, 0.5]), k=3)
+        est = FrameEstimate(r_est=np.array([0.4, 0.2, 0.3, 0.5]), t_i_est=0.01,
+                            p_md=np.array([0.05, 0.05, 0.5, 0.1]))
+        new, rec = alg1_update(state, est, default_qos(), c)
+        for j in range(4):
+            one_state = AdaptiveState(*(float(getattr(state, f)[j]) for f in
+                                        ("tau", "p", "prev_tau", "prev_p",
+                                         "prev_r_est")), k=3)
+            one_est = FrameEstimate(float(est.r_est[j]), est.t_i_est,
+                                    float(est.p_md[j]))
+            one_new, one_rec = alg1_update(one_state, one_est, default_qos(), c)
+            for f in ("tau", "p", "prev_tau", "prev_p", "prev_r_est"):
+                assert getattr(new, f)[j] == getattr(one_new, f), f
+            for f in ("improved", "tau_grew", "p_grew", "flip_tau", "flip_p",
+                      "g_tau", "g_p"):
+                assert getattr(rec, f)[j] == getattr(one_rec, f), f
+            assert new.k == one_new.k == 4 and rec.k == one_rec.k == 3
+
+    def test_alg2_stage_tables_pad_each_su_with_its_last_stage(self):
+        c = cfg(tau_floor=5e-4)
+        state = AdaptiveState(tau=np.array([1e-3, 6e-4, 2e-3]),
+                              p=np.array([0.2, 0.98, 0.5]),
+                              prev_tau=np.zeros(3), prev_p=np.zeros(3),
+                              prev_r_est=np.zeros(3))
+        deltas = np.array([5, 2, 3])
+        tau, p = alg2_stage_schedule(state, deltas, c)
+        assert tau.shape == p.shape == (3, 5)
+        for j in range(3):
+            one = AdaptiveState(float(state.tau[j]), float(state.p[j]), 0.0, 0.0, 0.0)
+            tj, pj = alg2_stage_schedule(one, deltas[j], c)
+            assert np.array_equal(tau[j, :deltas[j]], tj)
+            assert np.array_equal(p[j, :deltas[j]], pj)
+            assert np.all(tau[j, deltas[j]:] == tj[-1])
+            assert np.all(p[j, deltas[j]:] == pj[-1])
+
+
+def _assert_runs_equal(got, want):
+    def same(a, b):
+        if isinstance(b, float) and math.isnan(b):
+            return math.isnan(a)
+        return np.array_equal(a, b)
+
+    assert len(got.frames) == len(want.frames)
+    for fa, fb in zip(got.frames, want.frames):
+        for f in fields(fb):
+            assert same(getattr(fa, f.name), getattr(fb, f.name)), (fa.k, f.name)
+    for f in fields(want):
+        if f.name != "frames":
+            assert same(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+class TestAgainstPerSuReference:
+    """The array loop reproduces the per-SU loop of tests/adaptive_reference.py
+    exactly, every FrameLog field of every frame."""
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    @pytest.mark.parametrize("name", ["adapt_ns3_np7", "dense_ns20_np5",
+                                      "validation_ns5_np100"])
+    def test_bundled_scenarios(self, name, algorithm):
+        sc = load_bundled(name)
+        _assert_runs_equal(run_adaptive(sc, algorithm, n_frames=40, seed=2),
+                           run_adaptive_per_su(sc, algorithm, n_frames=40, seed=2))
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    @pytest.mark.parametrize("detector", DETECTORS[0::2],
+                             ids=["explicit-list", "per-stage-snr"])
+    def test_detectors(self, detector, algorithm):
+        # near tau = 5 ms the budget is one stage above and two below, so
+        # large tau steps leave SUs with different budgets in one frame
+        sc = replace(load_bundled("adapt_ns3_np7"), detector=detector)
+        sc = replace(sc, adaptive=replace(sc.adaptive, initial_tau=5.4e-3,
+                                          delta_tau=2e-3))
+        got = run_adaptive(sc, algorithm, n_frames=40, seed=5)
+        _assert_runs_equal(got, run_adaptive_per_su(sc, algorithm, n_frames=40,
+                                                    seed=5))
+        c = sc.config
+        budgets = [max_sensing_stages(T, fl.tau, c.handoff_time, c.n_pu)
+                   for fl in got.frames]
+        assert any(b.min() == 1 and b.max() > 1 for b in budgets)
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_track_objective(self, algorithm):
+        sc = TestClosedLoop().scenario()
+        got = run_adaptive(sc, algorithm, n_frames=30, seed=3, track_objective=True)
+        want = run_adaptive_per_su(sc, algorithm, n_frames=30, seed=3,
+                                   track_objective=True)
+        assert not math.isnan(want.frames[-1].f_best)
+        _assert_runs_equal(got, want)
+
+
+class TestShortRun:
+    def test_one_frame_window_has_nan_standard_errors(self):
+        # 3 frames leave one frame in the converged window: no spread to
+        # estimate, and no numpy warning on the way
+        sc = TestClosedLoop().scenario()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = run_adaptive(sc, algorithm=1, n_frames=3, seed=0)
+        assert math.isnan(run.se_network_throughput)
+        assert math.isnan(run.se_interference)
+        assert run.converged_network_throughput == run.frames[-1].network_throughput

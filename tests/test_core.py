@@ -30,6 +30,23 @@ class TestMaxSensingStages:
         deltas = [max_sensing_stages(T, float(t), TAU_H, 12) for t in taus]
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
+    def test_array_matches_scalar(self):
+        taus = np.concatenate([np.linspace(1e-5, T, 97), [T / 3, T / 2, 1e-3]])
+        for n_pu in (1, 7, 100):
+            deltas = max_sensing_stages(T, taus, TAU_H, n_pu)
+            assert deltas.shape == taus.shape
+            assert deltas.tolist() == [max_sensing_stages(T, float(t), TAU_H, n_pu)
+                                       for t in taus]
+        table = np.array([[1e-3, 2e-3], [6e-3, T]])
+        assert max_sensing_stages(T, table, TAU_H, 20).tolist() == [[9, 4], [1, 1]]
+
+    def test_array_rejects_any_bad_entry(self):
+        for bad in (0.0, 1.1 * T, -1e-3, np.nan):
+            with pytest.raises(InvalidTiming):
+                max_sensing_stages(T, np.array([1e-3, bad, 2e-3]), TAU_H, 5)
+        with pytest.raises(InvalidTiming):
+            max_sensing_stages(T, np.nan, TAU_H, 5)
+
     def test_nondecreasing_in_n_pu(self):
         deltas = [max_sensing_stages(T, 1e-3, TAU_H, n) for n in range(1, 15)]
         assert all(a <= b for a, b in zip(deltas, deltas[1:]))

@@ -140,28 +140,30 @@ class TestThresholdTable:
                              pu_power=[0.05, 0.1, 0.4, 1.5], su_power=0.3)
         resolved = resolve_detector(
             config, DetectorSpec(mode="energy", threshold=1.02), None, 1e-3)
-        tau_n = np.array([1e-4, 3e-4, 7e-4])
-        table = _threshold_table(config, resolved, tau_n, 2)
-        assert table.shape == (3, 4, 2, 4)
+        # heterogeneous per-stage tau: every (stage, SU) cell differs
+        tau = np.array([[1e-4, 2e-4], [3e-4, 5e-4], [7e-4, 6e-4]])
+        table = _threshold_table(config, resolved, tau)
+        assert table.shape == (2, 3, 4, 2, 4)
         lam, f_s = resolved.lambda_norm, config.sampling_freq
-        for j, m, pu, count in np.ndindex(table.shape):
+        for n, j, m, pu, count in np.ndindex(table.shape):
             if pu == 0 and count == 0:
-                expect = false_alarm_prob(lam[m], tau_n[j], f_s)
+                expect = false_alarm_prob(lam[m], tau[j, n], f_s)
             else:
                 gamma = ((pu * config.pu_power[m] + count * config.su_power)
                          / config.noise_power)
-                expect = misdetection_prob(lam[m], tau_n[j], f_s, gamma)
-            assert table[j, m, pu, count] == expect
+                expect = misdetection_prob(lam[m], tau[j, n], f_s, gamma)
+            assert table[n, j, m, pu, count] == expect
 
     def test_explicit_cells_follow_the_stage(self):
         config = make_config(n_su=2, n_pu=3)
         resolved = resolve_detector(
             config, explicit_detector(0.15, [0.6, 0.8, 0.95]), None, 1e-3)
-        for n, p_d in ((1, 0.6), (2, 0.8), (3, 0.95), (5, 0.95)):
-            table = _threshold_table(config, resolved, np.full(2, 1e-3), n)
-            for j, m, pu, count in np.ndindex(table.shape):
+        table = _threshold_table(config, resolved, np.full((2, 5), 1e-3))
+        assert table.shape == (5, 2, 3, 2, 3)
+        for n, p_d in ((1, 0.6), (2, 0.8), (3, 0.95), (4, 0.95), (5, 0.95)):
+            for j, m, pu, count in np.ndindex(table.shape[1:]):
                 expect = 0.15 if pu == 0 and count == 0 else 1.0 - p_d
-                assert table[j, m, pu, count] == expect
+                assert table[n - 1, j, m, pu, count] == expect
 
 
 class TestStreaming:
