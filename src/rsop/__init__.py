@@ -35,7 +35,7 @@ from .detector import (
     false_alarm_prob,
     misdetection_prob,
     detection_prob,
-    stage_snr,
+    received_snr,
     threshold_for_detection,
     min_sensing_time,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "false_alarm_prob",
     "misdetection_prob",
     "detection_prob",
-    "stage_snr",
+    "received_snr",
     "threshold_for_detection",
     "min_sensing_time",
     "analyze",

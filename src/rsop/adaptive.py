@@ -36,7 +36,7 @@ from .chain import (
 )
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
-from .detector import min_sensing_time
+from .detector import sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
 from .simulator import SlotBatch, SuSchedules, simulate_slots
 
@@ -174,6 +174,12 @@ def _raw_step(improved, grew, delta: float):
     return flip, delta * (2 * flip - 1)
 
 
+def _project(tau, p, cfg: AdaptiveConfig):
+    """Projection of (tau, p) onto the box [tau_floor, T] x [0, 1]."""
+    return (np.minimum(np.maximum(tau, cfg.tau_floor), cfg.slot_duration),
+            np.minimum(np.maximum(p, 0.0), 1.0))
+
+
 def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
                 cfg: AdaptiveConfig) -> tuple[AdaptiveState, UpdateRecord]:
     """One coarse update of every SU's (tau, p) from frame-k estimates.
@@ -188,9 +194,7 @@ def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
     flip_p, g_p = _raw_step(improved, p_grew, cfg.delta_p)
 
     alpha = cfg.alpha(state.k)
-    tau_next = np.minimum(np.maximum(state.tau - g_tau * alpha, cfg.tau_floor),
-                          cfg.slot_duration)
-    p_next = np.minimum(np.maximum(state.p - g_p * alpha, 0.0), 1.0)
+    tau_next, p_next = _project(state.tau - g_tau * alpha, state.p - g_p * alpha, cfg)
 
     record = UpdateRecord(k=state.k, improved=improved, tau_grew=tau_grew,
                           p_grew=p_grew, flip_tau=flip_tau, flip_p=flip_p,
@@ -323,9 +327,7 @@ def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
     if ad.tau_min is not None:
         floor = ad.tau_min
     elif resolved.mode == "energy":
-        floor = float(np.max(min_sensing_time(cfg.snr_stage1, cfg.sampling_freq,
-                                              scenario.qos.p_fa_max,
-                                              scenario.qos.p_d_min)))
+        floor = sensing_time_floor(cfg, scenario.qos)
     else:
         floor = 1.0 / cfg.sampling_freq  # tau has no sensing effect; one sample
     return AdaptiveConfig(
@@ -339,15 +341,13 @@ def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
     )
 
 
-def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p):
+def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p, deltas):
     """Worst-stage misdetection each SU computes locally for its current tau:
-    the ``p_md_max`` of ``analyze``, over the same delta(tau) stages.
+    the ``p_md_max`` of ``analyze``, over the same ``deltas`` = delta(tau) stages.
 
     Scalars give one SU's value.  Aligned (N_s,) arrays give every SU's value
     from one ``stage_profiles`` call over the longest budget; the stages past
     an SU's own delta are masked out before its max (p_md >= 0)."""
-    deltas = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
-                                config.n_pu)
     prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved,
                           int(np.max(deltas)))
     beyond = np.arange(prof.n_stages) >= np.expand_dims(deltas, -1)
@@ -400,6 +400,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     frames: list[FrameLog] = []
     f_best = math.inf
     for _ in range(n_frames):
+        # delta(tau), once per frame.  alg2's schedule budgets its own stage 1,
+        # max(tau_floor, tau), so it keeps a delta of its own.
         if algorithm == 2:
             deltas = max_sensing_stages(config.slot_duration, state.tau,
                                         config.handoff_time, config.n_pu)
@@ -407,9 +409,10 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
                 config, *alg2_stage_schedule(state, deltas, cfg))
         else:
             schedules = SuSchedules.from_per_su(config, state.tau, state.p)
+            deltas = schedules.delta
 
         batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
-        p_md = _analytic_p_md(config, resolved, state.tau, state.p)
+        p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas)
         est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
 
         f_visited = float("nan")
@@ -468,7 +471,7 @@ class FieldPoint:
 
 
 def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
-                      seed=0, n_ep: int | None = None) -> list[FieldPoint]:
+                      seed=0) -> list[FieldPoint]:
     """Estimate the mean update direction at each (tau, p) probe point.
 
     Each realization runs one coarse-update cycle: a frame at the point, a
@@ -478,12 +481,12 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
     align with the gradient of the analytic objective f = -r wherever the
     point is away from the optimum.
     """
+    if n_realizations < 4:  # at least one per step quadrant
+        raise ScenarioError(f"n_realizations must be >= 4, got {n_realizations}")
     config, qos = scenario.config, scenario.qos
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
     cfg = _adaptive_cfg(scenario, resolved)
-    if n_ep is None:
-        n_ep = cfg.n_ep
-    per_quadrant = max(1, n_realizations // 4)
+    per_quadrant = n_realizations // 4
     rng = np.random.default_rng(seed)
 
     def analyzer_r(tau: float, p: float | np.ndarray):
@@ -493,9 +496,9 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
         """Per-realization (r per SU, interference) from one big batch."""
         schedules = SuSchedules.from_per_su(
             config, np.full(config.n_su, tau), np.full(config.n_su, p))
-        batch = simulate_slots(config, schedules, resolved, count * n_ep, rng)
-        r = batch.throughput.reshape(count, n_ep, config.n_su).mean(axis=1)
-        t = batch.network_interference.reshape(count, n_ep).mean(axis=1)
+        batch = simulate_slots(config, schedules, resolved, count * cfg.n_ep, rng)
+        r = batch.throughput.reshape(count, cfg.n_ep, config.n_su).mean(axis=1)
+        t = batch.network_interference.reshape(count, cfg.n_ep).mean(axis=1)
         return r, t
 
     out = []
@@ -505,12 +508,12 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
         for s_tau in (1.0, -1.0):
             for s_p in (1.0, -1.0):
                 alpha0 = cfg.alpha(1)
-                tau2 = min(max(tau + s_tau * cfg.delta_tau * alpha0,
-                               cfg.tau_floor), cfg.slot_duration)
-                p2 = min(max(p + s_p * cfg.delta_p * alpha0, 0.0), 1.0)
+                tau2, p2 = _project(tau + s_tau * cfg.delta_tau * alpha0,
+                                    p + s_p * cfg.delta_p * alpha0, cfg)
                 r_a, _ = frame_means(tau, p, per_quadrant)
                 r_b, t_b = frame_means(tau2, p2, per_quadrant)
-                p_md = _analytic_p_md(config, resolved, tau2, p2)
+                p_md = _analytic_p_md(config, resolved, tau2, p2, max_sensing_stages(
+                    config.slot_duration, tau2, config.handoff_time, config.n_pu))
                 improved = _improved(r_b, r_a, t_b[:, None], p_md, qos)
                 _, g_tau = _raw_step(improved, tau2 >= tau, cfg.delta_tau)
                 _, g_p = _raw_step(improved, p2 >= p, cfg.delta_p)

@@ -9,7 +9,9 @@ formal state: every slot starts there.
 
 The model is mean-field: channel occupancy grows stage by stage with the
 average number of SUs that started transmitting earlier, and every SU sees
-the same stage-dependent occupancy and error probabilities.  One recursion
+the same stage-dependent occupancy and error probabilities.  Detection is
+evaluated at :func:`rsop.detector.received_snr` of the PU presence
+probability and that mean count of earlier senders.  One recursion
 over the stages yields occupancy, sensing counts and the handoff population;
 every other table is array algebra over its output.  Throughput and
 interference follow from per-state occupation probabilities plus the
@@ -30,7 +32,7 @@ from .core import max_sensing_stages, remaining_times
 from .detector import (
     detection_prob,
     false_alarm_prob,
-    stage_snr,
+    received_snr,
     threshold_for_detection,
     threshold_for_false_alarm,
 )
@@ -124,14 +126,12 @@ class OccupancyTable:
     """Stage-by-stage mean-field channel state.
 
     occ[m, n-1]  occupancy of channel m at the start of stage n
-    u[m, n-1]    P(at least one SU transmits on m at stage n | PU absent)
     l[n-1]       mean number of SUs sensing each channel at stage n
     n_ho[n-1]    mean number of SUs in handoff state n
     q[m, n-1]    probability a probe of channel m at stage n ends in handoff
     """
 
     occ: np.ndarray
-    u: np.ndarray
     l: np.ndarray
     n_ho: np.ndarray
     q: np.ndarray
@@ -174,13 +174,14 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     if ns > 1 and resolved.per_stage_snr:
         # Exact per-stage extension: each stage sees every earlier transmitter.
         _walk(config, params, profiles, lambda i, senders: detect(
-            i, (presence * config.pu_power + senders * config.su_power)
-            / config.noise_power))
+            i, received_snr(config, presence, senders)))
     elif ns > 1:
+        # gamma2: the mean-field count of stage-1 transmitters,
+        # (N_s p / N_p)(1 - q_m1), with p as a column against the per-channel q1
         q1 = _handoff_prob(presence, p_fa, p_d[..., 0])
-        # a row's p as a column, so that it broadcasts against the per-channel q1
-        column = SensingParams(params.tau, params.p[..., None]) if points else params
-        detect(1, stage_snr(config, column, slice(None), 2, q1_m=q1))
+        p = np.asarray(params.p)[..., None]
+        detect(1, received_snr(config, presence,
+                               (config.n_su * p / config.n_pu) * (1.0 - q1)))
         gamma[..., 2:] = gamma[..., 1:2]
         p_d[..., 2:] = p_d[..., 1:2]
     return profiles
@@ -247,8 +248,7 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
                 detect(i, senders)
         l[..., i] = share * n_ho[..., i]
         q[..., i] = _handoff_prob(occ[..., i], p_fa, profiles.p_d[..., i])
-    u = 1.0 - np.power(p_fa[..., None], l[..., None, :])
-    return OccupancyTable(occ=_clamp01(occ, "occupancy"), u=u, l=l, n_ho=n_ho,
+    return OccupancyTable(occ=_clamp01(occ, "occupancy"), l=l, n_ho=n_ho,
                           q=_clamp01(q, "q"))
 
 

@@ -1,4 +1,4 @@
-"""Energy-detector mathematics: error probabilities, calibration, stage SNR.
+"""Energy-detector mathematics: error probabilities, calibration, received SNR.
 
 All probabilities use the Gaussian approximation of the accumulated energy
 statistic over w = tau * f_s samples:
@@ -8,7 +8,9 @@ statistic over w = tau * f_s samples:
 
 with Q the standard normal upper tail.  The false alarm never depends on the
 signal, so it is identical at every sensing stage; detection improves (or
-degrades) with the stage-dependent received SNR.
+degrades) with the stage-dependent received SNR.  That SNR has one
+implementation, :func:`received_snr`: the chain model evaluates it at mean
+PU presence and mean-field sender counts, the simulator at realized ones.
 """
 
 from __future__ import annotations
@@ -100,28 +102,17 @@ def min_sensing_time(gamma, f_s, p_fa_max: float, p_d_min: float):
     return float(out) if np.isscalar(gamma) or np.ndim(gamma) == 0 else out
 
 
-def stage_snr(config, params, m, n: int, q1_m=None):
-    """Mean received SNR of channel(s) ``m`` (0-based) at sensing stage ``n``.
+def sensing_time_floor(config, qos) -> float:
+    """Max over channels of :func:`min_sensing_time` at the stage-1 SNR."""
+    return float(np.max(min_sensing_time(config.snr_stage1, config.sampling_freq,
+                                         qos.p_fa_max, qos.p_d_min)))
 
-    Stage 1 sees only the PU: gamma = sigma_p^2 / sigma_z^2.  From stage 2 on
-    the average accumulates the SUs that started transmitting at stage 1:
 
-        gamma2 = (P_m1 sigma_p^2
-                  + (N_s p / N_p)(1 - q_m1) sigma_s^2) / sigma_z^2
+def received_snr(config, pu_present, senders):
+    """Received SNR (pu_present sigma_p^2 + senders sigma_s^2) / sigma_z^2.
 
-    and stages n >= 3 reuse the stage-2 value (detection saturates).  The
-    per-channel mean mixes PU-present and PU-absent slots; it is evaluated
-    literally, with the mean-field count of stage-1 transmitters.  ``q1_m`` is
-    the stage-1 handoff probability of channel m, supplied by the chain model.
-    An integer ``m`` gives a float; a slice or index array of channels gives
-    an array, with ``q1_m`` matching it.
-    """
-    if n <= 1:
-        gamma = config.pu_power[m] / config.noise_power
-    elif q1_m is None:
-        raise ValueError("stage_snr needs q1_m for stages >= 2")
-    else:
-        senders = (config.n_su * params.p / config.n_pu) * (1.0 - q1_m)
-        gamma = (config.presence_prob[m] * config.pu_power[m]
-                 + senders * config.su_power) / config.noise_power
-    return gamma if np.ndim(gamma) else float(gamma)
+    ``pu_present`` is the PU's presence (0/1, or its probability P_m1) and
+    ``senders`` the number of SUs transmitting on the channel (realized, or a
+    mean-field count); both broadcast with the channel on the last axis."""
+    return ((pu_present * config.pu_power + senders * config.su_power)
+            / config.noise_power)

@@ -135,6 +135,8 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
     out_dir = Path(out_dir)
     if axis is not None and (values is None or len(values) == 0):
         raise ScenarioError(f"a sweep along {axis!r} needs values")
+    if axis is None and values is not None:
+        raise ScenarioError("sweep values need an axis (p or tau)")
     rows = []
     sweep = [(None, None)]
     if axis == "p":

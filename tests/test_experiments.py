@@ -140,8 +140,13 @@ class TestCli:
         ["subgradient-field", "--scenario", "adapt_ns3_np7",
          "--taus", "0.001", "0.002", "--ps", "0.5"],
         ["adapt", "--scenario", "adapt_ns3_np7", "--frames", "0"],
+        ["subgradient-field", "--scenario", "adapt_ns3_np7",
+         "--taus", "0.002", "--ps", "0.5", "--realizations", "0"],
+        ["simulate", "--scenario", "validation_ns2_np5", "--values", "0.1", "0.2"],
+        ["simulate", "--scenario", "validation_ns2_np5", "--jobs", "0"],
     ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
-            "zero-frames"])
+            "zero-frames", "zero-realizations", "values-without-axis",
+            "zero-jobs"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])
         captured = capsys.readouterr()

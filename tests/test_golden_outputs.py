@@ -1,0 +1,69 @@
+"""Golden outputs: the CLI's CSVs and manifests must stay byte-identical.
+
+Each case runs one small ``rsop`` command in-process and compares the sha256
+of every file it writes with ``golden_outputs.json``.  A refactor that keeps
+the numbers keeps these hashes; a change that moves any output byte fails
+here.
+
+To re-record after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+and explain in CHANGES.md which outputs moved and why.  Every re-record must
+be explained there.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from rsop.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+
+CASES = {
+    "analyze_p_adapt_ns3_np7": ["analyze", "--scenario", "adapt_ns3_np7"],
+    "analyze_p_dense_ns20_np5": ["analyze", "--scenario", "dense_ns20_np5"],
+    "analyze_p_validation_ns5_np20": ["analyze", "--scenario",
+                                      "validation_ns5_np20"],
+    "optimize_8x8_adapt_ns3_np7": ["optimize", "--scenario", "adapt_ns3_np7",
+                                   "--grid", "8", "8"],
+    "optimize_8x8_dense_ns20_np5": ["optimize", "--scenario", "dense_ns20_np5",
+                                    "--grid", "8", "8"],
+    "simulate_dense_ns20_np5": ["simulate", "--scenario", "dense_ns20_np5",
+                                "--slots", "2000", "--trace", "5"],
+    "simulate_validation_ns5_np20": ["simulate", "--scenario",
+                                     "validation_ns5_np20", "--slots", "2000",
+                                     "--trace", "5"],
+    "adapt_alg1_adapt_ns3_np7": ["adapt", "--scenario", "adapt_ns3_np7",
+                                 "--algorithm", "1", "--frames", "40"],
+    "adapt_alg2_adapt_ns3_np7": ["adapt", "--scenario", "adapt_ns3_np7",
+                                 "--algorithm", "2", "--frames", "40"],
+    "subgradient_field_adapt_ns3_np7": ["subgradient-field", "--scenario",
+                                        "adapt_ns3_np7", "--taus", "0.002",
+                                        "--ps", "0.5", "--realizations", "200"],
+}
+
+
+def run_case(name: str, out_dir: Path) -> dict[str, str]:
+    """Run one case into ``out_dir``; sha256 of every file it wrote, by name."""
+    assert main(CASES[name] + ["--out", str(out_dir)]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert run_case(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {name: run_case(name, Path(tmp) / name) for name in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(golden)} cases in {GOLDEN}", file=sys.stderr)
