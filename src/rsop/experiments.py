@@ -256,6 +256,8 @@ def run_false_alarm_sweep(scenario: Scenario, out_dir,
                           seed=0) -> ExperimentOutput:
     """Throughput against the false-alarm probability for several network
     densities (detection held fixed via the explicit detector)."""
+    if len(p_fa_values) == 0 or len(n_su_values) == 0:
+        raise ScenarioError("false-alarm sweep needs at least one p_fa and one n_su")
     out_dir = Path(out_dir)
     rows = []
     for n_su in n_su_values:

@@ -112,6 +112,8 @@ def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
     reported with ``feasible=False``.  The analyzer runs row by row, batched;
     ``evaluator(tau, p)`` may replace it, and only it runs on ``n_jobs`` threads.
     """
+    if n_jobs < 1:
+        raise ScenarioError(f"n_jobs must be >= 1, got {n_jobs}")
     taus, ps = grid.tau_values(), grid.p_values()
     if evaluator is None:
         if resolved is None:

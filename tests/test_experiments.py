@@ -144,9 +144,16 @@ class TestCli:
          "--taus", "0.002", "--ps", "0.5", "--realizations", "0"],
         ["simulate", "--scenario", "validation_ns2_np5", "--values", "0.1", "0.2"],
         ["simulate", "--scenario", "validation_ns2_np5", "--jobs", "0"],
+        ["optimize", "--scenario", "adapt_ns3_np7", "--grid", "4", "4",
+         "--jobs", "0"],
+        ["optimize", "--scenario", "adapt_ns3_np7", "--grid", "4", "4",
+         "--jobs", "-3"],
+        ["sweep", "--scenario", "false_alarm_np5", "--p-fa", "--slots", "100"],
+        ["sweep", "--scenario", "false_alarm_np5", "--n-su", "--slots", "100"],
     ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
             "zero-frames", "zero-realizations", "values-without-axis",
-            "zero-jobs"])
+            "zero-jobs", "optimize-zero-jobs", "optimize-negative-jobs",
+            "sweep-no-p-fa", "sweep-no-n-su"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])
         captured = capsys.readouterr()

@@ -5,9 +5,14 @@ of every file it writes with ``golden_outputs.json``.  A refactor that keeps
 the numbers keeps these hashes; a change that moves any output byte fails
 here.
 
-To re-record after a deliberate output change, run
+To record cases that ``golden_outputs.json`` does not hold yet, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+which leaves every recorded hash as it is.  To re-record after a deliberate
+output change, name the cases on the command line,
+
+    PYTHONPATH=src python tests/test_golden_outputs.py CASE [CASE ...]
 
 and explain in CHANGES.md which outputs moved and why.  Every re-record must
 be explained there.
@@ -24,16 +29,27 @@ import pytest
 from rsop.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+# channels of two presence values and two PU powers, in four channel classes
+MIXED = str(Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml")
+MIXED_PER_STAGE = str(Path(__file__).with_name("scenarios")
+                      / "mixed_ns8_np6_per_stage.yaml")
 
 CASES = {
     "analyze_p_adapt_ns3_np7": ["analyze", "--scenario", "adapt_ns3_np7"],
     "analyze_p_dense_ns20_np5": ["analyze", "--scenario", "dense_ns20_np5"],
     "analyze_p_validation_ns5_np20": ["analyze", "--scenario",
                                       "validation_ns5_np20"],
+    "analyze_p_mixed_ns8_np6": ["analyze", "--scenario", MIXED],
+    "analyze_p_mixed_ns8_np6_per_stage": ["analyze", "--scenario",
+                                          MIXED_PER_STAGE],
     "optimize_8x8_adapt_ns3_np7": ["optimize", "--scenario", "adapt_ns3_np7",
                                    "--grid", "8", "8"],
     "optimize_8x8_dense_ns20_np5": ["optimize", "--scenario", "dense_ns20_np5",
                                     "--grid", "8", "8"],
+    "optimize_8x8_mixed_ns8_np6": ["optimize", "--scenario", MIXED,
+                                   "--grid", "8", "8"],
+    "optimize_8x8_mixed_ns8_np6_per_stage": ["optimize", "--scenario",
+                                             MIXED_PER_STAGE, "--grid", "8", "8"],
     "simulate_dense_ns20_np5": ["simulate", "--scenario", "dense_ns20_np5",
                                 "--slots", "2000", "--trace", "5"],
     "simulate_validation_ns5_np20": ["simulate", "--scenario",
@@ -63,7 +79,13 @@ def test_outputs_match_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    names = sys.argv[1:] or sorted(set(CASES) - set(golden))
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: run_case(name, Path(tmp) / name) for name in sorted(CASES)}
+        golden.update({name: run_case(name, Path(tmp) / name) for name in names})
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(golden)} cases in {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(names)} case(s) in {GOLDEN}: {', '.join(names)}",
+          file=sys.stderr)

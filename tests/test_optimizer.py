@@ -1,15 +1,19 @@
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import default_qos, explicit_detector, make_config, make_scenario
 from rsop.chain import resolve_detector
-from rsop.config import DetectorSpec
+from rsop.config import DetectorSpec, bundled_scenario_path, load_scenario
 from rsop.detector import min_sensing_time
 from rsop.errors import EmptyGrid
 from rsop.optimizer import (
     GridSpec,
     PointEval,
     brute_force_optimize,
+    _evaluate_row,
     evaluate_point,
     optimize_scenario,
 )
@@ -137,6 +141,40 @@ class TestEvaluatePoint:
         resolved = resolve_detector(config, det, qos, 1.01 * tau_min)
         pt = evaluate_point(config, 1.01 * tau_min, 0.8, qos, resolved)
         assert pt.p_md_max <= qos.p_md_max + 1e-9
+
+
+class TestRowMatchesPoints:
+    """A tau row evaluated in batched calls equals ``evaluate_point`` at each
+    p, field for field and bit for bit."""
+
+    @staticmethod
+    def assert_row_matches(sc, rows, p_steps):
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=64,
+                                    p_steps=p_steps)
+        ps = grid.p_values()
+        for tau in grid.tau_values()[rows]:
+            row = _evaluate_row(sc.config, tau, ps, sc.qos, resolved)
+            assert len(row) == len(ps)
+            for pt, p in zip(row, ps):
+                one = evaluate_point(sc.config, tau, p, sc.qos, resolved)
+                assert astuple(pt) == astuple(one)
+
+    def test_first_row_of_validation_ns5_np100(self):
+        # 94 stages x 100 channels at the smallest tau
+        sc = load_scenario(bundled_scenario_path("validation_ns5_np100"))
+        self.assert_row_matches(sc, slice(0, 1), 64)
+
+    @pytest.mark.parametrize("path", [
+        bundled_scenario_path("dense_ns20_np5"),
+        bundled_scenario_path("adapt_ns3_np7"),
+        str(Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml"),
+        str(Path(__file__).with_name("scenarios")
+            / "mixed_ns8_np6_per_stage.yaml"),
+    ], ids=["dense_ns20_np5", "adapt_ns3_np7", "mixed_ns8_np6",
+            "mixed_ns8_np6_per_stage"])
+    def test_rows_of_the_default_grid(self, path):
+        self.assert_row_matches(load_scenario(path), slice(None, None, 8), 16)
 
 
 class TestScenarioOptimize:
