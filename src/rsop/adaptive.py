@@ -351,7 +351,8 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p, de
     prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved,
                           int(np.max(deltas)))
     beyond = np.arange(prof.n_stages) >= np.expand_dims(deltas, -1)
-    return np.max(np.where(beyond[..., None, :], 0.0, prof.p_md), axis=(-2, -1))
+    return np.max(np.where(beyond[..., None, :], 0.0, 1.0 - prof.class_p_d),
+                  axis=(-2, -1))
 
 
 def _standard_error(samples: np.ndarray) -> float:

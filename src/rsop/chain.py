@@ -19,6 +19,18 @@ probability a competitor never transmits on a given channel from a given
 stage on (the disposition total of a chain pruned of that channel's exits,
 in closed form).  An array ``params.p`` evaluates a tau row (tau, p_i) at
 once: tables gain a leading point axis (``...`` below), metrics are arrays.
+
+Channels meet only in sums: the handoff population's sum over channels of q,
+and the sums over (channel, stage) in r and t_I.  Channels with equal
+(P_m1, sigma_p^2, lambda_m) therefore have equal tables (they are lumpable),
+and the chain runs at channel-class resolution: the classes are fixed once
+per resolved detector (:class:`ChannelClasses`), and every recursion and
+table is computed once per class.  The channel axis is expanded with the
+class index only where channels meet (the walk's per-stage sum of q, and the
+sums of r and t_I, in point blocks of at most ``_CHUNK_CELLS`` cells) and
+where a caller reads a per-channel table (``p_d``, ``occ``, ``success``, ...;
+built on first read).  Each expanded sum runs over the channels in order, so
+the metrics equal those of a per-channel evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +51,9 @@ from .detector import (
 from .errors import RsopError, ScenarioError
 
 _CLAMP_TOL = 1e-9
+# channel x stage cells per expanded block of a metric sum, and per batched
+# analyzer call in the optimizer (there in class cells); caps table memory
+_CHUNK_CELLS = 1 << 14
 
 
 def _clamp01(x, what: str):
@@ -52,6 +67,55 @@ def _clamp01(x, what: str):
 
 
 # ---------------------------------------------------------------------------
+# Channel classes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChannelClasses:
+    """Channels grouped by equal (P_m1, sigma_p^2, lambda_m).
+
+    The chain evaluates each class once, at its representative channel."""
+
+    rep: np.ndarray   # (n_classes,) representative channel of each class
+    of: np.ndarray    # (n_pu,) class of each channel
+    size: np.ndarray  # (n_classes,) channels per class, as float weights
+
+    @classmethod
+    def of_channels(cls, config: NetworkConfig,
+                    lambda_norm=None) -> "ChannelClasses":
+        """Classes of ``config``'s channels under the per-channel threshold
+        ``lambda_norm`` (explicit detectors have none)."""
+        lam = np.zeros(config.n_pu) if lambda_norm is None else lambda_norm
+        key = np.stack([config.presence_prob, config.pu_power,
+                        np.broadcast_to(lam, (config.n_pu,))], axis=1)
+        _, rep, of, size = np.unique(key, axis=0, return_index=True,
+                                     return_inverse=True, return_counts=True)
+        return cls(rep=rep, of=of.ravel(), size=size.astype(float))
+
+    def expand(self, table, axis: int = -2) -> np.ndarray:
+        """Per-channel table from a class table whose class axis is ``axis``."""
+        return np.take(table, self.of, axis=axis)
+
+
+class _PerChannel:
+    """Per-channel view of the class table ``class_<name>`` (class axis
+    ``axis``), expanded through the owner's ``classes`` on first read."""
+
+    def __init__(self, axis: int = -2):
+        self.axis = axis
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        view = obj.classes.expand(getattr(obj, "class_" + self.name), self.axis)
+        obj.__dict__[self.name] = view  # later reads find the built view
+        return view
+
+
+# ---------------------------------------------------------------------------
 # Detector resolution and stage profiles
 # ---------------------------------------------------------------------------
 
@@ -60,6 +124,7 @@ class ResolvedDetector:
     """Detector with the threshold pinned; shared by analyzer and simulator."""
 
     mode: str                                # "energy" | "explicit"
+    classes: ChannelClasses                  # the chain's channel classes
     lambda_norm: np.ndarray | None = None    # per-channel normalized threshold
     p_fa: float | None = None                # explicit mode
     p_d_stages: np.ndarray | None = None     # explicit mode, indexed by stage
@@ -80,41 +145,52 @@ def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
     (default: the nominal tau) against the stage-1 SNR so that either the
     stage-1 detection hits ``qos.p_d_min`` or the false alarm hits
     ``qos.p_fa_max``; the threshold is then held fixed for every (tau, p)
-    evaluated afterwards.
+    evaluated afterwards.  The channel classes are fixed here too.
     """
     if detector.mode == "explicit":
         p_d = np.atleast_1d(np.asarray(detector.p_d, dtype=float))
-        return ResolvedDetector(mode="explicit", p_fa=float(detector.p_fa),
-                                p_d_stages=p_d)
+        return ResolvedDetector(mode="explicit",
+                                classes=ChannelClasses.of_channels(config),
+                                p_fa=float(detector.p_fa), p_d_stages=p_d)
     if detector.threshold is not None:
         lam = np.full(config.n_pu, float(detector.threshold))
-        return ResolvedDetector(mode="energy", lambda_norm=lam,
-                                per_stage_snr=detector.per_stage_snr)
-    if qos is None:
+    elif qos is None:
         raise ScenarioError("energy-detector calibration needs QoS targets")
-    cal_tau = detector.calibrate_tau if detector.calibrate_tau is not None else nominal_tau
-    if detector.calibration == "pd_min":
-        lam = threshold_for_detection(config.snr_stage1, cal_tau,
-                                      config.sampling_freq, qos.p_d_min)
     else:
-        lam = np.full(
-            config.n_pu,
-            float(threshold_for_false_alarm(cal_tau, config.sampling_freq,
-                                            qos.p_fa_max)),
-        )
-    return ResolvedDetector(mode="energy", lambda_norm=np.atleast_1d(lam),
-                            per_stage_snr=detector.per_stage_snr)
+        cal_tau = (detector.calibrate_tau if detector.calibrate_tau is not None
+                   else nominal_tau)
+        if detector.calibration == "pd_min":
+            lam = threshold_for_detection(config.snr_stage1, cal_tau,
+                                          config.sampling_freq, qos.p_d_min)
+        else:
+            lam = np.full(
+                config.n_pu,
+                float(threshold_for_false_alarm(cal_tau, config.sampling_freq,
+                                                qos.p_fa_max)),
+            )
+        lam = np.atleast_1d(lam)
+    return ResolvedDetector(mode="energy",
+                            classes=ChannelClasses.of_channels(config, lam),
+                            lambda_norm=lam, per_stage_snr=detector.per_stage_snr)
 
 
 @dataclass
 class StageProfiles:
-    """Per-channel, per-stage sensing error probabilities and mean SNRs."""
+    """Per-class, per-stage sensing error probabilities and mean SNRs.
 
-    p_fa: np.ndarray       # (n_pu,) stage-constant false alarm, p-independent
-                           # ((..., n_pu) when tau is an array)
-    p_d: np.ndarray        # (..., n_pu, n_stages) detection probability
-    gamma: np.ndarray      # (..., n_pu, n_stages) mean SNR; zeros in explicit mode
+    ``p_fa``, ``p_d`` and ``gamma`` are the per-channel views, with n_pu in
+    place of n_classes."""
+
+    class_p_fa: np.ndarray   # (n_classes,) stage-constant false alarm,
+                             # p-independent ((..., n_classes) when tau is an array)
+    class_p_d: np.ndarray    # (..., n_classes, n_stages) detection probability
+    class_gamma: np.ndarray  # (..., n_classes, n_stages) mean SNR; zeros in explicit mode
     n_stages: int
+    classes: ChannelClasses
+
+    p_fa = _PerChannel(axis=-1)
+    p_d = _PerChannel()
+    gamma = _PerChannel()
 
     @property
     def p_md(self) -> np.ndarray:
@@ -129,12 +205,18 @@ class OccupancyTable:
     l[n-1]       mean number of SUs sensing each channel at stage n
     n_ho[n-1]    mean number of SUs in handoff state n
     q[m, n-1]    probability a probe of channel m at stage n ends in handoff
+
+    ``occ`` and ``q`` are per-channel views of ``class_occ`` and ``class_q``.
     """
 
-    occ: np.ndarray
+    class_occ: np.ndarray
     l: np.ndarray
     n_ho: np.ndarray
-    q: np.ndarray
+    class_q: np.ndarray
+    classes: ChannelClasses
+
+    occ = _PerChannel()
+    q = _PerChannel()
 
 
 def stage_profiles(config: NetworkConfig, params: SensingParams,
@@ -147,41 +229,48 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     accumulating transmitters stage by stage; p enters only through those.
     ``params.tau`` is a scalar, or an array aligned with ``params.p`` (one
     point per entry, e.g. per SU); an array tau gives ``p_fa`` a leading
-    point axis too.
+    point axis too.  Each class is evaluated at its representative channel.
     """
-    npu, ns = config.n_pu, n_stages
+    classes = resolved.classes
+    if classes.of.size != config.n_pu:
+        raise ScenarioError(f"detector resolved for {classes.of.size} channels, "
+                            f"network has {config.n_pu}")
+    nc, ns = classes.rep.size, n_stages
     points = np.shape(params.p)
     if resolved.mode == "explicit":
         p_d = resolved.explicit_p_d(np.arange(1, ns + 1))
-        return StageProfiles(p_fa=np.full(npu, resolved.p_fa),
-                             p_d=np.tile(p_d, points + (npu, 1)),
-                             gamma=np.zeros(points + (npu, ns)), n_stages=ns)
+        return StageProfiles(class_p_fa=np.full(nc, resolved.p_fa),
+                             class_p_d=np.tile(p_d, points + (nc, 1)),
+                             class_gamma=np.zeros(points + (nc, ns)),
+                             n_stages=ns, classes=classes)
 
-    lam = resolved.lambda_norm
+    rep = classes.rep
+    lam = resolved.lambda_norm[rep]
     f_s = config.sampling_freq
-    tau = np.asarray(params.tau)[..., None]  # against the per-channel lambda
+    tau = np.asarray(params.tau)[..., None]  # against the per-class lambda
     p_fa = _clamp01(false_alarm_prob(lam, tau, f_s), "p_fa")
-    gamma = np.zeros(points + (npu, ns))
-    p_d = np.zeros(points + (npu, ns))
-    profiles = StageProfiles(p_fa=p_fa, p_d=p_d, gamma=gamma, n_stages=ns)
+    gamma = np.zeros(points + (nc, ns))
+    p_d = np.zeros(points + (nc, ns))
+    profiles = StageProfiles(class_p_fa=p_fa, class_p_d=p_d, class_gamma=gamma,
+                             n_stages=ns, classes=classes)
 
     def detect(i, snr):
         gamma[..., i] = snr
         p_d[..., i] = _clamp01(detection_prob(lam, tau, f_s, snr), "p_d")
 
-    detect(0, config.snr_stage1)
-    presence = config.presence_prob
+    detect(0, config.snr_stage1[rep])
+    presence = config.presence_prob[rep]
     if ns > 1 and resolved.per_stage_snr:
         # Exact per-stage extension: each stage sees every earlier transmitter.
         _walk(config, params, profiles, lambda i, senders: detect(
-            i, received_snr(config, presence, senders)))
+            i, received_snr(config, presence, senders, rep)))
     elif ns > 1:
         # gamma2: the mean-field count of stage-1 transmitters,
-        # (N_s p / N_p)(1 - q_m1), with p as a column against the per-channel q1
+        # (N_s p / N_p)(1 - q_m1), with p as a column against the per-class q1
         q1 = _handoff_prob(presence, p_fa, p_d[..., 0])
         p = np.asarray(params.p)[..., None]
         detect(1, received_snr(config, presence,
-                               (config.n_su * p / config.n_pu) * (1.0 - q1)))
+                               (config.n_su * p / config.n_pu) * (1.0 - q1), rep))
         gamma[..., 2:] = gamma[..., 1:2]
         p_d[..., 2:] = p_d[..., 1:2]
     return profiles
@@ -222,34 +311,38 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
     ``detect(i, senders)``, when given, fills the detection column of 0-based
     stage i >= 1 in ``profiles`` before that stage's q is formed, from the
     mean number of SUs per channel that started transmitting earlier,
-    senders = sum_{k<i} L^(k) (1 - q^(k)).  Range checks run on the finished tables.
+    senders = sum_{k<i} L^(k) (1 - q^(k)).  Tables are per class; the sum of
+    q over the channels expands them.  Range checks run on the finished tables.
     """
-    npu, ns = config.n_pu, profiles.n_stages
-    vacant = 1.0 - config.presence_prob
-    p_fa = profiles.p_fa
+    classes, ns = profiles.classes, profiles.n_stages
+    nc = classes.rep.size
+    presence = config.presence_prob[classes.rep]
+    vacant = 1.0 - presence
+    p_fa = profiles.class_p_fa
     p = np.asarray(params.p, dtype=float)
-    share = p / npu
-    occ, q = np.empty((2,) + p.shape + (npu, ns))
+    share = p / config.n_pu
+    occ, q = np.empty((2,) + p.shape + (nc, ns))
     l, n_ho = np.empty((2,) + p.shape + (ns,))
 
-    occ[..., 0] = config.presence_prob
+    occ[..., 0] = presence
     n_ho[..., 0] = config.n_su
     exponent = np.zeros(p.shape + (1,))
-    senders = np.zeros(p.shape + (npu,))
+    senders = np.zeros(p.shape + (nc,))
     for i in range(ns):
         if i > 0:
             l_prev = l[..., i - 1, None]
             occ[..., i] = (occ[..., i - 1] + vacant * np.power(p_fa, exponent)
                            * (1.0 - np.power(p_fa, l_prev)))
-            n_ho[..., i] = ((1.0 - p) + share * q[..., i - 1].sum(axis=-1)) * n_ho[..., i - 1]
+            q_sum = classes.expand(q[..., i - 1], -1).sum(axis=-1)
+            n_ho[..., i] = ((1.0 - p) + share * q_sum) * n_ho[..., i - 1]
             exponent = exponent + l_prev
             if detect is not None:
                 senders = senders + l_prev * (1.0 - q[..., i - 1])
                 detect(i, senders)
         l[..., i] = share * n_ho[..., i]
-        q[..., i] = _handoff_prob(occ[..., i], p_fa, profiles.p_d[..., i])
-    return OccupancyTable(occ=_clamp01(occ, "occupancy"), l=l, n_ho=n_ho,
-                          q=_clamp01(q, "q"))
+        q[..., i] = _handoff_prob(occ[..., i], p_fa, profiles.class_p_d[..., i])
+    return OccupancyTable(class_occ=_clamp01(occ, "occupancy"), l=l, n_ho=n_ho,
+                          class_q=_clamp01(q, "q"), classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +351,24 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
 
 @dataclass
 class ChainDistribution:
-    """Per-state occupation probabilities of one SU's chain walk."""
+    """Per-state occupation probabilities of one SU's chain walk.
 
-    pi_ho: np.ndarray       # (..., n_stages) probability of reaching HO_n
-    pi_channel: np.ndarray  # (..., n_pu, n_stages) probability of probing m at stage n
-    p_t: np.ndarray         # (..., n_pu, n_stages) entry into T_n through channel m
-    p_i: np.ndarray         # (..., n_pu, n_stages) entry into I_n through channel m
+    ``pi_channel``, ``p_t`` and ``p_i`` are the per-channel views, with n_pu
+    in place of n_classes."""
+
+    pi_ho: np.ndarray             # (..., n_stages) probability of reaching HO_n
+    class_pi_channel: np.ndarray  # (..., n_classes, n_stages) probability of
+                                  # probing a channel of the class at stage n
+    class_p_t: np.ndarray   # (..., n_classes, n_stages) entry into T_n through a channel
+    class_p_i: np.ndarray   # (..., n_classes, n_stages) entry into I_n through a channel
     pi_t: np.ndarray        # (..., n_stages) transmission-state entry probability
     pi_i: np.ndarray        # (..., n_stages) interference-state entry probability
     pi_te: float | np.ndarray  # probability of terminating without transmitting
+    classes: ChannelClasses
+
+    pi_channel = _PerChannel()
+    p_t = _PerChannel()
+    p_i = _PerChannel()
 
     def disposition_total(self) -> float | np.ndarray:
         return self.pi_te + self.pi_t.sum(axis=-1) + self.pi_i.sum(axis=-1)
@@ -281,29 +383,33 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
     probes each channel with probability p / N_p from there.  A probe enters
     T_n when the channel is free and no false alarm fires, I_n when it is
     busy and missed; what reaches the last stage and does not leave there
-    terminates.
+    terminates.  The stage totals weight each class by its channel count.
     """
+    classes = occupancy.classes
     pi_ho = occupancy.n_ho / config.n_su
     share = np.asarray(params.p, dtype=float)[..., None] / config.n_pu
-    pi_ch = np.tile((share * pi_ho)[..., None, :], (config.n_pu, 1))
-    p_t = pi_ch * (1.0 - occupancy.occ) * (1.0 - profiles.p_fa)[:, None]
-    p_i = pi_ch * occupancy.occ * (1.0 - profiles.p_d)
-    pi_te = pi_ho[..., -1] - np.sum(p_t[..., -1] + p_i[..., -1], axis=-1)
-    return ChainDistribution(pi_ho=pi_ho, pi_channel=pi_ch, p_t=p_t, p_i=p_i,
-                             pi_t=p_t.sum(axis=-2), pi_i=p_i.sum(axis=-2),
-                             pi_te=pi_te)
+    pi_ch = np.tile((share * pi_ho)[..., None, :], (classes.rep.size, 1))
+    occ = occupancy.class_occ
+    p_t = pi_ch * (1.0 - occ) * (1.0 - profiles.class_p_fa)[..., None]
+    p_i = pi_ch * occ * (1.0 - profiles.class_p_d)
+    size = classes.size[:, None]
+    pi_t, pi_i = (size * p_t).sum(axis=-2), (size * p_i).sum(axis=-2)
+    return ChainDistribution(pi_ho=pi_ho, class_pi_channel=pi_ch, class_p_t=p_t,
+                             class_p_i=p_i, pi_t=pi_t, pi_i=pi_i,
+                             pi_te=pi_ho[..., -1] - pi_t[..., -1] - pi_i[..., -1],
+                             classes=classes)
 
 
 def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
     """Y_{m,n}: probability one SU never transmits on channel m at stages
-    n..delta, for every (channel, stage) in one pass.
+    n..delta, for every (class, stage) in one pass.
 
     A chain pruned of m's T/I exits from stage n on differs from the full
     chain only in which exits are counted, so its disposition total is
     Y_{m,n} = 1 - sum_{i>=n} (p_T + p_I)[m,i].  The test suite's pruned-chain
     walker is the reference; tests pin the equality.
     """
-    exit_prob = dist.p_t + dist.p_i
+    exit_prob = dist.class_p_t + dist.class_p_i
     tail = np.cumsum(exit_prob[..., ::-1], axis=-1)[..., ::-1]
     return _clamp01(1.0 - tail, "no-tx probability")
 
@@ -314,37 +420,58 @@ def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
 
 @dataclass
 class ChainResult:
-    """Everything the analytic model says about one (tau, p) point or row."""
+    """Everything the analytic model says about one (tau, p) point or row.
+
+    ``no_tx``, ``success`` and ``no_interf`` are the per-channel views,
+    (..., n_pu, n_stages)."""
 
     params: SensingParams
     n_stages: int
     profiles: StageProfiles
     occupancy: OccupancyTable
     dist: ChainDistribution
-    no_tx: np.ndarray          # Y_{m,n}, (..., n_pu, n_stages)
-    success: np.ndarray        # Q_{T_n,m}, (..., n_pu, n_stages)
-    no_interf: np.ndarray      # Z_{I_n,m}, (..., n_pu, n_stages)
+    class_no_tx: np.ndarray      # Y_{m,n}, (..., n_classes, n_stages)
+    class_success: np.ndarray    # Q_{T_n,m}, (..., n_classes, n_stages)
+    class_no_interf: np.ndarray  # Z_{I_n,m}, (..., n_classes, n_stages)
     throughput: float          # r, per-SU, in units of C_R
     network_throughput: float  # N_s * r
     interference: float        # t_I, normalized by T * N_p
     p_md_max: float            # max over (m, n) of misdetection
+    classes: ChannelClasses
+
+    no_tx = _PerChannel()
+    success = _PerChannel()
+    no_interf = _PerChannel()
+
+
+def _channel_sum(table: np.ndarray, classes: ChannelClasses):
+    """Sum over (channel, stage) of a (..., n_classes, n_stages) class table,
+    taken over its per-channel expansion in point blocks of at most
+    ``_CHUNK_CELLS`` cells (one point when a point alone is larger)."""
+    flat = table.reshape((-1,) + table.shape[-2:])
+    block = max(1, _CHUNK_CELLS // (classes.of.size * table.shape[-1]))
+    sums = [classes.expand(flat[lo:lo + block]).sum(axis=(-2, -1))
+            for lo in range(0, len(flat), block)]
+    return np.concatenate(sums).reshape(table.shape[:-2])[()]
 
 
 def avg_throughput(config: NetworkConfig, params: SensingParams,
-                   success: np.ndarray) -> float:
-    """Average per-SU throughput r = (1/T) sum_{m,n} Q_{T_n,m} RT_n C_R."""
+                   success: np.ndarray, classes: ChannelClasses) -> float:
+    """Average per-SU throughput r = (1/T) sum_{m,n} Q_{T_n,m} RT_n C_R, from
+    the class table ``success``."""
     rt = remaining_times(success.shape[-1], config.slot_duration, params.tau,
                          config.handoff_time)
-    return (np.sum(success * rt, axis=(-2, -1)) * config.tx_rate
+    return (_channel_sum(success * rt, classes) * config.tx_rate
             / config.slot_duration)
 
 
 def avg_interference(config: NetworkConfig, params: SensingParams,
-                     no_interf: np.ndarray) -> float:
-    """Normalized interference t_I = sum_{m,n} (1 - Z_{I_n,m}) RT_n / (T N_p)."""
+                     no_interf: np.ndarray, classes: ChannelClasses) -> float:
+    """Normalized interference t_I = sum_{m,n} (1 - Z_{I_n,m}) RT_n / (T N_p),
+    from the class table ``no_interf``."""
     rt = remaining_times(no_interf.shape[-1], config.slot_duration, params.tau,
                          config.handoff_time)
-    return (np.sum((1.0 - no_interf) * rt, axis=(-2, -1))
+    return (_channel_sum((1.0 - no_interf) * rt, classes)
             / (config.slot_duration * config.n_pu))
 
 
@@ -363,25 +490,27 @@ def analyze(config: NetworkConfig, params: SensingParams,
     if leak > _CLAMP_TOL:
         raise RsopError(f"chain disposition leaks {leak:.3e} of probability mass")
 
+    classes = dist.classes
     no_tx = _no_tx_matrix(dist)
-    success = dist.p_t * no_tx ** (config.n_su - 1)
-    no_interf = (1.0 - dist.p_i) ** config.n_su
+    success = dist.class_p_t * no_tx ** (config.n_su - 1)
+    no_interf = (1.0 - dist.class_p_i) ** config.n_su
 
-    r = avg_throughput(config, params, success)
-    t_i = avg_interference(config, params, no_interf)
+    r = avg_throughput(config, params, success, classes)
+    t_i = avg_interference(config, params, no_interf, classes)
     return ChainResult(
         params=params,
         n_stages=n_stages,
         profiles=profiles,
         occupancy=occupancy,
         dist=dist,
-        no_tx=no_tx,
-        success=success,
-        no_interf=no_interf,
+        class_no_tx=no_tx,
+        class_success=success,
+        class_no_interf=no_interf,
         throughput=r,
         network_throughput=config.n_su * r,
         interference=t_i,
-        p_md_max=np.max(profiles.p_md, axis=(-2, -1)),
+        p_md_max=np.max(1.0 - profiles.class_p_d, axis=(-2, -1)),
+        classes=classes,
     )
 
 

@@ -108,11 +108,12 @@ def sensing_time_floor(config, qos) -> float:
                                          qos.p_fa_max, qos.p_d_min)))
 
 
-def received_snr(config, pu_present, senders):
+def received_snr(config, pu_present, senders, channels=slice(None)):
     """Received SNR (pu_present sigma_p^2 + senders sigma_s^2) / sigma_z^2.
 
     ``pu_present`` is the PU's presence (0/1, or its probability P_m1) and
     ``senders`` the number of SUs transmitting on the channel (realized, or a
-    mean-field count); both broadcast with the channel on the last axis."""
-    return ((pu_present * config.pu_power + senders * config.su_power)
+    mean-field count); both broadcast with the channel on the last axis,
+    which holds the channels ``channels`` index (default: all)."""
+    return ((pu_present * config.pu_power[channels] + senders * config.su_power)
             / config.noise_power)

@@ -12,14 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ResolvedDetector, analyze, resolve_detector
+from .chain import _CHUNK_CELLS, ResolvedDetector, analyze, resolve_detector
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
 from .detector import sensing_time_floor
 from .errors import EmptyGrid, ScenarioError
-
-# (channel x stage) cells per batched analyzer call; caps the tables' memory
-_CHUNK_CELLS = 1 << 14
 
 
 @dataclass
@@ -87,11 +84,12 @@ def evaluate_point(config: NetworkConfig, tau: float, p: float,
 
 def _evaluate_row(config: NetworkConfig, tau: float, ps: np.ndarray,
                   qos: QosConstraints, resolved: ResolvedDetector) -> list[PointEval]:
-    """:func:`evaluate_point` at every p in ``ps``, in batched analyzer calls."""
+    """:func:`evaluate_point` at every p in ``ps``, in batched analyzer calls
+    of at most ``_CHUNK_CELLS`` (channel class x stage) cells each."""
     if not (0 <= tau <= config.slot_duration and 0 <= np.min(ps) <= np.max(ps) <= 1):
         raise ScenarioError("evaluate_point called outside the decision box")
     n_stages = max_sensing_stages(config.slot_duration, tau, config.handoff_time, config.n_pu)
-    chunk = max(1, _CHUNK_CELLS // (config.n_pu * n_stages))
+    chunk = max(1, _CHUNK_CELLS // (resolved.classes.rep.size * n_stages))
     table = []
     for lo in range(0, len(ps), chunk):
         res = analyze(config, SensingParams(tau, ps[lo:lo + chunk]), resolved, n_stages)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import default_qos, explicit_detector, make_config, make_scenario
 from enumeration import pruned_no_tx_prob, pruned_walk, success_prob
 from rsop import chain, optimizer
 from rsop.chain import (
+    ChannelClasses,
     StageProfiles,
     _clamp01,
     _no_tx_matrix,
@@ -26,7 +28,7 @@ from rsop.config import (
 )
 from rsop.core import upper_bound_throughput
 from rsop.detector import received_snr
-from rsop.errors import RsopError
+from rsop.errors import RsopError, ScenarioError
 from rsop.optimizer import GridSpec, brute_force_optimize, evaluate_point
 
 T = 10e-3
@@ -152,8 +154,11 @@ class TestInvariants:
         # P_fa > 1 drives occupancy below 0 from stage 2 on, but only where
         # SUs sense: the p = 0 point keeps occupancy 0, the p = 0.5 one drifts
         config = make_config(n_su=4, n_pu=2, presence=0.0)
-        profiles = StageProfiles(p_fa=np.full(2, 1.5), p_d=np.full((2, 2, 4), 0.9),
-                                 gamma=np.zeros((2, 2, 4)), n_stages=4)
+        classes = ChannelClasses.of_channels(config)  # both channels in one class
+        profiles = StageProfiles(class_p_fa=np.full(1, 1.5),
+                                 class_p_d=np.full((2, 1, 4), 0.9),
+                                 class_gamma=np.zeros((2, 1, 4)), n_stages=4,
+                                 classes=classes)
         with pytest.raises(RsopError, match=r"occupancy left \[0,1\]"):
             occupancy_evolution(config, SensingParams(1e-3, np.array([0.0, 0.5])),
                                 profiles)
@@ -183,7 +188,7 @@ class TestPrunedNoTx:
         config = make_config(n_su=5, n_pu=4, presence=[0.1, 0.45, 0.7, 0.95])
         params, prof, occ = tables(config, 6e-4, 0.55, 0.25, 0.85, 7)
         dist = state_distribution(config, params, prof, occ)
-        fast = _no_tx_matrix(dist)
+        fast = dist.classes.expand(_no_tx_matrix(dist))
         for m in range(4):
             for n in range(1, 8):
                 assert fast[m, n - 1] == pytest.approx(
@@ -341,6 +346,92 @@ class TestEnergyProfiles:
         assert override.throughput == 0.0
 
 
+MIXED = Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml"
+
+
+def singleton_classes(n_pu):
+    """Every channel its own class, in channel order: the unlumped chain."""
+    return ChannelClasses(rep=np.arange(n_pu), of=np.arange(n_pu),
+                          size=np.ones(n_pu))
+
+
+class TestChannelClasses:
+    """Channels of equal (P_m1, sigma_p^2, lambda_m) are evaluated once; the
+    lumped chain equals the unlumped one bit for bit."""
+
+    PER_CHANNEL = {"profiles": ("p_fa", "p_d", "gamma"),
+                   "occupancy": ("occ", "q", "l", "n_ho"),
+                   "dist": ("pi_ho", "pi_channel", "p_t", "p_i"),
+                   "": ("no_tx", "success", "no_interf", "throughput",
+                        "interference", "p_md_max")}
+
+    def test_mixed_channels_form_four_classes(self):
+        sc = load_scenario(MIXED)
+        classes = resolve_detector(sc.config, sc.detector, sc.qos,
+                                   sc.params.tau).classes
+        assert classes.rep.size == 4 and classes.size.sum() == 6
+        key = np.stack([sc.config.presence_prob, sc.config.pu_power], axis=1)
+        for m in range(6):
+            same = [n for n in range(6) if (key[n] == key[m]).all()]
+            assert np.flatnonzero(classes.of == classes.of[m]).tolist() == same
+            assert (key[classes.rep[classes.of[m]]] == key[m]).all()
+        # an explicit detector groups by presence and power alone
+        explicit = resolve_detector(make_config(n_pu=4, presence=[0.1, 0.3, 0.1, 0.1]),
+                                    explicit_detector(0.1, 0.9), None, 1e-3)
+        assert explicit.classes.of.tolist() == [0, 1, 0, 0]
+        assert explicit.classes.size.tolist() == [3.0, 1.0]
+
+    @pytest.mark.parametrize("path,per_stage", [
+        (MIXED, False), (MIXED, True),
+        (bundled_scenario_path("validation_ns5_np10"), False),
+        (bundled_scenario_path("dense_ns20_np5"), False),
+        (bundled_scenario_path("false_alarm_np5"), False),
+    ], ids=["mixed", "mixed-per-stage", "validation_ns5_np10", "dense_ns20_np5",
+            "false_alarm_np5"])
+    def test_lumped_equals_unlumped(self, path, per_stage):
+        sc = load_scenario(path)
+        detector = replace(sc.detector, per_stage_snr=per_stage)
+        lumped = resolve_detector(sc.config, detector, sc.qos, sc.params.tau)
+        unlumped = replace(lumped, classes=singleton_classes(sc.config.n_pu))
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=5, p_steps=9)
+        for tau in grid.tau_values():
+            for p in (grid.p_values(), 0.55):
+                a = analyze(sc.config, SensingParams(tau, p), lumped)
+                b = analyze(sc.config, SensingParams(tau, p), unlumped)
+                for part, names in self.PER_CHANNEL.items():
+                    for name in names:
+                        x, y = (getattr(getattr(r, part) if part else r, name)
+                                for r in (a, b))
+                        assert x.shape == y.shape and np.array_equal(x, y), name
+
+    def test_metric_sums_split_into_point_blocks(self, monkeypatch):
+        sc = load_scenario(MIXED)
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        params = SensingParams(sc.params.tau, np.linspace(0.0, 1.0, 11))
+        whole = analyze(sc.config, params, resolved)
+        assert whole.n_stages == 3
+        # 6 channels x 3 stages: blocks of one point
+        monkeypatch.setattr(chain, "_CHUNK_CELLS", 30)
+        split = analyze(sc.config, params, resolved)
+        assert np.array_equal(whole.throughput, split.throughput)
+        assert np.array_equal(whole.interference, split.interference)
+
+    def test_per_channel_views_are_built_once(self):
+        config = make_config(n_su=3, n_pu=4, presence=[0.2, 0.5, 0.2, 0.5])
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        res = analyze(config, SensingParams(1e-3, 0.6), resolved)
+        assert res.class_success.shape == (2, res.n_stages)
+        assert res.success.shape == (4, res.n_stages)
+        assert res.success is res.success
+        assert np.array_equal(res.success[2], res.class_success[res.classes.of[2]])
+
+    def test_detector_of_another_network_is_rejected(self):
+        resolved = resolve_detector(make_config(n_pu=3), explicit_detector(0.1, 0.9),
+                                    None, 1e-3)
+        with pytest.raises(ScenarioError, match="resolved for 3 channels"):
+            analyze(make_config(n_pu=4), SensingParams(1e-3, 0.5), resolved)
+
+
 class TestBatchedRow:
     """One call over the points (tau, p_i) of a row matches the points
     evaluated one at a time."""
@@ -386,8 +477,9 @@ class TestBatchedRow:
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
         grid = GridSpec(tau_lo=5e-4, tau_hi=4e-3, tau_steps=3, p_lo=0.0,
                         p_hi=1.0, p_steps=7)
-        # 3 channels x 2 or 3 stages: chunks of 2 or 4 points, never a whole row
-        monkeypatch.setattr(optimizer, "_CHUNK_CELLS", 24)
+        # 1 channel class x 2 or 3 stages: chunks of 2 or 4 points, never a
+        # whole row
+        monkeypatch.setattr(optimizer, "_CHUNK_CELLS", 8)
         res = brute_force_optimize(config, grid, default_qos(), resolved=resolved)
         assert len(res.table) == 21
         for pt in res.table:

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import default_qos, explicit_detector, make_config, make_scenario
-from rsop.chain import resolve_detector
-from rsop.config import DetectorSpec, bundled_scenario_path, load_scenario
+from rsop import optimizer
+from rsop.chain import analyze, resolve_detector
+from rsop.config import (
+    DetectorSpec,
+    bundled_scenario_path,
+    bundled_scenarios,
+    load_scenario,
+)
 from rsop.detector import min_sensing_time
 from rsop.errors import EmptyGrid
 from rsop.optimizer import (
@@ -159,6 +165,18 @@ class TestRowMatchesPoints:
             for pt, p in zip(row, ps):
                 one = evaluate_point(sc.config, tau, p, sc.qos, resolved)
                 assert astuple(pt) == astuple(one)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_one_analyzer_call_per_row(self, name, monkeypatch):
+        # the first row has the most stages; 64 points fit one call
+        sc = load_scenario(bundled_scenario_path(name))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        grid = GridSpec.default_for(sc.config, sc.qos)
+        calls = []
+        monkeypatch.setattr(optimizer, "analyze",
+                            lambda *args: calls.append(args) or analyze(*args))
+        _evaluate_row(sc.config, grid.tau_lo, grid.p_values(), sc.qos, resolved)
+        assert len(calls) == 1
 
     def test_first_row_of_validation_ns5_np100(self):
         # 94 stages x 100 channels at the smallest tau
