@@ -62,6 +62,23 @@ CASES = {
     "subgradient_field_adapt_ns3_np7": ["subgradient-field", "--scenario",
                                         "adapt_ns3_np7", "--taus", "0.002",
                                         "--ps", "0.5", "--realizations", "200"],
+    # many stage-budget groups along tau
+    "optimize_16x16_validation_ns5_np20": ["optimize", "--scenario",
+                                           "validation_ns5_np20", "--grid",
+                                           "16", "16"],
+    "analyze_tau_validation_ns5_np20": ["analyze", "--scenario",
+                                        "validation_ns5_np20", "--axis", "tau"],
+    # tau sweeps that cross several stage budgets
+    "analyze_tau_dense_ns20_np5": ["analyze", "--scenario", "dense_ns20_np5",
+                                   "--axis", "tau"],
+    "analyze_tau_mixed_ns8_np6_per_stage": ["analyze", "--scenario",
+                                            MIXED_PER_STAGE, "--axis", "tau"],
+    "sweep_false_alarm_np5": ["sweep", "--scenario", "false_alarm_np5",
+                              "--slots", "2000"],
+    "ppersistent_compare_adapt_ns3_np7": ["ppersistent-compare", "--scenario",
+                                          "adapt_ns3_np7", "--slots", "2000"],
+    "upper_bound_validation_ns5_np20": ["upper-bound", "--scenario",
+                                        "validation_ns5_np20"],
 }
 
 
