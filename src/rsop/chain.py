@@ -17,8 +17,10 @@ every other table is array algebra over its output.  Throughput and
 interference follow from per-state occupation probabilities plus the
 probability a competitor never transmits on a given channel from a given
 stage on (the disposition total of a chain pruned of that channel's exits,
-in closed form).  An array ``params.p`` evaluates a tau row (tau, p_i) at
-once: tables gain a leading point axis (``...`` below), metrics are arrays.
+in closed form).  Aligned arrays ``params.tau`` and ``params.p`` evaluate
+many points (tau_i, p_i) at once, provided they share the stage budget
+delta(tau) (an array ``p`` with a scalar ``tau`` is a tau row): tables gain a
+leading point axis (``...`` below), metrics are arrays.
 
 Channels meet only in sums: the handoff population's sum over channels of q,
 and the sums over (channel, stage) in r and t_I.  Channels with equal
@@ -52,7 +54,8 @@ from .errors import RsopError, ScenarioError
 
 _CLAMP_TOL = 1e-9
 # channel x stage cells per expanded block of a metric sum, and per batched
-# analyzer call in the optimizer (there in class cells); caps table memory
+# analyzer call of the optimizer's point evaluation (there in class cells);
+# caps table memory
 _CHUNK_CELLS = 1 << 14
 
 
@@ -420,7 +423,8 @@ def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
 
 @dataclass
 class ChainResult:
-    """Everything the analytic model says about one (tau, p) point or row.
+    """Everything the analytic model says about one (tau, p) point or a batch
+    of points of one stage budget.
 
     ``no_tx``, ``success`` and ``no_interf`` are the per-channel views,
     (..., n_pu, n_stages)."""
@@ -455,12 +459,19 @@ def _channel_sum(table: np.ndarray, classes: ChannelClasses):
     return np.concatenate(sums).reshape(table.shape[:-2])[()]
 
 
+def _remaining_times(config: NetworkConfig, params: SensingParams,
+                     n_stages: int) -> np.ndarray:
+    """RT_n against a (..., n_classes, n_stages) table, per point of ``params``."""
+    return remaining_times(n_stages, config.slot_duration,
+                           np.asarray(params.tau)[..., None, None],
+                           config.handoff_time)
+
+
 def avg_throughput(config: NetworkConfig, params: SensingParams,
                    success: np.ndarray, classes: ChannelClasses) -> float:
     """Average per-SU throughput r = (1/T) sum_{m,n} Q_{T_n,m} RT_n C_R, from
     the class table ``success``."""
-    rt = remaining_times(success.shape[-1], config.slot_duration, params.tau,
-                         config.handoff_time)
+    rt = _remaining_times(config, params, success.shape[-1])
     return (_channel_sum(success * rt, classes) * config.tx_rate
             / config.slot_duration)
 
@@ -469,20 +480,26 @@ def avg_interference(config: NetworkConfig, params: SensingParams,
                      no_interf: np.ndarray, classes: ChannelClasses) -> float:
     """Normalized interference t_I = sum_{m,n} (1 - Z_{I_n,m}) RT_n / (T N_p),
     from the class table ``no_interf``."""
-    rt = remaining_times(no_interf.shape[-1], config.slot_duration, params.tau,
-                         config.handoff_time)
+    rt = _remaining_times(config, params, no_interf.shape[-1])
     return (_channel_sum((1.0 - no_interf) * rt, classes)
             / (config.slot_duration * config.n_pu))
 
 
 def analyze(config: NetworkConfig, params: SensingParams,
-            resolved: ResolvedDetector,
-            n_stages: int | None = None) -> ChainResult:
-    """Full analytic evaluation of one (tau, p) point or row (deterministic)."""
+            resolved: ResolvedDetector) -> ChainResult:
+    """Full analytic evaluation of one (tau, p) point, a tau row, or aligned
+    (tau, p) arrays whose points share the stage budget delta(tau)
+    (deterministic).  Points of unequal budget raise ``ScenarioError``."""
     params.validate(config.slot_duration)
-    if n_stages is None:
-        n_stages = max_sensing_stages(config.slot_duration, params.tau,
-                                      config.handoff_time, config.n_pu)
+    if np.ndim(params.tau) and np.shape(params.tau) != np.shape(params.p):
+        raise ScenarioError(f"tau of shape {np.shape(params.tau)} is not "
+                            f"aligned with p of shape {np.shape(params.p)}")
+    deltas = max_sensing_stages(config.slot_duration, params.tau,
+                                config.handoff_time, config.n_pu)
+    n_stages = int(np.max(deltas))
+    if np.any(deltas != n_stages):
+        raise ScenarioError("analyze needs points of one stage budget, got "
+                            f"delta(tau) in {np.unique(deltas).tolist()}")
     profiles = stage_profiles(config, params, resolved, n_stages)
     occupancy = occupancy_evolution(config, params, profiles)
     dist = state_distribution(config, params, profiles, occupancy)

@@ -1,8 +1,10 @@
 """Batch experiment front end: runs a study, emits tidy CSV plus a manifest.
 
 Output files carry comment headers (tool version, scenario hash, seed) and are
-byte-identical across reruns of the same spec.  Plots are not rendered here;
-every figure-style experiment produces the data behind it.
+byte-identical across reruns of the same spec.  Every writer hands
+:func:`write_csv` its table as columns, which are formatted one column at a
+time.  Plots are not rendered here; every figure-style experiment produces
+the data behind it.
 """
 
 from __future__ import annotations
@@ -15,35 +17,46 @@ import numpy as np
 
 from . import __version__
 from .adaptive import run_adaptive, subgradient_field
-from .chain import analyze_scenario, resolve_detector
+from .chain import analyze, resolve_detector
 from .config import Scenario
 from .core import upper_bound_throughput
 from .errors import ScenarioError
-from .optimizer import optimize_scenario
+from .optimizer import _evaluate_points, optimize_scenario
 from .simulator import SuSchedules, simulate_scenario, simulate_slots
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+# rows formatted and written per block; bounds the text held at once
+_BLOCK_ROWS = 1024
 
 
-def write_csv(path: Path, meta: dict, columns: list[str], rows) -> Path:
-    """Write a schema-checked CSV with reproducible comment headers."""
-    lines = [f"# rsop {__version__}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}: {meta[key]}")
-    lines.append(",".join(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise ScenarioError(
-                f"row width {len(row)} != declared columns {len(columns)}")
-        lines.append(",".join(_fmt(v) for v in row))
+def _format_column(column: np.ndarray) -> list[str]:
+    """Text of every entry, by dtype: bool as 1/0, float as its shortest
+    round-trip repr, anything else (int, str) as ``str``."""
+    if column.dtype == bool:
+        return ["1" if v else "0" for v in column.tolist()]
+    if column.dtype.kind == "f":
+        return list(map(repr, column.astype(float, copy=False).tolist()))
+    return list(map(str, column.tolist()))
+
+
+def write_csv(path: Path, meta: dict, columns: dict) -> Path:
+    """Write a CSV with reproducible comment headers from ``columns``, a
+    mapping from column name to a 1-D sequence; all columns have one length."""
+    cols = [np.asarray(c) for c in columns.values()]
+    lengths = {c.shape for c in cols}
+    if len(lengths) > 1 or any(c.ndim != 1 for c in cols):
+        raise ScenarioError(f"columns {list(columns)} are not 1-D of one "
+                            f"length: shapes {sorted(lengths)}")
+    n_rows = len(cols[0]) if cols else 0
+    header = ([f"# rsop {__version__}"]
+              + [f"# {key}: {meta[key]}" for key in sorted(meta)]
+              + [",".join(columns)])
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("\n".join(header) + "\n")
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            block = [_format_column(c[lo:lo + _BLOCK_ROWS]) for c in cols]
+            f.write("\n".join(map(",".join, zip(*block))) + "\n")
     return path
 
 
@@ -69,59 +82,80 @@ class ExperimentOutput:
         return path
 
 
-def chain_detail_rows(result) -> list[tuple]:
-    """Per-(channel, stage) analyzer tables as flat CSV rows."""
-    rows = []
-    tau, p = result.params.tau, result.params.p
-    for m in range(result.occupancy.occ.shape[0]):
-        for n in range(result.n_stages):
-            rows.append((
-                tau, p, m + 1, n + 1,
-                result.occupancy.occ[m, n], result.profiles.p_fa[m],
-                result.profiles.p_d[m, n], result.dist.pi_channel[m, n],
-                result.success[m, n], result.no_tx[m, n],
-                result.no_interf[m, n],
-            ))
-    return rows
-
-
-_DETAIL_COLUMNS = ["tau", "p", "channel", "stage", "occupancy", "p_fa", "p_d",
-                   "pi_channel", "success_prob", "no_tx_prob",
-                   "no_interf_prob"]
+def chain_detail_columns(result) -> dict[str, np.ndarray]:
+    """Per-(channel, stage) analyzer tables of one point as CSV columns, one
+    row per (channel, stage), channel-major."""
+    n_pu, n_stages = result.occupancy.occ.shape
+    cells = n_pu * n_stages
+    return {
+        "tau": np.full(cells, result.params.tau),
+        "p": np.full(cells, result.params.p),
+        "channel": np.repeat(np.arange(1, n_pu + 1), n_stages),
+        "stage": np.tile(np.arange(1, n_stages + 1), n_pu),
+        "occupancy": result.occupancy.occ.ravel(),
+        "p_fa": np.repeat(result.profiles.p_fa, n_stages),
+        "p_d": result.profiles.p_d.ravel(),
+        "pi_channel": result.dist.pi_channel.ravel(),
+        "success_prob": result.success.ravel(),
+        "no_tx_prob": result.no_tx.ravel(),
+        "no_interf_prob": result.no_interf.ravel(),
+    }
 
 
 def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
                 values=None, seed=0) -> ExperimentOutput:
-    """Analyzer sweep over p (default; one batched call at the nominal tau) or
-    tau; the data behind the tradeoff figures.  Also writes the per-(channel,
-    stage) tables at the nominal point."""
+    """Analyzer sweep over p (default) or tau at the other's nominal value;
+    the data behind the tradeoff figures.  The points are evaluated in
+    batched calls of equal stage budget, under one resolved detector.  Also
+    writes the per-(channel, stage) tables at the nominal point."""
     out_dir = Path(out_dir)
+    if axis not in ("p", "tau"):
+        raise ScenarioError(f"unknown sweep axis {axis!r}")
     if values is None:
-        if axis == "p":
-            values = np.round(np.arange(0.05, 1.0001, 0.05), 10)
-        elif axis == "tau":
-            lo = scenario.params.tau
-            values = np.linspace(lo, 0.5 * scenario.config.slot_duration, 40)
-        else:
-            raise ScenarioError(f"unknown sweep axis {axis!r}")
-    results = ([analyze_scenario(scenario, p=np.asarray(values, dtype=float))]
-               if axis == "p" else
-               [analyze_scenario(scenario, tau=float(v)) for v in values])
-    rows = [tuple(row) for res in results for row in np.column_stack(np.broadcast_arrays(
-        res.params.tau, res.params.p, res.throughput, res.network_throughput,
-        res.interference, res.p_md_max))]
+        values = (np.round(np.arange(0.05, 1.0001, 0.05), 10) if axis == "p" else
+                  np.linspace(scenario.params.tau,
+                              0.5 * scenario.config.slot_duration, 40))
+    values = np.asarray(values, dtype=float)
+    tau = np.full(len(values), float(scenario.params.tau))
+    p = np.full(len(values), float(scenario.params.p))
+    if axis == "p":
+        p = values
+    else:
+        tau = values
+    config = scenario.config
+    resolved = resolve_detector(config, scenario.detector, scenario.qos,
+                                scenario.params.tau)
+    cols = _evaluate_points(config, tau, p, scenario.qos, resolved)
+    network_r = config.n_su * cols["r"]
     path = write_csv(out_dir / f"analyze_{axis}.csv",
                      _meta(scenario, seed, axis=axis),
-                     ["tau", "p", "r", "network_r", "t_i", "p_md_max"], rows)
+                     {"tau": tau, "p": p, "r": cols["r"], "network_r": network_r,
+                      "t_i": cols["t_i"], "p_md_max": cols["p_md_max"]})
+    nominal_point = analyze(config, scenario.params, resolved)
     detail = write_csv(out_dir / "chain_detail.csv", _meta(scenario, seed),
-                       _DETAIL_COLUMNS, chain_detail_rows(analyze_scenario(scenario)))
-    best = max(rows, key=lambda r: r[3])
+                       chain_detail_columns(nominal_point))
+    best = int(np.argmax(network_r))
     out = ExperimentOutput([path, detail], {
-        "axis": axis, "best_network_r": best[3], "best_tau": best[0],
-        "best_p": best[1],
+        "axis": axis, "best_network_r": network_r[best].item(),
+        "best_tau": tau[best].item(), "best_p": p[best].item(),
     })
     out.manifest(out_dir, f"analyze_{axis}")
     return out
+
+
+# simulation CSV columns and the RunMetrics field each one reads
+_SIMULATE_COLUMNS = {
+    "r": "throughput", "network_r": "network_throughput", "t_i": "interference",
+    "overhead": "sensing_overhead", "handoffs": "handoffs", "delay": "delay",
+    "success_rate": "success_rate", "collision_rate": "collision_rate",
+    "se_network_r": "se_network_throughput",
+}
+
+
+def _metric_columns(runs, names) -> dict[str, list]:
+    """Columns ``names`` (keys of ``_SIMULATE_COLUMNS``), one row per run."""
+    return {name: [getattr(m, _SIMULATE_COLUMNS[name]) for m in runs]
+            for name in names}
 
 
 def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
@@ -137,7 +171,6 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
         raise ScenarioError(f"a sweep along {axis!r} needs values")
     if axis is None and values is not None:
         raise ScenarioError("sweep values need an axis (p or tau)")
-    rows = []
     sweep = [(None, None)]
     if axis == "p":
         sweep = [(None, float(v)) for v in values]
@@ -145,29 +178,23 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
         sweep = [(float(v), None) for v in values]
     elif axis is not None:
         raise ScenarioError(f"unknown sweep axis {axis!r}")
-    for tau_v, p_v in sweep:
-        m = simulate_scenario(scenario, n_slots=n_slots, seed=seed,
+    runs = [simulate_scenario(scenario, n_slots=n_slots, seed=seed,
                               protocol=protocol, n_reps=n_reps, n_jobs=n_jobs,
-                              tau=tau_v, p=p_v)
-        rows.append((
-            tau_v if tau_v is not None else scenario.params.tau,
-            p_v if p_v is not None else scenario.params.p,
-            m.throughput, m.network_throughput, m.interference,
-            m.sensing_overhead, m.handoffs, m.delay, m.success_rate,
-            m.collision_rate, m.se_network_throughput,
-        ))
+                              tau=tau_v, p=p_v) for tau_v, p_v in sweep]
     name = f"simulate_{axis or 'point'}"
     path = write_csv(out_dir / f"{name}.csv",
                      _meta(scenario, seed, protocol=protocol, n_slots=n_slots,
                            n_reps=n_reps),
-                     ["tau", "p", "r", "network_r", "t_i", "overhead",
-                      "handoffs", "delay", "success_rate", "collision_rate",
-                      "se_network_r"], rows)
+                     {"tau": [scenario.params.tau if t is None else t
+                              for t, _ in sweep],
+                      "p": [scenario.params.p if p is None else p
+                            for _, p in sweep],
+                      **_metric_columns(runs, _SIMULATE_COLUMNS)})
     files = [path]
     if trace_rows > 0:
         files.append(_write_trace(scenario, out_dir, seed, protocol,
                                   trace_rows))
-    out = ExperimentOutput(files, {"points": len(rows)})
+    out = ExperimentOutput(files, {"points": len(runs)})
     out.manifest(out_dir, name)
     return out
 
@@ -182,21 +209,23 @@ def _write_trace(scenario: Scenario, out_dir: Path, seed, protocol: str,
     n_slots = max(1, (cap + n_su - 1) // n_su)
     batch = simulate_slots(scenario.config, schedules, resolved, n_slots,
                            np.random.default_rng(seed), protocol=protocol)
-    rows = []
-    for s in range(n_slots):
-        for j in range(n_su):
-            if len(rows) >= cap:
-                break
-            rows.append((s, j, batch.transmitted[s, j], batch.success[s, j],
-                         batch.collided[s, j], batch.interfered_entry[s, j],
-                         int(batch.tx_channel[s, j]) + 1,
-                         int(batch.tx_stage[s, j]), batch.throughput[s, j],
-                         batch.overhead[s, j], batch.delay[s, j]))
+
+    def flat(table):  # (slot, su) table as rows, slot-major, capped
+        return table.reshape(-1)[:cap]
+
     return write_csv(out_dir / "trace.csv",
                      _meta(scenario, seed, protocol=protocol, row_cap=cap),
-                     ["slot", "su", "transmitted", "success", "collided",
-                      "interfered", "channel", "stage", "throughput",
-                      "overhead", "delay"], rows)
+                     {"slot": np.arange(cap) // n_su,
+                      "su": np.arange(cap) % n_su,
+                      "transmitted": flat(batch.transmitted),
+                      "success": flat(batch.success),
+                      "collided": flat(batch.collided),
+                      "interfered": flat(batch.interfered_entry),
+                      "channel": flat(batch.tx_channel) + 1,
+                      "stage": flat(batch.tx_stage),
+                      "throughput": flat(batch.throughput),
+                      "overhead": flat(batch.overhead),
+                      "delay": flat(batch.delay)})
 
 
 def run_optimize(scenario: Scenario, out_dir, tau_steps: int = 64,
@@ -205,12 +234,13 @@ def run_optimize(scenario: Scenario, out_dir, tau_steps: int = 64,
     out_dir = Path(out_dir)
     result = optimize_scenario(scenario, tau_steps=tau_steps, p_steps=p_steps,
                                n_jobs=n_jobs)
-    rows = [(pt.tau, pt.p, pt.r, scenario.config.n_su * pt.r, pt.t_i,
-             pt.p_md_max, pt.feasible) for pt in result.table]
+    cols = result.columns
     path = write_csv(out_dir / "grid.csv",
                      _meta(scenario, seed, tau_steps=tau_steps, p_steps=p_steps),
-                     ["tau", "p", "r", "network_r", "t_i", "p_md_max",
-                      "feasible"], rows)
+                     {"tau": cols["tau"], "p": cols["p"], "r": cols["r"],
+                      "network_r": scenario.config.n_su * cols["r"],
+                      "t_i": cols["t_i"], "p_md_max": cols["p_md_max"],
+                      "feasible": cols["feasible"]})
     summary = {
         "tau_star": result.tau_star, "p_star": result.p_star,
         "r_star": result.r_star,
@@ -228,16 +258,24 @@ def run_adapt(scenario: Scenario, out_dir, algorithm: int = 1,
     out_dir = Path(out_dir)
     run = run_adaptive(scenario, algorithm=algorithm, n_frames=n_frames,
                        seed=seed)
-    rows = []
-    for fl in run.frames:
-        for j in range(scenario.config.n_su):
-            rows.append((fl.k, j, fl.tau[j], fl.p[j], fl.r_est[j], fl.t_i_est,
-                         fl.improved[j], fl.flip_tau[j], fl.flip_p[j]))
+    n_su = scenario.config.n_su
+
+    def per_su(name):  # one row per (frame, SU), frame-major
+        return np.concatenate([getattr(fl, name) for fl in run.frames])
+
+    def per_frame(name):
+        return np.repeat([getattr(fl, name) for fl in run.frames], n_su)
+
     path = write_csv(out_dir / f"adapt_alg{algorithm}.csv",
                      _meta(scenario, seed, algorithm=algorithm,
                            n_frames=n_frames),
-                     ["k", "su", "tau", "p", "r_est", "t_i_est", "improved",
-                      "flip_tau", "flip_p"], rows)
+                     {"k": per_frame("k"),
+                      "su": np.tile(np.arange(n_su), len(run.frames)),
+                      "tau": per_su("tau"), "p": per_su("p"),
+                      "r_est": per_su("r_est"), "t_i_est": per_frame("t_i_est"),
+                      "improved": per_su("improved"),
+                      "flip_tau": per_su("flip_tau"),
+                      "flip_p": per_su("flip_p")})
     summary = {
         "algorithm": algorithm,
         "converged_network_throughput": run.converged_network_throughput,
@@ -259,7 +297,7 @@ def run_false_alarm_sweep(scenario: Scenario, out_dir,
     if len(p_fa_values) == 0 or len(n_su_values) == 0:
         raise ScenarioError("false-alarm sweep needs at least one p_fa and one n_su")
     out_dir = Path(out_dir)
-    rows = []
+    points, runs = [], []
     for n_su in n_su_values:
         for p_fa in p_fa_values:
             config = replace(scenario.config, n_su=int(n_su))
@@ -270,15 +308,15 @@ def run_false_alarm_sweep(scenario: Scenario, out_dir,
                           else scenario.qos.p_d_min)
             sc = replace(scenario, config=config, detector=det,
                          name=f"{scenario.name}_ns{n_su}_pfa{p_fa}")
-            m = simulate_scenario(sc, n_slots=n_slots, seed=seed)
-            rows.append((int(n_su), float(p_fa), m.throughput,
-                         m.network_throughput, m.interference,
-                         m.se_network_throughput))
+            points.append((int(n_su), float(p_fa)))
+            runs.append(simulate_scenario(sc, n_slots=n_slots, seed=seed))
+    n_sus, p_fas = zip(*points)
     path = write_csv(out_dir / "false_alarm_sweep.csv",
                      _meta(scenario, seed, n_slots=n_slots),
-                     ["n_su", "p_fa", "r", "network_r", "t_i",
-                      "se_network_r"], rows)
-    out = ExperimentOutput([path], {"points": len(rows)})
+                     {"n_su": n_sus, "p_fa": p_fas,
+                      **_metric_columns(runs, ["r", "network_r", "t_i",
+                                               "se_network_r"])})
+    out = ExperimentOutput([path], {"points": len(runs)})
     out.manifest(out_dir, "false_alarm_sweep")
     return out
 
@@ -287,20 +325,15 @@ def run_ppersistent_compare(scenario: Scenario, out_dir, n_slots: int = 60_000,
                             seed=0) -> ExperimentOutput:
     """Modified vs conventional p-persistent access at the nominal point."""
     out_dir = Path(out_dir)
-    rows = []
-    stats = {}
-    for idx, protocol in enumerate(("conventional", "modified")):
-        m = simulate_scenario(scenario, n_slots=n_slots, seed=seed + idx,
-                              protocol=protocol)
-        rows.append((protocol, m.throughput, m.network_throughput,
-                     m.sensing_overhead, m.interference,
-                     m.se_network_throughput))
-        stats[protocol] = m
+    protocols = ("conventional", "modified")
+    conv, mod = runs = [simulate_scenario(scenario, n_slots=n_slots,
+                                          seed=seed + idx, protocol=protocol)
+                        for idx, protocol in enumerate(protocols)]
     path = write_csv(out_dir / "ppersistent.csv",
                      _meta(scenario, seed, n_slots=n_slots),
-                     ["protocol", "r", "network_r", "overhead", "t_i",
-                      "se_network_r"], rows)
-    conv, mod = stats["conventional"], stats["modified"]
+                     {"protocol": protocols,
+                      **_metric_columns(runs, ["r", "network_r", "overhead",
+                                               "t_i", "se_network_r"])})
     summary = {
         "overhead_reduction": 1.0 - mod.sensing_overhead / conv.sensing_overhead,
         "throughput_rel_diff": abs(mod.network_throughput - conv.network_throughput)
@@ -323,12 +356,16 @@ def run_subgradient_field(scenario: Scenario, out_dir, taus=None, ps=None,
             f"and {len(ps)} ps")
     points = subgradient_field(scenario, taus, ps,
                                n_realizations=n_realizations, seed=seed)
-    rows = [(pt.tau, pt.p, pt.mean_g[0], pt.mean_g[1], pt.grad_f[0],
-             pt.grad_f[1], pt.inner, pt.aligned) for pt in points]
+    g = np.reshape([pt.mean_g for pt in points], (-1, 2))
+    grad = np.reshape([pt.grad_f for pt in points], (-1, 2))
     path = write_csv(out_dir / "subgradient_field.csv",
                      _meta(scenario, seed, n_realizations=n_realizations),
-                     ["tau", "p", "g_tau", "g_p", "grad_f_tau", "grad_f_p",
-                      "inner", "aligned"], rows)
+                     {"tau": [pt.tau for pt in points],
+                      "p": [pt.p for pt in points],
+                      "g_tau": g[:, 0], "g_p": g[:, 1],
+                      "grad_f_tau": grad[:, 0], "grad_f_p": grad[:, 1],
+                      "inner": [pt.inner for pt in points],
+                      "aligned": [pt.aligned for pt in points]})
     aligned = sum(pt.aligned for pt in points)
     out = ExperimentOutput([path], {"points": len(points),
                                     "aligned": aligned,
@@ -343,8 +380,8 @@ def run_upper_bound(scenario: Scenario, out_dir, seed=0) -> ExperimentOutput:
     bound = upper_bound_throughput(scenario.config.n_su,
                                    scenario.config.presence_prob)
     path = write_csv(out_dir / "upper_bound.csv", _meta(scenario, seed),
-                     ["n_su", "n_pu", "upper_bound"],
-                     [(scenario.config.n_su, scenario.config.n_pu, bound)])
+                     {"n_su": [scenario.config.n_su],
+                      "n_pu": [scenario.config.n_pu], "upper_bound": [bound]})
     out = ExperimentOutput([path], {"upper_bound": bound})
     out.manifest(out_dir, "upper_bound")
     return out

@@ -2,13 +2,16 @@
 
 The decision space is two-dimensional and box-bounded regardless of network
 size, so an exhaustive grid evaluated through the chain analyzer is the
-reference solution the distributed algorithms are judged against.
+reference solution the distributed algorithms are judged against.  The grid
+points are evaluated in groups of equal stage budget delta(tau), a few batched
+analyzer calls for the whole grid, and the result keeps them as columns.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +68,9 @@ class PointEval:
     feasible: bool
 
 
+_FIELDS = tuple(f.name for f in fields(PointEval))
+
+
 @dataclass
 class OptResult:
     tau_star: float
@@ -72,31 +78,49 @@ class OptResult:
     r_star: float            # per-SU throughput at the optimum
     t_i_at_star: float
     feasible: bool           # False when no grid point satisfies the caps
-    table: list[PointEval] = field(repr=False, default_factory=list)
+    # every evaluated point in grid order (tau-major), one array per
+    # PointEval field
+    columns: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def table(self) -> list[PointEval]:
+        """The evaluated points as ``PointEval``s, built on first read."""
+        return [PointEval(*pt)
+                for pt in zip(*(self.columns[name].tolist() for name in _FIELDS))]
 
 
 def evaluate_point(config: NetworkConfig, tau: float, p: float,
                    qos: QosConstraints, resolved: ResolvedDetector) -> PointEval:
     """Analyze one (tau, p) point and check the interference and misdetection
     caps (the box constraints hold by construction)."""
-    return _evaluate_row(config, tau, np.array([p]), qos, resolved)[0]
+    cols = _evaluate_points(config, np.array([tau]), np.array([p]), qos, resolved)
+    return PointEval(*(cols[name].item() for name in _FIELDS))
 
 
-def _evaluate_row(config: NetworkConfig, tau: float, ps: np.ndarray,
-                  qos: QosConstraints, resolved: ResolvedDetector) -> list[PointEval]:
-    """:func:`evaluate_point` at every p in ``ps``, in batched analyzer calls
-    of at most ``_CHUNK_CELLS`` (channel class x stage) cells each."""
-    if not (0 <= tau <= config.slot_duration and 0 <= np.min(ps) <= np.max(ps) <= 1):
-        raise ScenarioError("evaluate_point called outside the decision box")
-    n_stages = max_sensing_stages(config.slot_duration, tau, config.handoff_time, config.n_pu)
-    chunk = max(1, _CHUNK_CELLS // (resolved.classes.rep.size * n_stages))
-    table = []
-    for lo in range(0, len(ps), chunk):
-        res = analyze(config, SensingParams(tau, ps[lo:lo + chunk]), resolved, n_stages)
-        cols = (res.params.p, res.throughput, res.interference, res.p_md_max,
-                (res.interference <= qos.t_i_max) & (res.p_md_max <= qos.p_md_max))
-        table += [PointEval(tau, *pt) for pt in zip(*(c.tolist() for c in cols))]
-    return table
+def _evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
+                     qos: QosConstraints,
+                     resolved: ResolvedDetector) -> dict[str, np.ndarray]:
+    """:func:`evaluate_point` at every aligned (tau[i], p[i]), as columns in
+    input order, one per ``PointEval`` field.
+
+    Points are grouped by their stage budget delta(tau); each group runs in
+    batched analyzer calls of at most ``_CHUNK_CELLS`` (channel class x stage)
+    cells each."""
+    SensingParams(tau, p).validate(config.slot_duration)
+    deltas = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
+                                config.n_pu)
+    r, t_i, p_md_max = np.empty((3, len(tau)))
+    for delta in np.unique(deltas).tolist():
+        group = np.flatnonzero(deltas == delta)
+        chunk = max(1, _CHUNK_CELLS // (resolved.classes.rep.size * delta))
+        for lo in range(0, len(group), chunk):
+            idx = group[lo:lo + chunk]
+            res = analyze(config, SensingParams(tau[idx], p[idx]), resolved)
+            r[idx], t_i[idx], p_md_max[idx] = (res.throughput, res.interference,
+                                               res.p_md_max)
+    feasible = (t_i <= qos.t_i_max) & (p_md_max <= qos.p_md_max)
+    return {"tau": tau, "p": p, "r": r, "t_i": t_i, "p_md_max": p_md_max,
+            "feasible": feasible}
 
 
 def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
@@ -107,31 +131,34 @@ def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
     Returns the feasible point with maximum throughput; ties break toward
     smaller tau, then smaller p, so the result does not depend on evaluation
     order.  When nothing is feasible the best-throughput infeasible point is
-    reported with ``feasible=False``.  The analyzer runs row by row, batched;
-    ``evaluator(tau, p)`` may replace it, and only it runs on ``n_jobs`` threads.
+    reported with ``feasible=False``.  The analyzer runs over the whole grid,
+    batched by stage budget; ``evaluator(tau, p)`` may replace it, and only it
+    runs on ``n_jobs`` threads.
     """
     if n_jobs < 1:
         raise ScenarioError(f"n_jobs must be >= 1, got {n_jobs}")
     taus, ps = grid.tau_values(), grid.p_values()
+    tau, p = np.repeat(taus, len(ps)), np.tile(ps, len(taus))
     if evaluator is None:
         if resolved is None:
             raise ScenarioError("brute_force_optimize needs a resolved detector "
                                 "or an explicit evaluator")
-        table = [pt for tau in taus for pt in _evaluate_row(config, tau, ps, qos, resolved)]
-    elif n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            table = list(pool.map(evaluator, np.repeat(taus, len(ps)),
-                                  np.tile(ps, len(taus))))
+        cols = _evaluate_points(config, tau, p, qos, resolved)
     else:
-        table = [evaluator(tau, p) for tau in taus for p in ps]
+        if n_jobs > 1:
+            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                table = list(pool.map(evaluator, tau, p))
+        else:
+            table = list(map(evaluator, tau, p))
+        cols = {name: np.array([getattr(pt, name) for pt in table])
+                for name in _FIELDS}
 
-    def key(pt: PointEval):
-        # feasibility first, then throughput, then small tau, then small p
-        return (pt.feasible, pt.r, -pt.tau, -pt.p)
-
-    best = max(table, key=key)
-    return OptResult(tau_star=best.tau, p_star=best.p, r_star=best.r,
-                     t_i_at_star=best.t_i, feasible=best.feasible, table=table)
+    # feasibility first, then throughput, then small tau, then small p
+    best = np.lexsort((cols["p"], cols["tau"], -cols["r"], ~cols["feasible"]))[0]
+    star = {name: col[best].item() for name, col in cols.items()}
+    return OptResult(tau_star=star["tau"], p_star=star["p"], r_star=star["r"],
+                     t_i_at_star=star["t_i"], feasible=star["feasible"],
+                     columns=cols)
 
 
 def optimize_scenario(scenario, grid: GridSpec | None = None,

@@ -26,10 +26,15 @@ from rsop.config import (
     bundled_scenarios,
     load_scenario,
 )
-from rsop.core import upper_bound_throughput
+from rsop.core import max_sensing_stages, upper_bound_throughput
 from rsop.detector import received_snr
 from rsop.errors import RsopError, ScenarioError
-from rsop.optimizer import GridSpec, brute_force_optimize, evaluate_point
+from rsop.optimizer import (
+    GridSpec,
+    brute_force_optimize,
+    evaluate_point,
+    optimize_scenario,
+)
 
 T = 10e-3
 
@@ -347,6 +352,7 @@ class TestEnergyProfiles:
 
 
 MIXED = Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml"
+MIXED_PER_STAGE = MIXED.with_name("mixed_ns8_np6_per_stage.yaml")
 
 
 def singleton_classes(n_pu):
@@ -487,3 +493,105 @@ class TestBatchedRow:
             assert (pt.tau, pt.p, pt.feasible) == (one.tau, one.p, one.feasible)
             assert abs(pt.r - one.r) <= 1e-12
             assert abs(pt.t_i - one.t_i) <= 1e-12
+
+
+def class_tables(res):
+    """Every class table, point table and metric of an ``analyze`` result."""
+    return {
+        "class_p_fa": res.profiles.class_p_fa,
+        "class_p_d": res.profiles.class_p_d,
+        "class_gamma": res.profiles.class_gamma,
+        "class_occ": res.occupancy.class_occ,
+        "l": res.occupancy.l,
+        "n_ho": res.occupancy.n_ho,
+        "class_q": res.occupancy.class_q,
+        "pi_ho": res.dist.pi_ho,
+        "class_pi_channel": res.dist.class_pi_channel,
+        "class_p_t": res.dist.class_p_t,
+        "class_p_i": res.dist.class_p_i,
+        "pi_t": res.dist.pi_t,
+        "pi_i": res.dist.pi_i,
+        "pi_te": res.dist.pi_te,
+        "class_no_tx": res.class_no_tx,
+        "class_success": res.class_success,
+        "class_no_interf": res.class_no_interf,
+        "throughput": res.throughput,
+        "network_throughput": res.network_throughput,
+        "interference": res.interference,
+        "p_md_max": res.p_md_max,
+    }
+
+
+class TestAlignedPoints:
+    """One call over aligned (tau_i, p_i) of one stage budget equals the
+    points evaluated one at a time, with ``==``."""
+
+    @pytest.mark.parametrize("path", [
+        bundled_scenario_path("validation_ns5_np20"),
+        bundled_scenario_path("dense_ns20_np5"),
+        bundled_scenario_path("false_alarm_np5"),
+        MIXED, MIXED_PER_STAGE,
+    ], ids=["validation_ns5_np20", "dense_ns20_np5", "false_alarm_np5",
+            "mixed", "mixed-per-stage"])
+    def test_every_budget_group_equals_scalar_calls(self, path):
+        sc = load_scenario(path)
+        config = sc.config
+        resolved = resolve_detector(config, sc.detector, sc.qos, sc.params.tau)
+        grid = GridSpec.default_for(config, sc.qos, tau_steps=16, p_steps=5)
+        tau = np.repeat(grid.tau_values(), 5)
+        p = np.tile(grid.p_values(), 16)
+        deltas = max_sensing_stages(config.slot_duration, tau,
+                                    config.handoff_time, config.n_pu)
+        assert len(np.unique(deltas)) > 1
+        for delta in np.unique(deltas):
+            idx = np.flatnonzero(deltas == delta)
+            group = class_tables(analyze(config, SensingParams(tau[idx], p[idx]),
+                                         resolved))
+            for k, i in enumerate(idx):
+                one = class_tables(analyze(
+                    config, SensingParams(float(tau[i]), float(p[i])), resolved))
+                for name, table in group.items():
+                    # explicit mode keeps p_fa without a point axis
+                    got = table if np.ndim(table) == np.ndim(one[name]) else table[k]
+                    assert np.shape(got) == np.shape(one[name]), name
+                    assert np.array_equal(got, one[name]), name
+
+    def test_unequal_budgets_are_rejected(self):
+        sc = load_scenario(bundled_scenario_path("adapt_ns3_np7"))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        # delta(2.5 ms) = 4, delta(4 ms) = 2
+        params = SensingParams(np.array([2.5e-3, 4e-3]), np.array([0.8, 0.8]))
+        with pytest.raises(ScenarioError, match="one stage budget"):
+            analyze(sc.config, params, resolved)
+
+    def test_misaligned_arrays_are_rejected(self):
+        config = make_config(n_su=3, n_pu=3, presence=0.5)
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        params = SensingParams(np.array([1e-3, 1.1e-3]), np.array([0.2, 0.4, 0.6]))
+        with pytest.raises(ScenarioError, match="aligned"):
+            analyze(config, params, resolved)
+
+
+class TestStageBudget:
+    """``analyze`` always evaluates delta(tau) stages, so nothing credits
+    transmission time beyond the slot."""
+
+    def test_adapt_point_beyond_its_budget(self):
+        # a 5-stage evaluation at (tau, p) = (4 ms, 0.5), where delta = 2,
+        # once gave t_I = -0.0097 and r = 0.174
+        sc = load_scenario(bundled_scenario_path("adapt_ns3_np7"))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        params = SensingParams(4e-3, 0.5)
+        with pytest.raises(TypeError):
+            analyze(sc.config, params, resolved, n_stages=5)
+        res = analyze(sc.config, params, resolved)
+        assert res.n_stages == 2
+        assert res.interference >= 0.0
+        assert res.throughput == pytest.approx(0.251, abs=5e-4)
+
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_no_negative_metric_on_the_default_grid(self, name):
+        sc = load_scenario(bundled_scenario_path(name))
+        res = optimize_scenario(sc, tau_steps=16, p_steps=16)
+        assert (res.columns["t_i"] >= 0.0).all()
+        assert (res.columns["r"] >= 0.0).all()

@@ -112,6 +112,19 @@ class TestInvariants:
         with pytest.raises(ScenarioError):
             SensingParams(tau=1e-3, p=1.5).validate(1e-2)
 
+    def test_sensing_box_on_arrays(self):
+        # aligned tau arrays are checked entry by entry, NaN included
+        sc = load_bundled("adapt_ns3_np7")
+        t = sc.config.slot_duration
+        p = np.full(3, 0.5)
+        SensingParams(tau=np.array([0.0, 4e-3, t]), p=p).validate(t)
+        for bad in ([1e-3, 2 * t, 4e-3], [1e-3, -1e-9, 4e-3],
+                    [1e-3, np.nan, 4e-3], [np.nan] * 3):
+            with pytest.raises(ScenarioError, match="outside"):
+                SensingParams(tau=np.array(bad), p=p).validate(t)
+        with pytest.raises(ScenarioError):
+            SensingParams(tau=float("nan"), p=0.5).validate(t)
+
     def test_qos_box(self):
         with pytest.raises(ScenarioError):
             QosConstraints(t_i_max=0.05, p_md_max=1.5, p_fa_max=0.1, p_d_min=0.9)

@@ -8,11 +8,10 @@ from rsop.chain import analyze, resolve_detector
 from rsop.config import SensingParams
 
 
-def build(config, tau, p, p_fa, p_d, n_stages=None):
+def build(config, tau, p, p_fa, p_d):
     params = SensingParams(tau=tau, p=p)
     resolved = resolve_detector(config, explicit_detector(p_fa, p_d), None, tau)
-    res = analyze(config, params, resolved,
-                  n_stages=n_stages) if n_stages else analyze(config, params, resolved)
+    res = analyze(config, params, resolved)
     profiles = res.profiles
     occupancy = res.occupancy
     return params, profiles, occupancy, res

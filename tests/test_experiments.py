@@ -6,7 +6,10 @@ import pytest
 from conftest import explicit_detector, make_config, make_scenario
 from rsop.cli import main
 from rsop.errors import ScenarioError
+from rsop import __version__
 from rsop.experiments import (
+    _BLOCK_ROWS,
+    _format_column,
     run_analyze,
     run_ppersistent_compare,
     run_simulate,
@@ -22,20 +25,75 @@ def small_scenario():
                          name="small")
 
 
+def _fmt(value) -> str:
+    """Reference formatting of one CSV value (the former row-by-row writer)."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_csv(meta: dict, columns: dict) -> str:
+    """The file ``write_csv`` must produce, built one value at a time."""
+    lines = [f"# rsop {__version__}"]
+    lines += [f"# {key}: {meta[key]}" for key in sorted(meta)]
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_COLUMNS = {
+    "bool": [True, False, True],
+    "np_bool": [np.bool_(False), np.bool_(True), np.bool_(False)],
+    "int": [0, -7, 2**40],
+    "np_int32": np.array([3, -2, 2**31 - 1], dtype=np.int32),
+    "special": [float("nan"), float("inf"), -float("inf")],
+    "tiny": [-0.0, 1e16, 5e-324],
+    "float32": np.array([0.1, -2.5, 3e-8], dtype=np.float32),
+    "str": ["modified", "conventional", "x"],
+}
+
+
 class TestCsvWriter:
     def test_schema_mismatch_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
-            write_csv(tmp_path / "x.csv", {}, ["a", "b"], [(1, 2, 3)])
+            write_csv(tmp_path / "x.csv", {}, {"a": [1, 2], "b": [1, 2, 3]})
+        with pytest.raises(ScenarioError):
+            write_csv(tmp_path / "y.csv", {}, {"a": np.zeros((2, 2))})
 
     def test_headers_and_layout(self, tmp_path):
-        path = write_csv(tmp_path / "x.csv", {"seed": 5}, ["a", "b"],
-                         [(1, 2.5), (3, 0.125)])
+        path = write_csv(tmp_path / "x.csv", {"seed": 5},
+                         {"a": [1, 3], "b": [2.5, 0.125]})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# rsop ")
         assert "# seed: 5" in lines
         assert lines[2] == "a,b"
         assert lines[3] == "1,2.5"
         assert lines[4] == "3,0.125"
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
+    def test_column_formatter_equals_fmt(self, name):
+        values = SPECIAL_COLUMNS[name]
+        assert _format_column(np.asarray(values)) == [_fmt(v) for v in values]
+
+    def test_file_equals_the_row_reference(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", {"seed": 1, "a": "b"},
+                         SPECIAL_COLUMNS)
+        assert path.read_text() == reference_csv({"seed": 1, "a": "b"},
+                                                 SPECIAL_COLUMNS)
+
+    def test_blocks_join_seamlessly(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        columns = {"i": np.arange(n), "x": rng.standard_normal(n),
+                   "ok": rng.random(n) < 0.5}
+        path = write_csv(tmp_path / "x.csv", {}, columns)
+        assert path.read_text() == reference_csv({}, columns)
+
+    def test_no_rows(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", {}, {"a": [], "b": []})
+        assert path.read_text().splitlines()[-1] == "a,b"
 
 
 class TestReproducibility:

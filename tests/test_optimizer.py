@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +13,14 @@ from rsop.config import (
     bundled_scenarios,
     load_scenario,
 )
+from rsop.core import max_sensing_stages
 from rsop.detector import min_sensing_time
-from rsop.errors import EmptyGrid
+from rsop.errors import EmptyGrid, ScenarioError
 from rsop.optimizer import (
     GridSpec,
     PointEval,
     brute_force_optimize,
-    _evaluate_row,
+    _evaluate_points,
     evaluate_point,
     optimize_scenario,
 )
@@ -149,22 +150,33 @@ class TestEvaluatePoint:
         assert pt.p_md_max <= qos.p_md_max + 1e-9
 
 
+def grid_points(grid, rows=slice(None)):
+    """Aligned (tau, p) arrays of the grid's tau rows ``rows``, tau-major."""
+    taus, ps = grid.tau_values()[rows], grid.p_values()
+    return np.repeat(taus, len(ps)), np.tile(ps, len(taus))
+
+
+def assert_points_match(sc, tau, p):
+    """``_evaluate_points`` equals ``evaluate_point`` at every point, field
+    for field and bit for bit."""
+    resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+    cols = _evaluate_points(sc.config, tau, p, sc.qos, resolved)
+    assert list(cols) == [f.name for f in fields(PointEval)]
+    assert all(len(c) == len(tau) for c in cols.values())
+    for i in range(len(tau)):
+        one = evaluate_point(sc.config, tau[i], p[i], sc.qos, resolved)
+        assert tuple(c[i].item() for c in cols.values()) == astuple(one)
+
+
 class TestRowMatchesPoints:
-    """A tau row evaluated in batched calls equals ``evaluate_point`` at each
-    p, field for field and bit for bit."""
+    """Grid rows evaluated in batched calls equal ``evaluate_point`` at each
+    point, field for field and bit for bit."""
 
     @staticmethod
     def assert_row_matches(sc, rows, p_steps):
-        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
         grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=64,
                                     p_steps=p_steps)
-        ps = grid.p_values()
-        for tau in grid.tau_values()[rows]:
-            row = _evaluate_row(sc.config, tau, ps, sc.qos, resolved)
-            assert len(row) == len(ps)
-            for pt, p in zip(row, ps):
-                one = evaluate_point(sc.config, tau, p, sc.qos, resolved)
-                assert astuple(pt) == astuple(one)
+        assert_points_match(sc, *grid_points(grid, rows))
 
     @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
     def test_one_analyzer_call_per_row(self, name, monkeypatch):
@@ -175,7 +187,9 @@ class TestRowMatchesPoints:
         calls = []
         monkeypatch.setattr(optimizer, "analyze",
                             lambda *args: calls.append(args) or analyze(*args))
-        _evaluate_row(sc.config, grid.tau_lo, grid.p_values(), sc.qos, resolved)
+        ps = grid.p_values()
+        _evaluate_points(sc.config, np.full(len(ps), grid.tau_lo), ps, sc.qos,
+                         resolved)
         assert len(calls) == 1
 
     def test_first_row_of_validation_ns5_np100(self):
@@ -193,6 +207,81 @@ class TestRowMatchesPoints:
             "mixed_ns8_np6_per_stage"])
     def test_rows_of_the_default_grid(self, path):
         self.assert_row_matches(load_scenario(path), slice(None, None, 8), 16)
+
+
+MIXED_DIR = Path(__file__).with_name("scenarios")
+
+
+class TestStageBudgetGroups:
+    """The whole grid is evaluated in groups of equal delta(tau)."""
+
+    @pytest.mark.parametrize("path", [
+        bundled_scenario_path("validation_ns5_np20"),
+        bundled_scenario_path("false_alarm_np5"),
+        str(MIXED_DIR / "mixed_ns8_np6.yaml"),
+        str(MIXED_DIR / "mixed_ns8_np6_per_stage.yaml"),
+    ], ids=["validation_ns5_np20", "false_alarm_np5", "mixed_ns8_np6",
+            "mixed_ns8_np6_per_stage"])
+    def test_full_grid_equals_points(self, path):
+        sc = load_scenario(path)
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=16, p_steps=16)
+        tau, p = grid_points(grid)
+        deltas = max_sensing_stages(sc.config.slot_duration, tau,
+                                    sc.config.handoff_time, sc.config.n_pu)
+        assert len(np.unique(deltas)) > 1
+        assert_points_match(sc, tau, p)
+
+    @pytest.mark.parametrize("name,calls", [("validation_ns5_np100", 21),
+                                            ("dense_ns20_np5", 5)])
+    def test_calls_per_default_grid(self, name, calls, monkeypatch):
+        # validation_ns5_np100 has 1 channel class and budgets up to 94
+        # stages, so its groups split into chunks; dense_ns20_np5 has 5
+        # budgets of one chunk each
+        sc = load_scenario(bundled_scenario_path(name))
+        seen = []
+        monkeypatch.setattr(optimizer, "analyze",
+                            lambda *args: seen.append(args) or analyze(*args))
+        res = optimize_scenario(sc)
+        assert len(seen) == calls
+        assert len(res.table) == 64 * 64
+
+    def test_points_keep_input_order(self):
+        sc = load_scenario(bundled_scenario_path("dense_ns20_np5"))
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=8, p_steps=5)
+        tau, p = grid_points(grid)
+        order = np.random.default_rng(0).permutation(len(tau))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        whole = _evaluate_points(sc.config, tau, p, sc.qos, resolved)
+        shuffled = _evaluate_points(sc.config, tau[order], p[order], sc.qos,
+                                    resolved)
+        for name in whole:
+            assert np.array_equal(shuffled[name], whole[name][order]), name
+
+    def test_outside_the_box_is_rejected(self):
+        config = make_config(n_su=3, n_pu=3, presence=0.5)
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        for tau, p in ((np.array([1e-3, 2 * T]), np.array([0.5, 0.5])),
+                       (np.array([1e-3, np.nan]), np.array([0.5, 0.5])),
+                       (np.array([1e-3, 2e-3]), np.array([0.5, 1.5]))):
+            with pytest.raises(ScenarioError):
+                _evaluate_points(config, tau, p, default_qos(), resolved)
+
+
+class TestOptResultColumns:
+    def test_table_is_built_from_the_columns(self):
+        config = make_config(n_su=4, n_pu=3, presence=0.5)
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        grid = GridSpec(tau_lo=5e-4, tau_hi=4e-3, tau_steps=4, p_lo=0.1,
+                        p_hi=1.0, p_steps=3)
+        res = brute_force_optimize(config, grid, default_qos(), resolved=resolved)
+        assert res.table is res.table
+        assert [pt.tau for pt in res.table] == res.columns["tau"].tolist()
+        assert [pt.feasible for pt in res.table] == res.columns["feasible"].tolist()
+        assert all(type(pt.feasible) is bool for pt in res.table)
+        best = max(res.table, key=lambda pt: (pt.feasible, pt.r, -pt.tau, -pt.p))
+        assert (res.tau_star, res.p_star, res.r_star, res.t_i_at_star,
+                res.feasible) == (best.tau, best.p, best.r, best.t_i, best.feasible)
+        assert type(res.feasible) is bool
 
 
 class TestScenarioOptimize:
