@@ -71,6 +71,12 @@ class PointEval:
 _FIELDS = tuple(f.name for f in fields(PointEval))
 
 
+def _point_evals(columns: dict[str, np.ndarray]) -> list[PointEval]:
+    """``PointEval``s of columns keyed by ``PointEval`` field."""
+    return [PointEval(*pt)
+            for pt in zip(*(columns[name].tolist() for name in _FIELDS))]
+
+
 @dataclass
 class OptResult:
     tau_star: float
@@ -85,16 +91,15 @@ class OptResult:
     @cached_property
     def table(self) -> list[PointEval]:
         """The evaluated points as ``PointEval``s, built on first read."""
-        return [PointEval(*pt)
-                for pt in zip(*(self.columns[name].tolist() for name in _FIELDS))]
+        return _point_evals(self.columns)
 
 
 def evaluate_point(config: NetworkConfig, tau: float, p: float,
                    qos: QosConstraints, resolved: ResolvedDetector) -> PointEval:
     """Analyze one (tau, p) point and check the interference and misdetection
     caps (the box constraints hold by construction)."""
-    cols = _evaluate_points(config, np.array([tau]), np.array([p]), qos, resolved)
-    return PointEval(*(cols[name].item() for name in _FIELDS))
+    return _point_evals(_evaluate_points(config, np.array([tau]), np.array([p]),
+                                         qos, resolved))[0]
 
 
 def _evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
