@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from rsop.config import (
     DetectorSpec,
@@ -170,3 +173,15 @@ class TestBundled:
         b = load_bundled("tradeoff_ns3_np7")
         assert a.content_hash() == b.content_hash()
         assert a.with_params(p=0.31).content_hash() != a.content_hash()
+
+    def test_hash_pinned(self):
+        # literals recorded before the loader built its sections from the
+        # dataclass fields; a per-stage p_d list and an energy detector with
+        # per-stage SNR are hashed as well
+        doc = yaml.safe_load(Path(bundled_scenario_path("validation_ns5_np20"))
+                             .read_text())
+        doc["detector"]["p_d"] = [0.9, 0.95]
+        assert scenario_from_dict(doc).content_hash() == "dcb95196f71a5f0d"
+        sc = load_scenario(Path(__file__).with_name("scenarios")
+                           / "mixed_ns8_np6_per_stage.yaml")
+        assert sc.content_hash() == "737f21ddd0f3bd8d"
