@@ -45,8 +45,9 @@ from .simulator import SlotBatch, SuSchedules, simulate_slots
 # Step-size schedules
 # ---------------------------------------------------------------------------
 
-def harmonic_alpha(k: int) -> float:
-    """The default diminishing step size, alpha_k = 1/k."""
+def harmonic_alpha(k):
+    """The default diminishing step size, alpha_k = 1/k (entrywise for an
+    array of k)."""
     return 1.0 / k
 
 
@@ -240,30 +241,29 @@ def convergence_constants(n_su: int, slot_duration: float, delta_tau: float,
     return g2, r2
 
 
-def _alpha_sums(alpha, k: int) -> tuple[float, float]:
-    """(sum_{i<=k} alpha_i, sum_{i=1..inf} alpha_i^2) for a schedule spec.
+def _step_prefix(alpha, k: int) -> tuple[np.ndarray, float]:
+    """(alpha_1..alpha_k, sum_{i=1..inf} alpha_i^2) for a schedule spec.
 
     ``alpha`` is either the string "harmonic" (exact tail pi^2/6) or a
-    sequence of at least k nonnegative steps together with a convergent
-    square-sum estimated from the given prefix."""
+    sequence of at least k steps that passes :func:`check_step_schedule`,
+    whose square sum is estimated from the given prefix."""
+    if k < 1:
+        raise InvalidSchedule("k must be >= 1")
     if isinstance(alpha, str):
         if alpha != "harmonic":
             raise InvalidSchedule(f"unknown schedule {alpha!r}")
-        partial = float(np.sum(1.0 / np.arange(1, k + 1)))
-        return partial, math.pi**2 / 6.0
+        return harmonic_alpha(np.arange(1, k + 1)), math.pi**2 / 6.0
     a = np.asarray(alpha, dtype=float)
     if a.size < k:
         raise InvalidSchedule(f"schedule prefix shorter than k={k}")
     check_step_schedule(a)
-    return float(np.sum(a[:k])), float(np.sum(a**2))
+    return a[:k], float(np.sum(a**2))
 
 
 def convergence_bound(g2: float, r2: float, alpha, k: int) -> float:
     """Bound on E|f_best^k - f*|: (R^2 + G^2 sum alpha_i^2) / (2 sum_{i<=k} alpha_i)."""
-    if k < 1:
-        raise InvalidSchedule("k must be >= 1")
-    partial, total_sq = _alpha_sums(alpha, k)
-    return (r2 + g2 * total_sq) / (2.0 * partial)
+    a, total_sq = _step_prefix(alpha, k)
+    return (r2 + g2 * total_sq) / (2.0 * float(np.sum(a)))
 
 
 def corollary_check(g2: float, epsilon: float, alpha, k: int) -> bool:
@@ -273,14 +273,7 @@ def corollary_check(g2: float, epsilon: float, alpha, k: int) -> bool:
     pushed below ``epsilon``."""
     if epsilon <= 0:
         raise InvalidSchedule("epsilon must be positive")
-    if isinstance(alpha, str):
-        if alpha != "harmonic":
-            raise InvalidSchedule(f"unknown schedule {alpha!r}")
-        a = 1.0 / np.arange(1, k + 1)
-    else:
-        a = np.asarray(alpha, dtype=float)[:k]
-        if a.size < k:
-            raise InvalidSchedule(f"schedule prefix shorter than k={k}")
+    a, _ = _step_prefix(alpha, k)
     return bool(np.sum(a * (2.0 * epsilon - g2 * a)) >= 0.0)
 
 

@@ -27,11 +27,18 @@ def _load(arg: str):
     return load_scenario(bundled_scenario_path(arg))
 
 
-def _add_common(sp):
+def _add_kind(sub, name: str, run, help: str):
+    """A subcommand that loads a scenario and calls ``run``.  Each option's
+    ``dest`` is a parameter of ``run``; an option left out takes that
+    parameter's default."""
+    sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    sp.set_defaults(run=run)
     sp.add_argument("--scenario", required=True,
                     help="scenario file path or bundled scenario name")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default="out", help="output directory")
+    sp.add_argument("--out", dest="out_dir", default="out",
+                    help="output directory")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,101 +49,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
 
-    sp = sub.add_parser("analyze", help="analytic sweep over p or tau")
-    _add_common(sp)
-    sp.add_argument("--axis", choices=("p", "tau"), default="p")
+    sp = _add_kind(sub, "analyze", run_analyze, "analytic sweep over p or tau")
+    sp.add_argument("--axis", choices=("p", "tau"))
 
-    sp = sub.add_parser("simulate", help="Monte Carlo at the nominal point or a sweep")
-    _add_common(sp)
-    sp.add_argument("--axis", choices=("p", "tau"), default=None)
-    sp.add_argument("--values", type=float, nargs="*", default=None)
-    sp.add_argument("--slots", type=int, default=10_000)
-    sp.add_argument("--reps", type=int, default=1)
-    sp.add_argument("--protocol", choices=("modified", "conventional"),
-                    default="modified")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--trace", type=int, default=0,
+    sp = _add_kind(sub, "simulate", run_simulate,
+                   "Monte Carlo at the nominal point or a sweep")
+    sp.add_argument("--axis", choices=("p", "tau"))
+    sp.add_argument("--values", type=float, nargs="*")
+    sp.add_argument("--slots", dest="n_slots", type=int)
+    sp.add_argument("--reps", dest="n_reps", type=int)
+    sp.add_argument("--protocol", choices=("modified", "conventional"))
+    sp.add_argument("--jobs", dest="n_jobs", type=int)
+    sp.add_argument("--trace", dest="trace_rows", type=int,
                     help="also dump up to N per-slot trace rows")
 
-    sp = sub.add_parser("optimize", help="brute-force (tau, p) grid benchmark")
-    _add_common(sp)
-    sp.add_argument("--grid", type=int, nargs=2, metavar=("TAU_STEPS", "P_STEPS"),
-                    default=(64, 64))
-    sp.add_argument("--jobs", type=int, default=1)
+    sp = _add_kind(sub, "optimize", run_optimize,
+                   "brute-force (tau, p) grid benchmark")
+    sp.add_argument("--grid", type=int, nargs=2, metavar=("TAU_STEPS", "P_STEPS"))
+    sp.add_argument("--jobs", dest="n_jobs", type=int)
 
-    sp = sub.add_parser("adapt", help="closed-loop distributed adaptation")
-    _add_common(sp)
-    sp.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
-    sp.add_argument("--frames", type=int, default=500)
+    sp = _add_kind(sub, "adapt", run_adapt, "closed-loop distributed adaptation")
+    sp.add_argument("--algorithm", type=int, choices=(1, 2))
+    sp.add_argument("--frames", dest="n_frames", type=int)
 
-    sp = sub.add_parser("sweep", help="false-alarm sweep across network densities")
-    _add_common(sp)
-    sp.add_argument("--p-fa", type=float, nargs="*", default=(0.01, 0.1, 0.3))
-    sp.add_argument("--n-su", type=int, nargs="*", default=(20, 50))
-    sp.add_argument("--slots", type=int, default=10_000)
+    sp = _add_kind(sub, "sweep", run_false_alarm_sweep,
+                   "false-alarm sweep across network densities")
+    sp.add_argument("--p-fa", dest="p_fa_values", type=float, nargs="*")
+    sp.add_argument("--n-su", dest="n_su_values", type=int, nargs="*")
+    sp.add_argument("--slots", dest="n_slots", type=int)
 
-    sp = sub.add_parser("ppersistent-compare",
-                        help="modified vs conventional p-persistent access")
-    _add_common(sp)
-    sp.add_argument("--slots", type=int, default=60_000)
+    sp = _add_kind(sub, "ppersistent-compare", run_ppersistent_compare,
+                   "modified vs conventional p-persistent access")
+    sp.add_argument("--slots", dest="n_slots", type=int)
 
-    sp = sub.add_parser("subgradient-field",
-                        help="mean update direction vs analytic gradient")
-    _add_common(sp)
+    sp = _add_kind(sub, "subgradient-field", run_subgradient_field,
+                   "mean update direction vs analytic gradient")
     sp.add_argument("--taus", type=float, nargs="+", required=True)
     sp.add_argument("--ps", type=float, nargs="+", required=True)
-    sp.add_argument("--realizations", type=int, default=5000)
+    sp.add_argument("--realizations", dest="n_realizations", type=int)
 
-    sp = sub.add_parser("upper-bound", help="ideal throughput bound")
-    _add_common(sp)
+    _add_kind(sub, "upper-bound", run_upper_bound, "ideal throughput bound")
 
-    sub.add_parser("scenarios", help="list bundled scenarios")
+    sub.add_parser("scenarios", help="list bundled scenarios").set_defaults(run=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["kind"]
+    run = args.pop("run")
+    if run is None:  # the scenarios listing
+        for name, path in bundled_scenarios().items():
+            print(f"{name}\t{path}")
+        return 0
     try:
-        if args.kind == "scenarios":
-            for name, path in bundled_scenarios().items():
-                print(f"{name}\t{path}")
-            return 0
-        if args.seed < 0:
-            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
-        scenario = _load(args.scenario)
-        out = Path(args.out)
-        if args.kind == "analyze":
-            result = run_analyze(scenario, out, axis=args.axis, seed=args.seed)
-        elif args.kind == "simulate":
-            result = run_simulate(scenario, out, axis=args.axis,
-                                  values=args.values, n_slots=args.slots,
-                                  n_reps=args.reps, seed=args.seed,
-                                  protocol=args.protocol, n_jobs=args.jobs,
-                                  trace_rows=args.trace)
-        elif args.kind == "optimize":
-            result = run_optimize(scenario, out, tau_steps=args.grid[0],
-                                  p_steps=args.grid[1], seed=args.seed,
-                                  n_jobs=args.jobs)
-        elif args.kind == "adapt":
-            result = run_adapt(scenario, out, algorithm=args.algorithm,
-                               n_frames=args.frames, seed=args.seed)
-        elif args.kind == "sweep":
-            result = run_false_alarm_sweep(scenario, out, p_fa_values=args.p_fa,
-                                           n_su_values=args.n_su,
-                                           n_slots=args.slots, seed=args.seed)
-        elif args.kind == "ppersistent-compare":
-            result = run_ppersistent_compare(scenario, out, n_slots=args.slots,
-                                             seed=args.seed)
-        elif args.kind == "subgradient-field":
-            result = run_subgradient_field(scenario, out, taus=args.taus,
-                                           ps=args.ps,
-                                           n_realizations=args.realizations,
-                                           seed=args.seed)
-        elif args.kind == "upper-bound":
-            result = run_upper_bound(scenario, out, seed=args.seed)
-        else:  # pragma: no cover
-            parser.error(f"unhandled kind {args.kind}")
+        if args["seed"] < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {args['seed']}")
+        args["scenario"] = _load(args["scenario"])
+        if "grid" in args:
+            args["tau_steps"], args["p_steps"] = args.pop("grid")
+        result = run(**args)
     except RsopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,15 +3,20 @@
 A scenario file is a small key/value tree with four mandatory sections
 (``network``, ``sensing``, ``qos``, ``detector``) and an optional ``adaptive``
 section.  Durations and frequencies may carry unit suffixes ("10 ms",
-"6.857 MHz"); everything is normalized to seconds / Hz on load.  Unknown keys
-anywhere in the tree are rejected.
+"6.857 MHz"); everything is normalized to seconds / Hz on load.  The keys of
+each section are the fields of its dataclass below; unknown keys anywhere in
+the tree are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import re
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -33,22 +38,55 @@ _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµμ]*)\s*$")
 
 
+def _real(value) -> float:
+    """A finite number; a bool is not one."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
+def _count(value) -> int:
+    """A whole number; a bool is not one."""
+    number = _real(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(number)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
+def _numbers(value) -> tuple:
+    """A scalar or a list as a nonempty tuple of finite numbers."""
+    numbers = tuple(map(_real, np.atleast_1d(value).tolist()))
+    if not numbers:
+        raise ValueError("needs at least one number")
+    return numbers
+
+
 def _parse_quantity(value, units: dict, kind: str) -> float:
-    """Parse a number with an optional unit suffix into base units."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
-        raise ScenarioError(f"cannot parse {kind} value {value!r}")
-    m = _QUANTITY_RE.match(value)
-    if not m:
-        raise ScenarioError(f"cannot parse {kind} value {value!r}")
-    number, suffix = m.groups()
-    if not suffix:
-        return float(number)
-    key = suffix if suffix in units else suffix.lower()
-    if key not in units:
-        raise ScenarioError(f"unknown {kind} unit {suffix!r} in {value!r}")
-    return float(number) * units[key]
+    """Parse a finite number with an optional unit suffix into base units."""
+    number, scale = value, 1.0
+    if isinstance(value, str):
+        m = _QUANTITY_RE.match(value)
+        if not m:
+            raise ScenarioError(f"cannot parse {kind} value {value!r}")
+        number, suffix = m.groups()
+        if suffix:
+            key = suffix if suffix in units else suffix.lower()
+            if key not in units:
+                raise ScenarioError(f"unknown {kind} unit {suffix!r} in {value!r}")
+            scale = units[key]
+    try:
+        return _real(number) * scale
+    except (TypeError, ValueError):
+        raise ScenarioError(f"cannot parse {kind} value {value!r}") from None
 
 
 def parse_time(value) -> float:
@@ -134,10 +172,10 @@ class QosConstraints:
     p_d_min: float       # min detection probability
 
     def __post_init__(self):
-        for name in ("t_i_max", "p_md_max", "p_fa_max", "p_d_min"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0 <= v <= 1:
-                raise ScenarioError(f"{name}={v} outside [0, 1]")
+                raise ScenarioError(f"{f.name}={v} outside [0, 1]")
 
 
 @dataclass
@@ -161,7 +199,8 @@ class DetectorSpec:
     calibrate_tau: float | None = None   # defaults to the scenario's nominal tau
     threshold: float | None = None       # normalized lambda/sigma_z^2, overrides calibration
     p_fa: float | None = None            # explicit mode only
-    p_d: tuple | float | None = None     # explicit mode: scalar or per-stage sequence
+    p_d: tuple | None = None             # explicit mode: one per stage; a scalar
+                                         # is stored as one stage
     per_stage_snr: bool = False          # energy mode: exact per-stage SNR instead of
                                          # reusing the stage-2 value for stages >= 3
 
@@ -170,13 +209,14 @@ class DetectorSpec:
             raise ScenarioError(f"unknown detector mode {self.mode!r}")
         if self.calibration not in ("pd_min", "pfa_max"):
             raise ScenarioError(f"unknown calibration rule {self.calibration!r}")
+        if self.p_d is not None:
+            self.p_d = _numbers(self.p_d)
         if self.mode == "explicit":
             if self.p_fa is None or self.p_d is None:
                 raise ScenarioError("explicit detector needs p_fa and p_d")
             if not 0 <= self.p_fa <= 1:
                 raise ScenarioError("p_fa outside [0, 1]")
-            pd = np.atleast_1d(np.asarray(self.p_d, dtype=float))
-            if np.any(pd < 0) or np.any(pd > 1):
+            if not 0 <= min(self.p_d) <= max(self.p_d) <= 1:
                 raise ScenarioError("p_d outside [0, 1]")
         elif self.threshold is not None and self.threshold <= 0:
             raise ScenarioError("threshold must be positive")
@@ -228,112 +268,71 @@ class Scenario:
         return replace(self, params=params)
 
     def content_hash(self) -> str:
-        """Stable hash of the scenario contents, embedded in output headers."""
-        c = self.config
-        parts = [
-            self.name, c.n_su, c.n_pu, c.slot_duration, c.handoff_time,
-            c.sampling_freq, c.tx_rate, c.presence_prob.tolist(),
-            c.pu_power.tolist(), c.su_power, c.noise_power,
-            self.params.tau, self.params.p,
-            self.qos.t_i_max, self.qos.p_md_max, self.qos.p_fa_max, self.qos.p_d_min,
-            self.detector.mode, self.detector.calibration, self.detector.calibrate_tau,
-            self.detector.threshold, self.detector.p_fa,
-            None if self.detector.p_d is None else np.atleast_1d(self.detector.p_d).tolist(),
-            self.detector.per_stage_snr,
-        ]
+        """Stable hash of the name and of every field of the network, sensing,
+        QoS and detector sections, embedded in output headers."""
+        parts = [self.name]
+        for section in (self.config, self.params, self.qos, self.detector):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if isinstance(value, (np.ndarray, tuple)):
+                    value = np.asarray(value).tolist()
+                parts.append(value)
         return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-_NETWORK_KEYS = {
-    "n_su", "n_pu", "slot_duration", "handoff_time", "sampling_freq",
-    "tx_rate", "presence_prob", "pu_power", "su_power", "noise_power",
-}
-_SENSING_KEYS = {"tau", "p"}
-_QOS_KEYS = {"t_i_max", "p_md_max", "p_fa_max", "p_d_min"}
-_DETECTOR_KEYS = {
-    "mode", "calibration", "calibrate_tau", "threshold", "p_fa", "p_d",
-    "per_stage_snr",
-}
-_ADAPTIVE_KEYS = {
-    "n_ep", "delta_tau", "delta_p", "delta_tau_fine", "delta_p_fine",
-    "initial_tau", "initial_p", "tau_min",
-}
-_TOP_KEYS = {"name", "notes", "network", "sensing", "qos", "detector", "adaptive"}
+# file key of each Scenario field whose key in a scenario file differs
+_FILE_KEYS = {"config": "network", "params": "sensing"}
+# keys that may carry a unit, each with its parser
+_UNIT_KEYS = {"sampling_freq": parse_freq, **dict.fromkeys((
+    "slot_duration", "handoff_time", "tau", "calibrate_tau", "delta_tau",
+    "delta_tau_fine", "initial_tau", "tau_min"), parse_time)}
+# converter of each field kind; the kind of a union is its first member
+_CONVERTERS = {int: _count, float: _real, bool: _flag, str: str,
+               np.ndarray: _numbers, tuple: _numbers}
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def _build(cls, doc, where: str):
+    """An instance of the dataclass ``cls`` from the mapping ``doc``, whose
+    keys are its fields; a field without a default is required."""
+    place = f"section '{where}'" if where else "the top level"
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{place} must be a mapping")
+    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(by_key), key=str)
     if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in section '{where}'")
-    return section
-
-
-def _require(section: dict, keys, where: str):
-    missing = [k for k in keys if k not in section]
+        raise ScenarioError(f"unknown key(s) {unknown} in {place}")
+    missing = [key for key, f in by_key.items() if key not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ScenarioError(f"missing key(s) {missing} in section '{where}'")
+        raise ScenarioError(f"missing key(s) {missing} in {place}")
+    kwargs = {}
+    for key, value in doc.items():
+        f, path = by_key[key], f"{where}.{key}" if where else key
+        kind = _type_hints(cls)[f.name]
+        if isinstance(kind, types.UnionType):
+            kind = typing.get_args(kind)[0]
+        if is_dataclass(kind):
+            kwargs[f.name] = _build(kind, value, path)
+        elif value is None and f.default is None:
+            kwargs[f.name] = None
+        else:
+            convert = _UNIT_KEYS.get(key) or _CONVERTERS[kind]
+            try:
+                kwargs[f.name] = convert(value)
+            except (TypeError, ValueError, ScenarioError) as exc:
+                raise ScenarioError(f"{path}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{place}: {exc}") from None
 
 
 def scenario_from_dict(doc: dict, name: str = "<inline>") -> Scenario:
     """Build a :class:`Scenario` from a parsed key/value tree."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "<top level>")
-    for sec in ("network", "sensing", "qos", "detector"):
-        if sec not in doc:
-            raise ScenarioError(f"missing section '{sec}'")
-
-    net = _check_keys(dict(doc["network"]), _NETWORK_KEYS, "network")
-    _require(net, _NETWORK_KEYS, "network")
-    config = NetworkConfig(
-        n_su=int(net["n_su"]),
-        n_pu=int(net["n_pu"]),
-        slot_duration=parse_time(net["slot_duration"]),
-        handoff_time=parse_time(net["handoff_time"]),
-        sampling_freq=parse_freq(net["sampling_freq"]),
-        tx_rate=float(net["tx_rate"]),
-        presence_prob=net["presence_prob"],
-        pu_power=net["pu_power"],
-        su_power=float(net["su_power"]),
-        noise_power=float(net["noise_power"]),
-    )
-
-    sen = _check_keys(dict(doc["sensing"]), _SENSING_KEYS, "sensing")
-    _require(sen, _SENSING_KEYS, "sensing")
-    params = SensingParams(tau=parse_time(sen["tau"]), p=float(sen["p"]))
-
-    qos_sec = _check_keys(dict(doc["qos"]), _QOS_KEYS, "qos")
-    _require(qos_sec, _QOS_KEYS, "qos")
-    qos = QosConstraints(**{k: float(qos_sec[k]) for k in _QOS_KEYS})
-
-    det_sec = _check_keys(dict(doc["detector"]), _DETECTOR_KEYS, "detector")
-    det_kwargs = dict(det_sec)
-    if "calibrate_tau" in det_kwargs and det_kwargs["calibrate_tau"] is not None:
-        det_kwargs["calibrate_tau"] = parse_time(det_kwargs["calibrate_tau"])
-    if "p_d" in det_kwargs and isinstance(det_kwargs["p_d"], list):
-        det_kwargs["p_d"] = tuple(float(x) for x in det_kwargs["p_d"])
-    detector = DetectorSpec(**det_kwargs)
-
-    adaptive = AdaptiveDefaults()
-    if "adaptive" in doc:
-        ad = _check_keys(dict(doc["adaptive"]), _ADAPTIVE_KEYS, "adaptive")
-        kwargs = dict(ad)
-        for key in ("delta_tau", "delta_tau_fine", "initial_tau", "tau_min"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = parse_time(kwargs[key])
-        if "n_ep" in kwargs:
-            kwargs["n_ep"] = int(kwargs["n_ep"])
-        adaptive = AdaptiveDefaults(**kwargs)
-
-    return Scenario(
-        name=str(doc.get("name", name)),
-        config=config,
-        params=params,
-        qos=qos,
-        detector=detector,
-        adaptive=adaptive,
-        notes=str(doc.get("notes", "")),
-    )
+    if isinstance(doc, dict):
+        doc = {"name": name, **doc}
+    return _build(Scenario, doc, "")
 
 
 def load_scenario(path) -> Scenario:

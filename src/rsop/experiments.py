@@ -21,7 +21,7 @@ from .chain import analyze, resolve_detector
 from .config import Scenario
 from .core import upper_bound_throughput
 from .errors import ScenarioError
-from .optimizer import _evaluate_points, optimize_scenario
+from .optimizer import GridSpec, _evaluate_points, optimize_scenario
 from .simulator import SuSchedules, simulate_scenario, simulate_slots
 
 
@@ -102,27 +102,34 @@ def chain_detail_columns(result) -> dict[str, np.ndarray]:
     }
 
 
-def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
-                values=None, seed=0) -> ExperimentOutput:
-    """Analyzer sweep over p (default) or tau at the other's nominal value;
-    the data behind the tradeoff figures.  The points are evaluated in
-    batched calls of equal stage budget, under one resolved detector.  Also
-    writes the per-(channel, stage) tables at the nominal point."""
-    out_dir = Path(out_dir)
+def _sweep_points(scenario: Scenario, axis, values) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned (tau, p) arrays for ``values`` along ``axis`` ("p" or "tau"),
+    the other coordinate at its nominal value."""
     if axis not in ("p", "tau"):
-        raise ScenarioError(f"unknown sweep axis {axis!r}")
-    if values is None:
-        values = (np.round(np.arange(0.05, 1.0001, 0.05), 10) if axis == "p" else
-                  np.linspace(scenario.params.tau,
-                              0.5 * scenario.config.slot_duration, 40))
+        raise ScenarioError(f"a sweep needs an axis (p or tau), got {axis!r}")
+    if values is None or len(values) == 0:
+        raise ScenarioError(f"a sweep along {axis!r} needs values")
     values = np.asarray(values, dtype=float)
     tau = np.full(len(values), float(scenario.params.tau))
     p = np.full(len(values), float(scenario.params.p))
-    if axis == "p":
-        p = values
-    else:
-        tau = values
+    return (values, p) if axis == "tau" else (tau, values)
+
+
+def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
+                values=None, seed=0) -> ExperimentOutput:
+    """Analyzer sweep over p (default) or tau at the other's nominal value;
+    the data behind the tradeoff figures.  The default tau values are the
+    optimizer's tau axis, 40 steps.  The points are evaluated in batched
+    calls of equal stage budget, under one resolved detector.  Also writes
+    the per-(channel, stage) tables at the nominal point."""
+    out_dir = Path(out_dir)
     config = scenario.config
+    if values is None and axis == "p":
+        values = np.round(np.arange(0.05, 1.0001, 0.05), 10)
+    elif values is None and axis == "tau":
+        values = GridSpec.default_for(config, scenario.qos,
+                                      tau_steps=40).tau_values()
+    tau, p = _sweep_points(scenario, axis, values)
     resolved = resolve_detector(config, scenario.detector, scenario.qos,
                                 scenario.params.tau)
     cols = _evaluate_points(config, tau, p, scenario.qos, resolved)
@@ -167,28 +174,18 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
     ``trace_rows`` > 0 additionally dumps up to that many per-slot, per-SU
     outcome rows from a dedicated replication (debugging aid)."""
     out_dir = Path(out_dir)
-    if axis is not None and (values is None or len(values) == 0):
-        raise ScenarioError(f"a sweep along {axis!r} needs values")
-    if axis is None and values is not None:
-        raise ScenarioError("sweep values need an axis (p or tau)")
-    sweep = [(None, None)]
-    if axis == "p":
-        sweep = [(None, float(v)) for v in values]
-    elif axis == "tau":
-        sweep = [(float(v), None) for v in values]
-    elif axis is not None:
-        raise ScenarioError(f"unknown sweep axis {axis!r}")
+    name = f"simulate_{axis or 'point'}"
+    if axis is None and values is None:  # the nominal point alone
+        axis, values = "p", [scenario.params.p]
+    tau, p = _sweep_points(scenario, axis, values)
     runs = [simulate_scenario(scenario, n_slots=n_slots, seed=seed,
                               protocol=protocol, n_reps=n_reps, n_jobs=n_jobs,
-                              tau=tau_v, p=p_v) for tau_v, p_v in sweep]
-    name = f"simulate_{axis or 'point'}"
+                              tau=tau_v, p=p_v)
+            for tau_v, p_v in zip(tau.tolist(), p.tolist())]
     path = write_csv(out_dir / f"{name}.csv",
                      _meta(scenario, seed, protocol=protocol, n_slots=n_slots,
                            n_reps=n_reps),
-                     {"tau": [scenario.params.tau if t is None else t
-                              for t, _ in sweep],
-                      "p": [scenario.params.p if p is None else p
-                            for _, p in sweep],
+                     {"tau": tau, "p": p,
                       **_metric_columns(runs, _SIMULATE_COLUMNS)})
     files = [path]
     if trace_rows > 0:

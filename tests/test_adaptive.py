@@ -199,6 +199,16 @@ class TestCorollary:
         assert not corollary_check(g2, 1e-3, "harmonic", 1)
         assert corollary_check(g2, 1e-3, "harmonic", 60_000)
 
+    def test_screens_the_schedule_like_the_bound(self):
+        # a schedule the bound rejects gets no verdict either
+        g2, _ = convergence_constants(20, T, 1e-4, 0.025)
+        for alpha, k in ((np.ones(50), 10), (np.ones(5), 10), ("geometric", 3),
+                         ("harmonic", 0)):
+            with pytest.raises(InvalidSchedule):
+                convergence_bound(g2, 1.0, alpha, k)
+            with pytest.raises(InvalidSchedule):
+                corollary_check(g2, 1e-3, alpha, k)
+
 
 class TestClosedLoop:
     def scenario(self, **adaptive):

@@ -89,6 +89,47 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="noise_power"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("network", "n_su", "three"), ("network", "presence_prob", "abc"),
+        ("sensing", "p", "abc"), ("qos", "t_i_max", [1]),
+        ("detector", "threshold", "big"), ("adaptive", "n_ep", "many"),
+        ("network", "n_pu", 7.9), ("network", "n_su", True),
+        ("network", "su_power", float("nan")), ("sensing", "tau", "1.2.3 ms"),
+        ("detector", "p_d", []), ("detector", "per_stage_snr", "yes"),
+    ])
+    def test_malformed_value_names_its_key(self, section, key, value):
+        doc = deep(GOOD)
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ScenarioError, match=f"^{section}.{key}: "):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["network", "qos", "adaptive"])
+    def test_section_must_be_a_mapping(self, section):
+        doc = deep(GOOD)
+        doc[section] = [1, 2]
+        with pytest.raises(ScenarioError, match=f"section '{section}' must be a mapping"):
+            scenario_from_dict(doc)
+
+    def test_every_key_of_every_section_loads(self):
+        doc = deep(GOOD)
+        doc["detector"].update(calibration="pfa_max", calibrate_tau="2 ms",
+                               threshold=3, p_d=[0.9, 0.95],
+                               per_stage_snr=True)
+        doc["adaptive"] = {"n_ep": 20.0, "delta_tau": "0.1 ms", "delta_p": 0.05,
+                           "delta_tau_fine": "50 us", "delta_p_fine": 0.01,
+                           "initial_tau": "2 ms", "initial_p": 0.5,
+                           "tau_min": "0.2 ms"}
+        doc["notes"] = "all keys"
+        sc = scenario_from_dict(doc)
+        assert sc.detector.calibrate_tau == pytest.approx(2e-3)
+        assert sc.detector.threshold == 3.0 and sc.detector.p_d == (0.9, 0.95)
+        ad = sc.adaptive
+        assert ad.n_ep == 20 and isinstance(ad.n_ep, int)
+        assert (ad.delta_tau, ad.delta_tau_fine, ad.initial_tau, ad.tau_min) == \
+            pytest.approx((1e-4, 5e-5, 2e-3, 2e-4))
+        assert (ad.delta_p, ad.delta_p_fine, ad.initial_p) == (0.05, 0.01, 0.5)
+        assert sc.notes == "all keys"
+
     def test_parse_error_carries_path(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("network: [unclosed")

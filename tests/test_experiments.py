@@ -1,10 +1,16 @@
+import argparse
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import explicit_detector, make_config, make_scenario
-from rsop.cli import main
+from rsop.cli import build_parser, main
+from rsop.config import bundled_scenario_path, load_bundled
+from rsop.core import max_sensing_stages
 from rsop.errors import ScenarioError
 from rsop import __version__
 from rsop.experiments import (
@@ -145,6 +151,19 @@ class TestKinds:
                 run_simulate(small_scenario, tmp_path / "empty", axis="p",
                              values=empty)
 
+    def test_default_tau_sweep_crosses_stage_budgets(self, tmp_path):
+        # the optimizer's tau axis, not nominal tau (5.1 ms) to T/2
+        sc = load_bundled("validation_ns5_np20")
+        run_analyze(sc, tmp_path, axis="tau")
+        rows = [line for line in (tmp_path / "analyze_tau.csv").read_text()
+                .splitlines() if not line.startswith("#")][1:]
+        tau = np.array([float(row.split(",")[0]) for row in rows])
+        c = sc.config
+        budgets = max_sensing_stages(c.slot_duration, tau, c.handoff_time,
+                                     c.n_pu)
+        assert len(tau) == 40 and tau[-1] == 0.5 * c.slot_duration
+        assert len(set(np.atleast_1d(budgets).tolist())) > 1
+
     def test_chain_detail_shape(self, tmp_path, small_scenario):
         out = run_analyze(small_scenario, tmp_path, axis="p", values=[0.3],
                           seed=1)
@@ -220,3 +239,49 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not list(tmp_path.iterdir())
+
+
+def _subcommands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestCliOptions:
+    @pytest.mark.parametrize("kind", sorted(_subcommands()))
+    def test_every_dest_is_a_run_parameter(self, kind):
+        sp = _subcommands()[kind]
+        run = sp.get_default("run")
+        if run is None:  # the scenarios listing takes no options
+            assert kind == "scenarios"
+            return
+        params = set(inspect.signature(run).parameters)
+        for action in sp._actions:
+            if action.dest == "help":
+                continue
+            dests = ({"tau_steps", "p_steps"} if action.dest == "grid"
+                     else {action.dest})
+            assert dests <= params, (kind, action.option_strings)
+
+    @pytest.mark.parametrize("kind", sorted(_subcommands()))
+    def test_help_exits_0(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([kind, "--help"])
+        assert exc.value.code == 0
+        assert f"rsop {kind}" in capsys.readouterr().out
+
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(bundled_scenario_path("adapt_ns3_np7"))
+                             .read_text())
+        doc["detector"]["threshold"] = "big"
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["adapt", "--scenario", str(path), "--frames", "2",
+                   "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {path}: detector.threshold: could not convert string to "
+            "float: 'big'"]
+        assert not (tmp_path / "out").exists()
