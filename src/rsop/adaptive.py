@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded here, not lazily on the first generator
 
 from .chain import (
     ResolvedDetector,

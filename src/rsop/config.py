@@ -124,6 +124,11 @@ class NetworkConfig:
         self.validate()
 
     def validate(self):
+        # every range check below is a comparison, which NaN passes
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ScenarioError(f"{f.name} must be finite, got "
+                                    f"{getattr(self, f.name)}")
         if self.n_su < 1 or self.n_pu < 1:
             raise ScenarioError("n_su and n_pu must be positive")
         if self.slot_duration <= 0:

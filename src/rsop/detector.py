@@ -6,7 +6,10 @@ statistic over w = tau * f_s samples:
     P_fa = Q((lambda/sigma_z^2 - 1) sqrt(tau f_s))
     P_md = 1 - Q((lambda/sigma_z^2 - 1 - gamma) sqrt(tau f_s / (1 + 2 gamma)))
 
-with Q the standard normal upper tail.  The false alarm never depends on the
+with Q the standard normal upper tail, taken from the standard library:
+Q(x) = erfc(x / sqrt 2) / 2 with :func:`math.erfc`, and Q^{-1} from
+:meth:`statistics.NormalDist.inv_cdf` (Wichura's AS241 algorithm, Applied
+Statistics 37, 1988).  The false alarm never depends on the
 signal, so it is identical at every sensing stage; detection improves (or
 degrades) with the stage-dependent received SNR.  That SNR has one
 implementation, :func:`received_snr`: the chain model evaluates it at mean
@@ -15,20 +18,40 @@ PU presence and mean-field sender counts, the simulator at realized ones.
 
 from __future__ import annotations
 
+import math
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import DegenerateSnr, TooFewSamples
 
 
+_STANDARD_NORMAL = NormalDist()
+_SQRT2 = math.sqrt(2.0)
+
+
+def _elementwise(func, x) -> np.ndarray:
+    """``func`` of every entry of the float array ``x``, in its shape."""
+    return np.fromiter(map(func, x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
+
+
+def _q_inverse(p: float) -> float:
+    if 0.0 < p < 1.0:
+        return -_STANDARD_NORMAL.inv_cdf(p)
+    # the limits at the ends of [0, 1]; NaN for NaN and outside [0, 1]
+    return {0.0: math.inf, 1.0: -math.inf}.get(p, math.nan)
+
+
 def q_function(x):
-    """Standard normal upper-tail probability Q(x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Standard normal upper-tail probability Q(x), entry by entry."""
+    return 0.5 * _elementwise(math.erfc, np.asarray(x, dtype=float) / _SQRT2)
 
 
 def q_inverse(p):
-    """Inverse of :func:`q_function` on (0, 1)."""
-    return -ndtri(np.asarray(p, dtype=float))
+    """Inverse of :func:`q_function`, entry by entry: +inf at 0, -inf at 1,
+    and NaN for NaN or outside [0, 1]."""
+    return _elementwise(_q_inverse, np.asarray(p, dtype=float))[()]
 
 
 def _check_samples(tau, f_s):

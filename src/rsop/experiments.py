@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # loaded here, not lazily on the first generator
 
 from . import __version__
 from .adaptive import run_adaptive, subgradient_field

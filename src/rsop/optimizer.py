@@ -115,7 +115,8 @@ def _evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
     deltas = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
                                 config.n_pu)
     r, t_i, p_md_max = np.empty((3, len(tau)))
-    for delta in np.unique(deltas).tolist():
+    # the distinct budgets; np.unique would import numpy.ma on first use
+    for delta in np.flatnonzero(np.bincount(deltas)).tolist():
         group = np.flatnonzero(deltas == delta)
         chunk = max(1, _CHUNK_CELLS // (resolved.classes.rep.size * delta))
         for lo in range(0, len(group), chunk):

@@ -9,8 +9,8 @@ signal power (the chain model's :func:`rsop.detector.received_snr`, at the
 realized PU state and count of earlier SU transmitters) when the energy
 detector is in use.  P_fa depends only on the SU's tau and the channel, P_md
 only on those, the PU state and that count, so each call evaluates
-:mod:`rsop.detector` once on a table of those cells for every stage and every
-probe reads its threshold with one gather.
+:mod:`rsop.detector` once on a table of those cells for every distinct stage
+of the schedule and every probe reads its threshold with one gather.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  A replication runs as consecutive batches
@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded here, not lazily on the first generator
 
 from .chain import ResolvedDetector, resolve_detector
 from .config import NetworkConfig, SensingParams
@@ -49,6 +50,7 @@ class SuSchedules:
     tau: np.ndarray    # (n_su, n_stages) seconds
     p: np.ndarray      # (n_su, n_stages)
     delta: np.ndarray  # (n_su,) per-SU stage budget
+    n_cols: int        # stages past the first n_cols repeat stage n_cols
 
     @property
     def max_stages(self) -> int:
@@ -80,7 +82,8 @@ class SuSchedules:
         delta = max_sensing_stages(config.slot_duration, tau_table[:, 0],
                                    config.handoff_time, config.n_pu)
         cols = np.minimum(np.arange(np.max(delta)), tau_table.shape[1] - 1)
-        return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta)
+        return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta,
+                   n_cols=int(cols[-1]) + 1)
 
 
 @dataclass
@@ -103,32 +106,38 @@ class SlotBatch:
 
 
 def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
-                     tau: np.ndarray) -> np.ndarray:
+                     tau: np.ndarray, n_stages: int) -> np.ndarray:
     """Sensing thresholds of every stage, shape (M, N_s, N_p, 2, N_s + 1), by
     (stage, SU, channel, PU present, SUs transmitting there from earlier
-    stages), for the (N_s, M) per-stage sensing times ``tau``.
+    stages), for M = ``n_stages`` stages whose (N_s, C) sensing times ``tau``
+    give the first C stages; the later ones repeat stage C.  The energy
+    detector is evaluated once per column of ``tau`` and channel class, as
+    channels of one class share their thresholds.
 
     A probe decides "free" when the channel is busy and u < P_md, or idle and
     u >= P_fa, that is when (u < table[n - 1][cell]) == busy at stage n.  So
     the busy cells hold P_md at the cell's SNR and the idle cell (PU absent,
     count 0) holds P_fa.
     """
-    ns, m = tau.shape
+    ns, n_cols = tau.shape
     if resolved.mode == "explicit":
-        p_md = 1.0 - resolved.explicit_p_d(np.arange(1, m + 1))
+        p_md = 1.0 - resolved.explicit_p_d(np.arange(1, n_stages + 1))
         table = np.tile(p_md[:, None, None, None, None],
                         (1, ns, config.n_pu, 2, ns + 1))
         table[:, :, :, 0, 0] = resolved.p_fa
         return table
-    lam, f_s = resolved.lambda_norm, config.sampling_freq
-    # (N_p, 2, N_s + 1), copied contiguous so that the table is too
+    rep, f_s = resolved.classes.rep, config.sampling_freq
+    lam = resolved.lambda_norm[rep]
+    # (class, 2, N_s + 1)
     gamma = received_snr(config, np.arange(2)[:, None, None],
-                         np.arange(ns + 1)[:, None]).transpose(2, 0, 1).copy()
-    tau_sn = tau.T[:, :, None]  # (stage, SU, 1), against the per-channel lambda
+                         np.arange(ns + 1)[:, None], rep).transpose(2, 0, 1)
+    tau_sn = tau.T[:, :, None]  # (column, SU, 1), against the per-class lambda
     table = misdetection_prob(lam[:, None, None], tau_sn[..., None, None],
                               f_s, gamma)
     table[:, :, :, 0, 0] = false_alarm_prob(lam, tau_sn, f_s)
-    return table
+    # (stage, SU, channel) from (column, SU, class), C-contiguous
+    return table[np.ix_(np.minimum(np.arange(n_stages), n_cols - 1),
+                        np.arange(ns), resolved.classes.of)]
 
 
 def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
@@ -166,7 +175,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     net_interf = np.zeros(S)
     elapsed = np.zeros(S)
     M = schedules.max_stages
-    thresholds = _threshold_table(config, resolved, schedules.tau)
+    thresholds = _threshold_table(config, resolved,
+                                  schedules.tau[:, :schedules.n_cols], M)
     rt_at = np.zeros((S, M + 1))   # remaining time after stage n; 0 at n = 0
     # per stage, SUs by descending tau; index NS (tau 0) means "none active"
     by_tau = np.argsort(-schedules.tau, axis=0, kind="stable")
@@ -178,7 +188,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # Draws happen for the full (S, NS) grid every stage to keep the
         # stream layout independent of the realized trajectories.
         u_gate = rng.random((S, NS))
-        ch = rng.integers(0, NP, size=(S, NS))
+        ch = rng.integers(NP, size=(S, NS))  # the stream of integers(0, NP)
         u_sense = rng.random((S, NS))
         if not active.any():
             break
@@ -230,6 +240,9 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # SUs that decided to transmit but ran out of slot time just stop.
         searching &= ~will_tx
         np.add.at(cell, flat[new_tx], 1)
+    # the last stage's (S, N_s) temporaries go before the batch is built
+    u_gate = ch = u_sense = flat = state = code = busy = active = None
+    ordered = senses = decided_free = will_tx = new_tx = started_busy = None
 
     transmitted = tx_stage > 0
     tx_rt = np.take(rt_at, np.arange(S)[:, None] * (M + 1) + tx_stage)
@@ -239,7 +252,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     collided = transmitted & (at_tx % K >= 2)
     throughput = np.where(success, tx_rt * config.tx_rate / T, 0.0)
     delay = np.where(transmitted, T - tx_rt, T)
-    stages_entered = np.where(transmitted, tx_stage, schedules.delta[None, :])
+    stages_entered = np.where(transmitted, tx_stage,
+                              schedules.delta.astype(np.int32)[None, :])
     handoffs = stages_entered - 1
 
     return SlotBatch(
@@ -255,7 +269,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         overhead=overhead,
         handoffs=handoffs,
         delay=delay,
-        pu_busy_fraction=float(np.mean(pu)),
+        pu_busy_fraction=np.count_nonzero(pu) / pu.size,
     )
 
 

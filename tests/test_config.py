@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,19 @@ class TestInvariants:
             NetworkConfig(n_su=1, n_pu=1, slot_duration=1e-2, handoff_time=0,
                           sampling_freq=1e6, tx_rate=1.0, presence_prob=0.5,
                           pu_power=0.0, su_power=0.1, noise_power=1.0)
+
+    @pytest.mark.parametrize("field", [
+        "slot_duration", "handoff_time", "sampling_freq", "tx_rate",
+        "presence_prob", "pu_power", "su_power", "noise_power"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        # built in code and by replace(), not only through the loader
+        good = load_bundled("adapt_ns3_np7").config
+        with pytest.raises(ScenarioError, match=field):
+            replace(good, **{field: value})
+        with pytest.raises(ScenarioError, match=field):
+            NetworkConfig(**{**{f.name: getattr(good, f.name)
+                                for f in fields(good)}, field: value})
 
     def test_sensing_box(self):
         with pytest.raises(ScenarioError):

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,47 @@ class TestQFunction:
     def test_inverse_roundtrip(self):
         p = np.linspace(0.01, 0.99, 25)
         assert np.allclose(q_function(q_inverse(p)), p, atol=1e-12)
+
+
+    def test_shapes_and_scalar_types(self):
+        for f in (q_function, q_inverse):
+            assert type(f(0.3)) is np.float64
+            assert type(f(np.array(0.3))) is np.float64
+            assert f(np.full((2, 3), 0.3)).shape == (2, 3)
+            assert f(np.empty((0, 4))).shape == (0, 4)
+
+    def test_inverse_edges(self):
+        # the limits of -ndtri: +inf at 0, -inf at 1, NaN off [0, 1]
+        out = q_inverse(np.array([0.0, 1.0, np.nan, -0.1, 1.1, -np.inf]))
+        assert out[0] == np.inf and out[1] == -np.inf
+        assert np.isnan(out[2:]).all()
+        assert q_inverse(0.0) == np.inf and np.isnan(q_inverse(np.nan))
+
+    def test_matches_scipy_erfc(self):
+        special = pytest.importorskip("scipy.special")
+        # the two libraries differ in how they underflow below 1e-296 (x > 36)
+        x = np.concatenate([np.linspace(-40.0, 36.0, 20001),
+                            np.random.default_rng(0).uniform(-40.0, 36.0, 20000)])
+        expect = 0.5 * special.erfc(x / np.sqrt(2.0))
+        assert np.max(np.abs(q_function(x) - expect) / expect) <= 1e-13
+
+    def test_inverse_matches_scipy_ndtri(self):
+        special = pytest.importorskip("scipy.special")
+        tail = np.geomspace(1e-9, 0.5, 10000)
+        p = np.concatenate([np.linspace(1e-9, 1 - 1e-9, 20001), tail, 1 - tail])
+        expect = -special.ndtri(p)
+        ulps = np.abs(q_inverse(p) - expect) / np.spacing(np.abs(expect))
+        assert ulps.max() <= 8
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rsop, rsop.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          stdout=subprocess.PIPE, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestFalseAlarm:

@@ -1,12 +1,18 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import explicit_detector, make_config
 from rsop.chain import resolve_detector
-from rsop.config import DetectorSpec, SensingParams
-from rsop.detector import false_alarm_prob, misdetection_prob
+from rsop.config import (
+    DetectorSpec,
+    SensingParams,
+    bundled_scenarios,
+    load_scenario,
+)
+from rsop.detector import false_alarm_prob, misdetection_prob, received_snr
 from rsop.errors import ScenarioError
 from rsop.simulator import (
     BLOCK_SLOTS,
@@ -20,6 +26,11 @@ from rsop.simulator import (
 )
 
 T = 10e-3
+# the bundled energy-detector scenarios, and two of several channel classes
+ENERGY_SCENARIOS = sorted(
+    [path for path in bundled_scenarios().values()
+     if load_scenario(path).detector.mode == "energy"]
+    + [str(p) for p in (Path(__file__).parent / "scenarios").glob("*.yaml")])
 
 
 def setup(config, tau, p, p_fa, p_d):
@@ -142,7 +153,7 @@ class TestThresholdTable:
             config, DetectorSpec(mode="energy", threshold=1.02), None, 1e-3)
         # heterogeneous per-stage tau: every (stage, SU) cell differs
         tau = np.array([[1e-4, 2e-4], [3e-4, 5e-4], [7e-4, 6e-4]])
-        table = _threshold_table(config, resolved, tau)
+        table = _threshold_table(config, resolved, tau, 2)
         assert table.shape == (2, 3, 4, 2, 4)
         lam, f_s = resolved.lambda_norm, config.sampling_freq
         for n, j, m, pu, count in np.ndindex(table.shape):
@@ -154,11 +165,36 @@ class TestThresholdTable:
                 expect = misdetection_prob(lam[m], tau[j, n], f_s, gamma)
             assert table[n, j, m, pu, count] == expect
 
+    @pytest.mark.parametrize("path", ENERGY_SCENARIOS,
+                             ids=lambda path: Path(path).stem)
+    def test_equals_the_per_stage_su_evaluation(self, path):
+        # evaluated once per distinct stage column and channel class, against
+        # every (stage, SU) row evaluated on its own
+        sc = load_scenario(path)
+        config, ns = sc.config, sc.config.n_su
+        resolved = resolve_detector(config, sc.detector, sc.qos, sc.params.tau)
+        lam, f_s = resolved.lambda_norm, config.sampling_freq
+        gamma = received_snr(config, np.arange(2)[:, None, None],
+                             np.arange(ns + 1)[:, None]).transpose(2, 0, 1)
+        rng = np.random.default_rng(5)
+        tau = sc.params.tau * rng.uniform(0.5, 1.5, (ns, 3))
+        for sched in (SuSchedules.homogeneous(config, sc.params),
+                      SuSchedules.from_per_su(config, tau[:, 0], np.full(ns, 0.5)),
+                      SuSchedules.from_stage_table(config, tau, np.full((ns, 3), 0.5))):
+            table = _threshold_table(config, resolved,
+                                     sched.tau[:, :sched.n_cols], sched.max_stages)
+            assert table.shape == (sched.max_stages, ns, config.n_pu, 2, ns + 1)
+            for n, j in np.ndindex(table.shape[:2]):
+                row = misdetection_prob(lam[:, None, None], sched.tau[j, n], f_s,
+                                        gamma)
+                row[:, 0, 0] = false_alarm_prob(lam, sched.tau[j, n], f_s)
+                assert np.array_equal(table[n, j], row)
+
     def test_explicit_cells_follow_the_stage(self):
         config = make_config(n_su=2, n_pu=3)
         resolved = resolve_detector(
             config, explicit_detector(0.15, [0.6, 0.8, 0.95]), None, 1e-3)
-        table = _threshold_table(config, resolved, np.full((2, 5), 1e-3))
+        table = _threshold_table(config, resolved, np.full((2, 5), 1e-3), 5)
         assert table.shape == (5, 2, 3, 2, 3)
         for n, p_d in ((1, 0.6), (2, 0.8), (3, 0.95), (4, 0.95), (5, 0.95)):
             for j, m, pu, count in np.ndindex(table.shape[1:]):
