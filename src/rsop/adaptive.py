@@ -39,7 +39,7 @@ from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
 from .detector import sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
-from .simulator import SlotBatch, SuSchedules, simulate_slots
+from .simulator import BLOCK_SLOTS, SlotBatch, SuSchedules, simulate_slots
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +482,27 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
     cfg = _adaptive_cfg(scenario, resolved)
     per_quadrant = n_realizations // 4
+    frames_per_block = max(1, BLOCK_SLOTS // cfg.n_ep)
     rng = np.random.default_rng(seed)
 
     def analyzer_r(tau: float, p: float | np.ndarray):
         return analyze(config, SensingParams(tau=tau, p=p), resolved).throughput
 
     def frame_means(tau: float, p: float, count: int):
-        """Per-realization (r per SU, interference) from one big batch."""
+        """Per-realization (r per SU, interference), simulated in blocks of
+        whole frames of at most BLOCK_SLOTS slots, so memory is bounded."""
         schedules = SuSchedules.from_per_su(
             config, np.full(config.n_su, tau), np.full(config.n_su, p))
-        batch = simulate_slots(config, schedules, resolved, count * cfg.n_ep, rng)
-        r = batch.throughput.reshape(count, cfg.n_ep, config.n_su).mean(axis=1)
-        t = batch.network_interference.reshape(count, cfg.n_ep).mean(axis=1)
-        return r, t
+        r, t = [], []
+        for start in range(0, count, frames_per_block):
+            frames = min(frames_per_block, count - start)
+            batch = simulate_slots(config, schedules, resolved,
+                                   frames * cfg.n_ep, rng)
+            r.append(batch.throughput.reshape(frames, cfg.n_ep, config.n_su)
+                     .mean(axis=1))
+            t.append(batch.network_interference.reshape(frames, cfg.n_ep)
+                     .mean(axis=1))
+        return np.concatenate(r), np.concatenate(t)
 
     out = []
     for tau, p in zip(np.atleast_1d(taus), np.atleast_1d(ps)):
