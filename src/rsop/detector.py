@@ -39,8 +39,11 @@ def _elementwise(func, x) -> np.ndarray:
 def _q_inverse(p: float) -> float:
     if 0.0 < p < 1.0:
         return -_STANDARD_NORMAL.inv_cdf(p)
-    # the limits at the ends of [0, 1]; NaN for NaN and outside [0, 1]
-    return {0.0: math.inf, 1.0: -math.inf}.get(p, math.nan)
+    if p == 0.0:
+        return math.inf
+    if p == 1.0:
+        return -math.inf
+    return math.nan  # NaN, or outside [0, 1]
 
 
 def q_function(x):
@@ -51,6 +54,7 @@ def q_function(x):
 def q_inverse(p):
     """Inverse of :func:`q_function`, entry by entry: +inf at 0, -inf at 1,
     and NaN for NaN or outside [0, 1]."""
+    # [()] makes a 0-d result a scalar, as q_function's product does
     return _elementwise(_q_inverse, np.asarray(p, dtype=float))[()]
 
 
