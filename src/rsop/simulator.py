@@ -10,7 +10,8 @@ realized PU state and count of earlier SU transmitters) when the energy
 detector is in use.  P_fa depends only on the SU's tau and the channel, P_md
 only on those, the PU state and that count, so each call evaluates
 :mod:`rsop.detector` once on a table of those cells for every distinct stage
-of the schedule and every probe reads its threshold with one gather.
+column of the schedule and channel class, and every probe reads its threshold
+with one gather.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  A replication runs as consecutive batches
@@ -135,9 +136,10 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
     table = misdetection_prob(lam[:, None, None], tau_sn[..., None, None],
                               f_s, gamma)
     table[:, :, :, 0, 0] = false_alarm_prob(lam, tau_sn, f_s)
-    # (stage, SU, channel) from (column, SU, class), C-contiguous
-    return table[np.ix_(np.minimum(np.arange(n_stages), n_cols - 1),
-                        np.arange(ns), resolved.classes.of)]
+    # (stage, SU, channel) from (column, SU, class); take() makes it
+    # C-contiguous, so each stage's flat gather reads it without a copy
+    return (np.take(table, resolved.classes.of, axis=2)
+            .take(np.minimum(np.arange(n_stages), n_cols - 1), axis=0))
 
 
 def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
