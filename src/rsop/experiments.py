@@ -3,8 +3,9 @@
 Output files carry comment headers (tool version, scenario hash, seed) and are
 byte-identical across reruns of the same spec.  Every writer hands
 :func:`write_csv` its table as columns, which are formatted one column at a
-time.  Plots are not rendered here; every figure-style experiment produces
-the data behind it.
+time, in blocks of rows; a float column's text is made once per distinct
+value in the block and then gathered.  Plots are not rendered here; every
+figure-style experiment produces the data behind it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,20 @@ _BLOCK_ROWS = 1024
 
 def _format_column(column: np.ndarray) -> list[str]:
     """Text of every entry, by dtype: bool as 1/0, float as its shortest
-    round-trip repr, anything else (int, str) as ``str``."""
+    round-trip repr, anything else (int, str) as ``str``.
+
+    A float column is formatted once per distinct bit pattern, then the
+    text is gathered: grid and per-SU columns repeat their values, and
+    ``repr`` is most of the writer's time.  Keying on bits keeps 0.0 and
+    -0.0 apart, and NaN payloads too."""
     if column.dtype == bool:
         return ["1" if v else "0" for v in column.tolist()]
     if column.dtype.kind == "f":
-        return list(map(repr, column.astype(float, copy=False).tolist()))
+        bits = column.astype(float, copy=False).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(float).tolist())),
+                        dtype=object)
+        return text[inverse].tolist()
     return list(map(str, column.tolist()))
 
 
@@ -174,6 +184,8 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
 
     ``trace_rows`` > 0 additionally dumps up to that many per-slot, per-SU
     outcome rows from a dedicated replication (debugging aid)."""
+    if trace_rows < 0:
+        raise ScenarioError(f"trace_rows must be >= 0, got {trace_rows}")
     out_dir = Path(out_dir)
     name = f"simulate_{axis or 'point'}"
     if axis is None and values is None:  # the nominal point alone

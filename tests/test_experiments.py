@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import inspect
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ from rsop.cli import build_parser, main
 from rsop.config import bundled_scenario_path, load_bundled
 from rsop.core import max_sensing_stages
 from rsop.errors import ScenarioError
-from rsop import __version__
+from rsop import __version__, experiments
 from rsop.experiments import (
     _BLOCK_ROWS,
     _format_column,
@@ -61,6 +62,27 @@ SPECIAL_COLUMNS = {
 }
 
 
+def _nan_payloads() -> np.ndarray:
+    """Three NaNs with distinct bit patterns: two quiet payloads and a
+    negative one."""
+    bits = np.array([0x7FF8000000000001, 0x7FF8000000000002,
+                     0xFFF8000000000000], dtype=np.uint64)
+    return np.frombuffer(bits.tobytes(), dtype=np.float64)
+
+
+# float columns whose repeats the deduping formatter must keep apart or merge
+DEDUPE_COLUMNS = {
+    "signed_zeros": np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+    "nan_payloads": np.concatenate([_nan_payloads(), _nan_payloads(), [1.0]]),
+    "extremes": np.array([np.inf, -np.inf, 5e-324, 1e16, -5e-324, 1e16,
+                          np.inf, 5e-324]),
+    "float32_repeats": np.array([0.1, 0.1, -2.5, 3e-8, -2.5],
+                                dtype=np.float32),
+    "all_equal": np.full(_BLOCK_ROWS, 0.1),
+    "all_distinct": np.random.default_rng(3).standard_normal(_BLOCK_ROWS),
+}
+
+
 class TestCsvWriter:
     def test_schema_mismatch_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -78,9 +100,10 @@ class TestCsvWriter:
         assert lines[3] == "1,2.5"
         assert lines[4] == "3,0.125"
 
-    @pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS))
+    @pytest.mark.parametrize("name", sorted(SPECIAL_COLUMNS)
+                             + sorted(DEDUPE_COLUMNS))
     def test_column_formatter_equals_fmt(self, name):
-        values = SPECIAL_COLUMNS[name]
+        values = {**SPECIAL_COLUMNS, **DEDUPE_COLUMNS}[name]
         assert _format_column(np.asarray(values)) == [_fmt(v) for v in values]
 
     def test_file_equals_the_row_reference(self, tmp_path):
@@ -96,6 +119,35 @@ class TestCsvWriter:
                    "ok": rng.random(n) < 0.5}
         path = write_csv(tmp_path / "x.csv", {}, columns)
         assert path.read_text() == reference_csv({}, columns)
+
+    def test_repeats_straddling_blocks(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        rng = np.random.default_rng(8)
+        columns = {
+            "run": np.repeat(rng.standard_normal(n // 100 + 1), 100)[:n],
+            "grid": np.repeat(np.linspace(1e-3, 1e-2, 64), 64)[:n],
+            "zero": np.where(np.arange(n) % 3 == 0, -0.0, 0.0),
+            "cycle": np.tile(np.concatenate([_nan_payloads(), [np.inf]]),
+                             n // 4 + 1)[:n],
+        }
+        path = write_csv(tmp_path / "x.csv", {}, columns)
+        assert path.read_text() == reference_csv({}, columns)
+
+    def test_repr_runs_once_per_distinct_pattern_per_block(
+            self, tmp_path, monkeypatch):
+        tau = np.repeat(np.linspace(1e-3, 1e-2, 64), 64)  # tau-major grid
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return builtins.repr(value)
+
+        monkeypatch.setattr(experiments, "repr", counting_repr, raising=False)
+        write_csv(tmp_path / "x.csv", {}, {"tau": tau})
+        expected = sum(len(np.unique(tau[lo:lo + _BLOCK_ROWS].view(np.int64)))
+                       for lo in range(0, len(tau), _BLOCK_ROWS))
+        assert len(tau) == 4096 and expected == 64
+        assert len(calls) == expected
 
     def test_no_rows(self, tmp_path):
         path = write_csv(tmp_path / "x.csv", {}, {"a": [], "b": []})
@@ -221,6 +273,7 @@ class TestCli:
          "--taus", "0.002", "--ps", "0.5", "--realizations", "0"],
         ["simulate", "--scenario", "validation_ns2_np5", "--values", "0.1", "0.2"],
         ["simulate", "--scenario", "validation_ns2_np5", "--jobs", "0"],
+        ["simulate", "--scenario", "validation_ns2_np5", "--trace", "-1"],
         ["optimize", "--scenario", "adapt_ns3_np7", "--grid", "4", "4",
          "--jobs", "0"],
         ["optimize", "--scenario", "adapt_ns3_np7", "--grid", "4", "4",
@@ -229,8 +282,8 @@ class TestCli:
         ["sweep", "--scenario", "false_alarm_np5", "--n-su", "--slots", "100"],
     ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
             "zero-frames", "zero-realizations", "values-without-axis",
-            "zero-jobs", "optimize-zero-jobs", "optimize-negative-jobs",
-            "sweep-no-p-fa", "sweep-no-n-su"])
+            "zero-jobs", "negative-trace", "optimize-zero-jobs",
+            "optimize-negative-jobs", "sweep-no-p-fa", "sweep-no-n-su"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])
         captured = capsys.readouterr()
