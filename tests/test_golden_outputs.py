@@ -52,6 +52,9 @@ CASES = {
                                              MIXED_PER_STAGE, "--grid", "8", "8"],
     "simulate_dense_ns20_np5": ["simulate", "--scenario", "dense_ns20_np5",
                                 "--slots", "2000", "--trace", "5"],
+    # three streamed blocks of BLOCK_SLOTS slots or fewer
+    "simulate_dense_ns20_np5_20000": ["simulate", "--scenario",
+                                      "dense_ns20_np5", "--slots", "20000"],
     "simulate_validation_ns5_np20": ["simulate", "--scenario",
                                      "validation_ns5_np20", "--slots", "2000",
                                      "--trace", "5"],

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import simulator_reference
 from conftest import explicit_detector, make_config
 from rsop.chain import resolve_detector
 from rsop.config import (
@@ -26,6 +27,10 @@ from rsop.simulator import (
 )
 
 T = 10e-3
+# every bundled scenario and both test scenarios
+ALL_SCENARIOS = sorted(
+    list(bundled_scenarios().values())
+    + [str(p) for p in (Path(__file__).parent / "scenarios").glob("*.yaml")])
 # the bundled energy-detector scenarios, and two of several channel classes
 ENERGY_SCENARIOS = sorted(
     [path for path in bundled_scenarios().values()
@@ -308,3 +313,45 @@ class TestSchedules:
         config = make_config(n_su=3, n_pu=2)
         with pytest.raises(ScenarioError):
             SuSchedules.from_per_su(config, [1e-3, 1e-3], [0.5, 0.5])
+
+
+class TestAgainstReference:
+    """The package's simulate_slots against the reference copy: every field
+    with == and its dtype, and the generator's next draw."""
+
+    @staticmethod
+    def schedule_kinds(sc):
+        config, ns = sc.config, sc.config.n_su
+        rng = np.random.default_rng(3)
+        tau = sc.params.tau * rng.uniform(0.5, 1.5, (ns, 3))
+        p = rng.uniform(0.0, 1.0, (ns, 3))
+        return {
+            "homogeneous": SuSchedules.homogeneous(config, sc.params),
+            "per-su": SuSchedules.from_per_su(config, tau[:, 0], p[:, 0]),
+            "per-stage": SuSchedules.from_stage_table(config, tau, p),
+        }
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    @pytest.mark.parametrize("path", ALL_SCENARIOS,
+                             ids=lambda path: Path(path).stem)
+    def test_batches_equal_the_reference(self, path, protocol):
+        sc = load_scenario(path)
+        config = sc.config
+        resolved = resolve_detector(config, sc.detector, sc.qos, sc.params.tau)
+        for kind, sched in self.schedule_kinds(sc).items():
+            for n_slots in (1, 50, 3000):
+                rng_a = np.random.default_rng(n_slots)
+                rng_b = np.random.default_rng(n_slots)
+                got = simulate_slots(config, sched, resolved, n_slots, rng_a,
+                                     protocol=protocol)
+                want = simulator_reference.simulate_slots(
+                    config, sched, resolved, n_slots, rng_b, protocol=protocol)
+                for field in dataclasses.fields(SlotBatch):
+                    a = getattr(got, field.name)
+                    b = getattr(want, field.name)
+                    where = (kind, n_slots, field.name)
+                    assert type(a) is type(b), where
+                    assert np.asarray(a).dtype == np.asarray(b).dtype, where
+                    assert np.shape(a) == np.shape(b), where
+                    assert np.array_equal(a, b), where
+                assert rng_a.random() == rng_b.random(), (kind, n_slots)
