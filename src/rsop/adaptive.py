@@ -149,13 +149,16 @@ def frame_estimate(batch: SlotBatch, su, n_ep: int, p_md) -> FrameEstimate:
     own, so the simulator acts as the reporting oracle (the per-SU caused
     share is also in the batch for diagnostics).
     """
+    if n_ep < 1:
+        raise ScenarioError(f"n_ep must be >= 1, got {n_ep}")
     if batch.throughput.shape[0] < n_ep:
         raise ShortFrame(f"frame has {batch.throughput.shape[0]} < {n_ep} slots")
-    # one contiguous row per SU, so each mean is that of a 1-D array
+    # one contiguous row per SU, so each mean is that of a 1-D array; a
+    # mean is sum / n, written out to skip np.mean's wrapper
     acks = np.ascontiguousarray(batch.throughput[:n_ep].T[su])
     return FrameEstimate(
-        r_est=acks.mean(axis=-1),
-        t_i_est=float(batch.network_interference[:n_ep].mean()),
+        r_est=acks.sum(axis=-1) / n_ep,
+        t_i_est=float(batch.network_interference[:n_ep].sum() / n_ep),
         p_md=p_md,
     )
 
@@ -342,11 +345,13 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p, de
     Scalars give one SU's value.  Aligned (N_s,) arrays give every SU's value
     from one ``stage_profiles`` call over the longest budget; the stages past
     an SU's own delta are masked out before its max (p_md >= 0)."""
+    deltas = np.asarray(deltas)
     prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved,
-                          int(np.max(deltas)))
-    beyond = np.arange(prof.n_stages) >= np.expand_dims(deltas, -1)
-    return np.max(np.where(beyond[..., None, :], 0.0, 1.0 - prof.class_p_d),
-                  axis=(-2, -1))
+                          int(deltas.max()))
+    beyond = np.arange(prof.n_stages) >= deltas[..., None]
+    # method-form reductions: this runs once per adaptive frame
+    return np.where(beyond[..., None, :], 0.0,
+                    1.0 - prof.class_p_d).max(axis=(-2, -1))
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -430,7 +435,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
             flip_p=rec.flip_p,
             # summed in SU order
             g_norm_sq=float(sum(rec.g_tau**2 + rec.g_p**2)),
-            network_throughput=float(batch.throughput.sum(axis=1).mean()),
+            network_throughput=float(batch.throughput.sum(axis=1).sum()
+                                     / cfg.n_ep),  # the mean over the frame
             interference=est.t_i_est,  # the frame is the whole batch
             f_visited=f_visited,
             f_best=f_best if f_best < math.inf else float("nan"),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # loaded here, not lazily on the first generator
@@ -55,7 +56,7 @@ class SuSchedules:
 
     @property
     def max_stages(self) -> int:
-        return int(np.max(self.delta))
+        return int(self.delta.max())
 
     @classmethod
     def homogeneous(cls, config: NetworkConfig, params: SensingParams) -> "SuSchedules":
@@ -75,71 +76,128 @@ class SuSchedules:
 
         The stage budget uses each SU's stage-1 sensing time; later stages may
         shorten the probe, which only adds slack.  Tables shorter than the
-        longest budget repeat their last stage."""
+        longest budget repeat their last stage.  Every p must lie in [0, 1]."""
         tau_table = np.asarray(tau_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
             raise ScenarioError("stage tables must be (n_su, n_stages) and congruent")
+        # one reduction pair, once per frame of the adaptive loop; NaN fails both
+        if not (p_table.min() >= 0.0 and p_table.max() <= 1.0):
+            raise ScenarioError(f"sensing probabilities outside [0, 1]: {p_table}")
         delta = max_sensing_stages(config.slot_duration, tau_table[:, 0],
                                    config.handoff_time, config.n_pu)
-        cols = np.minimum(np.arange(np.max(delta)), tau_table.shape[1] - 1)
+        n_stages, n_cols = int(delta.max()), tau_table.shape[1]
+        if n_cols == 1:  # one column per SU: repeat it
+            return cls(tau=tau_table.repeat(n_stages, axis=1),
+                       p=p_table.repeat(n_stages, axis=1), delta=delta, n_cols=1)
+        cols = np.minimum(np.arange(n_stages), n_cols - 1)
         return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta,
                    n_cols=int(cols[-1]) + 1)
 
 
-@dataclass
+class _OnFirstRead:
+    """A ``SlotBatch`` field that ``simulate_slots`` leaves unset (None):
+    ``build(batch, loop)`` makes it from the batch and the stage loop's
+    final state on the first read, the way chain results build their
+    per-channel views.  A batch given every field never builds one."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.name]
+        if value is None:
+            value = obj.__dict__[self.name] = self.build(obj, obj._loop)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+class _LoopState(NamedTuple):
+    """What ``simulate_slots``' stage loop leaves for the fields built on
+    first read."""
+
+    at_tx: np.ndarray    # (slot, SU) state code of the channel transmitted on
+    tx_rt: np.ndarray    # (slot, SU) time left after the transmit stage; 0 if none
+    pu: np.ndarray       # (slot, channel) PU present
+    delta: np.ndarray    # (SU,) stage budget
+    slot: float          # T
+    n_pu: int
+    n_su: int
+
+
+@dataclass(kw_only=True)
 class SlotBatch:
-    """Raw per-slot outcomes of one replication (arrays indexed [slot, su])."""
+    """Raw per-slot outcomes of one replication (arrays indexed [slot, su]).
+
+    ``simulate_slots`` fills the fields every caller reads and leaves the
+    others (built on first read) as None."""
 
     throughput: np.ndarray          # ACKed normalized throughput
-    success: np.ndarray             # bool
-    transmitted: np.ndarray         # bool, entered a transmit/interfere state
+    success: np.ndarray = _OnFirstRead(  # bool
+        lambda b, s: b.transmitted & (s.at_tx == s.n_pu))
+    transmitted: np.ndarray = _OnFirstRead(  # bool, entered a transmit/interfere state
+        lambda b, s: b.tx_stage > 0)
     interfered_entry: np.ndarray    # bool, started transmitting on a busy channel
-    collided: np.ndarray            # bool, overlapped another SU
+    collided: np.ndarray = _OnFirstRead(  # bool, overlapped another SU
+        lambda b, s: b.transmitted
+        & (s.at_tx % ((s.n_su + 1) * s.n_pu) >= 2 * s.n_pu))
     tx_stage: np.ndarray            # int, 0 when the SU never transmitted
     tx_channel: np.ndarray          # int, -1 when the SU never transmitted
     network_interference: np.ndarray  # (n_slots,) per-slot normalized t_I sample
-    su_interference: np.ndarray     # per-SU caused interference sample
+    su_interference: np.ndarray = _OnFirstRead(  # per-SU caused interference sample
+        lambda b, s: np.where(b.interfered_entry,
+                              s.tx_rt / (s.slot * s.n_pu), 0.0))
     overhead: np.ndarray            # channels actually sensed
-    handoffs: np.ndarray            # stage boundaries crossed
-    delay: np.ndarray               # seconds before transmission (T if none)
-    pu_busy_fraction: float         # realized PU duty cycle (diagnostic)
+    handoffs: np.ndarray = _OnFirstRead(  # stage boundaries crossed
+        lambda b, s: np.where(b.transmitted, b.tx_stage,
+                              s.delta.astype(np.int32)[None, :]) - 1)
+    delay: np.ndarray = _OnFirstRead(  # seconds before transmission (T if none)
+        lambda b, s: np.where(b.transmitted, s.slot - s.tx_rt, s.slot))
+    pu_busy_fraction: float = _OnFirstRead(  # realized PU duty cycle (diagnostic)
+        lambda b, s: np.count_nonzero(s.pu) / s.pu.size)
 
 
 def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
                      tau: np.ndarray, n_stages: int) -> np.ndarray:
-    """Sensing thresholds of every stage, shape (M, N_s, N_p, 2, N_s + 1), by
-    (stage, SU, channel, PU present, SUs transmitting there from earlier
-    stages), for M = ``n_stages`` stages whose (N_s, C) sensing times ``tau``
-    give the first C stages; the later ones repeat stage C.  The energy
-    detector is evaluated once per column of ``tau`` and channel class, as
-    channels of one class share their thresholds.
+    """Sensing thresholds, shape (L, N_s, 2, N_s + 1, N_p), by (stage row,
+    SU, PU present, SUs transmitting there from earlier stages, channel);
+    stage n reads row min(n, L) - 1.
+
+    The energy detector has one row per column of the (N_s, C) sensing
+    times ``tau`` (a schedule's stages past C repeat stage C), evaluated
+    once per channel class, as channels of one class share their
+    thresholds.  The explicit detector has one row per listed stage, at
+    most ``n_stages``.
 
     A probe decides "free" when the channel is busy and u < P_md, or idle and
-    u >= P_fa, that is when (u < table[n - 1][cell]) == busy at stage n.  So
-    the busy cells hold P_md at the cell's SNR and the idle cell (PU absent,
-    count 0) holds P_fa.
+    u >= P_fa, that is when (u < row[cell]) == busy.  So the busy cells hold
+    P_md at the cell's SNR and the idle cell (PU absent, count 0) holds P_fa.
     """
-    ns, n_cols = tau.shape
+    ns = tau.shape[0]
     if resolved.mode == "explicit":
-        p_md = 1.0 - resolved.explicit_p_d(np.arange(1, n_stages + 1))
-        table = np.tile(p_md[:, None, None, None, None],
-                        (1, ns, config.n_pu, 2, ns + 1))
-        table[:, :, :, 0, 0] = resolved.p_fa
+        p_md = 1.0 - resolved.p_d_stages[:n_stages]
+        table = np.empty((p_md.size, ns, 2, ns + 1, config.n_pu))
+        table[...] = p_md[:, None, None, None, None]
+        table[:, :, 0, 0] = resolved.p_fa
         return table
     rep, f_s = resolved.classes.rep, config.sampling_freq
     lam = resolved.lambda_norm[rep]
-    # (class, 2, N_s + 1)
+    # (2, N_s + 1, class): the realized SNR of every busy state
     gamma = received_snr(config, np.arange(2)[:, None, None],
-                         np.arange(ns + 1)[:, None], rep).transpose(2, 0, 1)
+                         np.arange(ns + 1)[:, None], rep)
     tau_sn = tau.T[:, :, None]  # (column, SU, 1), against the per-class lambda
-    table = misdetection_prob(lam[:, None, None], tau_sn[..., None, None],
-                              f_s, gamma)
-    table[:, :, :, 0, 0] = false_alarm_prob(lam, tau_sn, f_s)
-    # (stage, SU, channel) from (column, SU, class); take() makes it
+    table = misdetection_prob(lam, tau_sn[..., None, None], f_s, gamma)
+    table[:, :, 0, 0] = false_alarm_prob(lam, tau_sn, f_s)
+    # (column, SU, 2, N_s + 1, channel) from the classes; take() makes it
     # C-contiguous, so each stage's flat gather reads it without a copy
-    return (np.take(table, resolved.classes.of, axis=2)
-            .take(np.minimum(np.arange(n_stages), n_cols - 1), axis=0))
+    return table.take(resolved.classes.of, axis=-1)
 
 
 def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
@@ -148,26 +206,37 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
                    protocol: str = "modified") -> SlotBatch:
     """Simulate ``n_slots`` independent slots for all SUs.
 
-    The random stream is consumed in a fixed order independent of outcomes,
-    so equal seeds give bit-identical batches.  The modified protocol flips
-    Bernoulli(p) *before* sensing and skips the probe on failure; the
-    conventional protocol always senses and gates only the transmit decision.
-    Both consume the same draws, so at equal seeds they produce identical
-    transmission trajectories and differ only in sensing overhead.
+    Every stage the loop enters draws its variates for the full (slot, SU)
+    grid, whatever the outcomes, and the loop stops after the first stage
+    at which no SU is still searching; so outcomes steer the stream only
+    through that last stage, and equal seeds give bit-identical batches.
+    The modified protocol flips Bernoulli(p) *before* sensing and skips the
+    probe on failure; the conventional protocol always senses and gates only
+    the transmit decision.  Both consume the same draws, so at equal seeds
+    they produce identical transmission trajectories and differ only in
+    sensing overhead.
     """
     if protocol not in ("modified", "conventional"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
+    if n_slots < 1:
+        raise ScenarioError(f"n_slots must be >= 1, got {n_slots}")
     S, NS, NP = n_slots, config.n_su, config.n_pu
     T = config.slot_duration
     K = NS + 1  # earlier transmitters on a channel: 0..N_s
+    M = schedules.max_stages
+    C = schedules.n_cols
+    modified = protocol == "modified"
 
-    pu = rng.random((S, NP)) < config.presence_prob[None, :]
-    # flat (slot, channel) state code pu * K + (SUs transmitting there): 0 is
-    # idle; ``mark`` is scratch space over the same index
-    cell = (pu * K).ravel()
+    pu = rng.random((S, NP)) < config.presence_prob
+    # flat (slot, channel) state code (pu * K + SUs transmitting there) * N_p:
+    # 0 is idle, and code + channel is the cell's offset in a threshold row.
+    # ``mark`` is scratch space over the same index.
+    cell = (pu * (K * NP)).ravel()
     mark = np.empty(S * NP, dtype=np.intp)
-    slot_base = np.arange(S)[:, None] * NP      # flat (slot, channel) index
-    su_base = np.arange(NS) * (NP * 2 * K)      # threshold-table row of each SU
+    slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
+    su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
+    thresholds = _threshold_table(config, resolved, schedules.tau[:, :C], M)
+    L = len(thresholds)
 
     searching = np.ones((S, NS), dtype=bool)
     tx_channel = np.full((S, NS), -1, dtype=np.int32)
@@ -176,52 +245,46 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     overhead = np.zeros((S, NS), dtype=np.int32)
     net_interf = np.zeros(S)
     elapsed = np.zeros(S)
-    M = schedules.max_stages
-    thresholds = _threshold_table(config, resolved,
-                                  schedules.tau[:, :schedules.n_cols], M)
     rt_at = np.zeros((S, M + 1))   # remaining time after stage n; 0 at n = 0
-    # per stage, SUs by descending tau; index NS (tau 0) means "none active"
-    by_tau = np.argsort(-schedules.tau, axis=0, kind="stable")
-    tau_desc = np.vstack([schedules.tau[by_tau, np.arange(M)], np.zeros(M)])
+    in_budget = schedules.delta > np.arange(M)[:, None]  # row n - 1: delta >= n
+    p_by_stage = schedules.p.T
+    # per stage column, the SUs by descending tau and their taus
+    by_tau = (-schedules.tau[:, :C]).argsort(axis=0, kind="stable").T
+    tau_desc = np.take_along_axis(schedules.tau[:, :C].T, by_tau, axis=1)
 
     for n in range(1, M + 1):
-        in_budget = schedules.delta >= n
-        active = searching & in_budget[None, :]
-        # Draws happen for the full (S, NS) grid every stage to keep the
-        # stream layout independent of the realized trajectories.
+        active = searching & in_budget[n - 1]
+        # Every stage entered draws for the full (S, NS) grid, so the stream
+        # depends on the realized trajectories only through the last stage.
         u_gate = rng.random((S, NS))
         ch = rng.integers(NP, size=(S, NS))  # the stream of integers(0, NP)
         u_sense = rng.random((S, NS))
-        if not active.any():
+        if not np.count_nonzero(active):  # cheaper than .any() at this size
             break
-        p_n = schedules.p[:, n - 1]
+        col = min(n, C) - 1
 
-        # stage timing: longest sensing duration among SUs still searching
-        ordered = active[:, by_tau[:, n - 1]]
-        dur = tau_desc[np.where(ordered.any(axis=1), ordered.argmax(axis=1), NS),
-                       n - 1]
+        # Stage timing: longest sensing duration among SUs still searching.
+        # A slot with none has finished for good (searching and the budget
+        # only shrink), so its clock is never read again and may run on.
+        ordered = active[:, by_tau[col]]
         if n >= 2:
-            elapsed += np.where(dur > 0, config.handoff_time, 0.0)
-        elapsed += dur
-        rt = np.maximum(T - elapsed, 0.0)
+            elapsed += config.handoff_time
+        elapsed += tau_desc[col].take(ordered.argmax(axis=1))
+        rt = T - elapsed
+        np.maximum(rt, 0.0, out=rt)
         rt_at[:, n] = rt
 
-        if protocol == "modified":
-            senses = active & (u_gate < p_n[None, :])
-        else:
-            senses = active
-
+        gate = u_gate < p_by_stage[n - 1]
+        senses = active & gate if modified else active
         flat = slot_base + ch
-        state = np.take(cell, flat)
+        state = cell.take(flat)
         busy = state != 0
-        code = ch * (2 * K)
-        code += su_base
+        code = ch + su_base
         code += state
-        decided_free = (u_sense < np.take(thresholds[n - 1], code)) == busy
-        if protocol == "conventional":
-            will_tx = senses & decided_free & (u_gate < p_n[None, :])
-        else:
-            will_tx = senses & decided_free
+        will_tx = (u_sense < thresholds[min(n, L) - 1].take(code)) == busy
+        will_tx &= senses  # decided free
+        if not modified:
+            will_tx &= gate
 
         overhead += senses
         new_tx = will_tx & (rt > 0.0)[:, None]
@@ -229,7 +292,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         np.copyto(tx_stage, n, where=new_tx)
 
         started_busy = new_tx & busy
-        if started_busy.any():
+        if np.count_nonzero(started_busy):
             interfered_entry |= started_busy
             # busy channels entered, once per (slot, channel): of repeated
             # indices, only the one whose mark survives is counted
@@ -239,40 +302,29 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
             entered = np.bincount(hit[mark[hit] == k] // NP, minlength=S)
             net_interf += entered * rt / (T * NP)
 
-        # SUs that decided to transmit but ran out of slot time just stop.
-        searching &= ~will_tx
-        np.add.at(cell, flat[new_tx], 1)
+        # SUs that decided to transmit but ran out of slot time just stop;
+        # will_tx lies inside searching, so ^= clears exactly those.
+        searching ^= will_tx
+        np.add.at(cell, flat[new_tx], NP)
     # the last stage's (S, N_s) temporaries go before the batch is built
-    u_gate = ch = u_sense = flat = state = code = busy = active = None
-    ordered = senses = decided_free = will_tx = new_tx = started_busy = None
+    u_gate = ch = u_sense = flat = state = code = busy = active = gate = None
+    ordered = senses = will_tx = new_tx = started_busy = None
 
-    transmitted = tx_stage > 0
-    tx_rt = np.take(rt_at, np.arange(S)[:, None] * (M + 1) + tx_stage)
-    # state of the channel each SU transmitted on (masked where it did not)
-    at_tx = np.take(cell, slot_base + tx_channel)
-    success = transmitted & (at_tx == 1)   # PU absent and the SU alone
-    collided = transmitted & (at_tx % K >= 2)
-    throughput = np.where(success, tx_rt * config.tx_rate / T, 0.0)
-    delay = np.where(transmitted, T - tx_rt, T)
-    stages_entered = np.where(transmitted, tx_stage,
-                              schedules.delta.astype(np.int32)[None, :])
-    handoffs = stages_entered - 1
-
-    return SlotBatch(
-        throughput=throughput,
-        success=success,
-        transmitted=transmitted,
+    tx_rt = rt_at.take(np.arange(0, S * (M + 1), M + 1)[:, None] + tx_stage)
+    # state of the channel each SU transmitted on (garbage where it did not,
+    # but there tx_rt is 0, so the throughput is 0 all the same)
+    at_tx = cell.take(slot_base + tx_channel)
+    batch = SlotBatch(
+        throughput=np.where(at_tx == NP, tx_rt * config.tx_rate / T, 0.0),
         interfered_entry=interfered_entry,
-        collided=collided,
         tx_stage=tx_stage,
         tx_channel=tx_channel,
         network_interference=net_interf,
-        su_interference=np.where(interfered_entry, tx_rt / (T * NP), 0.0),
         overhead=overhead,
-        handoffs=handoffs,
-        delay=delay,
-        pu_busy_fraction=np.count_nonzero(pu) / pu.size,
     )
+    batch._loop = _LoopState(at_tx=at_tx, tx_rt=tx_rt, pu=pu,
+                             delta=schedules.delta, slot=T, n_pu=NP, n_su=NS)
+    return batch
 
 
 @dataclass
@@ -389,13 +441,16 @@ def run_replication(config: NetworkConfig, schedules: SuSchedules,
     rng = np.random.default_rng(seed)
     total = None
     for start in range(0, n_slots, BLOCK_SLOTS):
-        # ``batch`` keeps the previous block alive until the next one exists:
-        # freed first, it lets malloc trim the heap, and each block then
-        # faults its pages in afresh (6x the page faults, 1.5x the time).
-        batch = simulate_slots(config, schedules, resolved,
-                               min(BLOCK_SLOTS, n_slots - start), rng,
-                               protocol=protocol)
-        block = _Moments.of_batch(batch)
+        # ``batch`` keeps the previous block alive until the next one exists
+        # and its fields are built (``of_batch`` reads them): freed first, it
+        # lets malloc trim the heap, and each block then faults its pages in
+        # afresh (6x the page faults, 1.5x the time).
+        current = simulate_slots(config, schedules, resolved,
+                                 min(BLOCK_SLOTS, n_slots - start), rng,
+                                 protocol=protocol)
+        block = _Moments.of_batch(current)
+        current._loop = None  # every field it needs is built
+        batch = current
         total = block if total is None else total.merge(block)
     return total.metrics(n_slots, 1)
 

@@ -159,28 +159,29 @@ class TestThresholdTable:
         # heterogeneous per-stage tau: every (stage, SU) cell differs
         tau = np.array([[1e-4, 2e-4], [3e-4, 5e-4], [7e-4, 6e-4]])
         table = _threshold_table(config, resolved, tau, 2)
-        assert table.shape == (2, 3, 4, 2, 4)
+        assert table.shape == (2, 3, 2, 4, 4)
         lam, f_s = resolved.lambda_norm, config.sampling_freq
-        for n, j, m, pu, count in np.ndindex(table.shape):
+        for n, j, pu, count, m in np.ndindex(table.shape):
             if pu == 0 and count == 0:
                 expect = false_alarm_prob(lam[m], tau[j, n], f_s)
             else:
                 gamma = ((pu * config.pu_power[m] + count * config.su_power)
                          / config.noise_power)
                 expect = misdetection_prob(lam[m], tau[j, n], f_s, gamma)
-            assert table[n, j, m, pu, count] == expect
+            assert table[n, j, pu, count, m] == expect
 
     @pytest.mark.parametrize("path", ENERGY_SCENARIOS,
                              ids=lambda path: Path(path).stem)
     def test_equals_the_per_stage_su_evaluation(self, path):
         # evaluated once per distinct stage column and channel class, against
-        # every (stage, SU) row evaluated on its own
+        # every (stage, SU) row evaluated on its own; stage n reads row
+        # min(n, n_cols) - 1
         sc = load_scenario(path)
         config, ns = sc.config, sc.config.n_su
         resolved = resolve_detector(config, sc.detector, sc.qos, sc.params.tau)
         lam, f_s = resolved.lambda_norm, config.sampling_freq
         gamma = received_snr(config, np.arange(2)[:, None, None],
-                             np.arange(ns + 1)[:, None]).transpose(2, 0, 1)
+                             np.arange(ns + 1)[:, None])
         rng = np.random.default_rng(5)
         tau = sc.params.tau * rng.uniform(0.5, 1.5, (ns, 3))
         for sched in (SuSchedules.homogeneous(config, sc.params),
@@ -188,23 +189,26 @@ class TestThresholdTable:
                       SuSchedules.from_stage_table(config, tau, np.full((ns, 3), 0.5))):
             table = _threshold_table(config, resolved,
                                      sched.tau[:, :sched.n_cols], sched.max_stages)
-            assert table.shape == (sched.max_stages, ns, config.n_pu, 2, ns + 1)
-            for n, j in np.ndindex(table.shape[:2]):
-                row = misdetection_prob(lam[:, None, None], sched.tau[j, n], f_s,
-                                        gamma)
-                row[:, 0, 0] = false_alarm_prob(lam, sched.tau[j, n], f_s)
-                assert np.array_equal(table[n, j], row)
+            assert table.shape == (sched.n_cols, ns, 2, ns + 1, config.n_pu)
+            for n, j in np.ndindex(sched.max_stages, ns):
+                row = misdetection_prob(lam, sched.tau[j, n], f_s, gamma)
+                row[0, 0] = false_alarm_prob(lam, sched.tau[j, n], f_s)
+                assert np.array_equal(table[min(n + 1, sched.n_cols) - 1, j],
+                                      row)
 
     def test_explicit_cells_follow_the_stage(self):
         config = make_config(n_su=2, n_pu=3)
         resolved = resolve_detector(
             config, explicit_detector(0.15, [0.6, 0.8, 0.95]), None, 1e-3)
+        # one row per listed stage; stage n reads row min(n, 3) - 1
         table = _threshold_table(config, resolved, np.full((2, 5), 1e-3), 5)
-        assert table.shape == (5, 2, 3, 2, 3)
+        assert table.shape == (3, 2, 2, 3, 3)
         for n, p_d in ((1, 0.6), (2, 0.8), (3, 0.95), (4, 0.95), (5, 0.95)):
-            for j, m, pu, count in np.ndindex(table.shape[1:]):
+            for j, pu, count, m in np.ndindex(table.shape[1:]):
                 expect = 0.15 if pu == 0 and count == 0 else 1.0 - p_d
-                assert table[n - 1, j, m, pu, count] == expect
+                assert table[min(n, 3) - 1, j, pu, count, m] == expect
+        # no more rows than stages
+        assert len(_threshold_table(config, resolved, np.full((2, 1), 1e-3), 2)) == 2
 
 
 class TestStreaming:
