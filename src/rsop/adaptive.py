@@ -433,8 +433,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
             improved=rec.improved,
             flip_tau=rec.flip_tau,
             flip_p=rec.flip_p,
-            # summed in SU order
-            g_norm_sq=float(sum(rec.g_tau**2 + rec.g_p**2)),
+            # summed in SU order, over Python floats
+            g_norm_sq=sum((rec.g_tau**2 + rec.g_p**2).tolist()),
             network_throughput=float(batch.throughput.sum(axis=1).sum()
                                      / cfg.n_ep),  # the mean over the frame
             interference=est.t_i_est,  # the frame is the whole batch

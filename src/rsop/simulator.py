@@ -87,12 +87,15 @@ class SuSchedules:
         delta = max_sensing_stages(config.slot_duration, tau_table[:, 0],
                                    config.handoff_time, config.n_pu)
         n_stages, n_cols = int(delta.max()), tau_table.shape[1]
-        if n_cols == 1:  # one column per SU: repeat it
+        if n_cols >= n_stages:
+            return cls(tau=tau_table[:, :n_stages], p=p_table[:, :n_stages],
+                       delta=delta, n_cols=n_stages)
+        if n_cols == 1:  # the per-SU and homogeneous schedules
             return cls(tau=tau_table.repeat(n_stages, axis=1),
                        p=p_table.repeat(n_stages, axis=1), delta=delta, n_cols=1)
         cols = np.minimum(np.arange(n_stages), n_cols - 1)
         return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta,
-                   n_cols=int(cols[-1]) + 1)
+                   n_cols=n_cols)
 
 
 class _OnFirstRead:
@@ -250,7 +253,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     p_by_stage = schedules.p.T
     # per stage column, the SUs by descending tau and their taus
     by_tau = (-schedules.tau[:, :C]).argsort(axis=0, kind="stable").T
-    tau_desc = np.take_along_axis(schedules.tau[:, :C].T, by_tau, axis=1)
+    tau_desc = np.sort(schedules.tau[:, :C].T, axis=1)[:, ::-1]
 
     for n in range(1, M + 1):
         active = searching & in_budget[n - 1]
@@ -266,13 +269,13 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # Stage timing: longest sensing duration among SUs still searching.
         # A slot with none has finished for good (searching and the budget
         # only shrink), so its clock is never read again and may run on.
-        ordered = active[:, by_tau[col]]
+        ordered = active.take(by_tau[col], axis=1)
         if n >= 2:
             elapsed += config.handoff_time
         elapsed += tau_desc[col].take(ordered.argmax(axis=1))
-        rt = T - elapsed
+        rt = rt_at[:, n]
+        np.subtract(T, elapsed, out=rt)
         np.maximum(rt, 0.0, out=rt)
-        rt_at[:, n] = rt
 
         gate = u_gate < p_by_stage[n - 1]
         senses = active & gate if modified else active

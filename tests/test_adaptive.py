@@ -297,6 +297,20 @@ class TestFrameEstimate:
         with pytest.raises(ShortFrame):
             frame_estimate(batch, 0, 10, p_md=0.1)
 
+    @pytest.mark.parametrize("n_ep", [0, -2])
+    def test_empty_frame_rejected(self, n_ep):
+        # an empty frame has no mean; it used to give NaN estimates
+        config = make_config(n_su=2, n_pu=2)
+        from rsop.chain import resolve_detector
+        from rsop.config import SensingParams
+        from rsop.simulator import SuSchedules, simulate_slots
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 0.5))
+        batch = simulate_slots(config, sched, resolved, 5,
+                               np.random.default_rng(0))
+        with pytest.raises(ScenarioError):
+            frame_estimate(batch, slice(None), n_ep, p_md=np.zeros(2))
+
     def test_all_failures_give_zero(self):
         config = make_config(n_su=3, n_pu=2, presence=1.0)  # everything busy
         from rsop.chain import resolve_detector

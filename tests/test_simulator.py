@@ -318,6 +318,49 @@ class TestSchedules:
         with pytest.raises(ScenarioError):
             SuSchedules.from_per_su(config, [1e-3, 1e-3], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf])
+    def test_rejects_p_outside_unit_interval(self, bad):
+        # p = 1.5 used to act as p = 1, and NaN as p = 0
+        config = make_config(n_su=3, n_pu=4)
+        with pytest.raises(ScenarioError):
+            SuSchedules.from_per_su(config, [1e-3] * 3, [0.5, bad, 0.5])
+        table = np.full((3, 2), 0.5)
+        table[2, 1] = bad
+        with pytest.raises(ScenarioError):
+            SuSchedules.from_stage_table(config, np.full((3, 2), 1e-3), table)
+
+    def test_accepts_the_ends_of_the_unit_interval(self):
+        config = make_config(n_su=2, n_pu=4)
+        sched = SuSchedules.from_per_su(config, [1e-3, 1e-3], [0.0, 1.0])
+        assert sched.p[:, 0].tolist() == [0.0, 1.0]
+
+    def test_tables_longer_than_the_budget_are_cut(self):
+        config = make_config(n_su=2, n_pu=3)
+        tau = np.full((2, 6), 1e-3)
+        sched = SuSchedules.from_stage_table(config, tau, np.full((2, 6), 0.5))
+        assert sched.max_stages == sched.n_cols == 3
+        assert sched.tau.shape == sched.p.shape == (2, 3)
+
+
+class TestSimulateSlotsInput:
+    @pytest.mark.parametrize("n_slots", [0, -3])
+    def test_rejects_fewer_than_one_slot(self, n_slots):
+        # 0 slots used to give a NaN pu_busy_fraction, -3 numpy's ValueError
+        config = make_config(n_su=2, n_pu=3)
+        schedules, resolved = setup(config, 1e-3, 0.5, 0.1, 0.9)
+        with pytest.raises(ScenarioError):
+            simulate_slots(config, schedules, resolved, n_slots,
+                           np.random.default_rng(0))
+
+    def test_fields_built_on_first_read_are_kept(self):
+        config = make_config(n_su=3, n_pu=4, presence=0.3)
+        schedules, resolved = setup(config, 1e-3, 0.7, 0.1, 0.9)
+        batch = simulate_slots(config, schedules, resolved, 40,
+                               np.random.default_rng(2))
+        assert batch.delay is batch.delay
+        assert batch.success is batch.success
+        assert isinstance(batch.pu_busy_fraction, float)
+
 
 class TestAgainstReference:
     """The package's simulate_slots against the reference copy: every field
