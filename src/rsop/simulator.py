@@ -101,8 +101,9 @@ class SuSchedules:
 class _OnFirstRead:
     """A ``SlotBatch`` field that ``simulate_slots`` leaves unset (None):
     ``build(batch, loop)`` makes it from the batch and the stage loop's
-    final state on the first read, the way chain results build their
-    per-channel views.  A batch given every field never builds one."""
+    final state (``_LoopState``) on the first read, the way chain results
+    build their per-channel views.  A batch given every field never builds
+    one."""
 
     def __init__(self, build):
         self.build = build
@@ -126,7 +127,9 @@ class _LoopState(NamedTuple):
     """What ``simulate_slots``' stage loop leaves for the fields built on
     first read."""
 
-    at_tx: np.ndarray    # (slot, SU) state code of the channel transmitted on
+    # (slot, SU) final state code (pu * (N_s + 1) + SUs there) * N_p of the
+    # channel the SU transmitted on; garbage where it did not
+    at_tx: np.ndarray
     tx_rt: np.ndarray    # (slot, SU) time left after the transmit stage; 0 if none
     pu: np.ndarray       # (slot, channel) PU present
     delta: np.ndarray    # (SU,) stage budget
@@ -139,17 +142,19 @@ class _LoopState(NamedTuple):
 class SlotBatch:
     """Raw per-slot outcomes of one replication (arrays indexed [slot, su]).
 
-    ``simulate_slots`` fills the fields every caller reads and leaves the
-    others (built on first read) as None."""
+    ``simulate_slots`` fills the throughput, the interference sample and
+    the stage loop's own arrays, and leaves the ``_OnFirstRead`` fields as
+    None: each is built from the loop's final state when first read.  A
+    batch given every field (blocks joined by hand, say) builds none."""
 
     throughput: np.ndarray          # ACKed normalized throughput
-    success: np.ndarray = _OnFirstRead(  # bool
+    success: np.ndarray = _OnFirstRead(  # bool; code N_p: PU absent, SU alone
         lambda b, s: b.transmitted & (s.at_tx == s.n_pu))
     transmitted: np.ndarray = _OnFirstRead(  # bool, entered a transmit/interfere state
         lambda b, s: b.tx_stage > 0)
     interfered_entry: np.ndarray    # bool, started transmitting on a busy channel
     collided: np.ndarray = _OnFirstRead(  # bool, overlapped another SU
-        lambda b, s: b.transmitted
+        lambda b, s: b.transmitted  # 2 or more SUs on the channel
         & (s.at_tx % ((s.n_su + 1) * s.n_pu) >= 2 * s.n_pu))
     tx_stage: np.ndarray            # int, 0 when the SU never transmitted
     tx_channel: np.ndarray          # int, -1 when the SU never transmitted
@@ -217,7 +222,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     probe on failure; the conventional protocol always senses and gates only
     the transmit decision.  Both consume the same draws, so at equal seeds
     they produce identical transmission trajectories and differ only in
-    sensing overhead.
+    sensing overhead.  The batch fields nothing in the adaptive loop reads
+    are built on first read (see ``SlotBatch``).
     """
     if protocol not in ("modified", "conventional"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
@@ -248,7 +254,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     overhead = np.zeros((S, NS), dtype=np.int32)
     net_interf = np.zeros(S)
     elapsed = np.zeros(S)
-    rt_at = np.zeros((S, M + 1))   # remaining time after stage n; 0 at n = 0
+    rt_at = np.zeros((S, M + 1))  # remaining time after stage n; 0 at n = 0
     in_budget = schedules.delta > np.arange(M)[:, None]  # row n - 1: delta >= n
     p_by_stage = schedules.p.T
     # per stage column, the SUs by descending tau and their taus
@@ -284,8 +290,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         busy = state != 0
         code = ch + su_base
         code += state
-        will_tx = (u_sense < thresholds[min(n, L) - 1].take(code)) == busy
-        will_tx &= senses  # decided free
+        decided_free = (u_sense < thresholds[min(n, L) - 1].take(code)) == busy
+        will_tx = senses & decided_free
         if not modified:
             will_tx &= gate
 
@@ -305,17 +311,18 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
             entered = np.bincount(hit[mark[hit] == k] // NP, minlength=S)
             net_interf += entered * rt / (T * NP)
 
-        # SUs that decided to transmit but ran out of slot time just stop;
-        # will_tx lies inside searching, so ^= clears exactly those.
+        # SUs that decided to transmit stop searching, also those that ran
+        # out of slot time; will_tx lies inside searching, so ^= clears it.
         searching ^= will_tx
         np.add.at(cell, flat[new_tx], NP)
     # the last stage's (S, N_s) temporaries go before the batch is built
     u_gate = ch = u_sense = flat = state = code = busy = active = gate = None
-    ordered = senses = will_tx = new_tx = started_busy = None
+    ordered = senses = decided_free = will_tx = new_tx = started_busy = None
 
     tx_rt = rt_at.take(np.arange(0, S * (M + 1), M + 1)[:, None] + tx_stage)
-    # state of the channel each SU transmitted on (garbage where it did not,
-    # but there tx_rt is 0, so the throughput is 0 all the same)
+    # state code of the channel each SU transmitted on, N_p when the PU was
+    # absent and the SU alone; garbage where it did not transmit, but there
+    # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
     at_tx = cell.take(slot_base + tx_channel)
     batch = SlotBatch(
         throughput=np.where(at_tx == NP, tx_rt * config.tx_rate / T, 0.0),
