@@ -90,12 +90,9 @@ class SuSchedules:
         if n_cols >= n_stages:
             return cls(tau=tau_table[:, :n_stages], p=p_table[:, :n_stages],
                        delta=delta, n_cols=n_stages)
-        if n_cols == 1:  # the per-SU and homogeneous schedules
-            return cls(tau=tau_table.repeat(n_stages, axis=1),
-                       p=p_table.repeat(n_stages, axis=1), delta=delta, n_cols=1)
         cols = np.minimum(np.arange(n_stages), n_cols - 1)
-        return cls(tau=tau_table[:, cols], p=p_table[:, cols], delta=delta,
-                   n_cols=n_cols)
+        return cls(tau=tau_table.take(cols, axis=1), p=p_table.take(cols, axis=1),
+                   delta=delta, n_cols=n_cols)
 
 
 class _OnFirstRead:
@@ -273,8 +270,9 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         col = min(n, C) - 1
 
         # Stage timing: longest sensing duration among SUs still searching.
-        # A slot with none has finished for good (searching and the budget
-        # only shrink), so its clock is never read again and may run on.
+        # A slot with none (argmax 0: the longest tau) has finished for good,
+        # as searching and the budget only shrink, so its clock is never
+        # read again and may run on.
         ordered = active.take(by_tau[col], axis=1)
         if n >= 2:
             elapsed += config.handoff_time
