@@ -76,7 +76,8 @@ class SuSchedules:
 
         The stage budget uses each SU's stage-1 sensing time; later stages may
         shorten the probe, which only adds slack.  Tables shorter than the
-        longest budget repeat their last stage.  Every p must lie in [0, 1]."""
+        longest budget repeat their last stage; longer ones are cut to it.
+        Every p must lie in [0, 1]."""
         tau_table = np.asarray(tau_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
