@@ -27,12 +27,10 @@ and the sums over (channel, stage) in r and t_I.  Channels with equal
 (P_m1, sigma_p^2, lambda_m) therefore have equal tables (they are lumpable),
 and the chain runs at channel-class resolution: the classes are fixed once
 per resolved detector (:class:`ChannelClasses`), and every recursion and
-table is computed once per class.  The channel axis is expanded with the
-class index only where channels meet (the walk's per-stage sum of q, and the
-sums of r and t_I, in point blocks of at most ``_CHUNK_CELLS`` cells) and
-where a caller reads a per-channel table (``p_d``, ``occ``, ``success``, ...;
-built on first read).  Each expanded sum runs over the channels in order, so
-the metrics equal those of a per-channel evaluation bit for bit.
+table is computed once per class.  Where channels meet, each class enters
+the sum once, weighted by its channel count.  The channel axis is expanded
+with the class index only where a caller reads a per-channel table (``p_d``,
+``occ``, ``success``, ...; built on first read).
 """
 
 from __future__ import annotations
@@ -53,10 +51,6 @@ from .detector import (
 from .errors import RsopError, ScenarioError
 
 _CLAMP_TOL = 1e-9
-# channel x stage cells per expanded block of a metric sum, and per batched
-# analyzer call of the optimizer's point evaluation (there in class cells);
-# caps table memory
-_CHUNK_CELLS = 1 << 14
 
 
 def _clamp01(x, what: str):
@@ -315,7 +309,8 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
     stage i >= 1 in ``profiles`` before that stage's q is formed, from the
     mean number of SUs per channel that started transmitting earlier,
     senders = sum_{k<i} L^(k) (1 - q^(k)).  Tables are per class; the sum of
-    q over the channels expands them.  Range checks run on the finished tables.
+    q over the channels weights each class by its channel count.  Range
+    checks run on the finished tables.
     """
     classes, ns = profiles.classes, profiles.n_stages
     nc = classes.rep.size
@@ -336,7 +331,7 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
             l_prev = l[..., i - 1, None]
             occ[..., i] = (occ[..., i - 1] + vacant * np.power(p_fa, exponent)
                            * (1.0 - np.power(p_fa, l_prev)))
-            q_sum = classes.expand(q[..., i - 1], -1).sum(axis=-1)
+            q_sum = (q[..., i - 1] * classes.size).sum(axis=-1)
             n_ho[..., i] = ((1.0 - p) + share * q_sum) * n_ho[..., i - 1]
             exponent = exponent + l_prev
             if detect is not None:
@@ -450,13 +445,8 @@ class ChainResult:
 
 def _channel_sum(table: np.ndarray, classes: ChannelClasses):
     """Sum over (channel, stage) of a (..., n_classes, n_stages) class table,
-    taken over its per-channel expansion in point blocks of at most
-    ``_CHUNK_CELLS`` cells (one point when a point alone is larger)."""
-    flat = table.reshape((-1,) + table.shape[-2:])
-    block = max(1, _CHUNK_CELLS // (classes.of.size * table.shape[-1]))
-    sums = [classes.expand(flat[lo:lo + block]).sum(axis=(-2, -1))
-            for lo in range(0, len(flat), block)]
-    return np.concatenate(sums).reshape(table.shape[:-2])[()]
+    each class weighted by its channel count."""
+    return (classes.size[:, None] * table).sum(axis=(-2, -1))[()]
 
 
 def _remaining_times(config: NetworkConfig, params: SensingParams,

@@ -15,11 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import _CHUNK_CELLS, ResolvedDetector, analyze, resolve_detector
+from .chain import ResolvedDetector, analyze, resolve_detector
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
 from .detector import sensing_time_floor
 from .errors import EmptyGrid, ScenarioError
+
+# channel class x stage cells per batched analyzer call of the point
+# evaluation; caps table memory
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass

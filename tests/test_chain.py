@@ -355,6 +355,11 @@ MIXED = Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml"
 MIXED_PER_STAGE = MIXED.with_name("mixed_ns8_np6_per_stage.yaml")
 
 
+# lumped against unlumped results, past the first channel sum: about 450
+# float64 eps, fixed from eps (the largest difference seen is a few eps)
+LUMPED_RTOL = 1e-13
+
+
 def singleton_classes(n_pu):
     """Every channel its own class, in channel order: the unlumped chain."""
     return ChannelClasses(rep=np.arange(n_pu), of=np.arange(n_pu),
@@ -362,10 +367,13 @@ def singleton_classes(n_pu):
 
 
 class TestChannelClasses:
-    """Channels of equal (P_m1, sigma_p^2, lambda_m) are evaluated once; the
-    lumped chain equals the unlumped one bit for bit."""
+    """Channels of equal (P_m1, sigma_p^2, lambda_m) are evaluated once.  The
+    lumped chain's detector tables equal the unlumped ones exactly; what
+    follows a channel sum, where each class enters once weighted by its
+    size, agrees to ``LUMPED_RTOL``."""
 
-    PER_CHANNEL = {"profiles": ("p_fa", "p_d", "gamma"),
+    EXACT = ("p_fa", "p_d", "gamma")
+    PER_CHANNEL = {"profiles": EXACT,
                    "occupancy": ("occ", "q", "l", "n_ho"),
                    "dist": ("pi_ho", "pi_channel", "p_t", "p_i"),
                    "": ("no_tx", "success", "no_interf", "throughput",
@@ -408,19 +416,35 @@ class TestChannelClasses:
                     for name in names:
                         x, y = (getattr(getattr(r, part) if part else r, name)
                                 for r in (a, b))
-                        assert x.shape == y.shape and np.array_equal(x, y), name
+                        assert np.shape(x) == np.shape(y), name
+                        if name in self.EXACT:
+                            assert np.array_equal(x, y), name
+                        else:
+                            np.testing.assert_allclose(
+                                x, y, rtol=LUMPED_RTOL, atol=0, err_msg=name)
 
-    def test_metric_sums_split_into_point_blocks(self, monkeypatch):
-        sc = load_scenario(MIXED)
+    @pytest.mark.parametrize("path", [
+        bundled_scenario_path("validation_ns5_np100"), MIXED,
+    ], ids=["validation_ns5_np100", "mixed"])
+    def test_metrics_sum_classes_by_weight(self, path, monkeypatch):
+        sc = load_scenario(path)
         resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-        params = SensingParams(sc.params.tau, np.linspace(0.0, 1.0, 11))
-        whole = analyze(sc.config, params, resolved)
-        assert whole.n_stages == 3
-        # 6 channels x 3 stages: blocks of one point
-        monkeypatch.setattr(chain, "_CHUNK_CELLS", 30)
-        split = analyze(sc.config, params, resolved)
-        assert np.array_equal(whole.throughput, split.throughput)
-        assert np.array_equal(whole.interference, split.interference)
+        # the first tau of the default grid has the largest stage budget
+        tau = GridSpec.default_for(sc.config, sc.qos).tau_lo
+        params = SensingParams(tau, np.linspace(0.0, 1.0, 5))
+        calls = []
+        expand = ChannelClasses.expand
+        monkeypatch.setattr(ChannelClasses, "expand",
+                            lambda self, *a: calls.append(1) or expand(self, *a))
+        lumped = analyze(sc.config, params, resolved)
+        assert lumped.n_stages > 2 and calls == []
+        assert lumped.success.shape[-2] == sc.config.n_pu and len(calls) == 1
+        unlumped = analyze(sc.config, params, replace(
+            resolved, classes=singleton_classes(sc.config.n_pu)))
+        for name in ("throughput", "interference"):
+            np.testing.assert_allclose(getattr(lumped, name),
+                                       getattr(unlumped, name),
+                                       rtol=LUMPED_RTOL, atol=0, err_msg=name)
 
     def test_per_channel_views_are_built_once(self):
         config = make_config(n_su=3, n_pu=4, presence=[0.2, 0.5, 0.2, 0.5])

@@ -15,7 +15,14 @@ output change, name the cases on the command line,
     PYTHONPATH=src python tests/test_golden_outputs.py CASE [CASE ...]
 
 and explain in CHANGES.md which outputs moved and why.  Every re-record must
-be explained there.
+be explained there.  To see how far the numbers moved, run the cases on both
+trees into two directories (``run_case`` with a fresh ``out_dir`` per case)
+and compare them with
+
+    python tests/csv_diff.py DIR_A DIR_B
+
+which reports, per file, the cells that differ, any non-float cell among
+them and the largest relative float difference.
 """
 
 import hashlib
