@@ -14,7 +14,10 @@ column of the schedule and channel class, and every probe reads its threshold
 with one gather.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
-a short loop over sensing stages.  A replication runs as consecutive batches
+a short loop over sensing stages.  Each stage finds the cells that start
+transmitting (about one in ten) once, as a flat index, and records their
+channel, stage, interference and occupancy by index rather than with masked
+passes over the whole grid.  A replication runs as consecutive batches
 of at most ``BLOCK_SLOTS`` (8192) slots on one generator, folded into one
 (count, mean, M2) reducer, so its memory is bounded by the block size and not
 by the number of slots.  Replications are embarrassingly parallel with
@@ -77,12 +80,17 @@ class SuSchedules:
         The stage budget uses each SU's stage-1 sensing time; later stages may
         shorten the probe, which only adds slack.  Tables shorter than the
         longest budget repeat their last stage; longer ones are cut to it.
-        Every p must lie in [0, 1]."""
+        Every tau must lie in (0, T] and every p in [0, 1]."""
         tau_table = np.asarray(tau_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
             raise ScenarioError("stage tables must be (n_su, n_stages) and congruent")
-        # one reduction pair, once per frame of the adaptive loop; NaN fails both
+        # one reduction pair each, once per frame of the adaptive loop; NaN
+        # fails both
+        if not (tau_table.min() > 0.0
+                and tau_table.max() <= config.slot_duration):
+            raise ScenarioError(f"sensing times outside (0, "
+                                f"T={config.slot_duration}]: {tau_table}")
         if not (p_table.min() >= 0.0 and p_table.max() <= 1.0):
             raise ScenarioError(f"sensing probabilities outside [0, 1]: {p_table}")
         delta = max_sensing_stages(config.slot_duration, tau_table[:, 0],
@@ -152,20 +160,21 @@ class SlotBatch:
         lambda b, s: b.tx_stage > 0)
     interfered_entry: np.ndarray    # bool, started transmitting on a busy channel
     collided: np.ndarray = _OnFirstRead(  # bool, overlapped another SU
-        lambda b, s: b.transmitted  # 2 or more SUs on the channel
-        & (s.at_tx % ((s.n_su + 1) * s.n_pu) >= 2 * s.n_pu))
+        # 2 or more SUs on the channel: neither code N_p nor (N_s + 2) N_p,
+        # an SU alone with the PU absent or present
+        lambda b, s: b.transmitted & (s.at_tx != s.n_pu)
+        & (s.at_tx != (s.n_su + 2) * s.n_pu))
     tx_stage: np.ndarray            # int, 0 when the SU never transmitted
     tx_channel: np.ndarray          # int, -1 when the SU never transmitted
     network_interference: np.ndarray  # (n_slots,) per-slot normalized t_I sample
     su_interference: np.ndarray = _OnFirstRead(  # per-SU caused interference sample
-        lambda b, s: np.where(b.interfered_entry,
-                              s.tx_rt / (s.slot * s.n_pu), 0.0))
+        lambda b, s: b.interfered_entry * (s.tx_rt / (s.slot * s.n_pu)))
     overhead: np.ndarray            # channels actually sensed
     handoffs: np.ndarray = _OnFirstRead(  # stage boundaries crossed
-        lambda b, s: np.where(b.transmitted, b.tx_stage,
-                              s.delta.astype(np.int32)[None, :]) - 1)
+        lambda b, s: (b.tx_stage == 0) * s.delta.astype(np.int32)
+        + b.tx_stage - 1)
     delay: np.ndarray = _OnFirstRead(  # seconds before transmission (T if none)
-        lambda b, s: np.where(b.transmitted, s.slot - s.tx_rt, s.slot))
+        lambda b, s: s.slot - s.tx_rt)
     pu_busy_fraction: float = _OnFirstRead(  # realized PU duty cycle (diagnostic)
         lambda b, s: np.count_nonzero(s.pu) / s.pu.size)
 
@@ -255,9 +264,11 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     rt_at = np.zeros((S, M + 1))  # remaining time after stage n; 0 at n = 0
     in_budget = schedules.delta > np.arange(M)[:, None]  # row n - 1: delta >= n
     p_by_stage = schedules.p.T
-    # per stage column, the SUs by descending tau and their taus
+    # per stage column, the SUs by descending tau and their taus; a column
+    # whose SUs share one tau lasts that tau in every slot
     by_tau = (-schedules.tau[:, :C]).argsort(axis=0, kind="stable").T
     tau_desc = np.sort(schedules.tau[:, :C].T, axis=1)[:, ::-1]
+    shared_tau = tau_desc[:, 0] == tau_desc[:, -1]
 
     for n in range(1, M + 1):
         active = searching & in_budget[n - 1]
@@ -274,10 +285,13 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # A slot with none (argmax 0: the longest tau) has finished for good,
         # as searching and the budget only shrink, so its clock is never
         # read again and may run on.
-        ordered = active.take(by_tau[col], axis=1)
         if n >= 2:
             elapsed += config.handoff_time
-        elapsed += tau_desc[col].take(ordered.argmax(axis=1))
+        if shared_tau[col]:
+            elapsed += tau_desc[col, 0]
+        else:
+            ordered = active.take(by_tau[col], axis=1)
+            elapsed += tau_desc[col].take(ordered.argmax(axis=1))
         rt = rt_at[:, n]
         np.subtract(T, elapsed, out=rt)
         np.maximum(rt, 0.0, out=rt)
@@ -296,27 +310,32 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
 
         overhead += senses
         new_tx = will_tx & (rt > 0.0)[:, None]
-        np.copyto(tx_channel, ch, where=new_tx)
-        np.copyto(tx_stage, n, where=new_tx)
+        # the flat (slot, SU) cells that start transmitting, in row-major
+        # order; about one in ten, so they are written by index
+        starts = new_tx.ravel().nonzero()[0]
+        tx_channel.put(starts, ch.take(starts))
+        tx_stage.put(starts, n)
+        entered_at = flat.take(starts)  # their flat (slot, channel) cells
 
-        started_busy = new_tx & busy
+        started_busy = busy.take(starts)
         if np.count_nonzero(started_busy):
-            interfered_entry |= started_busy
+            interfered_entry.put(starts.compress(started_busy), True)
             # busy channels entered, once per (slot, channel): of repeated
             # indices, only the one whose mark survives is counted
-            hit = flat[started_busy]
+            hit = entered_at.compress(started_busy)
             k = np.arange(hit.size)
-            mark[hit] = k
-            entered = np.bincount(hit[mark[hit] == k] // NP, minlength=S)
+            mark.put(hit, k)
+            entered = np.bincount(hit.compress(mark.take(hit) == k) // NP,
+                                  minlength=S)
             net_interf += entered * rt / (T * NP)
 
         # SUs that decided to transmit stop searching, also those that ran
         # out of slot time; will_tx lies inside searching, so ^= clears it.
         searching ^= will_tx
-        np.add.at(cell, flat[new_tx], NP)
+        np.add.at(cell, entered_at, NP)
     # the last stage's (S, N_s) temporaries go before the batch is built
     u_gate = ch = u_sense = flat = state = code = busy = active = gate = None
-    ordered = senses = decided_free = will_tx = new_tx = started_busy = None
+    ordered = senses = decided_free = will_tx = new_tx = None
 
     tx_rt = rt_at.take(np.arange(0, S * (M + 1), M + 1)[:, None] + tx_stage)
     # state code of the channel each SU transmitted on, N_p when the PU was
@@ -324,7 +343,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
     at_tx = cell.take(slot_base + tx_channel)
     batch = SlotBatch(
-        throughput=np.where(at_tx == NP, tx_rt * config.tx_rate / T, 0.0),
+        throughput=(at_tx == NP) * (tx_rt * config.tx_rate / T),
         interfered_entry=interfered_entry,
         tx_stage=tx_stage,
         tx_channel=tx_channel,
@@ -378,6 +397,17 @@ _SPREAD = ("network_throughput", "interference")
 _SPREAD_ROWS = [_MEAN_FIELDS.index(f) for f in _SPREAD]
 
 
+def _mean(a: np.ndarray) -> float:
+    """``a.mean()`` to the bit, from a count or an integer sum where ``a``
+    holds bools or integers: the sum is exact below 2**53, as is mean()'s
+    float64 sum of them, and one division rounds both alike."""
+    if a.dtype == bool:
+        return np.count_nonzero(a) / a.size
+    if a.dtype.kind == "i":
+        return int(a.sum()) / a.size
+    return a.mean()
+
+
 @dataclass
 class _Moments:
     """Sample count, means and sums of squared deviations (M2) of a run.
@@ -402,7 +432,7 @@ class _Moments:
     def of_batch(cls, batch: SlotBatch) -> "_Moments":
         per_su = batch.throughput.mean(axis=0)
         means = [per_su.mean(), per_su.sum(),
-                 *(getattr(batch, a).mean() for a in _BATCH_MEANS.values())]
+                 *(_mean(getattr(batch, a)) for a in _BATCH_MEANS.values())]
         return cls._of(np.concatenate([means, per_su]),
                        np.stack([batch.throughput.sum(axis=1),
                                  batch.network_interference]))

@@ -329,6 +329,23 @@ class TestSchedules:
         with pytest.raises(ScenarioError):
             SuSchedules.from_stage_table(config, np.full((3, 2), 1e-3), table)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1e-3, T + 1e-6])
+    def test_rejects_tau_outside_the_slot_in_any_column(self, bad):
+        # only column 1 was checked: NaN in column 2 simulated as tau = 1 s
+        config = make_config(n_su=3, n_pu=4)
+        tau = np.full((3, 2), 1e-3)
+        tau[1, 1] = bad
+        with pytest.raises(ScenarioError):
+            SuSchedules.from_stage_table(config, tau, np.full((3, 2), 0.5))
+        with pytest.raises(ScenarioError):
+            SuSchedules.from_per_su(config, tau[:, 1], [0.5] * 3)
+
+    def test_accepts_tau_of_a_whole_slot(self):
+        config = make_config(n_su=2, n_pu=4)
+        sched = SuSchedules.from_stage_table(config, [[1e-3, T], [T, T]],
+                                             np.full((2, 2), 0.5))
+        assert sched.delta.tolist() == [4, 1]
+
     def test_accepts_the_ends_of_the_unit_interval(self):
         config = make_config(n_su=2, n_pu=4)
         sched = SuSchedules.from_per_su(config, [1e-3, 1e-3], [0.0, 1.0])
@@ -364,7 +381,8 @@ class TestSimulateSlotsInput:
 
 class TestAgainstReference:
     """The package's simulate_slots against the reference copy: every field
-    with == and its dtype, and the generator's next draw."""
+    with ==, its dtype and its bytes (which tell 0.0 from -0.0 and one NaN
+    from another), and the generator's next draw."""
 
     @staticmethod
     def schedule_kinds(sc):
@@ -372,10 +390,15 @@ class TestAgainstReference:
         rng = np.random.default_rng(3)
         tau = sc.params.tau * rng.uniform(0.5, 1.5, (ns, 3))
         p = rng.uniform(0.0, 1.0, (ns, 3))
+        # stage 2 shared by every SU, stages 1 and 3 not: one call times
+        # its stages both from the shared tau and from the searching SUs
+        mixed = tau.copy()
+        mixed[:, 1] = sc.params.tau
         return {
             "homogeneous": SuSchedules.homogeneous(config, sc.params),
             "per-su": SuSchedules.from_per_su(config, tau[:, 0], p[:, 0]),
             "per-stage": SuSchedules.from_stage_table(config, tau, p),
+            "mixed-tau": SuSchedules.from_stage_table(config, mixed, p),
         }
 
     @pytest.mark.parametrize("protocol", ["modified", "conventional"])
@@ -401,4 +424,16 @@ class TestAgainstReference:
                     assert np.asarray(a).dtype == np.asarray(b).dtype, where
                     assert np.shape(a) == np.shape(b), where
                     assert np.array_equal(a, b), where
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), where
                 assert rng_a.random() == rng_b.random(), (kind, n_slots)
+
+    def test_mixed_tau_kind_times_stages_both_ways(self):
+        # the shared-tau stage 2 lies between stages of distinct taus, and
+        # one call enters all three
+        sc = load_scenario(bundled_scenarios()["dense_ns20_np5"])
+        sched = self.schedule_kinds(sc)["mixed-tau"]
+        assert (np.ptp(sched.tau[:, :3], axis=0) > 0).tolist() == [True, False, True]
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        batch = simulate_slots(sc.config, sched, resolved, 50,
+                               np.random.default_rng(50))
+        assert batch.tx_stage.max() >= 3
