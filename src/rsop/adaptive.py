@@ -34,6 +34,7 @@ from .chain import (
     analyze,
     resolve_detector,
     stage_profiles,
+    worst_misdetection,
 )
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
@@ -344,14 +345,11 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p, de
 
     Scalars give one SU's value.  Aligned (N_s,) arrays give every SU's value
     from one ``stage_profiles`` call over the longest budget; the stages past
-    an SU's own delta are masked out before its max (p_md >= 0)."""
+    an SU's own delta do not count."""
     deltas = np.asarray(deltas)
     prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved,
                           int(deltas.max()))
-    beyond = np.arange(prof.n_stages) >= deltas[..., None]
-    # method-form reductions: this runs once per adaptive frame
-    return np.where(beyond[..., None, :], 0.0,
-                    1.0 - prof.class_p_d).max(axis=(-2, -1))
+    return worst_misdetection(prof.class_p_d, deltas)
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -491,7 +489,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
     frames_per_block = max(1, BLOCK_SLOTS // cfg.n_ep)
     rng = np.random.default_rng(seed)
 
-    def analyzer_r(tau: float, p: float | np.ndarray):
+    def analyzer_r(tau, p):
         return analyze(config, SensingParams(tau=tau, p=p), resolved).throughput
 
     def frame_means(tau: float, p: float, count: int):
@@ -531,7 +529,9 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
         mean_g = np.concatenate(g_samples, axis=0).mean(axis=0)
 
         h_tau, h_p = cfg.delta_tau, cfg.delta_p
-        df_dtau = -(analyzer_r(tau + h_tau, p) - analyzer_r(tau - h_tau, p)) / (2 * h_tau)
+        # the two tau of a central difference may differ in stage budget
+        df_dtau = -np.subtract(*analyzer_r(np.array([tau + h_tau, tau - h_tau]),
+                                           np.array([p, p]))) / (2 * h_tau)
         df_dp = -np.subtract(*analyzer_r(tau, np.array([p + h_p, p - h_p]))) / (2 * h_p)
         grad_f = np.array([df_dtau, df_dp])
         inner = float(mean_g @ grad_f)

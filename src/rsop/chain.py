@@ -18,9 +18,12 @@ interference follow from per-state occupation probabilities plus the
 probability a competitor never transmits on a given channel from a given
 stage on (the disposition total of a chain pruned of that channel's exits,
 in closed form).  Aligned arrays ``params.tau`` and ``params.p`` evaluate
-many points (tau_i, p_i) at once, provided they share the stage budget
-delta(tau) (an array ``p`` with a scalar ``tau`` is a tau row): tables gain a
-leading point axis (``...`` below), metrics are arrays.
+many points (tau_i, p_i) at once, of any stage budgets delta(tau) (an array
+``p`` with a scalar ``tau`` is a tau row): tables gain a leading point axis
+(``...`` below) and run to the longest budget, metrics are arrays.  The walk
+is elementwise per point, so each point's first delta stages are those of a
+call at its budget alone; every reduction over stages stops at the point's own
+delta, and a point's stages past it hold no probes and no exits.
 
 Channels meet only in sums: the handoff population's sum over channels of q,
 and the sums over (channel, stage) in r and t_I.  Channels with equal
@@ -54,13 +57,15 @@ _CLAMP_TOL = 1e-9
 
 
 def _clamp01(x, what: str):
-    """Clamp probabilities to [0, 1]; drift beyond 1e-9 or NaN is a real bug."""
+    """Clamp probabilities to [0, 1], in place for a float array (the chain
+    passes only tables it has just built); drift beyond 1e-9 or NaN is a real
+    bug."""
     # method-form reductions: this check runs several times per analyzed point
     x = np.asarray(x, dtype=float)
     worst = max(float(x.max(initial=0.0)) - 1.0, -float(x.min(initial=1.0)))
     if not worst <= _CLAMP_TOL:  # also true for NaN, which max propagates
         raise RsopError(f"{what} left [0,1] by {worst:.3e}")
-    return x.clip(0.0, 1.0)
+    return x.clip(0.0, 1.0, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +231,10 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     accumulating transmitters stage by stage; p enters only through those.
     ``params.tau`` is a scalar, or an array aligned with ``params.p`` (one
     point per entry, e.g. per SU); an array tau gives ``p_fa`` a leading
-    point axis too.  Each class is evaluated at its representative channel.
+    point axis too.  The tau-only terms (P_fa and the stage-1 P_d) are
+    evaluated once per run of equal consecutive tau, e.g. once per tau row of
+    a grid.  Each class is evaluated at its representative channel; the
+    finished tables are range-checked once.
     """
     classes = resolved.classes
     if classes.of.size != config.n_pu:
@@ -236,16 +244,19 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     points = np.shape(params.p)
     if resolved.mode == "explicit":
         p_d = resolved.explicit_p_d(np.arange(1, ns + 1))
+        # read-only views: every point and class has the same tables
         return StageProfiles(class_p_fa=np.full(nc, resolved.p_fa),
-                             class_p_d=np.tile(p_d, points + (nc, 1)),
-                             class_gamma=np.zeros(points + (nc, ns)),
+                             class_p_d=np.broadcast_to(p_d, points + (nc, ns)),
+                             class_gamma=np.broadcast_to(0.0, points + (nc, ns)),
                              n_stages=ns, classes=classes)
 
     rep = classes.rep
     lam = resolved.lambda_norm[rep]
     f_s = config.sampling_freq
-    tau = np.asarray(params.tau)[..., None]  # against the per-class lambda
-    p_fa = _clamp01(false_alarm_prob(lam, tau, f_s), "p_fa")
+    tau_rows, row_of = _tau_runs(params.tau)
+    tau_rows = tau_rows[..., None]  # against the per-class lambda
+    tau = np.asarray(params.tau)[..., None]
+    p_fa = false_alarm_prob(lam, tau_rows, f_s)[row_of]
     gamma = np.zeros(points + (nc, ns))
     p_d = np.zeros(points + (nc, ns))
     profiles = StageProfiles(class_p_fa=p_fa, class_p_d=p_d, class_gamma=gamma,
@@ -253,9 +264,11 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
 
     def detect(i, snr):
         gamma[..., i] = snr
-        p_d[..., i] = _clamp01(detection_prob(lam, tau, f_s, snr), "p_d")
+        p_d[..., i] = detection_prob(lam, tau, f_s, snr)
 
-    detect(0, config.snr_stage1[rep])
+    snr1 = config.snr_stage1[rep]
+    gamma[..., 0] = snr1
+    p_d[..., 0] = detection_prob(lam, tau_rows, f_s, snr1)[row_of]
     presence = config.presence_prob[rep]
     if ns > 1 and resolved.per_stage_snr:
         # Exact per-stage extension: each stage sees every earlier transmitter.
@@ -270,7 +283,21 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
                                (config.n_su * p / config.n_pu) * (1.0 - q1), rep))
         gamma[..., 2:] = gamma[..., 1:2]
         p_d[..., 2:] = p_d[..., 1:2]
+    profiles.class_p_fa = _clamp01(p_fa, "p_fa")
+    profiles.class_p_d = _clamp01(p_d, "p_d")
     return profiles
+
+
+def _tau_runs(tau):
+    """The first tau of each run of equal consecutive entries of ``tau``, and
+    an index that gives every entry (in ``tau``'s shape) its run."""
+    tau = np.asarray(tau, dtype=float)
+    flat = tau.ravel()
+    starts = flat[1:] != flat[:-1]
+    if starts.all():  # no repeats, a single point or a scalar
+        return tau, ...
+    starts = np.concatenate(([True], starts))
+    return flat[starts], (starts.cumsum() - 1).reshape(tau.shape)
 
 
 def _handoff_prob(occ, p_fa, p_d):
@@ -373,8 +400,8 @@ class ChainDistribution:
 
 
 def state_distribution(config: NetworkConfig, params: SensingParams,
-                       profiles: StageProfiles,
-                       occupancy: OccupancyTable) -> ChainDistribution:
+                       profiles: StageProfiles, occupancy: OccupancyTable,
+                       deltas=None) -> ChainDistribution:
     """Occupation probabilities of HO_n, m^(n), T_n, I_n and TE.
 
     An SU reaches HO_n with the handoff population's share N_HO^(n) / N_s and
@@ -382,20 +409,51 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
     T_n when the channel is free and no false alarm fires, I_n when it is
     busy and missed; what reaches the last stage and does not leave there
     terminates.  The stage totals weight each class by its channel count.
+    ``deltas``, each point's stage budget, ends a point's walk before the
+    tables do: its stages past delta probe nothing, and it terminates from
+    HO_delta.  By default every point uses every stage of the tables.
     """
     classes = occupancy.classes
     pi_ho = occupancy.n_ho / config.n_su
     share = np.asarray(params.p, dtype=float)[..., None] / config.n_pu
-    pi_ch = np.tile((share * pi_ho)[..., None, :], (classes.rep.size, 1))
+    probe = share * pi_ho
+    if deltas is not None:
+        probe[np.arange(pi_ho.shape[-1]) >= np.asarray(deltas)[..., None]] = 0.0
     occ = occupancy.class_occ
+    # a read-only view: every class is probed alike
+    pi_ch = np.broadcast_to(probe[..., None, :], occ.shape)
     p_t = pi_ch * (1.0 - occ) * (1.0 - profiles.class_p_fa)[..., None]
     p_i = pi_ch * occ * (1.0 - profiles.class_p_d)
     size = classes.size[:, None]
     pi_t, pi_i = (size * p_t).sum(axis=-2), (size * p_i).sum(axis=-2)
+    if deltas is None:
+        pi_te = pi_ho[..., -1] - pi_t[..., -1] - pi_i[..., -1]
+    else:
+        # numpy adds the classes of a one-stage table pairwise (from 8 classes
+        # on), not in turn as in a stage column of a longer one: one-stage
+        # points sum as a call of their budget alone does
+        lone = np.asarray(deltas) == 1
+        pi_t[lone, :1], pi_i[lone, :1] = ((size * t[lone][..., :1]).sum(axis=-2)
+                                          for t in (p_t, p_i))
+        last = np.asarray(deltas)[..., None] - 1
+        pi_te = (np.take_along_axis(pi_ho, last, -1)
+                 - np.take_along_axis(pi_t, last, -1)
+                 - np.take_along_axis(pi_i, last, -1))[..., 0]
     return ChainDistribution(pi_ho=pi_ho, class_pi_channel=pi_ch, class_p_t=p_t,
-                             class_p_i=p_i, pi_t=pi_t, pi_i=pi_i,
-                             pi_te=pi_ho[..., -1] - pi_t[..., -1] - pi_i[..., -1],
+                             class_p_i=p_i, pi_t=pi_t, pi_i=pi_i, pi_te=pi_te,
                              classes=classes)
+
+
+def worst_misdetection(class_p_d: np.ndarray, deltas=None):
+    """Max over classes and each point's first ``deltas`` stages of the
+    misdetection 1 - P_d, from a (..., n_classes, n_stages) table; by default
+    over every stage."""
+    p_md = 1.0 - class_p_d
+    if deltas is not None:
+        beyond = np.arange(p_md.shape[-1]) >= np.asarray(deltas)[..., None]
+        np.copyto(p_md, 0.0, where=beyond[..., None, :])  # p_md >= 0
+    # method-form reduction: this runs once per adaptive frame
+    return p_md.max(axis=(-2, -1))
 
 
 def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
@@ -419,13 +477,14 @@ def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
 @dataclass
 class ChainResult:
     """Everything the analytic model says about one (tau, p) point or a batch
-    of points of one stage budget.
+    of points.
 
     ``no_tx``, ``success`` and ``no_interf`` are the per-channel views,
     (..., n_pu, n_stages)."""
 
     params: SensingParams
-    n_stages: int
+    n_stages: int              # table length: the longest budget of the points
+    delta: int | np.ndarray    # each point's stage budget delta(tau)
     profiles: StageProfiles
     occupancy: OccupancyTable
     dist: ChainDistribution
@@ -478,8 +537,10 @@ def avg_interference(config: NetworkConfig, params: SensingParams,
 def analyze(config: NetworkConfig, params: SensingParams,
             resolved: ResolvedDetector) -> ChainResult:
     """Full analytic evaluation of one (tau, p) point, a tau row, or aligned
-    (tau, p) arrays whose points share the stage budget delta(tau)
-    (deterministic).  Points of unequal budget raise ``ScenarioError``."""
+    (tau, p) arrays of any stage budgets delta(tau) (deterministic).
+
+    One stage walk serves every point, to the longest budget; each point's
+    metrics equal those of a call at its budget alone, bit for bit."""
     params.validate(config.slot_duration)
     if np.ndim(params.tau) and np.shape(params.tau) != np.shape(params.p):
         raise ScenarioError(f"tau of shape {np.shape(params.tau)} is not "
@@ -487,12 +548,11 @@ def analyze(config: NetworkConfig, params: SensingParams,
     deltas = max_sensing_stages(config.slot_duration, params.tau,
                                 config.handoff_time, config.n_pu)
     n_stages = int(np.max(deltas))
-    if np.any(deltas != n_stages):
-        raise ScenarioError("analyze needs points of one stage budget, got "
-                            f"delta(tau) in {np.unique(deltas).tolist()}")
+    # the budgets of points that stop before the tables end; None if none do
+    budgets = None if np.all(deltas == n_stages) else deltas
     profiles = stage_profiles(config, params, resolved, n_stages)
     occupancy = occupancy_evolution(config, params, profiles)
-    dist = state_distribution(config, params, profiles, occupancy)
+    dist = state_distribution(config, params, profiles, occupancy, budgets)
     leak = np.max(np.abs(dist.disposition_total() - 1.0))
     if leak > _CLAMP_TOL:
         raise RsopError(f"chain disposition leaks {leak:.3e} of probability mass")
@@ -502,11 +562,16 @@ def analyze(config: NetworkConfig, params: SensingParams,
     success = dist.class_p_t * no_tx ** (config.n_su - 1)
     no_interf = (1.0 - dist.class_p_i) ** config.n_su
 
-    r = avg_throughput(config, params, success, classes)
-    t_i = avg_interference(config, params, no_interf, classes)
+    if budgets is None:
+        r = avg_throughput(config, params, success, classes)
+        t_i = avg_interference(config, params, no_interf, classes)
+    else:
+        r, t_i = _metrics_by_budget(config, params, budgets, success, no_interf,
+                                    classes)
     return ChainResult(
         params=params,
         n_stages=n_stages,
+        delta=deltas,
         profiles=profiles,
         occupancy=occupancy,
         dist=dist,
@@ -516,9 +581,30 @@ def analyze(config: NetworkConfig, params: SensingParams,
         throughput=r,
         network_throughput=config.n_su * r,
         interference=t_i,
-        p_md_max=np.max(1.0 - profiles.class_p_d, axis=(-2, -1)),
+        p_md_max=worst_misdetection(profiles.class_p_d, budgets),
         classes=classes,
     )
+
+
+def _metrics_by_budget(config: NetworkConfig, params: SensingParams, deltas,
+                       success: np.ndarray, no_interf: np.ndarray,
+                       classes: ChannelClasses):
+    """r and t_I of aligned points of several budgets, one budget group at a
+    time over a contiguous copy of its first delta stages, so each sum adds
+    in the order of a call at that budget alone."""
+    tau, p = np.ravel(params.tau), np.ravel(params.p)
+    flat = np.ravel(deltas)
+    cells = success.shape[-2:]
+    success, no_interf = (t.reshape((-1,) + cells) for t in (success, no_interf))
+    r, t_i = np.empty((2, flat.size))
+    # the distinct budgets; np.unique would import numpy.ma on first use
+    for delta in np.flatnonzero(np.bincount(flat)).tolist():
+        idx = np.flatnonzero(flat == delta)
+        group = SensingParams(tau[idx], p[idx])
+        r[idx] = avg_throughput(config, group, success[idx, :, :delta], classes)
+        t_i[idx] = avg_interference(config, group, no_interf[idx, :, :delta],
+                                    classes)
+    return r.reshape(np.shape(deltas)), t_i.reshape(np.shape(deltas))
 
 
 def analyze_scenario(scenario, tau: float | None = None,

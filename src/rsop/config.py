@@ -154,15 +154,14 @@ class NetworkConfig:
 class SensingParams:
     """Decision variables: sensing time tau (s) and sensing probability p."""
 
-    tau: float | np.ndarray  # an array, aligned with p, is one point per entry;
-                             # ``chain.analyze`` needs the points to share delta(tau)
+    tau: float | np.ndarray  # an array, aligned with p, is one point per entry
     p: float | np.ndarray  # an array with a scalar tau is a tau row
 
     def validate(self, slot_duration: float):
         """Range-check every entry; NaN is out of range."""
         tau = np.asarray(self.tau, dtype=float)
-        if not ((tau >= 0) & (tau <= slot_duration)).all():
-            raise ScenarioError(f"tau={self.tau} outside [0, T={slot_duration}]")
+        if not ((tau > 0) & (tau <= slot_duration)).all():
+            raise ScenarioError(f"tau={self.tau} outside (0, T={slot_duration}]")
         if not 0 <= np.min(self.p) <= np.max(self.p) <= 1:
             raise ScenarioError(f"p={self.p} outside [0, 1]")
 

@@ -131,7 +131,7 @@ def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
     """Analyzer sweep over p (default) or tau at the other's nominal value;
     the data behind the tradeoff figures.  The default tau values are the
     optimizer's tau axis, 40 steps.  The points are evaluated in batched
-    calls of equal stage budget, under one resolved detector.  Also writes
+    calls of mixed stage budget, under one resolved detector.  Also writes
     the per-(channel, stage) tables at the nominal point."""
     out_dir = Path(out_dir)
     config = scenario.config

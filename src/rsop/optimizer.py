@@ -3,8 +3,9 @@
 The decision space is two-dimensional and box-bounded regardless of network
 size, so an exhaustive grid evaluated through the chain analyzer is the
 reference solution the distributed algorithms are judged against.  The grid
-points are evaluated in groups of equal stage budget delta(tau), a few batched
-analyzer calls for the whole grid, and the result keeps them as columns.
+points are evaluated longest stage budget delta(tau) first, in a few batched
+analyzer calls of mixed budget for the whole grid, and the result keeps them
+as columns.
 """
 
 from __future__ import annotations
@@ -112,22 +113,24 @@ def _evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
     """:func:`evaluate_point` at every aligned (tau[i], p[i]), as columns in
     input order, one per ``PointEval`` field.
 
-    Points are grouped by their stage budget delta(tau); each group runs in
-    batched analyzer calls of at most ``_CHUNK_CELLS`` (channel class x stage)
-    cells each."""
+    The points run longest stage budget delta(tau) first, in batched analyzer
+    calls of mixed budget; a block holds at most ``_CHUNK_CELLS`` cells,
+    counted as points x its longest delta x channel classes."""
     SensingParams(tau, p).validate(config.slot_duration)
     deltas = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
                                 config.n_pu)
+    order = np.argsort(-deltas, kind="stable")
     r, t_i, p_md_max = np.empty((3, len(tau)))
-    # the distinct budgets; np.unique would import numpy.ma on first use
-    for delta in np.flatnonzero(np.bincount(deltas)).tolist():
-        group = np.flatnonzero(deltas == delta)
-        chunk = max(1, _CHUNK_CELLS // (resolved.classes.rep.size * delta))
-        for lo in range(0, len(group), chunk):
-            idx = group[lo:lo + chunk]
-            res = analyze(config, SensingParams(tau[idx], p[idx]), resolved)
-            r[idx], t_i[idx], p_md_max[idx] = (res.throughput, res.interference,
-                                               res.p_md_max)
+    lo = 0
+    while lo < len(order):
+        longest = int(deltas[order[lo]])
+        idx = order[lo:lo + max(1, _CHUNK_CELLS
+                                // (resolved.classes.rep.size * longest))]
+        res = analyze(config, SensingParams(tau[idx], p[idx]), resolved)
+        r[idx], t_i[idx], p_md_max[idx] = (res.throughput, res.interference,
+                                           res.p_md_max)
+        del res  # free this block's tables before the next block's are built
+        lo += len(idx)
     feasible = (t_i <= qos.t_i_max) & (p_md_max <= qos.p_md_max)
     return {"tau": tau, "p": p, "r": r, "t_i": t_i, "p_md_max": p_md_max,
             "feasible": feasible}
@@ -141,9 +144,9 @@ def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
     Returns the feasible point with maximum throughput; ties break toward
     smaller tau, then smaller p, so the result does not depend on evaluation
     order.  When nothing is feasible the best-throughput infeasible point is
-    reported with ``feasible=False``.  The analyzer runs over the whole grid,
-    batched by stage budget; ``evaluator(tau, p)`` may replace it, and only it
-    runs on ``n_jobs`` threads.
+    reported with ``feasible=False``.  The analyzer runs over the whole grid
+    in batched calls of mixed stage budget; ``evaluator(tau, p)`` may replace
+    it, and only it runs on ``n_jobs`` threads.
     """
     if n_jobs < 1:
         raise ScenarioError(f"n_jobs must be >= 1, got {n_jobs}")

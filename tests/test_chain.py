@@ -580,20 +580,107 @@ class TestAlignedPoints:
                     assert np.shape(got) == np.shape(one[name]), name
                     assert np.array_equal(got, one[name]), name
 
-    def test_unequal_budgets_are_rejected(self):
-        sc = load_scenario(bundled_scenario_path("adapt_ns3_np7"))
-        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-        # delta(2.5 ms) = 4, delta(4 ms) = 2
-        params = SensingParams(np.array([2.5e-3, 4e-3]), np.array([0.8, 0.8]))
-        with pytest.raises(ScenarioError, match="one stage budget"):
-            analyze(sc.config, params, resolved)
-
     def test_misaligned_arrays_are_rejected(self):
         config = make_config(n_su=3, n_pu=3, presence=0.5)
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
         params = SensingParams(np.array([1e-3, 1.1e-3]), np.array([0.2, 0.4, 0.6]))
         with pytest.raises(ScenarioError, match="aligned"):
             analyze(config, params, resolved)
+
+
+# the tables with a stage axis; a mixed-budget call runs them to its longest
+# budget, and each point's first delta stages are compared
+STAGED = {"class_p_d", "class_gamma", "class_occ", "l", "n_ho", "class_q",
+          "pi_ho", "class_pi_channel", "class_p_t", "class_p_i", "pi_t", "pi_i",
+          "class_no_tx", "class_success", "class_no_interf"}
+
+
+def assert_one_call_equals_one_call_per_budget(config, resolved, tau, p):
+    """``analyze`` over aligned (tau, p) of several budgets equals one call per
+    budget, with ``==``, on each point's own stages and on every metric; past
+    its budget a point holds no probes and no exits."""
+    deltas = max_sensing_stages(config.slot_duration, tau, config.handoff_time,
+                                config.n_pu)
+    assert len(np.unique(deltas)) > 1
+    whole = analyze(config, SensingParams(tau, p), resolved)
+    assert whole.n_stages == deltas.max()
+    assert np.array_equal(whole.delta, deltas)
+    mixed = class_tables(whole)
+    for delta in np.unique(deltas):
+        idx = np.flatnonzero(deltas == delta)
+        group = class_tables(analyze(config, SensingParams(tau[idx], p[idx]),
+                                     resolved))
+        for name, table in group.items():
+            got = mixed[name]
+            # explicit mode's p_fa has no point axis
+            if name != "class_p_fa" or resolved.mode != "explicit":
+                got = got[idx]
+            if name in STAGED:
+                got = got[..., :delta]
+            assert np.shape(got) == np.shape(table), name
+            assert np.array_equal(got, table), name
+
+    beyond = np.arange(whole.n_stages) >= deltas[:, None]
+    for name in ("class_pi_channel", "class_p_t", "class_p_i", "class_success"):
+        assert (mixed[name][np.broadcast_to(beyond[:, None, :],
+                                            mixed[name].shape)] == 0).all()
+    assert (whole.class_no_tx[np.broadcast_to(
+        beyond[:, None, :], whole.class_no_tx.shape)] == 1).all()
+
+
+class TestMixedBudgets:
+    """One call over aligned points of several stage budgets equals one call
+    per budget."""
+
+    @pytest.mark.parametrize("path,p_steps", [
+        (bundled_scenario_path("validation_ns5_np100"), 2),
+        (bundled_scenario_path("false_alarm_np5"), 3),
+        (MIXED, 3), (MIXED_PER_STAGE, 3),
+    ], ids=["validation_ns5_np100", "false_alarm_np5", "mixed",
+            "mixed-per-stage"])
+    def test_one_call_equals_one_call_per_budget(self, path, p_steps):
+        sc = load_scenario(path)
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=16,
+                                    p_steps=p_steps)
+        tau = np.repeat(grid.tau_values(), p_steps)
+        p = np.tile(grid.p_values(), 16)
+        # interleave the budgets, so no budget group is a slice of the block
+        order = np.random.default_rng(0).permutation(len(tau))
+        assert_one_call_equals_one_call_per_budget(sc.config, resolved,
+                                                   tau[order], p[order])
+
+    def test_many_channel_classes(self):
+        # 12 classes: numpy sums 8 or more terms pairwise, so the class sums
+        # would show a change of summation order
+        config = make_config(n_su=6, n_pu=12, presence=np.linspace(0.05, 0.9, 12))
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+        assert resolved.classes.rep.size == 12
+        assert_one_call_equals_one_call_per_budget(
+            config, resolved, np.linspace(0.4e-3, 5e-3, 40),
+            np.linspace(0.1, 1.0, 40))
+
+    def test_budgets_span_the_whole_range(self):
+        # the block above on validation_ns5_np100 runs from 94 stages to 1
+        sc = load_scenario(bundled_scenario_path("validation_ns5_np100"))
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=16, p_steps=2)
+        deltas = max_sensing_stages(sc.config.slot_duration, grid.tau_values(),
+                                    sc.config.handoff_time, sc.config.n_pu)
+        assert (deltas.min(), deltas.max()) == (1, 94)
+
+    def test_pair_of_budgets_equals_scalar_calls(self):
+        sc = load_scenario(bundled_scenario_path("adapt_ns3_np7"))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        # delta(2.5 ms) = 3, delta(4 ms) = 2
+        res = analyze(sc.config, SensingParams(np.array([2.5e-3, 4e-3]),
+                                               np.array([0.8, 0.8])), resolved)
+        assert res.n_stages == 3 and res.delta.tolist() == [3, 2]
+        for k, tau in enumerate((2.5e-3, 4e-3)):
+            one = analyze(sc.config, SensingParams(tau, 0.8), resolved)
+            assert one.delta == one.n_stages
+            assert res.throughput[k] == one.throughput
+            assert res.interference[k] == one.interference
+            assert res.p_md_max[k] == one.p_md_max
 
 
 class TestStageBudget:

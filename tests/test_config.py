@@ -175,13 +175,20 @@ class TestInvariants:
         sc = load_bundled("adapt_ns3_np7")
         t = sc.config.slot_duration
         p = np.full(3, 0.5)
-        SensingParams(tau=np.array([0.0, 4e-3, t]), p=p).validate(t)
-        for bad in ([1e-3, 2 * t, 4e-3], [1e-3, -1e-9, 4e-3],
+        SensingParams(tau=np.array([1e-9, 4e-3, t]), p=p).validate(t)
+        for bad in ([1e-3, 2 * t, 4e-3], [1e-3, -1e-9, 4e-3], [1e-3, 0.0, 4e-3],
                     [1e-3, np.nan, 4e-3], [np.nan] * 3):
             with pytest.raises(ScenarioError, match="outside"):
                 SensingParams(tau=np.array(bad), p=p).validate(t)
         with pytest.raises(ScenarioError):
             SensingParams(tau=float("nan"), p=0.5).validate(t)
+
+    def test_zero_sensing_time_does_not_load(self):
+        # no sample is taken in tau = 0, so every run would fail later
+        doc = deep(GOOD)
+        doc["sensing"]["tau"] = 0
+        with pytest.raises(ScenarioError, match=r"tau=0.* outside \(0, T="):
+            scenario_from_dict(doc)
 
     def test_qos_box(self):
         with pytest.raises(ScenarioError):

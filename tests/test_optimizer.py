@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import default_qos, explicit_detector, make_config, make_scenario
-from rsop import optimizer
+from rsop import chain, optimizer
 from rsop.chain import analyze, resolve_detector
 from rsop.config import (
     DetectorSpec,
@@ -213,7 +213,7 @@ MIXED_DIR = Path(__file__).with_name("scenarios")
 
 
 class TestStageBudgetGroups:
-    """The whole grid is evaluated in groups of equal delta(tau)."""
+    """The whole grid is evaluated in blocks of mixed delta(tau)."""
 
     @pytest.mark.parametrize("path", [
         bundled_scenario_path("validation_ns5_np20"),
@@ -231,19 +231,44 @@ class TestStageBudgetGroups:
         assert len(np.unique(deltas)) > 1
         assert_points_match(sc, tau, p)
 
-    @pytest.mark.parametrize("name,calls", [("validation_ns5_np100", 21),
-                                            ("dense_ns20_np5", 5)])
-    def test_calls_per_default_grid(self, name, calls, monkeypatch):
-        # validation_ns5_np100 has 1 channel class and budgets up to 94
-        # stages, so its groups split into chunks; dense_ns20_np5 has 5
-        # budgets of one chunk each
+    @pytest.mark.parametrize("name,calls,stages", [
+        ("validation_ns5_np100", 4, 148), ("dense_ns20_np5", 2, 7)])
+    def test_calls_per_default_grid(self, name, calls, stages, monkeypatch):
+        # 1 channel class each; the cell cap cuts the points, longest budget
+        # first, into blocks of 94, 38, 12 and 4 stages (validation_ns5_np100,
+        # budgets 94 down to 1) and of 5 and 2 stages (dense_ns20_np5).
+        # ``stages`` counts the stage walk's iterations.
         sc = load_scenario(bundled_scenario_path(name))
-        seen = []
+        seen, walked = [], []
         monkeypatch.setattr(optimizer, "analyze",
                             lambda *args: seen.append(args) or analyze(*args))
+        walk = chain._walk
+        monkeypatch.setattr(chain, "_walk", lambda config, params, profiles:
+                            walked.append(profiles.n_stages)
+                            or walk(config, params, profiles))
         res = optimize_scenario(sc)
         assert len(seen) == calls
+        assert sum(walked) == stages
         assert len(res.table) == 64 * 64
+
+    def test_blocks_stay_under_the_cell_cap(self, monkeypatch):
+        # shuffled points: a block is cut by its longest budget wherever
+        # that point sits
+        sc = load_scenario(bundled_scenario_path("validation_ns5_np100"))
+        grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=16, p_steps=64)
+        tau, p = grid_points(grid)
+        order = np.random.default_rng(1).permutation(len(tau))
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        cells = []
+
+        def recording(config, params, resolved):
+            res = analyze(config, params, resolved)
+            cells.append(np.size(params.p) * res.n_stages)  # 1 channel class
+            return res
+
+        monkeypatch.setattr(optimizer, "analyze", recording)
+        _evaluate_points(sc.config, tau[order], p[order], sc.qos, resolved)
+        assert len(cells) > 1 and max(cells) <= optimizer._CHUNK_CELLS
 
     def test_points_keep_input_order(self):
         sc = load_scenario(bundled_scenario_path("dense_ns20_np5"))
