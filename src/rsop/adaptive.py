@@ -9,10 +9,13 @@ a little shorter and more eagerly.  No messages pass between SUs.
 
 The SUs update independently and in lockstep, so the closed loop holds their
 state as (N_s,) arrays: each frame makes one simulator call, one
-``stage_profiles`` call for every SU's misdetection check (each SU masked to
-its own delta(tau) stages), one estimate, one update and, for fine tuning,
-one broadcast of the per-stage tables.  Called with one SU's floats, the
-same functions give that SU's view.
+misdetection check for every SU (each SU masked to its own delta(tau)
+stages), one estimate, one update and, for fine tuning, one broadcast of the
+per-stage tables.  The check reads the stage-1 P_fa and P_md from the
+threshold table the simulator has just built at the same tau, so with the
+energy detector a frame evaluates Q in two passes: the table and the
+check's mean-field stage 2.  Called with one SU's floats, the same functions
+give that SU's view.
 
 The update is a projected stochastic subgradient step, so the classic
 square-summable step-size machinery applies; the diagnostics here implement
@@ -31,16 +34,24 @@ import numpy.random  # loaded here, not lazily on the first generator
 
 from .chain import (
     ResolvedDetector,
+    _clamp01,
     analyze,
     resolve_detector,
+    stage2_snr,
     stage_profiles,
     worst_misdetection,
 )
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
-from .detector import sensing_time_floor
+from .detector import detection_prob, sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
-from .simulator import BLOCK_SLOTS, SlotBatch, SuSchedules, simulate_slots
+from .simulator import (
+    BLOCK_SLOTS,
+    SlotBatch,
+    SuSchedules,
+    _threshold_table,
+    simulate_slots,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +350,44 @@ def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
     )
 
 
-def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p, deltas):
+def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
+                   deltas, thresholds=None):
     """Worst-stage misdetection each SU computes locally for its current tau:
     the ``p_md_max`` of ``analyze``, over the same ``deltas`` = delta(tau) stages.
 
-    Scalars give one SU's value.  Aligned (N_s,) arrays give every SU's value
-    from one ``stage_profiles`` call over the longest budget; the stages past
-    an SU's own delta do not count."""
+    Scalars give one SU's value, aligned (N_s,) arrays every SU's value; the
+    stages past an SU's own delta do not count.  One ``stage_profiles`` call
+    over the longest budget gives them, unless ``thresholds`` is given for
+    an energy detector: a ``simulator`` threshold table whose stage-1 row is
+    at sensing times ``tau``, such as the one of the frame just simulated.
+    Then the stage-1 P_fa and P_md are read from that row, and only the
+    mean-field stage 2 takes a detector pass, through the same
+    ``stage2_snr`` as ``stage_profiles``, to the same bits.  Explicit and
+    ``per_stage_snr`` detectors always take ``stage_profiles``; the explicit
+    one's evaluates no detector formula.
+    """
     deltas = np.asarray(deltas)
-    prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved,
-                          int(deltas.max()))
-    return worst_misdetection(prof.class_p_d, deltas)
+    ns = int(deltas.max())
+    if (thresholds is None or resolved.mode != "energy"
+            or resolved.per_stage_snr):
+        prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved, ns)
+        return worst_misdetection(prof.class_p_d, deltas)
+    rep = resolved.classes.rep
+    # (SU, class, [P_fa, stage-1 P_d, stage-2 P_d]); stages past 2 repeat
+    # stage 2, so two stages give the same worst case
+    checks = np.empty(deltas.shape + (rep.size, 3))
+    # row 0's idle cell holds P_fa, its lone-PU cell P_md = 1 - P_d
+    stage1 = thresholds[0, :, :, 0].take(rep, axis=-1)
+    checks[..., 0] = stage1[:, 0]
+    checks[..., 1] = 1.0 - stage1[:, 1]
+    if ns > 1:
+        gamma2 = stage2_snr(config, rep, p, checks[..., 0], checks[..., 1])
+        checks[..., 2] = detection_prob(resolved.lambda_norm[rep],
+                                        np.asarray(tau)[..., None],
+                                        config.sampling_freq, gamma2)
+    # range-checked once, as stage_profiles checks its tables
+    checks = _clamp01(checks[..., :ns + 1], "p_fa and p_d")
+    return worst_misdetection(checks[..., 1:], np.minimum(deltas, 2))
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -410,7 +448,15 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
             deltas = schedules.delta
 
         batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
-        p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas)
+        # The check reads stage 1 from the frame's threshold table, which
+        # holds it at the schedule's stage-1 tau.  alg2 lifts a tau below
+        # the floor to the floor, and for such a frame the check builds the
+        # row at its own tau.
+        thresholds = batch._loop.thresholds
+        if (schedules.tau[:, 0] != state.tau).any():
+            thresholds = _threshold_table(config, resolved, state.tau[:, None], 1)
+        p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas,
+                              thresholds)
         est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
 
         f_visited = float("nan")
@@ -482,6 +528,11 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
     """
     if n_realizations < 4:  # at least one per step quadrant
         raise ScenarioError(f"n_realizations must be >= 4, got {n_realizations}")
+    taus, ps = np.atleast_1d(taus), np.atleast_1d(ps)
+    if len(taus) != len(ps):
+        raise ScenarioError(
+            f"subgradient-field needs one p per tau, got {len(taus)} taus "
+            f"and {len(ps)} ps")
     config, qos = scenario.config, scenario.qos
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
     cfg = _adaptive_cfg(scenario, resolved)
@@ -509,7 +560,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
         return np.concatenate(r), np.concatenate(t)
 
     out = []
-    for tau, p in zip(np.atleast_1d(taus), np.atleast_1d(ps)):
+    for tau, p in zip(taus, ps):
         tau, p = float(tau), float(p)
         g_samples = []
         for s_tau in (1.0, -1.0):

@@ -275,17 +275,26 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
         _walk(config, params, profiles, lambda i, senders: detect(
             i, received_snr(config, presence, senders, rep)))
     elif ns > 1:
-        # gamma2: the mean-field count of stage-1 transmitters,
-        # (N_s p / N_p)(1 - q_m1), with p as a column against the per-class q1
-        q1 = _handoff_prob(presence, p_fa, p_d[..., 0])
-        p = np.asarray(params.p)[..., None]
-        detect(1, received_snr(config, presence,
-                               (config.n_su * p / config.n_pu) * (1.0 - q1), rep))
+        detect(1, stage2_snr(config, rep, params.p, p_fa, p_d[..., 0]))
         gamma[..., 2:] = gamma[..., 1:2]
         p_d[..., 2:] = p_d[..., 1:2]
     profiles.class_p_fa = _clamp01(p_fa, "p_fa")
     profiles.class_p_d = _clamp01(p_d, "p_d")
     return profiles
+
+
+def stage2_snr(config: NetworkConfig, rep, p, p_fa, p_d1):
+    """Mean-field stage-2 SNR gamma2 of the classes whose representative
+    channels are ``rep``, from their stage-1 P_fa and P_d (arrays of shape
+    (..., n_classes)) at sensing probability ``p`` (shape (...)).
+
+    The senders are the mean-field count of stage-1 transmitters,
+    (N_s p / N_p)(1 - q_m1), with p as a column against the per-class q1."""
+    presence = config.presence_prob[rep]
+    q1 = _handoff_prob(presence, p_fa, p_d1)
+    p = np.asarray(p)[..., None]
+    return received_snr(config, presence,
+                        (config.n_su * p / config.n_pu) * (1.0 - q1), rep)
 
 
 def _tau_runs(tau):

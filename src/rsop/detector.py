@@ -6,7 +6,8 @@ statistic over w = tau * f_s samples:
     P_fa = Q((lambda/sigma_z^2 - 1) sqrt(tau f_s))
     P_md = 1 - Q((lambda/sigma_z^2 - 1 - gamma) sqrt(tau f_s / (1 + 2 gamma)))
 
-with Q the standard normal upper tail, taken from the standard library:
+that is, one tail :func:`exceed_prob` at gamma = 0 and its complement at
+gamma, with Q the standard normal upper tail, taken from the standard library:
 Q(x) = erfc(x / sqrt 2) / 2 with :func:`math.erfc`, and Q^{-1} from
 :meth:`statistics.NormalDist.inv_cdf` (Wichura's AS241 algorithm, Applied
 Statistics 37, 1988).  The false alarm never depends on the
@@ -64,22 +65,29 @@ def _check_samples(tau, f_s):
         raise TooFewSamples(f"tau*f_s={np.min(np.asarray(tau) * f_s)} < 1 sample")
 
 
-def false_alarm_prob(lambda_norm, tau, f_s):
-    """False-alarm probability; stage-independent for a fixed threshold."""
-    _check_samples(tau, f_s)
-    return q_function((np.asarray(lambda_norm) - 1.0) * np.sqrt(np.asarray(tau) * f_s))
+def exceed_prob(lambda_norm, tau, f_s, gamma):
+    """Probability that the energy statistic exceeds the threshold at received
+    SNR ``gamma`` (linear): Q((lambda - 1 - gamma) sqrt(tau f_s / (1 + 2 gamma))).
 
-
-def misdetection_prob(lambda_norm, tau, f_s, gamma):
-    """Misdetection probability at received SNR ``gamma`` (linear)."""
+    P_fa at gamma = 0, where lambda - 1 - 0 and tau f_s / 1 are exact, so it
+    is the false-alarm formula to the bit; the detection probability at
+    gamma > 0, whose complement is the misdetection."""
     g = np.asarray(gamma, dtype=float)
     if (g < 0).any():
         raise DegenerateSnr("gamma must be nonnegative")
     _check_samples(tau, f_s)
-    arg = (np.asarray(lambda_norm) - 1.0 - g) * np.sqrt(
-        np.asarray(tau) * f_s / (1.0 + 2.0 * g)
-    )
-    return 1.0 - q_function(arg)
+    return q_function((np.asarray(lambda_norm) - 1.0 - g) * np.sqrt(
+        np.asarray(tau) * f_s / (1.0 + 2.0 * g)))
+
+
+def false_alarm_prob(lambda_norm, tau, f_s):
+    """False-alarm probability; stage-independent for a fixed threshold."""
+    return exceed_prob(lambda_norm, tau, f_s, 0.0)
+
+
+def misdetection_prob(lambda_norm, tau, f_s, gamma):
+    """Misdetection probability at received SNR ``gamma`` (linear)."""
+    return 1.0 - exceed_prob(lambda_norm, tau, f_s, gamma)
 
 
 def detection_prob(lambda_norm, tau, f_s, gamma):

@@ -360,10 +360,6 @@ def run_subgradient_field(scenario: Scenario, out_dir, taus=None, ps=None,
     out_dir = Path(out_dir)
     if taus is None or ps is None:
         raise ScenarioError("subgradient-field needs explicit probe points")
-    if len(taus) != len(ps):
-        raise ScenarioError(
-            f"subgradient-field needs one p per tau, got {len(taus)} taus "
-            f"and {len(ps)} ps")
     points = subgradient_field(scenario, taus, ps,
                                n_realizations=n_realizations, seed=seed)
     g = np.reshape([pt.mean_g for pt in points], (-1, 2))

@@ -8,10 +8,13 @@ error probabilities, with detection evaluated at the realized accumulated
 signal power (the chain model's :func:`rsop.detector.received_snr`, at the
 realized PU state and count of earlier SU transmitters) when the energy
 detector is in use.  P_fa depends only on the SU's tau and the channel, P_md
-only on those, the PU state and that count, so each call evaluates
-:mod:`rsop.detector` once on a table of those cells for every distinct stage
-column of the schedule and channel class, and every probe reads its threshold
-with one gather.
+only on those, the PU state and that count, so each call evaluates the
+detector's tail :func:`rsop.detector.exceed_prob` in one pass over a table of
+those cells, for every distinct stage column of the schedule and channel
+class: the idle cell (PU absent, no earlier sender) is the cell at SNR 0,
+whose tail is P_fa, and the busy cells take its complement, P_md.  Every
+probe reads its threshold with one gather, and the adaptive loop's
+misdetection check reads the table's stage-1 row.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  Each stage finds the cells that start
@@ -36,7 +39,7 @@ import numpy.random  # loaded here, not lazily on the first generator
 from .chain import ResolvedDetector, resolve_detector
 from .config import NetworkConfig, SensingParams
 from .core import max_sensing_stages
-from .detector import false_alarm_prob, misdetection_prob, received_snr
+from .detector import exceed_prob, received_snr
 from .errors import ScenarioError
 
 # Slots per simulate_slots call in a replication; a longer run is streamed.
@@ -131,7 +134,8 @@ class _OnFirstRead:
 
 class _LoopState(NamedTuple):
     """What ``simulate_slots``' stage loop leaves for the fields built on
-    first read."""
+    first read, and its threshold table, whose stage-1 row the adaptive
+    loop's misdetection check reads."""
 
     # (slot, SU) final state code (pu * (N_s + 1) + SUs there) * N_p of the
     # channel the SU transmitted on; garbage where it did not
@@ -139,6 +143,7 @@ class _LoopState(NamedTuple):
     tx_rt: np.ndarray    # (slot, SU) time left after the transmit stage; 0 if none
     pu: np.ndarray       # (slot, channel) PU present
     delta: np.ndarray    # (SU,) stage budget
+    thresholds: np.ndarray  # the schedule's ``_threshold_table``
     slot: float          # T
     n_pu: int
     n_su: int
@@ -204,12 +209,14 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
         return table
     rep, f_s = resolved.classes.rep, config.sampling_freq
     lam = resolved.lambda_norm[rep]
-    # (2, N_s + 1, class): the realized SNR of every busy state
+    # (2, N_s + 1, class): the realized SNR of every state, 0 in the idle one
     gamma = received_snr(config, np.arange(2)[:, None, None],
                          np.arange(ns + 1)[:, None], rep)
-    tau_sn = tau.T[:, :, None]  # (column, SU, 1), against the per-class lambda
-    table = misdetection_prob(lam, tau_sn[..., None, None], f_s, gamma)
-    table[:, :, 0, 0] = false_alarm_prob(lam, tau_sn, f_s)
+    # one tail over every cell, against the per-class lambda: the idle cell's
+    # gamma is 0, so its tail is P_fa; the busy cells take its complement
+    tail = exceed_prob(lam, tau.T[:, :, None, None, None], f_s, gamma)
+    table = 1.0 - tail
+    table[:, :, 0, 0] = tail[:, :, 0, 0]
     # (column, SU, 2, N_s + 1, channel) from the classes; take() makes it
     # C-contiguous, so each stage's flat gather reads it without a copy
     return table.take(resolved.classes.of, axis=-1)
@@ -351,7 +358,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         overhead=overhead,
     )
     batch._loop = _LoopState(at_tx=at_tx, tx_rt=tx_rt, pu=pu,
-                             delta=schedules.delta, slot=T, n_pu=NP, n_su=NS)
+                             delta=schedules.delta, thresholds=thresholds,
+                             slot=T, n_pu=NP, n_su=NS)
     return batch
 
 

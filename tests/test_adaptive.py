@@ -20,12 +20,16 @@ from rsop.adaptive import (
     corollary_check,
     frame_estimate,
     run_adaptive,
+    subgradient_field,
 )
+import rsop.adaptive
+import rsop.detector
 from rsop.chain import analyze, resolve_detector
 from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams, load_bundled
 from rsop.core import max_sensing_stages
+from rsop.detector import sensing_time_floor
 from rsop.errors import InvalidSchedule, ScenarioError, ShortFrame
-from rsop.simulator import SuSchedules, simulate_slots
+from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
 
 T = 10e-3
 
@@ -283,13 +287,57 @@ class TestAnalyticMisdetection:
         for tau, p, value in zip(taus, ps, got):
             assert value == analyze(config, SensingParams(tau, p), resolved).p_md_max
 
+    @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
+    @pytest.mark.parametrize("taus", [[6e-3, 1e-3, 3e-3, 6e-3, 1.5e-3, 1e-3],
+                                      [6e-3, 7e-3, 6e-3]],
+                             ids=["budgets-1-to-9", "one-stage"])
+    def test_threshold_table_gives_the_same_bits(self, detector, taus):
+        # stage 1 read from the frame's threshold table, stage 2 evaluated
+        # anew: the bits of the stage_profiles path
+        config = make_config(n_su=20, n_pu=10, presence=0.5)
+        resolved = resolve_detector(config, detector, default_qos(), 1e-3)
+        taus = np.array(taus)
+        ps = np.linspace(0.1, 0.9, taus.size)
+        deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
+        table = _threshold_table(config, resolved, taus[:, None], deltas.max())
+        got = _analytic_p_md(config, resolved, taus, ps, deltas, table)
+        want = _analytic_p_md(config, resolved, taus, ps, deltas)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    @pytest.mark.parametrize("name", ["adapt_ns3_np7", "sparse_ns3_np7",
+                                      "below-floor"])
+    def test_every_frame_matches_stage_profiles(self, monkeypatch, name,
+                                                algorithm):
+        # sparse_ns3_np7 starts its tau 6e-20 s below the floor, and
+        # below-floor starts at half the floor: alg2's first frame simulates
+        # stage 1 at the floor while the check is at the SU's own tau, so
+        # the check must not read that frame's table
+        if name == "below-floor":
+            sc = load_bundled("adapt_ns3_np7")
+            floor = sensing_time_floor(sc.config, sc.qos)
+            sc = replace(sc, adaptive=replace(sc.adaptive, initial_tau=floor / 2))
+        else:
+            sc = load_bundled(name)
+        checked = []
+
+        def check(config, resolved, tau, p, deltas, thresholds=None):
+            got = _analytic_p_md(config, resolved, tau, p, deltas, thresholds)
+            want = _analytic_p_md(config, resolved, tau, p, deltas)
+            checked.append(got.tobytes() == want.tobytes())
+            return got
+
+        monkeypatch.setattr(rsop.adaptive, "_analytic_p_md", check)
+        run_adaptive(sc, algorithm, n_frames=10, seed=2)
+        assert checked == [True] * 10
+
 
 class TestFrameEstimate:
     def test_short_frame_rejected(self):
         config = make_config(n_su=2, n_pu=2)
         from rsop.chain import resolve_detector
         from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, simulate_slots
+        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
         sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 0.5))
         batch = simulate_slots(config, sched, resolved, 5,
@@ -303,7 +351,7 @@ class TestFrameEstimate:
         config = make_config(n_su=2, n_pu=2)
         from rsop.chain import resolve_detector
         from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, simulate_slots
+        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
         sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 0.5))
         batch = simulate_slots(config, sched, resolved, 5,
@@ -315,7 +363,7 @@ class TestFrameEstimate:
         config = make_config(n_su=3, n_pu=2, presence=1.0)  # everything busy
         from rsop.chain import resolve_detector
         from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, simulate_slots
+        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.1, 1.0), None, 1e-3)
         sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 1.0))
         batch = simulate_slots(config, sched, resolved, 30,
@@ -327,7 +375,7 @@ class TestFrameEstimate:
         config = make_config(n_su=1, n_pu=1, presence=0.0)
         from rsop.chain import resolve_detector
         from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, simulate_slots
+        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.0, 0.9), None, 2e-3)
         sched = SuSchedules.homogeneous(config, SensingParams(2e-3, 1.0))
         batch = simulate_slots(config, sched, resolved, 25,
@@ -420,8 +468,10 @@ class TestAgainstPerSuReference:
     exactly, every FrameLog field of every frame."""
 
     @pytest.mark.parametrize("algorithm", [1, 2])
+    # sparse_ns3_np7 starts its tau just below the floor, so alg2's first
+    # schedule lifts stage 1 to the floor and the check builds its own row
     @pytest.mark.parametrize("name", ["adapt_ns3_np7", "dense_ns20_np5",
-                                      "validation_ns5_np100"])
+                                      "sparse_ns3_np7", "validation_ns5_np100"])
     def test_bundled_scenarios(self, name, algorithm):
         sc = load_bundled(name)
         _assert_runs_equal(run_adaptive(sc, algorithm, n_frames=40, seed=2),
@@ -452,6 +502,39 @@ class TestAgainstPerSuReference:
                                    track_objective=True)
         assert not math.isnan(want.frames[-1].f_best)
         _assert_runs_equal(got, want)
+
+
+class TestDetectorPasses:
+    """Q passes per adaptive frame, counted through ``detector.q_function``:
+    an energy detector's frame evaluates its threshold table in one pass and
+    the check's mean-field stage 2 in one more, as the check reads stage 1
+    from the table; an explicit detector's frame evaluates none."""
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    @pytest.mark.parametrize("detector, passes",
+                             [(None, 2), (DETECTORS[0], 0)],
+                             ids=["energy", "explicit-list"])
+    def test_passes_per_frame(self, monkeypatch, algorithm, detector, passes):
+        sc = load_bundled("adapt_ns3_np7")
+        if detector is not None:
+            sc = replace(sc, detector=detector)
+        calls = []
+        q_function = rsop.detector.q_function
+
+        def counted(x):
+            calls.append(1)
+            return q_function(x)
+
+        monkeypatch.setattr(rsop.detector, "q_function", counted)
+        run_adaptive(sc, algorithm, n_frames=20, seed=0)
+        assert len(calls) == 20 * passes
+
+
+def test_subgradient_field_rejects_unequal_probe_lengths():
+    # zip would drop the second tau
+    with pytest.raises(ScenarioError, match="one p per tau"):
+        subgradient_field(load_bundled("adapt_ns3_np7"), [1e-3, 2e-3], [0.5],
+                          n_realizations=4)
 
 
 class TestShortRun:

@@ -22,6 +22,33 @@ from rsop.errors import DegenerateSnr, TooFewSamples
 F_S = 6.857e6
 
 
+class TestFalseAlarmBits:
+    """P_fa is the detector's tail at gamma = 0, to the bit of the direct
+    formula Q((lambda - 1) sqrt(tau f_s))."""
+
+    @staticmethod
+    def direct(lam, tau):
+        return q_function((np.asarray(lam) - 1.0) * np.sqrt(np.asarray(tau) * F_S))
+
+    LAMS = np.array([0.5, 1.0, 1.0 + 1e-12, 1.0023456789, 1.01, 1.05, 1.3, 2.0])
+    TAUS = np.geomspace(1.0 / F_S, 1e-2, 23)
+
+    def test_array_tau(self):
+        lam, tau = self.LAMS[:, None], self.TAUS[None, :]
+        got = false_alarm_prob(lam, tau, F_S)
+        assert got.shape == (self.LAMS.size, self.TAUS.size)
+        assert got.tobytes() == self.direct(lam, tau).tobytes()
+
+    def test_scalar_tau(self):
+        for tau in self.TAUS:
+            assert (false_alarm_prob(self.LAMS, float(tau), F_S).tobytes()
+                    == self.direct(self.LAMS, float(tau)).tobytes())
+            for lam in self.LAMS:
+                got = false_alarm_prob(float(lam), float(tau), F_S)
+                assert type(got) is np.float64
+                assert got.tobytes() == self.direct(float(lam), float(tau)).tobytes()
+
+
 class TestQFunction:
     def test_symmetry_point(self):
         assert q_function(0.0) == pytest.approx(0.5)
