@@ -375,19 +375,22 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
     rep = resolved.classes.rep
     # (SU, class, [P_fa, stage-1 P_d, stage-2 P_d]); stages past 2 repeat
     # stage 2, so two stages give the same worst case
-    checks = np.empty(deltas.shape + (rep.size, 3))
+    checks = np.empty(deltas.shape + (rep.size, min(ns, 2) + 1))
     # row 0's idle cell holds P_fa, its lone-PU cell P_md = 1 - P_d
     stage1 = thresholds[0, :, :, 0].take(rep, axis=-1)
     checks[..., 0] = stage1[:, 0]
-    checks[..., 1] = 1.0 - stage1[:, 1]
+    np.subtract(1.0, stage1[:, 1], out=checks[..., 1])
     if ns > 1:
-        gamma2 = stage2_snr(config, rep, p, checks[..., 0], checks[..., 1])
-        checks[..., 2] = detection_prob(resolved.lambda_norm[rep],
-                                        np.asarray(tau)[..., None],
+        terms = resolved.terms(config)
+        gamma2 = stage2_snr(config, rep, terms.presence, p, checks[..., 0],
+                            checks[..., 1])
+        checks[..., 2] = detection_prob(terms.lam, np.asarray(tau)[..., None],
                                         config.sampling_freq, gamma2)
-    # range-checked once, as stage_profiles checks its tables
-    checks = _clamp01(checks[..., :ns + 1], "p_fa and p_d")
-    return worst_misdetection(checks[..., 1:], np.minimum(deltas, 2))
+    # range-checked once, as stage_profiles checks its tables; with one
+    # stage, every SU's budget covers it
+    checks = _clamp01(checks, "p_fa and p_d")
+    return worst_misdetection(checks[..., 1:], np.minimum(deltas, 2)
+                              if ns > 1 else None)
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -436,24 +439,27 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     frames: list[FrameLog] = []
     f_best = math.inf
     for _ in range(n_frames):
-        # delta(tau), once per frame.  alg2's schedule budgets its own stage 1,
-        # max(tau_floor, tau), so it keeps a delta of its own.
+        # delta(tau), once per frame.  alg2's schedule budgets its own stage
+        # 1, max(tau_floor, tau): that is tau, and so the same delta, unless
+        # the floor lifts it.
+        lifted = False
         if algorithm == 2:
             deltas = max_sensing_stages(config.slot_duration, state.tau,
                                         config.handoff_time, config.n_pu)
+            tau_table, p_table = alg2_stage_schedule(state, deltas, cfg)
+            lifted = (tau_table[:, 0] != state.tau).any()
             schedules = SuSchedules.from_stage_table(
-                config, *alg2_stage_schedule(state, deltas, cfg))
+                config, tau_table, p_table, None if lifted else deltas)
         else:
             schedules = SuSchedules.from_per_su(config, state.tau, state.p)
             deltas = schedules.delta
 
         batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
         # The check reads stage 1 from the frame's threshold table, which
-        # holds it at the schedule's stage-1 tau.  alg2 lifts a tau below
-        # the floor to the floor, and for such a frame the check builds the
-        # row at its own tau.
+        # holds it at the schedule's stage-1 tau; for a frame whose stage 1
+        # the floor lifted, the check builds the row at the SUs' own tau.
         thresholds = batch._loop.thresholds
-        if (schedules.tau[:, 0] != state.tau).any():
+        if lifted:
             thresholds = _threshold_table(config, resolved, state.tau[:, None], 1)
         p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas,
                               thresholds)

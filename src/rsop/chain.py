@@ -38,7 +38,7 @@ with the class index only where a caller reads a per-channel table (``p_d``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .detector import (
     detection_prob,
     false_alarm_prob,
     received_snr,
+    tail_terms,
     threshold_for_detection,
     threshold_for_false_alarm,
 )
@@ -62,7 +63,10 @@ def _clamp01(x, what: str):
     bug."""
     # method-form reductions: this check runs several times per analyzed point
     x = np.asarray(x, dtype=float)
-    worst = max(float(x.max(initial=0.0)) - 1.0, -float(x.min(initial=1.0)))
+    lo, hi = float(x.min(initial=1.0)), float(x.max(initial=0.0))
+    if lo > 0.0 and hi <= 1.0:  # clip() would change nothing (not even -0.0)
+        return x
+    worst = max(hi - 1.0, -lo)
     if not worst <= _CLAMP_TOL:  # also true for NaN, which max propagates
         raise RsopError(f"{what} left [0,1] by {worst:.3e}")
     return x.clip(0.0, 1.0, out=x)
@@ -121,6 +125,18 @@ class _PerChannel:
 # Detector resolution and stage profiles
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DetectorTerms:
+    """An energy detector's terms on one network that depend on neither tau
+    nor p, per channel class (see ``ResolvedDetector.terms``)."""
+
+    lam: np.ndarray       # (n_classes,) normalized threshold
+    presence: np.ndarray  # (n_classes,) PU presence probability
+    # detector.tail_terms at the realized SNR of every (PU present, SUs
+    # transmitting there 0..N_s, class): the simulator's threshold cells
+    realized: tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class ResolvedDetector:
     """Detector with the threshold pinned; shared by analyzer and simulator."""
@@ -131,11 +147,28 @@ class ResolvedDetector:
     p_fa: float | None = None                # explicit mode
     p_d_stages: np.ndarray | None = None     # explicit mode, indexed by stage
     per_stage_snr: bool = False
+    # (config, DetectorTerms) of the last network ``terms`` was asked for
+    _terms: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def explicit_p_d(self, stage):
         """Explicit-mode detection probability at 1-based ``stage`` (or array
         of stages); stages past the listed ones repeat the last entry."""
         return self.p_d_stages[np.minimum(stage, len(self.p_d_stages)) - 1]
+
+    def terms(self, config: NetworkConfig) -> DetectorTerms:
+        """This energy detector's tau- and p-free terms on ``config``, built
+        on the first call for that config object and kept, so a run of many
+        frames or blocks builds them once."""
+        if self._terms is None or self._terms[0] is not config:
+            rep = self.classes.rep
+            lam = self.lambda_norm[rep]
+            gamma = received_snr(config, np.arange(2)[:, None, None],
+                                 np.arange(config.n_su + 1)[:, None], rep)
+            self._terms = (config, DetectorTerms(
+                lam=lam, presence=config.presence_prob[rep],
+                realized=tail_terms(lam, gamma)))
+        return self._terms[1]
 
 
 def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
@@ -275,7 +308,8 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
         _walk(config, params, profiles, lambda i, senders: detect(
             i, received_snr(config, presence, senders, rep)))
     elif ns > 1:
-        detect(1, stage2_snr(config, rep, params.p, p_fa, p_d[..., 0]))
+        detect(1, stage2_snr(config, rep, presence, params.p, p_fa,
+                             p_d[..., 0]))
         gamma[..., 2:] = gamma[..., 1:2]
         p_d[..., 2:] = p_d[..., 1:2]
     profiles.class_p_fa = _clamp01(p_fa, "p_fa")
@@ -283,14 +317,14 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     return profiles
 
 
-def stage2_snr(config: NetworkConfig, rep, p, p_fa, p_d1):
+def stage2_snr(config: NetworkConfig, rep, presence, p, p_fa, p_d1):
     """Mean-field stage-2 SNR gamma2 of the classes whose representative
-    channels are ``rep``, from their stage-1 P_fa and P_d (arrays of shape
-    (..., n_classes)) at sensing probability ``p`` (shape (...)).
+    channels are ``rep`` and PU presence probabilities ``presence``, from
+    their stage-1 P_fa and P_d (arrays of shape (..., n_classes)) at sensing
+    probability ``p`` (shape (...)).
 
     The senders are the mean-field count of stage-1 transmitters,
     (N_s p / N_p)(1 - q_m1), with p as a column against the per-class q1."""
-    presence = config.presence_prob[rep]
     q1 = _handoff_prob(presence, p_fa, p_d1)
     p = np.asarray(p)[..., None]
     return received_snr(config, presence,
@@ -459,10 +493,12 @@ def worst_misdetection(class_p_d: np.ndarray, deltas=None):
     over every stage."""
     p_md = 1.0 - class_p_d
     if deltas is not None:
-        beyond = np.arange(p_md.shape[-1]) >= np.asarray(deltas)[..., None]
-        np.copyto(p_md, 0.0, where=beyond[..., None, :])  # p_md >= 0
-    # method-form reduction: this runs once per adaptive frame
-    return p_md.max(axis=(-2, -1))
+        # p_md is a clamped table's complement, finite and >= +0.0, so the
+        # stages past delta become +0.0 and drop out of the max
+        p_md *= np.arange(p_md.shape[-1]) < np.asarray(deltas)[..., None, None]
+    # method-form reduction over one axis of the fresh (contiguous) table:
+    # this runs once per adaptive frame
+    return p_md.reshape(p_md.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:

@@ -7,12 +7,13 @@ statistic over w = tau * f_s samples:
     P_md = 1 - Q((lambda/sigma_z^2 - 1 - gamma) sqrt(tau f_s / (1 + 2 gamma)))
 
 that is, one tail :func:`exceed_prob` at gamma = 0 and its complement at
-gamma, with Q the standard normal upper tail, taken from the standard library:
-Q(x) = erfc(x / sqrt 2) / 2 with :func:`math.erfc`, and Q^{-1} from
-:meth:`statistics.NormalDist.inv_cdf` (Wichura's AS241 algorithm, Applied
-Statistics 37, 1988).  The false alarm never depends on the
-signal, so it is identical at every sensing stage; detection improves (or
-degrades) with the stage-dependent received SNR.  That SNR has one
+gamma (its tau-free factors are :func:`tail_terms`, their value at tau
+:func:`tail_at`), with Q the standard normal upper tail, taken from the
+standard library: Q(x) = erfc(x / sqrt 2) / 2 with :func:`math.erfc`, and
+Q^{-1} from :meth:`statistics.NormalDist.inv_cdf` (Wichura's AS241
+algorithm, Applied Statistics 37, 1988).  The false alarm never depends on
+the signal, so it is identical at every sensing stage; detection improves
+(or degrades) with the stage-dependent received SNR.  That SNR has one
 implementation, :func:`received_snr`: the chain model evaluates it at mean
 PU presence and mean-field sender counts, the simulator at realized ones.
 """
@@ -59,10 +60,32 @@ def q_inverse(p):
     return _elementwise(_q_inverse, np.asarray(p, dtype=float))[()]
 
 
-def _check_samples(tau, f_s):
-    # method-form reductions: these checks run once per simulated stage
-    if (np.asarray(tau) * f_s < 1.0).any():
-        raise TooFewSamples(f"tau*f_s={np.min(np.asarray(tau) * f_s)} < 1 sample")
+def _samples(tau, f_s):
+    """tau f_s, the samples of a probe of length tau; fewer than one is an
+    error."""
+    w = np.asarray(tau) * f_s
+    # method-form reductions: this check runs once per adaptive frame
+    if (w < 1.0).any():
+        raise TooFewSamples(f"tau*f_s={w.min()} < 1 sample")
+    return w
+
+
+def tail_terms(lambda_norm, gamma):
+    """The tau-free factors of :func:`exceed_prob` at received SNR ``gamma``:
+    (lambda - 1 - gamma, 1 + 2 gamma), broadcast against each other.  A
+    caller that evaluates the tail at many tau for fixed (lambda, gamma)
+    computes them once and passes them to :func:`tail_at`."""
+    g = np.asarray(gamma, dtype=float)
+    if (g < 0).any():
+        raise DegenerateSnr("gamma must be nonnegative")
+    return np.asarray(lambda_norm) - 1.0 - g, 1.0 + 2.0 * g
+
+
+def tail_at(terms, tau, f_s):
+    """:func:`exceed_prob` from its ``tail_terms`` (shift, spread):
+    Q(shift sqrt(tau f_s / spread))."""
+    shift, spread = terms
+    return q_function(shift * np.sqrt(_samples(tau, f_s) / spread))
 
 
 def exceed_prob(lambda_norm, tau, f_s, gamma):
@@ -72,12 +95,7 @@ def exceed_prob(lambda_norm, tau, f_s, gamma):
     P_fa at gamma = 0, where lambda - 1 - 0 and tau f_s / 1 are exact, so it
     is the false-alarm formula to the bit; the detection probability at
     gamma > 0, whose complement is the misdetection."""
-    g = np.asarray(gamma, dtype=float)
-    if (g < 0).any():
-        raise DegenerateSnr("gamma must be nonnegative")
-    _check_samples(tau, f_s)
-    return q_function((np.asarray(lambda_norm) - 1.0 - g) * np.sqrt(
-        np.asarray(tau) * f_s / (1.0 + 2.0 * g)))
+    return tail_at(tail_terms(lambda_norm, gamma), tau, f_s)
 
 
 def false_alarm_prob(lambda_norm, tau, f_s):
@@ -103,19 +121,16 @@ def threshold_for_detection(gamma, tau, f_s, p_d_target: float):
     """
     if not 0 < p_d_target < 1:
         raise DegenerateSnr(f"p_d_target={p_d_target} must lie in (0, 1)")
-    _check_samples(tau, f_s)
+    w = _samples(tau, f_s)
     g = np.asarray(gamma, dtype=float)
-    return 1.0 + g + q_inverse(p_d_target) * np.sqrt(
-        (1.0 + 2.0 * g) / (np.asarray(tau) * f_s)
-    )
+    return 1.0 + g + q_inverse(p_d_target) * np.sqrt((1.0 + 2.0 * g) / w)
 
 
 def threshold_for_false_alarm(tau, f_s, p_fa_target: float):
     """Normalized threshold giving false-alarm probability ``p_fa_target``."""
     if not 0 < p_fa_target < 1:
         raise DegenerateSnr(f"p_fa_target={p_fa_target} must lie in (0, 1)")
-    _check_samples(tau, f_s)
-    return 1.0 + q_inverse(p_fa_target) / np.sqrt(np.asarray(tau) * f_s)
+    return 1.0 + q_inverse(p_fa_target) / np.sqrt(_samples(tau, f_s))
 
 
 def min_sensing_time(gamma, f_s, p_fa_max: float, p_d_min: float):

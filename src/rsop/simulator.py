@@ -9,12 +9,26 @@ signal power (the chain model's :func:`rsop.detector.received_snr`, at the
 realized PU state and count of earlier SU transmitters) when the energy
 detector is in use.  P_fa depends only on the SU's tau and the channel, P_md
 only on those, the PU state and that count, so each call evaluates the
-detector's tail :func:`rsop.detector.exceed_prob` in one pass over a table of
-those cells, for every distinct stage column of the schedule and channel
-class: the idle cell (PU absent, no earlier sender) is the cell at SNR 0,
-whose tail is P_fa, and the busy cells take its complement, P_md.  Every
-probe reads its threshold with one gather, and the adaptive loop's
-misdetection check reads the table's stage-1 row.
+detector's tail in one pass over a table of those cells, for every distinct
+stage column of the schedule and channel class: the idle cell (PU absent, no
+earlier sender) is the cell at SNR 0, whose tail is P_fa, and the busy cells
+take its complement, P_md.  The cells' realized SNRs and the tail's
+tau-free factors come from the resolved detector, which builds them once per
+network (:meth:`rsop.chain.ResolvedDetector.terms`), so a call evaluates
+only their value at its taus (:func:`rsop.detector.tail_at`).  Every probe
+reads its threshold with one gather, and the adaptive loop's misdetection
+check reads the table's stage-1 row.
+
+Each (slot, channel) cell carries a state code (pu * (N_s + 1) + SUs
+transmitting there) * N_p + channel: the channel is idle below N_p, and the
+code plus the SU's row offset is the probe's place in the threshold table.
+Stages inside a slot are aligned: a stage lasts the longest tau among the
+SUs still searching in that slot, or the column's tau when every SU shares
+it, and every stage after the first adds the handoff time.  A per-schedule
+bound, the handoffs and each stage column's longest tau added in the same
+order as the slot clocks, tells when no slot can have run out of time
+(IEEE addition is monotone), and until then transmissions start without a
+time mask.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  Each stage finds the cells that start
@@ -39,7 +53,7 @@ import numpy.random  # loaded here, not lazily on the first generator
 from .chain import ResolvedDetector, resolve_detector
 from .config import NetworkConfig, SensingParams
 from .core import max_sensing_stages
-from .detector import exceed_prob, received_snr
+from .detector import tail_at
 from .errors import ScenarioError
 
 # Slots per simulate_slots call in a replication; a longer run is streamed.
@@ -52,7 +66,11 @@ class SuSchedules:
 
     Every SU's stage budget comes from its own stage-1 sensing time; stage
     boundaries inside a slot are aligned to the longest sensing duration among
-    the SUs still searching at that stage.
+    the SUs still searching at that stage in that slot, so an SU whose own
+    budget is not spent can still run out of slot time.  An SU takes part
+    in stage n while n <= its delta; stages past the first n_cols repeat
+    stage n_cols, so an energy detector's threshold table has one row per
+    column.
     """
 
     tau: np.ndarray    # (n_su, n_stages) seconds
@@ -77,27 +95,32 @@ class SuSchedules:
                                     np.reshape(ps, (-1, 1)))
 
     @classmethod
-    def from_stage_table(cls, config: NetworkConfig, tau_table, p_table) -> "SuSchedules":
+    def from_stage_table(cls, config: NetworkConfig, tau_table, p_table,
+                         delta=None) -> "SuSchedules":
         """Full per-SU, per-stage tables (fine-tuning mode).
 
         The stage budget uses each SU's stage-1 sensing time; later stages may
-        shorten the probe, which only adds slack.  Tables shorter than the
-        longest budget repeat their last stage; longer ones are cut to it.
-        Every tau must lie in (0, T] and every p in [0, 1]."""
+        shorten the probe, which only adds slack.  ``delta``, when given, is
+        that budget, delta(tau_table[:, 0]), as the caller has computed it.
+        Tables shorter than the longest budget repeat their last stage;
+        longer ones are cut to it.  Every tau must lie in (0, T] and every p
+        in [0, 1]."""
         tau_table = np.asarray(tau_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
             raise ScenarioError("stage tables must be (n_su, n_stages) and congruent")
+        T = config.slot_duration
         # one reduction pair each, once per frame of the adaptive loop; NaN
         # fails both
-        if not (tau_table.min() > 0.0
-                and tau_table.max() <= config.slot_duration):
-            raise ScenarioError(f"sensing times outside (0, "
-                                f"T={config.slot_duration}]: {tau_table}")
+        if not (tau_table.min() > 0.0 and tau_table.max() <= T):
+            _reject_entry("tau", tau_table, (tau_table > 0.0) & (tau_table <= T),
+                          f"(0, T={T}]")
         if not (p_table.min() >= 0.0 and p_table.max() <= 1.0):
-            raise ScenarioError(f"sensing probabilities outside [0, 1]: {p_table}")
-        delta = max_sensing_stages(config.slot_duration, tau_table[:, 0],
-                                   config.handoff_time, config.n_pu)
+            _reject_entry("p", p_table, (p_table >= 0.0) & (p_table <= 1.0),
+                          "[0, 1]")
+        if delta is None:
+            delta = max_sensing_stages(T, tau_table[:, 0], config.handoff_time,
+                                       config.n_pu)
         n_stages, n_cols = int(delta.max()), tau_table.shape[1]
         if n_cols >= n_stages:
             return cls(tau=tau_table[:, :n_stages], p=p_table[:, :n_stages],
@@ -105,6 +128,15 @@ class SuSchedules:
         cols = np.minimum(np.arange(n_stages), n_cols - 1)
         return cls(tau=tau_table.take(cols, axis=1), p=p_table.take(cols, axis=1),
                    delta=delta, n_cols=n_cols)
+
+
+def _reject_entry(name: str, table: np.ndarray, valid: np.ndarray,
+                  interval: str):
+    """Raise ``ScenarioError`` naming the first (SU, stage) entry of the
+    (N_s, stages) ``table`` that is not ``valid``, on one line."""
+    su, stage = np.argwhere(~valid)[0]
+    raise ScenarioError(f"{name}={table[su, stage]} of SU {su} at stage "
+                        f"{stage + 1} outside {interval}")
 
 
 class _OnFirstRead:
@@ -207,14 +239,11 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
         table[...] = p_md[:, None, None, None, None]
         table[:, :, 0, 0] = resolved.p_fa
         return table
-    rep, f_s = resolved.classes.rep, config.sampling_freq
-    lam = resolved.lambda_norm[rep]
-    # (2, N_s + 1, class): the realized SNR of every state, 0 in the idle one
-    gamma = received_snr(config, np.arange(2)[:, None, None],
-                         np.arange(ns + 1)[:, None], rep)
-    # one tail over every cell, against the per-class lambda: the idle cell's
+    # one tail over every cell, from the detector's per-class terms at the
+    # realized SNR of every state (built once per network): the idle cell's
     # gamma is 0, so its tail is P_fa; the busy cells take its complement
-    tail = exceed_prob(lam, tau.T[:, :, None, None, None], f_s, gamma)
+    tail = tail_at(resolved.terms(config).realized,
+                   tau.T[:, :, None, None, None], config.sampling_freq)
     table = 1.0 - tail
     table[:, :, 0, 0] = tail[:, :, 0, 0]
     # (column, SU, 2, N_s + 1, channel) from the classes; take() makes it
@@ -251,10 +280,10 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     modified = protocol == "modified"
 
     pu = rng.random((S, NP)) < config.presence_prob
-    # flat (slot, channel) state code (pu * K + SUs transmitting there) * N_p:
-    # 0 is idle, and code + channel is the cell's offset in a threshold row.
-    # ``mark`` is scratch space over the same index.
-    cell = (pu * (K * NP)).ravel()
+    # flat (slot, channel) cell code (pu * K + SUs transmitting there) * N_p
+    # + channel: below N_p is idle, and the code is the cell's offset in an
+    # SU's threshold row.  ``mark`` is scratch space over the same index.
+    cell = (pu * (K * NP) + np.arange(NP)).ravel()
     mark = np.empty(S * NP, dtype=np.intp)
     slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
     su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
@@ -267,18 +296,26 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     interfered_entry = np.zeros((S, NS), dtype=bool)
     overhead = np.zeros((S, NS), dtype=np.int32)
     net_interf = np.zeros(S)
-    elapsed = np.zeros(S)
+    # every slot's clock: one float while every stage so far lasted a tau
+    # shared by all SUs, an (S,) array from the first stage that did not
+    elapsed = 0.0
     rt_at = np.zeros((S, M + 1))  # remaining time after stage n; 0 at n = 0
-    in_budget = schedules.delta > np.arange(M)[:, None]  # row n - 1: delta >= n
+    every_su = int(schedules.delta.min())  # stages every SU's budget reaches
+    if every_su < M:  # row n - 1: delta >= n
+        in_budget = schedules.delta > np.arange(M)[:, None]
     p_by_stage = schedules.p.T
     # per stage column, the SUs by descending tau and their taus; a column
     # whose SUs share one tau lasts that tau in every slot
     by_tau = (-schedules.tau[:, :C]).argsort(axis=0, kind="stable").T
     tau_desc = np.sort(schedules.tau[:, :C].T, axis=1)[:, ::-1]
     shared_tau = tau_desc[:, 0] == tau_desc[:, -1]
+    # no slot's clock passes ``bound``: the handoffs and each column's
+    # largest tau, added in the order of ``elapsed`` (IEEE addition is
+    # monotone), so while T - bound > 0 every slot has time left
+    bound = 0.0
 
     for n in range(1, M + 1):
-        active = searching & in_budget[n - 1]
+        active = searching if n <= every_su else searching & in_budget[n - 1]
         # Every stage entered draws for the full (S, NS) grid, so the stream
         # depends on the realized trajectories only through the last stage.
         u_gate = rng.random((S, NS))
@@ -291,32 +328,37 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # Stage timing: longest sensing duration among SUs still searching.
         # A slot with none (argmax 0: the longest tau) has finished for good,
         # as searching and the budget only shrink, so its clock is never
-        # read again and may run on.
+        # read again and may run on.  (A masked max over the (slot, SU) grid
+        # gives the same durations, but with numpy 2.4 a float max along
+        # rows of N_s takes about 3x as long as this argmax.)
         if n >= 2:
             elapsed += config.handoff_time
+            bound += config.handoff_time
         if shared_tau[col]:
             elapsed += tau_desc[col, 0]
         else:
             ordered = active.take(by_tau[col], axis=1)
             elapsed += tau_desc[col].take(ordered.argmax(axis=1))
+        bound += tau_desc[col, 0]
+        in_time = T - bound > 0.0
         rt = rt_at[:, n]
         np.subtract(T, elapsed, out=rt)
-        np.maximum(rt, 0.0, out=rt)
+        if not in_time:
+            np.maximum(rt, 0.0, out=rt)
 
         gate = u_gate < p_by_stage[n - 1]
         senses = active & gate if modified else active
         flat = slot_base + ch
-        state = cell.take(flat)
-        busy = state != 0
-        code = ch + su_base
-        code += state
+        code = cell.take(flat)
+        busy = code >= NP
+        code += su_base
         decided_free = (u_sense < thresholds[min(n, L) - 1].take(code)) == busy
         will_tx = senses & decided_free
         if not modified:
             will_tx &= gate
 
         overhead += senses
-        new_tx = will_tx & (rt > 0.0)[:, None]
+        new_tx = will_tx if in_time else will_tx & (rt > 0.0)[:, None]
         # the flat (slot, SU) cells that start transmitting, in row-major
         # order; about one in ten, so they are written by index
         starts = new_tx.ravel().nonzero()[0]
@@ -341,7 +383,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         searching ^= will_tx
         np.add.at(cell, entered_at, NP)
     # the last stage's (S, N_s) temporaries go before the batch is built
-    u_gate = ch = u_sense = flat = state = code = busy = active = gate = None
+    u_gate = ch = u_sense = flat = code = busy = active = gate = None
     ordered = senses = decided_free = will_tx = new_tx = None
 
     tx_rt = rt_at.take(np.arange(0, S * (M + 1), M + 1)[:, None] + tx_stage)
@@ -349,6 +391,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     # absent and the SU alone; garbage where it did not transmit, but there
     # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
     at_tx = cell.take(slot_base + tx_channel)
+    at_tx -= tx_channel
     batch = SlotBatch(
         throughput=(at_tx == NP) * (tx_rt * config.tx_rate / T),
         interfered_entry=interfered_entry,

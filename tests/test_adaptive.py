@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -23,6 +24,7 @@ from rsop.adaptive import (
     subgradient_field,
 )
 import rsop.adaptive
+import rsop.core
 import rsop.detector
 from rsop.chain import analyze, resolve_detector
 from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams, load_bundled
@@ -528,6 +530,63 @@ class TestDetectorPasses:
         monkeypatch.setattr(rsop.detector, "q_function", counted)
         run_adaptive(sc, algorithm, n_frames=20, seed=0)
         assert len(calls) == 20 * passes
+
+
+class TestFrameInvariantWork:
+    """Work that does not change from frame to frame is done once."""
+
+    @staticmethod
+    def wrap_everywhere(monkeypatch, fn, wrapper):
+        """Rebind ``fn`` to ``wrapper`` in every rsop module that binds it."""
+        for mod in [m for n, m in sys.modules.items()
+                    if n == "rsop" or n.startswith("rsop.")]:
+            for attr in [a for a, v in vars(mod).items() if v is fn]:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+    def test_one_stage_budget_per_frame(self, monkeypatch):
+        # alg2 used to compute delta(tau) twice per frame: for the check and
+        # again for its schedule, whose stage-1 tau is the same
+        calls = []
+        budget = rsop.core.max_sensing_stages
+
+        def counted(*args):
+            calls.append(1)
+            return budget(*args)
+
+        self.wrap_everywhere(monkeypatch, budget, counted)
+        sc = load_bundled("adapt_ns3_np7")
+        for algorithm in (1, 2):
+            run_adaptive(sc, algorithm, n_frames=700, seed=0)
+        assert len(calls) == 1400
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_realized_snr_table_built_on_the_first_frame(self, monkeypatch,
+                                                         algorithm):
+        # the threshold table's realized SNR and tail factors depend on
+        # neither tau nor p; the check's mean-field stage 2 evaluates the
+        # SNR anew every frame, outside the simulator
+        frame, inside, calls = [0], [False], []
+        snr, simulate = rsop.detector.received_snr, rsop.adaptive.simulate_slots
+
+        def counted_snr(*args):
+            if inside[0]:
+                calls.append(frame[0])
+            return snr(*args)
+
+        def framed(*args, **kwargs):
+            inside[0] = True
+            try:
+                return simulate(*args, **kwargs)
+            finally:
+                inside[0] = False
+                frame[0] += 1
+
+        self.wrap_everywhere(monkeypatch, snr, counted_snr)
+        monkeypatch.setattr(rsop.adaptive, "simulate_slots", framed)
+        run_adaptive(load_bundled("adapt_ns3_np7"), algorithm, n_frames=20,
+                     seed=0)
+        assert frame[0] == 20
+        assert calls == [0]
 
 
 def test_subgradient_field_rejects_unequal_probe_lengths():

@@ -280,10 +280,15 @@ class TestCli:
          "--jobs", "-3"],
         ["sweep", "--scenario", "false_alarm_np5", "--p-fa", "--slots", "100"],
         ["sweep", "--scenario", "false_alarm_np5", "--n-su", "--slots", "100"],
+        ["subgradient-field", "--scenario", "field_ns5_np5",
+         "--taus", "0.02", "--ps", "0.5"],
+        ["subgradient-field", "--scenario", "field_ns5_np5",
+         "--taus", "0.002", "--ps", "1.5"],
     ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
             "zero-frames", "zero-realizations", "values-without-axis",
             "zero-jobs", "negative-trace", "optimize-zero-jobs",
-            "optimize-negative-jobs", "sweep-no-p-fa", "sweep-no-n-su"])
+            "optimize-negative-jobs", "sweep-no-p-fa", "sweep-no-n-su",
+            "field-tau-past-slot", "field-p-past-one"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path)])
         captured = capsys.readouterr()

@@ -340,6 +340,19 @@ class TestSchedules:
         with pytest.raises(ScenarioError):
             SuSchedules.from_per_su(config, tau[:, 1], [0.5] * 3)
 
+    def test_errors_name_the_first_bad_entry(self):
+        config = make_config(n_su=3, n_pu=4)
+        tau = np.full((3, 2), 1e-3)
+        tau[1, 1] = tau[2, 0] = 2 * T
+        with pytest.raises(ScenarioError) as exc:
+            SuSchedules.from_stage_table(config, tau, np.full((3, 2), 0.5))
+        assert str(exc.value) == f"tau={2 * T} of SU 1 at stage 2 outside (0, T={T}]"
+        p = np.full((3, 2), 0.5)
+        p[2, 0] = np.nan
+        with pytest.raises(ScenarioError) as exc:
+            SuSchedules.from_stage_table(config, np.full((3, 2), 1e-3), p)
+        assert str(exc.value) == "p=nan of SU 2 at stage 1 outside [0, 1]"
+
     def test_accepts_tau_of_a_whole_slot(self):
         config = make_config(n_su=2, n_pu=4)
         sched = SuSchedules.from_stage_table(config, [[1e-3, T], [T, T]],
@@ -379,6 +392,30 @@ class TestSimulateSlotsInput:
         assert isinstance(batch.pu_busy_fraction, float)
 
 
+def simulate_like_reference(config, sched, resolved, n_slots, protocol,
+                            where=()) -> SlotBatch:
+    """``simulate_slots`` at seed ``n_slots``, checked against the reference
+    copy: every field with ==, its dtype and its bytes (which tell 0.0 from
+    -0.0 and one NaN from another), and the generator's next draw."""
+    rng_a = np.random.default_rng(n_slots)
+    rng_b = np.random.default_rng(n_slots)
+    got = simulate_slots(config, sched, resolved, n_slots, rng_a,
+                         protocol=protocol)
+    want = simulator_reference.simulate_slots(config, sched, resolved, n_slots,
+                                              rng_b, protocol=protocol)
+    for field in dataclasses.fields(SlotBatch):
+        a = getattr(got, field.name)
+        b = getattr(want, field.name)
+        at = (where, n_slots, field.name)
+        assert type(a) is type(b), at
+        assert np.asarray(a).dtype == np.asarray(b).dtype, at
+        assert np.shape(a) == np.shape(b), at
+        assert np.array_equal(a, b), at
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), at
+    assert rng_a.random() == rng_b.random(), (where, n_slots)
+    return got
+
+
 class TestAgainstReference:
     """The package's simulate_slots against the reference copy: every field
     with ==, its dtype and its bytes (which tell 0.0 from -0.0 and one NaN
@@ -410,22 +447,8 @@ class TestAgainstReference:
         resolved = resolve_detector(config, sc.detector, sc.qos, sc.params.tau)
         for kind, sched in self.schedule_kinds(sc).items():
             for n_slots in (1, 50, 3000):
-                rng_a = np.random.default_rng(n_slots)
-                rng_b = np.random.default_rng(n_slots)
-                got = simulate_slots(config, sched, resolved, n_slots, rng_a,
-                                     protocol=protocol)
-                want = simulator_reference.simulate_slots(
-                    config, sched, resolved, n_slots, rng_b, protocol=protocol)
-                for field in dataclasses.fields(SlotBatch):
-                    a = getattr(got, field.name)
-                    b = getattr(want, field.name)
-                    where = (kind, n_slots, field.name)
-                    assert type(a) is type(b), where
-                    assert np.asarray(a).dtype == np.asarray(b).dtype, where
-                    assert np.shape(a) == np.shape(b), where
-                    assert np.array_equal(a, b), where
-                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), where
-                assert rng_a.random() == rng_b.random(), (kind, n_slots)
+                simulate_like_reference(config, sched, resolved, n_slots,
+                                        protocol, kind)
 
     def test_mixed_tau_kind_times_stages_both_ways(self):
         # the shared-tau stage 2 lies between stages of distinct taus, and
@@ -437,3 +460,80 @@ class TestAgainstReference:
         batch = simulate_slots(sc.config, sched, resolved, 50,
                                np.random.default_rng(50))
         assert batch.tx_stage.max() >= 3
+
+
+def _stage2_tau_landing_on(end, t1, handoff):
+    """A stage-2 sensing time whose slot clock after stage 2, summed as the
+    simulator sums it, (t1 + handoff) + tau, is exactly ``end``."""
+    tau = end - (t1 + handoff)
+    for _ in range(8):
+        clock = (t1 + handoff) + tau
+        if clock == end:
+            return tau
+        tau = float(np.nextafter(tau, np.inf if clock < end else -np.inf))
+    raise AssertionError(f"no tau lands on {end!r}")
+
+
+class TestSlotTimeBound:
+    """Schedules around the per-stage bound on every slot's clock, below
+    which no slot runs out of time: the batches equal the reference copy,
+    which masks every start with rt > 0."""
+
+    @staticmethod
+    def two_stage(end):
+        # every SU shares each stage's tau, so a slot still searching at
+        # stage 2 ends it at exactly ``end``
+        config = make_config(n_su=4, n_pu=2, presence=0.5)
+        t1 = 4e-3
+        t2 = _stage2_tau_landing_on(end, t1, config.handoff_time)
+        sched = SuSchedules.from_stage_table(
+            config, np.tile([t1, t2], (4, 1)), np.ones((4, 2)))
+        assert sched.delta.tolist() == [2] * 4
+        resolved = resolve_detector(config, explicit_detector(0.3, 0.9), None, t1)
+        return config, sched, resolved
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    def test_bound_exactly_at_the_slot_end(self, protocol):
+        # stage 2 leaves rt = 0, so its probes may decide "free" but start
+        # nothing
+        config, sched, resolved = self.two_stage(T)
+        batch = simulate_like_reference(config, sched, resolved, 3000, protocol)
+        assert (batch.overhead == 2).any()
+        assert not (batch.tx_stage == 2).any()
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    def test_bound_one_ulp_below_the_slot_end(self, protocol):
+        # one ulp of time left: stage 2 starts transmissions
+        config, sched, resolved = self.two_stage(float(np.nextafter(T, 0.0)))
+        batch = simulate_like_reference(config, sched, resolved, 3000, protocol)
+        assert (batch.tx_stage == 2).any()
+        assert (batch.delay[batch.tx_stage == 2] < T).all()
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    def test_bound_past_the_slot_end_in_some_slots(self, protocol):
+        # SU 1 (3 ms, 3 stages) stretches the stages of the slots where it
+        # searches: there SU 0 (1 ms, 9 stages) probes stage 4 after the
+        # slot's end, elsewhere it still starts transmissions at stage 4
+        config = make_config(n_su=2, n_pu=10, presence=0.6)
+        sched = SuSchedules.from_per_su(config, [1e-3, 3e-3], [1.0, 1.0])
+        assert sched.delta.tolist() == [9, 3]
+        resolved = resolve_detector(config, explicit_detector(0.3, 0.9), None, 1e-3)
+        batch = simulate_like_reference(config, sched, resolved, 3000, protocol)
+        su1_searched_3 = (batch.tx_stage[:, 1] == 0) | (batch.tx_stage[:, 1] == 3)
+        late_probe = (batch.overhead[:, 0] >= 4) & (batch.tx_stage[:, 0] == 0)
+        assert (su1_searched_3 & late_probe).any()
+        assert ((batch.tx_stage[:, 0] >= 4) & (batch.throughput[:, 0] > 0)).any()
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    def test_mixed_tau_stages_with_finished_slots(self, protocol):
+        # stage 1 shared, stages 2 and 3 not: those stages last the longest
+        # tau of the SUs still searching, and slots where every SU started
+        # at stage 1 have none left
+        config = make_config(n_su=3, n_pu=5, presence=0.3)
+        tau = [[2e-3, 1e-3, 1.5e-3], [2e-3, 2e-3, 1e-3], [2e-3, 5e-4, 1e-3]]
+        sched = SuSchedules.from_stage_table(config, tau, np.full((3, 3), 0.8))
+        assert (np.ptp(sched.tau[:, :3], axis=0) > 0).tolist() == [False, True, True]
+        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 2e-3)
+        batch = simulate_like_reference(config, sched, resolved, 3000, protocol)
+        finished = (batch.tx_stage == 1).all(axis=1)
+        assert finished.any() and (batch.tx_stage >= 2).any()
