@@ -362,14 +362,13 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
     at sensing times ``tau``, such as the one of the frame just simulated.
     Then the stage-1 P_fa and P_md are read from that row, and only the
     mean-field stage 2 takes a detector pass, through the same
-    ``stage2_snr`` as ``stage_profiles``, to the same bits.  Explicit and
-    ``per_stage_snr`` detectors always take ``stage_profiles``; the explicit
-    one's evaluates no detector formula.
+    ``stage2_snr`` as ``stage_profiles``, to the same bits.  Explicit
+    detectors always take ``stage_profiles``, which evaluates no detector
+    formula for them.
     """
     deltas = np.asarray(deltas)
     ns = int(deltas.max())
-    if (thresholds is None or resolved.mode != "energy"
-            or resolved.per_stage_snr):
+    if thresholds is None or resolved.mode != "energy":
         prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved, ns)
         return worst_misdetection(prof.class_p_d, deltas)
     rep = resolved.classes.rep

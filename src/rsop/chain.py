@@ -9,9 +9,10 @@ formal state: every slot starts there.
 
 The model is mean-field: channel occupancy grows stage by stage with the
 average number of SUs that started transmitting earlier, and every SU sees
-the same stage-dependent occupancy and error probabilities.  Detection is
-evaluated at :func:`rsop.detector.received_snr` of the PU presence
-probability and that mean count of earlier senders.  One recursion
+the same stage-dependent occupancy and error probabilities.  Stage-1
+detection is evaluated at the lone-PU SNR, and every later stage at
+:func:`rsop.detector.received_snr` of the PU presence probability and the
+mean count of stage-1 senders.  One recursion
 over the stages yields occupancy, sensing counts and the handoff population;
 every other table is array algebra over its output.  Throughput and
 interference follow from per-state occupation probabilities plus the
@@ -146,7 +147,6 @@ class ResolvedDetector:
     lambda_norm: np.ndarray | None = None    # per-channel normalized threshold
     p_fa: float | None = None                # explicit mode
     p_d_stages: np.ndarray | None = None     # explicit mode, indexed by stage
-    per_stage_snr: bool = False
     # (config, DetectorTerms) of the last network ``terms`` was asked for
     _terms: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
@@ -206,26 +206,24 @@ def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
         lam = np.atleast_1d(lam)
     return ResolvedDetector(mode="energy",
                             classes=ChannelClasses.of_channels(config, lam),
-                            lambda_norm=lam, per_stage_snr=detector.per_stage_snr)
+                            lambda_norm=lam)
 
 
 @dataclass
 class StageProfiles:
-    """Per-class, per-stage sensing error probabilities and mean SNRs.
+    """Per-class, per-stage sensing error probabilities.
 
-    ``p_fa``, ``p_d`` and ``gamma`` are the per-channel views, with n_pu in
-    place of n_classes."""
+    ``p_fa`` and ``p_d`` are the per-channel views, with n_pu in place of
+    n_classes."""
 
     class_p_fa: np.ndarray   # (n_classes,) stage-constant false alarm,
                              # p-independent ((..., n_classes) when tau is an array)
     class_p_d: np.ndarray    # (..., n_classes, n_stages) detection probability
-    class_gamma: np.ndarray  # (..., n_classes, n_stages) mean SNR; zeros in explicit mode
     n_stages: int
     classes: ChannelClasses
 
     p_fa = _PerChannel(axis=-1)
     p_d = _PerChannel()
-    gamma = _PerChannel()
 
     @property
     def p_md(self) -> np.ndarray:
@@ -258,16 +256,15 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
                    resolved: ResolvedDetector, n_stages: int) -> StageProfiles:
     """Error probabilities for every (channel, stage) at the given (tau, p).
 
-    Stage 1 evaluates the detector at the lone-PU SNR; stage 2 at the mean
-    SNR including the expected stage-1 SU transmitters; stages >= 3 reuse the
-    stage-2 value (detection saturates) unless ``per_stage_snr`` keeps
-    accumulating transmitters stage by stage; p enters only through those.
-    ``params.tau`` is a scalar, or an array aligned with ``params.p`` (one
-    point per entry, e.g. per SU); an array tau gives ``p_fa`` a leading
-    point axis too.  The tau-only terms (P_fa and the stage-1 P_d) are
-    evaluated once per run of equal consecutive tau, e.g. once per tau row of
-    a grid.  Each class is evaluated at its representative channel; the
-    finished tables are range-checked once.
+    Stage 1 evaluates the detector at the lone-PU SNR, stage 2 at the mean
+    SNR ``stage2_snr`` that adds the expected stage-1 SU transmitters, and
+    stages >= 3 reuse the stage-2 value (detection saturates); p enters only
+    through stage 2.  ``params.tau`` is a scalar, or an array aligned with
+    ``params.p`` (one point per entry, e.g. per SU); an array tau gives
+    ``p_fa`` a leading point axis too.  The tau-only terms (P_fa and the
+    stage-1 P_d) are evaluated once per run of equal consecutive tau, e.g.
+    once per tau row of a grid.  Each class is evaluated at its
+    representative channel; the finished tables are range-checked once.
     """
     classes = resolved.classes
     if classes.of.size != config.n_pu:
@@ -277,10 +274,9 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     points = np.shape(params.p)
     if resolved.mode == "explicit":
         p_d = resolved.explicit_p_d(np.arange(1, ns + 1))
-        # read-only views: every point and class has the same tables
+        # a read-only view: every point and class has the same table
         return StageProfiles(class_p_fa=np.full(nc, resolved.p_fa),
                              class_p_d=np.broadcast_to(p_d, points + (nc, ns)),
-                             class_gamma=np.broadcast_to(0.0, points + (nc, ns)),
                              n_stages=ns, classes=classes)
 
     rep = classes.rep
@@ -288,33 +284,17 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     f_s = config.sampling_freq
     tau_rows, row_of = _tau_runs(params.tau)
     tau_rows = tau_rows[..., None]  # against the per-class lambda
-    tau = np.asarray(params.tau)[..., None]
     p_fa = false_alarm_prob(lam, tau_rows, f_s)[row_of]
-    gamma = np.zeros(points + (nc, ns))
     p_d = np.zeros(points + (nc, ns))
-    profiles = StageProfiles(class_p_fa=p_fa, class_p_d=p_d, class_gamma=gamma,
-                             n_stages=ns, classes=classes)
-
-    def detect(i, snr):
-        gamma[..., i] = snr
-        p_d[..., i] = detection_prob(lam, tau, f_s, snr)
-
-    snr1 = config.snr_stage1[rep]
-    gamma[..., 0] = snr1
-    p_d[..., 0] = detection_prob(lam, tau_rows, f_s, snr1)[row_of]
-    presence = config.presence_prob[rep]
-    if ns > 1 and resolved.per_stage_snr:
-        # Exact per-stage extension: each stage sees every earlier transmitter.
-        _walk(config, params, profiles, lambda i, senders: detect(
-            i, received_snr(config, presence, senders, rep)))
-    elif ns > 1:
-        detect(1, stage2_snr(config, rep, presence, params.p, p_fa,
-                             p_d[..., 0]))
-        gamma[..., 2:] = gamma[..., 1:2]
-        p_d[..., 2:] = p_d[..., 1:2]
-    profiles.class_p_fa = _clamp01(p_fa, "p_fa")
-    profiles.class_p_d = _clamp01(p_d, "p_d")
-    return profiles
+    p_d[..., 0] = detection_prob(lam, tau_rows, f_s, config.snr_stage1[rep])[row_of]
+    if ns > 1:
+        gamma2 = stage2_snr(config, rep, config.presence_prob[rep], params.p,
+                            p_fa, p_d[..., 0])
+        p_d[..., 1:] = detection_prob(lam, np.asarray(params.tau)[..., None],
+                                      f_s, gamma2)[..., None]
+    return StageProfiles(class_p_fa=_clamp01(p_fa, "p_fa"),
+                         class_p_d=_clamp01(p_d, "p_d"), n_stages=ns,
+                         classes=classes)
 
 
 def stage2_snr(config: NetworkConfig, rep, presence, p, p_fa, p_d1):
@@ -366,21 +346,9 @@ def occupancy_evolution(config: NetworkConfig, params: SensingParams,
 
     with q_m^(n) = P_m0^(n) Pfa + P_m1^(n) P_d^(n) evaluated at the stage-n
     occupancy and detection probability.  Mean counts enter the false-alarm
-    powers as real exponents, with 0**0 = 1 (no sensors, no effect).
-    """
-    return _walk(config, params, profiles)
-
-
-def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
-          detect=None) -> OccupancyTable:
-    """The one stage recursion of the model (see ``occupancy_evolution``).
-
-    ``detect(i, senders)``, when given, fills the detection column of 0-based
-    stage i >= 1 in ``profiles`` before that stage's q is formed, from the
-    mean number of SUs per channel that started transmitting earlier,
-    senders = sum_{k<i} L^(k) (1 - q^(k)).  Tables are per class; the sum of
-    q over the channels weights each class by its channel count.  Range
-    checks run on the finished tables.
+    powers as real exponents, with 0**0 = 1 (no sensors, no effect).  Tables
+    are per class; the sum of q over the channels weights each class by its
+    channel count.  Range checks run on the finished tables.
     """
     classes, ns = profiles.classes, profiles.n_stages
     nc = classes.rep.size
@@ -395,7 +363,6 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
     occ[..., 0] = presence
     n_ho[..., 0] = config.n_su
     exponent = np.zeros(p.shape + (1,))
-    senders = np.zeros(p.shape + (nc,))
     for i in range(ns):
         if i > 0:
             l_prev = l[..., i - 1, None]
@@ -404,9 +371,6 @@ def _walk(config: NetworkConfig, params: SensingParams, profiles: StageProfiles,
             q_sum = (q[..., i - 1] * classes.size).sum(axis=-1)
             n_ho[..., i] = ((1.0 - p) + share * q_sum) * n_ho[..., i - 1]
             exponent = exponent + l_prev
-            if detect is not None:
-                senders = senders + l_prev * (1.0 - q[..., i - 1])
-                detect(i, senders)
         l[..., i] = share * n_ho[..., i]
         q[..., i] = _handoff_prob(occ[..., i], p_fa, profiles.class_p_d[..., i])
     return OccupancyTable(class_occ=_clamp01(occ, "occupancy"), l=l, n_ho=n_ho,

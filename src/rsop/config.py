@@ -56,12 +56,6 @@ def _count(value) -> int:
     return int(number)
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"{value!r} is not true or false")
-    return value
-
-
 def _numbers(value) -> tuple:
     """A scalar or a list as a nonempty tuple of finite numbers."""
     numbers = tuple(map(_real, np.atleast_1d(value).tolist()))
@@ -196,6 +190,9 @@ class DetectorSpec:
     mode="explicit": the per-channel false-alarm and detection probabilities
     are given directly and do not depend on tau; ``p_d`` may be a scalar or a
     per-stage list.
+
+    A key of the other mode is rejected, not ignored.  ``calibration`` has a
+    default, so it is not checked.
     """
 
     mode: str = "energy"
@@ -205,12 +202,16 @@ class DetectorSpec:
     p_fa: float | None = None            # explicit mode only
     p_d: tuple | None = None             # explicit mode: one per stage; a scalar
                                          # is stored as one stage
-    per_stage_snr: bool = False          # energy mode: exact per-stage SNR instead of
-                                         # reusing the stage-2 value for stages >= 3
 
     def __post_init__(self):
         if self.mode not in ("energy", "explicit"):
             raise ScenarioError(f"unknown detector mode {self.mode!r}")
+        other = (("threshold", "calibrate_tau") if self.mode == "explicit"
+                 else ("p_fa", "p_d"))
+        for key in other:
+            if getattr(self, key) is not None:
+                raise ScenarioError(f"{key} is not a key of the "
+                                    f"{self.mode} detector")
         if self.calibration not in ("pd_min", "pfa_max"):
             raise ScenarioError(f"unknown calibration rule {self.calibration!r}")
         if self.p_d is not None:
@@ -240,6 +241,22 @@ class AdaptiveDefaults:
     tau_min: float | None = None         # floor; defaults to the Eq.-style minimum
                                          # sensing time for the stage-1 SNR
 
+    def validate(self, slot_duration: float):
+        """Range-check every given value; NaN is out of range."""
+        if not self.n_ep >= 1:
+            raise ScenarioError(f"n_ep={self.n_ep} must be >= 1")
+        for key in ("delta_tau", "delta_p", "delta_tau_fine", "delta_p_fine"):
+            value = getattr(self, key)
+            if value is not None and not value >= 0:
+                raise ScenarioError(f"{key}={value} must be >= 0")
+        for key in ("initial_tau", "tau_min"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value <= slot_duration:
+                raise ScenarioError(f"{key}={value} outside (0, "
+                                    f"T={slot_duration}]")
+        if self.initial_p is not None and not 0 <= self.initial_p <= 1:
+            raise ScenarioError(f"initial_p={self.initial_p} outside [0, 1]")
+
 
 @dataclass
 class Scenario:
@@ -255,6 +272,7 @@ class Scenario:
 
     def __post_init__(self):
         self.params.validate(self.config.slot_duration)
+        self.adaptive.validate(self.config.slot_duration)
         if (
             self.detector.mode == "energy"
             and self.detector.threshold is None
@@ -291,7 +309,7 @@ _UNIT_KEYS = {"sampling_freq": parse_freq, **dict.fromkeys((
     "slot_duration", "handoff_time", "tau", "calibrate_tau", "delta_tau",
     "delta_tau_fine", "initial_tau", "tau_min"), parse_time)}
 # converter of each field kind; the kind of a union is its first member
-_CONVERTERS = {int: _count, float: _real, bool: _flag, str: str,
+_CONVERTERS = {int: _count, float: _real, str: str,
                np.ndarray: _numbers, tuple: _numbers}
 _type_hints = functools.cache(typing.get_type_hints)
 

@@ -20,7 +20,7 @@ import numpy.random  # loaded here, not lazily on the first generator
 from . import __version__
 from .adaptive import run_adaptive, subgradient_field
 from .chain import analyze, resolve_detector
-from .config import Scenario
+from .config import DetectorSpec, Scenario
 from .core import upper_bound_throughput
 from .errors import ScenarioError
 from .optimizer import GridSpec, _evaluate_points, optimize_scenario
@@ -311,11 +311,10 @@ def run_false_alarm_sweep(scenario: Scenario, out_dir,
     for n_su in n_su_values:
         for p_fa in p_fa_values:
             config = replace(scenario.config, n_su=int(n_su))
-            det = replace(scenario.detector, mode="explicit",
-                          p_fa=float(p_fa),
-                          p_d=scenario.detector.p_d
-                          if scenario.detector.p_d is not None
-                          else scenario.qos.p_d_min)
+            det = DetectorSpec(mode="explicit", p_fa=float(p_fa),
+                               p_d=scenario.detector.p_d
+                               if scenario.detector.p_d is not None
+                               else scenario.qos.p_d_min)
             sc = replace(scenario, config=config, detector=det,
                          name=f"{scenario.name}_ns{n_su}_pfa{p_fa}")
             points.append((int(n_su), float(p_fa)))

@@ -256,10 +256,9 @@ class TestClosedLoop:
 DETECTORS = [
     explicit_detector(0.1, (0.9, 0.5)),
     DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3),
-    DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3,
-                 per_stage_snr=True),
+    DetectorSpec(mode="energy", calibration="pfa_max", calibrate_tau=1e-3),
 ]
-DETECTOR_IDS = ["explicit-list", "saturating", "per-stage-snr"]
+DETECTOR_IDS = ["explicit-list", "saturating", "pfa-max"]
 
 
 class TestAnalyticMisdetection:
@@ -480,8 +479,8 @@ class TestAgainstPerSuReference:
                            run_adaptive_per_su(sc, algorithm, n_frames=40, seed=2))
 
     @pytest.mark.parametrize("algorithm", [1, 2])
-    @pytest.mark.parametrize("detector", DETECTORS[0::2],
-                             ids=["explicit-list", "per-stage-snr"])
+    @pytest.mark.parametrize("detector", DETECTORS[:2],
+                             ids=DETECTOR_IDS[:2])
     def test_detectors(self, detector, algorithm):
         # near tau = 5 ms the budget is one stage above and two below, so
         # large tau steps leave SUs with different budgets in one frame

@@ -27,7 +27,7 @@ from rsop.config import (
     load_scenario,
 )
 from rsop.core import max_sensing_stages, upper_bound_throughput
-from rsop.detector import received_snr
+from rsop.detector import detection_prob, received_snr
 from rsop.errors import RsopError, ScenarioError
 from rsop.optimizer import (
     GridSpec,
@@ -162,8 +162,7 @@ class TestInvariants:
         classes = ChannelClasses.of_channels(config)  # both channels in one class
         profiles = StageProfiles(class_p_fa=np.full(1, 1.5),
                                  class_p_d=np.full((2, 1, 4), 0.9),
-                                 class_gamma=np.zeros((2, 1, 4)), n_stages=4,
-                                 classes=classes)
+                                 n_stages=4, classes=classes)
         with pytest.raises(RsopError, match=r"occupancy left \[0,1\]"):
             occupancy_evolution(config, SensingParams(1e-3, np.array([0.0, 0.5])),
                                 profiles)
@@ -294,50 +293,29 @@ class TestEnergyProfiles:
         assert np.allclose(prof.p_d[:, 2:], prof.p_d[:, 1:2])
 
     def test_stage2_snr_at_mean_field_senders(self):
-        # gamma2 = received_snr(P_m1, (N_s p / N_p)(1 - q_m1)), then saturates;
-        # p = 0 in the row leaves the PU alone at its presence probability
+        # P_d at gamma2 = received_snr(P_m1, (N_s p / N_p)(1 - q_m1)), then
+        # saturates; p = 0 in the row leaves the PU alone at its presence
+        # probability
         config = make_config(n_su=20, n_pu=3, presence=[0.2, 0.5, 0.8],
                              pu_power=[0.1, 0.2, 0.3], su_power=0.4)
         det = DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3)
         resolved = resolve_detector(config, det, default_qos(), 1e-3)
         presence = config.presence_prob
+
+        def p_d_at(snr):
+            return detection_prob(resolved.lambda_norm, 1e-3,
+                                  config.sampling_freq, snr)
+
         for p in (0.8, np.array([0.0, 0.3, 0.8])):
             prof = stage_profiles(config, SensingParams(1e-3, p), resolved, 4)
             q1 = (1.0 - presence) * prof.p_fa + presence * prof.p_d[..., 0]
             senders = (config.n_su * np.asarray(p)[..., None] / config.n_pu) * (1.0 - q1)
-            assert np.array_equal(prof.gamma[..., 1],
-                                  received_snr(config, presence, senders))
-            assert np.array_equal(prof.gamma[..., 2:],
-                                  np.repeat(prof.gamma[..., 1:2], 2, axis=-1))
-        assert np.array_equal(prof.gamma[0, :, 1],
-                              presence * config.pu_power / config.noise_power)
-
-    def test_per_stage_mode_keeps_accumulating(self):
-        config = make_config(n_su=20, n_pu=10, presence=0.5, pu_power=0.1,
-                             su_power=0.1)
-        det = DetectorSpec(mode="energy", calibration="pd_min",
-                           calibrate_tau=1e-3, per_stage_snr=True)
-        resolved = resolve_detector(config, det, default_qos(), 1e-3)
-        prof = stage_profiles(config, SensingParams(1e-3, 0.8), resolved, 5)
-        assert np.all(np.diff(prof.gamma[0, 1:]) > 0)
-        assert np.all(np.diff(prof.p_d[0]) >= -1e-12)
-
-    def test_per_stage_snr_counts_earlier_transmitters(self):
-        config = make_config(n_su=20, n_pu=10, presence=[0.2, 0.5] * 5,
-                             pu_power=0.1, su_power=0.1)
-        det = DetectorSpec(mode="energy", calibration="pd_min",
-                           calibrate_tau=1e-3, per_stage_snr=True)
-        resolved = resolve_detector(config, det, default_qos(), 1e-3)
-        params = SensingParams(1e-3, 0.8)
-        prof = stage_profiles(config, params, resolved, 6)
-        occ = occupancy_evolution(config, params, prof)
-        senders = np.concatenate(
-            [np.zeros((10, 1)), np.cumsum(occ.l * (1.0 - occ.q), axis=1)[:, :-1]],
-            axis=1)
-        expect = ((config.presence_prob * config.pu_power)[:, None]
-                  + senders * config.su_power) / config.noise_power
-        assert np.allclose(prof.gamma[:, 0], config.snr_stage1, rtol=0, atol=0)
-        assert np.allclose(prof.gamma[:, 1:], expect[:, 1:], rtol=1e-12, atol=0)
+            assert np.array_equal(prof.p_d[..., 1],
+                                  p_d_at(received_snr(config, presence, senders)))
+            assert np.array_equal(prof.p_d[..., 2:],
+                                  np.repeat(prof.p_d[..., 1:2], 2, axis=-1))
+        assert np.array_equal(prof.p_d[0, :, 1], p_d_at(
+            presence * config.pu_power / config.noise_power))
 
     def test_scenario_entry_point(self):
         config = make_config(n_su=3, n_pu=7, presence=0.5, pu_power=0.1,
@@ -352,7 +330,6 @@ class TestEnergyProfiles:
 
 
 MIXED = Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml"
-MIXED_PER_STAGE = MIXED.with_name("mixed_ns8_np6_per_stage.yaml")
 
 
 # lumped against unlumped results, past the first channel sum: about 450
@@ -372,7 +349,7 @@ class TestChannelClasses:
     follows a channel sum, where each class enters once weighted by its
     size, agrees to ``LUMPED_RTOL``."""
 
-    EXACT = ("p_fa", "p_d", "gamma")
+    EXACT = ("p_fa", "p_d")
     PER_CHANNEL = {"profiles": EXACT,
                    "occupancy": ("occ", "q", "l", "n_ho"),
                    "dist": ("pi_ho", "pi_channel", "p_t", "p_i"),
@@ -395,17 +372,14 @@ class TestChannelClasses:
         assert explicit.classes.of.tolist() == [0, 1, 0, 0]
         assert explicit.classes.size.tolist() == [3.0, 1.0]
 
-    @pytest.mark.parametrize("path,per_stage", [
-        (MIXED, False), (MIXED, True),
-        (bundled_scenario_path("validation_ns5_np10"), False),
-        (bundled_scenario_path("dense_ns20_np5"), False),
-        (bundled_scenario_path("false_alarm_np5"), False),
-    ], ids=["mixed", "mixed-per-stage", "validation_ns5_np10", "dense_ns20_np5",
-            "false_alarm_np5"])
-    def test_lumped_equals_unlumped(self, path, per_stage):
+    @pytest.mark.parametrize("path", [
+        MIXED, bundled_scenario_path("validation_ns5_np10"),
+        bundled_scenario_path("dense_ns20_np5"),
+        bundled_scenario_path("false_alarm_np5"),
+    ], ids=["mixed", "validation_ns5_np10", "dense_ns20_np5", "false_alarm_np5"])
+    def test_lumped_equals_unlumped(self, path):
         sc = load_scenario(path)
-        detector = replace(sc.detector, per_stage_snr=per_stage)
-        lumped = resolve_detector(sc.config, detector, sc.qos, sc.params.tau)
+        lumped = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
         unlumped = replace(lumped, classes=singleton_classes(sc.config.n_pu))
         grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=5, p_steps=9)
         for tau in grid.tau_values():
@@ -493,15 +467,6 @@ class TestBatchedRow:
                                       resolved)
         assert row.throughput[0] == 0.0 and row.interference[0] == 0.0
 
-    def test_per_stage_snr(self):
-        sc = load_scenario(bundled_scenario_path("dense_ns20_np5"))
-        detector = replace(sc.detector, per_stage_snr=True)
-        resolved = resolve_detector(sc.config, detector, sc.qos, sc.params.tau)
-        assert resolved.per_stage_snr and resolved.mode == "energy"
-        row = self.assert_row_matches(sc.config, sc.params.tau,
-                                      np.linspace(0.0, 1.0, 7), resolved)
-        assert row.n_stages > 2
-
     def test_row_split_across_chunks(self, monkeypatch):
         config = make_config(n_su=4, n_pu=3, presence=0.5)
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
@@ -524,7 +489,6 @@ def class_tables(res):
     return {
         "class_p_fa": res.profiles.class_p_fa,
         "class_p_d": res.profiles.class_p_d,
-        "class_gamma": res.profiles.class_gamma,
         "class_occ": res.occupancy.class_occ,
         "l": res.occupancy.l,
         "n_ho": res.occupancy.n_ho,
@@ -554,9 +518,9 @@ class TestAlignedPoints:
         bundled_scenario_path("validation_ns5_np20"),
         bundled_scenario_path("dense_ns20_np5"),
         bundled_scenario_path("false_alarm_np5"),
-        MIXED, MIXED_PER_STAGE,
+        MIXED,
     ], ids=["validation_ns5_np20", "dense_ns20_np5", "false_alarm_np5",
-            "mixed", "mixed-per-stage"])
+            "mixed"])
     def test_every_budget_group_equals_scalar_calls(self, path):
         sc = load_scenario(path)
         config = sc.config
@@ -590,7 +554,7 @@ class TestAlignedPoints:
 
 # the tables with a stage axis; a mixed-budget call runs them to its longest
 # budget, and each point's first delta stages are compared
-STAGED = {"class_p_d", "class_gamma", "class_occ", "l", "n_ho", "class_q",
+STAGED = {"class_p_d", "class_occ", "l", "n_ho", "class_q",
           "pi_ho", "class_pi_channel", "class_p_t", "class_p_i", "pi_t", "pi_i",
           "class_no_tx", "class_success", "class_no_interf"}
 
@@ -635,9 +599,8 @@ class TestMixedBudgets:
     @pytest.mark.parametrize("path,p_steps", [
         (bundled_scenario_path("validation_ns5_np100"), 2),
         (bundled_scenario_path("false_alarm_np5"), 3),
-        (MIXED, 3), (MIXED_PER_STAGE, 3),
-    ], ids=["validation_ns5_np100", "false_alarm_np5", "mixed",
-            "mixed-per-stage"])
+        (MIXED, 3),
+    ], ids=["validation_ns5_np100", "false_alarm_np5", "mixed"])
     def test_one_call_equals_one_call_per_budget(self, path, p_steps):
         sc = load_scenario(path)
         resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)

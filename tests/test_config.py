@@ -96,7 +96,7 @@ class TestSchema:
         ("detector", "threshold", "big"), ("adaptive", "n_ep", "many"),
         ("network", "n_pu", 7.9), ("network", "n_su", True),
         ("network", "su_power", float("nan")), ("sensing", "tau", "1.2.3 ms"),
-        ("detector", "p_d", []), ("detector", "per_stage_snr", "yes"),
+        ("detector", "p_d", []),
     ])
     def test_malformed_value_names_its_key(self, section, key, value):
         doc = deep(GOOD)
@@ -112,24 +112,70 @@ class TestSchema:
             scenario_from_dict(doc)
 
     def test_every_key_of_every_section_loads(self):
+        # each mode's keys in a document of that mode
         doc = deep(GOOD)
-        doc["detector"].update(calibration="pfa_max", calibrate_tau="2 ms",
-                               threshold=3, p_d=[0.9, 0.95],
-                               per_stage_snr=True)
+        doc["detector"] = {"mode": "energy", "calibration": "pfa_max",
+                           "calibrate_tau": "2 ms", "threshold": 3}
+        sc = scenario_from_dict(doc)
+        assert sc.detector.calibrate_tau == pytest.approx(2e-3)
+        assert sc.detector.calibration == "pfa_max"
+        assert sc.detector.threshold == 3.0
+        doc = deep(GOOD)
+        doc["detector"]["p_d"] = [0.9, 0.95]
         doc["adaptive"] = {"n_ep": 20.0, "delta_tau": "0.1 ms", "delta_p": 0.05,
                            "delta_tau_fine": "50 us", "delta_p_fine": 0.01,
                            "initial_tau": "2 ms", "initial_p": 0.5,
                            "tau_min": "0.2 ms"}
         doc["notes"] = "all keys"
         sc = scenario_from_dict(doc)
-        assert sc.detector.calibrate_tau == pytest.approx(2e-3)
-        assert sc.detector.threshold == 3.0 and sc.detector.p_d == (0.9, 0.95)
+        assert sc.detector.p_fa == 0.1 and sc.detector.p_d == (0.9, 0.95)
         ad = sc.adaptive
         assert ad.n_ep == 20 and isinstance(ad.n_ep, int)
         assert (ad.delta_tau, ad.delta_tau_fine, ad.initial_tau, ad.tau_min) == \
             pytest.approx((1e-4, 5e-5, 2e-3, 2e-4))
         assert (ad.delta_p, ad.delta_p_fine, ad.initial_p) == (0.05, 0.01, 0.5)
         assert sc.notes == "all keys"
+
+    @pytest.mark.parametrize("mode,key,value", [
+        ("energy", "p_fa", 0.3), ("energy", "p_d", [0.5, 0.6]),
+        ("explicit", "threshold", 2.0), ("explicit", "calibrate_tau", "1 ms"),
+    ])
+    def test_key_of_the_other_detector_mode_rejected(self, mode, key, value):
+        doc = deep(GOOD)
+        if mode == "energy":
+            doc["detector"] = {"mode": "energy"}
+        doc["detector"][key] = value
+        with pytest.raises(ScenarioError,
+                           match=f"^{key} is not a key of the {mode} detector$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_ep", 0), ("n_ep", -2), ("delta_tau", "-1 ms"), ("delta_p", -0.1),
+        ("delta_tau_fine", "-1 us"), ("delta_p_fine", -0.5),
+        ("tau_min", 1.0), ("tau_min", 0), ("initial_tau", "11 ms"),
+        ("initial_tau", "-1 ms"), ("initial_p", 1.5), ("initial_p", -0.1),
+    ])
+    def test_adaptive_value_out_of_range_names_its_key(self, key, value):
+        doc = deep(GOOD)
+        doc["adaptive"] = {key: value}
+        with pytest.raises(ScenarioError, match=f"^{key}="):
+            scenario_from_dict(doc)
+
+    def test_adaptive_range_edges_load(self):
+        # zero increments switch a step off; tau may reach T, p either end
+        doc = deep(GOOD)
+        doc["adaptive"] = {"n_ep": 1, "delta_tau": 0, "delta_p": 0,
+                           "delta_tau_fine": 0, "delta_p_fine": 0,
+                           "tau_min": "10 ms", "initial_tau": "10 ms",
+                           "initial_p": 0}
+        assert scenario_from_dict(doc).adaptive.initial_tau == pytest.approx(1e-2)
+        doc["adaptive"]["initial_p"] = 1
+        assert scenario_from_dict(doc).adaptive.initial_p == 1.0
+
+    def test_adaptive_checked_on_replace(self):
+        sc = load_bundled("adapt_ns3_np7")
+        with pytest.raises(ScenarioError, match="^delta_p_fine="):
+            replace(sc, adaptive=replace(sc.adaptive, delta_p_fine=-0.5))
 
     def test_parse_error_carries_path(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -237,13 +283,12 @@ class TestBundled:
         assert a.with_params(p=0.31).content_hash() != a.content_hash()
 
     def test_hash_pinned(self):
-        # literals recorded before the loader built its sections from the
-        # dataclass fields; a per-stage p_d list and an energy detector with
-        # per-stage SNR are hashed as well
+        # literals recorded when the detector section lost its per-stage SNR
+        # option; a per-stage p_d list and an energy detector are hashed
         doc = yaml.safe_load(Path(bundled_scenario_path("validation_ns5_np20"))
                              .read_text())
         doc["detector"]["p_d"] = [0.9, 0.95]
-        assert scenario_from_dict(doc).content_hash() == "dcb95196f71a5f0d"
+        assert scenario_from_dict(doc).content_hash() == "433d61a1f0044ce4"
         sc = load_scenario(Path(__file__).with_name("scenarios")
-                           / "mixed_ns8_np6_per_stage.yaml")
-        assert sc.content_hash() == "737f21ddd0f3bd8d"
+                           / "mixed_ns8_np6.yaml")
+        assert sc.content_hash() == "6a84535d084bdb3b"

@@ -343,3 +343,47 @@ class TestCliOptions:
             f"error: {path}: detector.threshold: could not convert string to "
             "float: 'big'"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name,section,key,value,message", [
+        ("adapt_ns3_np7", "detector", "p_fa", 0.3,
+         "p_fa is not a key of the energy detector"),
+        ("adapt_ns3_np7", "detector", "p_d", [0.5, 0.6],
+         "p_d is not a key of the energy detector"),
+        ("validation_ns5_np20", "detector", "threshold", 2.0,
+         "threshold is not a key of the explicit detector"),
+        ("validation_ns5_np20", "detector", "calibrate_tau", "1 ms",
+         "calibrate_tau is not a key of the explicit detector"),
+        ("validation_ns5_np20", "adaptive", "n_ep", 0, "n_ep=0 must be >= 1"),
+    ], ids=["energy-p_fa", "energy-p_d", "explicit-threshold",
+            "explicit-calibrate_tau", "adaptive-n_ep"])
+    def test_scenario_key_rejected_by_analyze(self, tmp_path, capsys, name,
+                                              section, key, value, message):
+        doc = yaml.safe_load(Path(bundled_scenario_path(name)).read_text())
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["analyze", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("delta_tau", "-1 ms", "delta_tau=-0.001 must be >= 0"),
+        ("delta_p_fine", -0.5, "delta_p_fine=-0.5 must be >= 0"),
+        ("tau_min", 1.0, "tau_min=1.0 outside (0, T=0.01]"),
+    ])
+    def test_adaptive_value_out_of_range_stops_adapt(self, tmp_path, capsys,
+                                                     key, value, message):
+        doc = yaml.safe_load(Path(bundled_scenario_path("adapt_ns3_np7"))
+                             .read_text())
+        doc["adaptive"][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["adapt", "--scenario", str(path), "--algorithm", "2",
+                   "--frames", "2", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}: {message}"]
+        assert not (tmp_path / "out").exists()

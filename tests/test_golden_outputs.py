@@ -38,8 +38,6 @@ from rsop.cli import main
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 # channels of two presence values and two PU powers, in four channel classes
 MIXED = str(Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml")
-MIXED_PER_STAGE = str(Path(__file__).with_name("scenarios")
-                      / "mixed_ns8_np6_per_stage.yaml")
 
 CASES = {
     "analyze_p_adapt_ns3_np7": ["analyze", "--scenario", "adapt_ns3_np7"],
@@ -47,16 +45,12 @@ CASES = {
     "analyze_p_validation_ns5_np20": ["analyze", "--scenario",
                                       "validation_ns5_np20"],
     "analyze_p_mixed_ns8_np6": ["analyze", "--scenario", MIXED],
-    "analyze_p_mixed_ns8_np6_per_stage": ["analyze", "--scenario",
-                                          MIXED_PER_STAGE],
     "optimize_8x8_adapt_ns3_np7": ["optimize", "--scenario", "adapt_ns3_np7",
                                    "--grid", "8", "8"],
     "optimize_8x8_dense_ns20_np5": ["optimize", "--scenario", "dense_ns20_np5",
                                     "--grid", "8", "8"],
     "optimize_8x8_mixed_ns8_np6": ["optimize", "--scenario", MIXED,
                                    "--grid", "8", "8"],
-    "optimize_8x8_mixed_ns8_np6_per_stage": ["optimize", "--scenario",
-                                             MIXED_PER_STAGE, "--grid", "8", "8"],
     "simulate_dense_ns20_np5": ["simulate", "--scenario", "dense_ns20_np5",
                                 "--slots", "2000", "--trace", "5"],
     # three streamed blocks of BLOCK_SLOTS slots or fewer
@@ -81,8 +75,8 @@ CASES = {
     # tau sweeps that cross several stage budgets
     "analyze_tau_dense_ns20_np5": ["analyze", "--scenario", "dense_ns20_np5",
                                    "--axis", "tau"],
-    "analyze_tau_mixed_ns8_np6_per_stage": ["analyze", "--scenario",
-                                            MIXED_PER_STAGE, "--axis", "tau"],
+    "analyze_tau_mixed_ns8_np6": ["analyze", "--scenario", MIXED,
+                                  "--axis", "tau"],
     "sweep_false_alarm_np5": ["sweep", "--scenario", "false_alarm_np5",
                               "--slots", "2000"],
     "ppersistent_compare_adapt_ns3_np7": ["ppersistent-compare", "--scenario",

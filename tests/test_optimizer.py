@@ -201,10 +201,7 @@ class TestRowMatchesPoints:
         bundled_scenario_path("dense_ns20_np5"),
         bundled_scenario_path("adapt_ns3_np7"),
         str(Path(__file__).with_name("scenarios") / "mixed_ns8_np6.yaml"),
-        str(Path(__file__).with_name("scenarios")
-            / "mixed_ns8_np6_per_stage.yaml"),
-    ], ids=["dense_ns20_np5", "adapt_ns3_np7", "mixed_ns8_np6",
-            "mixed_ns8_np6_per_stage"])
+    ], ids=["dense_ns20_np5", "adapt_ns3_np7", "mixed_ns8_np6"])
     def test_rows_of_the_default_grid(self, path):
         self.assert_row_matches(load_scenario(path), slice(None, None, 8), 16)
 
@@ -219,9 +216,7 @@ class TestStageBudgetGroups:
         bundled_scenario_path("validation_ns5_np20"),
         bundled_scenario_path("false_alarm_np5"),
         str(MIXED_DIR / "mixed_ns8_np6.yaml"),
-        str(MIXED_DIR / "mixed_ns8_np6_per_stage.yaml"),
-    ], ids=["validation_ns5_np20", "false_alarm_np5", "mixed_ns8_np6",
-            "mixed_ns8_np6_per_stage"])
+    ], ids=["validation_ns5_np20", "false_alarm_np5", "mixed_ns8_np6"])
     def test_full_grid_equals_points(self, path):
         sc = load_scenario(path)
         grid = GridSpec.default_for(sc.config, sc.qos, tau_steps=16, p_steps=16)
@@ -242,8 +237,9 @@ class TestStageBudgetGroups:
         seen, walked = [], []
         monkeypatch.setattr(optimizer, "analyze",
                             lambda *args: seen.append(args) or analyze(*args))
-        walk = chain._walk
-        monkeypatch.setattr(chain, "_walk", lambda config, params, profiles:
+        walk = chain.occupancy_evolution
+        monkeypatch.setattr(chain, "occupancy_evolution",
+                            lambda config, params, profiles:
                             walked.append(profiles.n_stages)
                             or walk(config, params, profiles))
         res = optimize_scenario(sc)

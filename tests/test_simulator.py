@@ -27,11 +27,11 @@ from rsop.simulator import (
 )
 
 T = 10e-3
-# every bundled scenario and both test scenarios
+# every bundled scenario and the test scenario
 ALL_SCENARIOS = sorted(
     list(bundled_scenarios().values())
     + [str(p) for p in (Path(__file__).parent / "scenarios").glob("*.yaml")])
-# the bundled energy-detector scenarios, and two of several channel classes
+# the bundled energy-detector scenarios, and one of several channel classes
 ENERGY_SCENARIOS = sorted(
     [path for path in bundled_scenarios().values()
      if load_scenario(path).detector.mode == "energy"]
