@@ -41,7 +41,13 @@ from .detector import (
 )
 from .chain import analyze, ChainResult
 from .simulator import run_replication, monte_carlo, RunMetrics
-from .optimizer import GridSpec, evaluate_point, brute_force_optimize, OptResult
+from .optimizer import (
+    GridSpec,
+    evaluate_point,
+    evaluate_points,
+    brute_force_optimize,
+    OptResult,
+)
 from .adaptive import (
     AdaptiveConfig,
     AdaptiveState,
@@ -82,6 +88,7 @@ __all__ = [
     "RunMetrics",
     "GridSpec",
     "evaluate_point",
+    "evaluate_points",
     "brute_force_optimize",
     "OptResult",
     "AdaptiveConfig",

@@ -37,21 +37,15 @@ from .chain import (
     _clamp01,
     analyze,
     resolve_detector,
-    stage2_snr,
+    stage2_detection,
     stage_profiles,
     worst_misdetection,
 )
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
-from .detector import detection_prob, sensing_time_floor
+from .detector import sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
-from .simulator import (
-    BLOCK_SLOTS,
-    SlotBatch,
-    SuSchedules,
-    _threshold_table,
-    simulate_slots,
-)
+from .simulator import BLOCK_SLOTS, SlotBatch, SuSchedules, simulate_slots
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
     at sensing times ``tau``, such as the one of the frame just simulated.
     Then the stage-1 P_fa and P_md are read from that row, and only the
     mean-field stage 2 takes a detector pass, through the same
-    ``stage2_snr`` as ``stage_profiles``, to the same bits.  Explicit
+    ``stage2_detection`` as ``stage_profiles``, to the same bits.  Explicit
     detectors always take ``stage_profiles``, which evaluates no detector
     formula for them.
     """
@@ -381,10 +375,8 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
     np.subtract(1.0, stage1[:, 1], out=checks[..., 1])
     if ns > 1:
         terms = resolved.terms(config)
-        gamma2 = stage2_snr(config, rep, terms.presence, p, checks[..., 0],
-                            checks[..., 1])
-        checks[..., 2] = detection_prob(terms.lam, np.asarray(tau)[..., None],
-                                        config.sampling_freq, gamma2)
+        checks[..., 2] = stage2_detection(config, rep, terms.lam, terms.presence,
+                                          tau, p, checks[..., 0], checks[..., 1])
     # range-checked once, as stage_profiles checks its tables; with one
     # stage, every SU's budget covers it
     checks = _clamp01(checks, "p_fa and p_d")
@@ -421,7 +413,9 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     ad = scenario.adaptive
     tau1 = ad.initial_tau if ad.initial_tau is not None else scenario.params.tau
     p1 = ad.initial_p if ad.initial_p is not None else scenario.params.p
-    state = AdaptiveState.initial(tau1, p1, cfg.tau_floor, config.n_su)
+    # the start lies in the decision box, as every later point does
+    state = AdaptiveState.initial(*_project(tau1, p1, cfg), cfg.tau_floor,
+                                  config.n_su)
     rng = np.random.default_rng(seed)
 
     analyze_cache: dict[tuple, tuple[float, bool]] = {}
@@ -438,30 +432,23 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     frames: list[FrameLog] = []
     f_best = math.inf
     for _ in range(n_frames):
-        # delta(tau), once per frame.  alg2's schedule budgets its own stage
-        # 1, max(tau_floor, tau): that is tau, and so the same delta, unless
-        # the floor lifts it.
-        lifted = False
+        # delta(tau), once per frame; alg2's schedule budgets its stage 1,
+        # which is tau
         if algorithm == 2:
             deltas = max_sensing_stages(config.slot_duration, state.tau,
                                         config.handoff_time, config.n_pu)
             tau_table, p_table = alg2_stage_schedule(state, deltas, cfg)
-            lifted = (tau_table[:, 0] != state.tau).any()
-            schedules = SuSchedules.from_stage_table(
-                config, tau_table, p_table, None if lifted else deltas)
+            schedules = SuSchedules.from_stage_table(config, tau_table, p_table,
+                                                     deltas)
         else:
             schedules = SuSchedules.from_per_su(config, state.tau, state.p)
             deltas = schedules.delta
 
         batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
-        # The check reads stage 1 from the frame's threshold table, which
-        # holds it at the schedule's stage-1 tau; for a frame whose stage 1
-        # the floor lifted, the check builds the row at the SUs' own tau.
-        thresholds = batch._loop.thresholds
-        if lifted:
-            thresholds = _threshold_table(config, resolved, state.tau[:, None], 1)
+        # the check reads stage 1 from the frame's threshold table, whose
+        # stage-1 row is at the SUs' tau
         p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas,
-                              thresholds)
+                              batch._loop.thresholds)
         est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
 
         f_visited = float("nan")

@@ -257,11 +257,12 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     """Error probabilities for every (channel, stage) at the given (tau, p).
 
     Stage 1 evaluates the detector at the lone-PU SNR, stage 2 at the mean
-    SNR ``stage2_snr`` that adds the expected stage-1 SU transmitters, and
-    stages >= 3 reuse the stage-2 value (detection saturates); p enters only
-    through stage 2.  ``params.tau`` is a scalar, or an array aligned with
-    ``params.p`` (one point per entry, e.g. per SU); an array tau gives
-    ``p_fa`` a leading point axis too.  The tau-only terms (P_fa and the
+    SNR that adds the expected stage-1 SU transmitters
+    (``stage2_detection``), and stages >= 3 reuse the stage-2 value
+    (detection saturates); p enters only through stage 2.  ``params.tau``
+    is a scalar, or an array aligned with ``params.p`` (one point per
+    entry, e.g. per SU); an array tau gives ``p_fa`` a leading point axis
+    too.  The tau-only terms (P_fa and the
     stage-1 P_d) are evaluated once per run of equal consecutive tau, e.g.
     once per tau row of a grid.  Each class is evaluated at its
     representative channel; the finished tables are range-checked once.
@@ -288,27 +289,31 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     p_d = np.zeros(points + (nc, ns))
     p_d[..., 0] = detection_prob(lam, tau_rows, f_s, config.snr_stage1[rep])[row_of]
     if ns > 1:
-        gamma2 = stage2_snr(config, rep, config.presence_prob[rep], params.p,
-                            p_fa, p_d[..., 0])
-        p_d[..., 1:] = detection_prob(lam, np.asarray(params.tau)[..., None],
-                                      f_s, gamma2)[..., None]
+        p_d[..., 1:] = stage2_detection(
+            config, rep, lam, config.presence_prob[rep], params.tau, params.p,
+            p_fa, p_d[..., 0])[..., None]
     return StageProfiles(class_p_fa=_clamp01(p_fa, "p_fa"),
                          class_p_d=_clamp01(p_d, "p_d"), n_stages=ns,
                          classes=classes)
 
 
-def stage2_snr(config: NetworkConfig, rep, presence, p, p_fa, p_d1):
-    """Mean-field stage-2 SNR gamma2 of the classes whose representative
-    channels are ``rep`` and PU presence probabilities ``presence``, from
-    their stage-1 P_fa and P_d (arrays of shape (..., n_classes)) at sensing
+def stage2_detection(config: NetworkConfig, rep, lam, presence, tau, p,
+                     p_fa, p_d1):
+    """Mean-field stage-2 detection probability of the classes whose
+    representative channels are ``rep``, normalized thresholds ``lam`` and
+    PU presence probabilities ``presence``, from their stage-1 P_fa and P_d
+    (arrays of shape (..., n_classes)) at sensing time ``tau`` and sensing
     probability ``p`` (shape (...)).
 
-    The senders are the mean-field count of stage-1 transmitters,
-    (N_s p / N_p)(1 - q_m1), with p as a column against the per-class q1."""
+    The detector is evaluated at the mean SNR gamma2, which adds the
+    mean-field count of stage-1 transmitters, (N_s p / N_p)(1 - q_m1), with
+    tau and p as columns against the per-class terms."""
     q1 = _handoff_prob(presence, p_fa, p_d1)
     p = np.asarray(p)[..., None]
-    return received_snr(config, presence,
-                        (config.n_su * p / config.n_pu) * (1.0 - q1), rep)
+    gamma2 = received_snr(config, presence,
+                          (config.n_su * p / config.n_pu) * (1.0 - q1), rep)
+    return detection_prob(lam, np.asarray(tau)[..., None], config.sampling_freq,
+                          gamma2)
 
 
 def _tau_runs(tau):

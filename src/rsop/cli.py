@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _add_kind(sub, "optimize", run_optimize,
                    "brute-force (tau, p) grid benchmark")
     sp.add_argument("--grid", type=int, nargs=2, metavar=("TAU_STEPS", "P_STEPS"))
-    sp.add_argument("--jobs", dest="n_jobs", type=int)
 
     sp = _add_kind(sub, "adapt", run_adapt, "closed-loop distributed adaptation")
     sp.add_argument("--algorithm", type=int, choices=(1, 2))
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
         if "grid" in args:
             args["tau_steps"], args["p_steps"] = args.pop("grid")
         result = run(**args)
-    except RsopError as exc:
+    except (RsopError, OSError) as exc:  # OSError: an --out path unfit to write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, value in sorted(result.summary.items()):

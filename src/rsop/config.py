@@ -361,7 +361,11 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario file.  Rejects unknown keys."""
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc}") from exc
+    try:
+        doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
     try:

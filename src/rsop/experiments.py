@@ -23,7 +23,7 @@ from .chain import analyze, resolve_detector
 from .config import DetectorSpec, Scenario
 from .core import upper_bound_throughput
 from .errors import ScenarioError
-from .optimizer import GridSpec, _evaluate_points, optimize_scenario
+from .optimizer import GridSpec, evaluate_points, optimize_scenario
 from .simulator import SuSchedules, simulate_scenario, simulate_slots
 
 
@@ -143,7 +143,7 @@ def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
     tau, p = _sweep_points(scenario, axis, values)
     resolved = resolve_detector(config, scenario.detector, scenario.qos,
                                 scenario.params.tau)
-    cols = _evaluate_points(config, tau, p, scenario.qos, resolved)
+    cols = evaluate_points(config, tau, p, scenario.qos, resolved)
     network_r = config.n_su * cols["r"]
     path = write_csv(out_dir / f"analyze_{axis}.csv",
                      _meta(scenario, seed, axis=axis),
@@ -241,9 +241,9 @@ def _write_trace(scenario: Scenario, out_dir: Path, seed, protocol: str,
 def run_optimize(scenario: Scenario, out_dir, tau_steps: int = 64,
                  p_steps: int = 64, seed=0, n_jobs: int = 1) -> ExperimentOutput:
     """Brute-force grid; writes the full surface and the optimum."""
+    # n_jobs does nothing; perfbench/workloads.py still passes it
     out_dir = Path(out_dir)
-    result = optimize_scenario(scenario, tau_steps=tau_steps, p_steps=p_steps,
-                               n_jobs=n_jobs)
+    result = optimize_scenario(scenario, tau_steps=tau_steps, p_steps=p_steps)
     cols = result.columns
     path = write_csv(out_dir / "grid.csv",
                      _meta(scenario, seed, tau_steps=tau_steps, p_steps=p_steps),

@@ -10,7 +10,6 @@ as columns.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -20,7 +19,7 @@ from .chain import ResolvedDetector, analyze, resolve_detector
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
 from .detector import sensing_time_floor
-from .errors import EmptyGrid, ScenarioError
+from .errors import EmptyGrid
 
 # channel class x stage cells per batched analyzer call of the point
 # evaluation; caps table memory
@@ -103,13 +102,13 @@ def evaluate_point(config: NetworkConfig, tau: float, p: float,
                    qos: QosConstraints, resolved: ResolvedDetector) -> PointEval:
     """Analyze one (tau, p) point and check the interference and misdetection
     caps (the box constraints hold by construction)."""
-    return _point_evals(_evaluate_points(config, np.array([tau]), np.array([p]),
-                                         qos, resolved))[0]
+    return _point_evals(evaluate_points(config, np.array([tau]), np.array([p]),
+                                        qos, resolved))[0]
 
 
-def _evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
-                     qos: QosConstraints,
-                     resolved: ResolvedDetector) -> dict[str, np.ndarray]:
+def evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
+                    qos: QosConstraints,
+                    resolved: ResolvedDetector) -> dict[str, np.ndarray]:
     """:func:`evaluate_point` at every aligned (tau[i], p[i]), as columns in
     input order, one per ``PointEval`` field.
 
@@ -137,35 +136,19 @@ def _evaluate_points(config: NetworkConfig, tau: np.ndarray, p: np.ndarray,
 
 
 def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
-                         qos: QosConstraints, resolved: ResolvedDetector = None,
-                         evaluator=None, n_jobs: int = 1) -> OptResult:
+                         qos: QosConstraints,
+                         resolved: ResolvedDetector) -> OptResult:
     """Exhaustive grid search.
 
     Returns the feasible point with maximum throughput; ties break toward
     smaller tau, then smaller p, so the result does not depend on evaluation
     order.  When nothing is feasible the best-throughput infeasible point is
-    reported with ``feasible=False``.  The analyzer runs over the whole grid
-    in batched calls of mixed stage budget; ``evaluator(tau, p)`` may replace
-    it, and only it runs on ``n_jobs`` threads.
+    reported with ``feasible=False``.  The whole grid is evaluated by
+    :func:`evaluate_points`.
     """
-    if n_jobs < 1:
-        raise ScenarioError(f"n_jobs must be >= 1, got {n_jobs}")
     taus, ps = grid.tau_values(), grid.p_values()
-    tau, p = np.repeat(taus, len(ps)), np.tile(ps, len(taus))
-    if evaluator is None:
-        if resolved is None:
-            raise ScenarioError("brute_force_optimize needs a resolved detector "
-                                "or an explicit evaluator")
-        cols = _evaluate_points(config, tau, p, qos, resolved)
-    else:
-        if n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                table = list(pool.map(evaluator, tau, p))
-        else:
-            table = list(map(evaluator, tau, p))
-        cols = {name: np.array([getattr(pt, name) for pt in table])
-                for name in _FIELDS}
-
+    cols = evaluate_points(config, np.repeat(taus, len(ps)),
+                           np.tile(ps, len(taus)), qos, resolved)
     # feasibility first, then throughput, then small tau, then small p
     best = np.lexsort((cols["p"], cols["tau"], -cols["r"], ~cols["feasible"]))[0]
     star = {name: col[best].item() for name, col in cols.items()}
@@ -175,13 +158,11 @@ def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
 
 
 def optimize_scenario(scenario, grid: GridSpec | None = None,
-                      tau_steps: int = 64, p_steps: int = 64,
-                      n_jobs: int = 1) -> OptResult:
+                      tau_steps: int = 64, p_steps: int = 64) -> OptResult:
     """Grid-optimize a scenario with its own QoS and calibrated detector."""
     resolved = resolve_detector(scenario.config, scenario.detector, scenario.qos,
                                 scenario.params.tau)
     if grid is None:
         grid = GridSpec.default_for(scenario.config, scenario.qos,
                                     tau_steps=tau_steps, p_steps=p_steps)
-    return brute_force_optimize(scenario.config, grid, scenario.qos,
-                                resolved=resolved, n_jobs=n_jobs)
+    return brute_force_optimize(scenario.config, grid, scenario.qos, resolved)

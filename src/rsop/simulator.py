@@ -68,19 +68,23 @@ class SuSchedules:
     boundaries inside a slot are aligned to the longest sensing duration among
     the SUs still searching at that stage in that slot, so an SU whose own
     budget is not spent can still run out of slot time.  An SU takes part
-    in stage n while n <= its delta; stages past the first n_cols repeat
-    stage n_cols, so an energy detector's threshold table has one row per
+    in stage n while n <= its delta; stage n reads column min(n, n_cols) - 1
+    of the tables, so an energy detector's threshold table has one row per
     column.
     """
 
-    tau: np.ndarray    # (n_su, n_stages) seconds
-    p: np.ndarray      # (n_su, n_stages)
+    tau: np.ndarray    # (n_su, n_cols) seconds
+    p: np.ndarray      # (n_su, n_cols)
     delta: np.ndarray  # (n_su,) per-SU stage budget
-    n_cols: int        # stages past the first n_cols repeat stage n_cols
 
     @property
     def max_stages(self) -> int:
         return int(self.delta.max())
+
+    @property
+    def n_cols(self) -> int:
+        """Stage columns held; the stages past them repeat the last one."""
+        return self.tau.shape[1]
 
     @classmethod
     def homogeneous(cls, config: NetworkConfig, params: SensingParams) -> "SuSchedules":
@@ -102,9 +106,9 @@ class SuSchedules:
         The stage budget uses each SU's stage-1 sensing time; later stages may
         shorten the probe, which only adds slack.  ``delta``, when given, is
         that budget, delta(tau_table[:, 0]), as the caller has computed it.
-        Tables shorter than the longest budget repeat their last stage;
-        longer ones are cut to it.  Every tau must lie in (0, T] and every p
-        in [0, 1]."""
+        Tables shorter than the longest budget are kept as they are, their
+        last stage standing for the later ones; longer ones are cut to it.
+        Every tau must lie in (0, T] and every p in [0, 1]."""
         tau_table = np.asarray(tau_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if tau_table.shape != p_table.shape or tau_table.shape[0] != config.n_su:
@@ -121,13 +125,9 @@ class SuSchedules:
         if delta is None:
             delta = max_sensing_stages(T, tau_table[:, 0], config.handoff_time,
                                        config.n_pu)
-        n_stages, n_cols = int(delta.max()), tau_table.shape[1]
-        if n_cols >= n_stages:
-            return cls(tau=tau_table[:, :n_stages], p=p_table[:, :n_stages],
-                       delta=delta, n_cols=n_stages)
-        cols = np.minimum(np.arange(n_stages), n_cols - 1)
-        return cls(tau=tau_table.take(cols, axis=1), p=p_table.take(cols, axis=1),
-                   delta=delta, n_cols=n_cols)
+        n_stages = int(delta.max())
+        return cls(tau=tau_table[:, :n_stages], p=p_table[:, :n_stages],
+                   delta=delta)
 
 
 def _reject_entry(name: str, table: np.ndarray, valid: np.ndarray,
@@ -287,7 +287,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     mark = np.empty(S * NP, dtype=np.intp)
     slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
     su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
-    thresholds = _threshold_table(config, resolved, schedules.tau[:, :C], M)
+    thresholds = _threshold_table(config, resolved, schedules.tau, M)
     L = len(thresholds)
 
     searching = np.ones((S, NS), dtype=bool)
@@ -306,8 +306,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     p_by_stage = schedules.p.T
     # per stage column, the SUs by descending tau and their taus; a column
     # whose SUs share one tau lasts that tau in every slot
-    by_tau = (-schedules.tau[:, :C]).argsort(axis=0, kind="stable").T
-    tau_desc = np.sort(schedules.tau[:, :C].T, axis=1)[:, ::-1]
+    by_tau = (-schedules.tau).argsort(axis=0, kind="stable").T
+    tau_desc = np.sort(schedules.tau.T, axis=1)[:, ::-1]
     shared_tau = tau_desc[:, 0] == tau_desc[:, -1]
     # no slot's clock passes ``bound``: the handoffs and each column's
     # largest tau, added in the order of ``elapsed`` (IEEE addition is
@@ -346,7 +346,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         if not in_time:
             np.maximum(rt, 0.0, out=rt)
 
-        gate = u_gate < p_by_stage[n - 1]
+        gate = u_gate < p_by_stage[col]
         senses = active & gate if modified else active
         flat = slot_base + ch
         code = cell.take(flat)

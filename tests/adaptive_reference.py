@@ -73,6 +73,9 @@ def run_adaptive_per_su(scenario, algorithm: int = 1, n_frames: int = 500,
     ad = scenario.adaptive
     tau1 = ad.initial_tau if ad.initial_tau is not None else scenario.params.tau
     p1 = ad.initial_p if ad.initial_p is not None else scenario.params.p
+    # the start projected onto the decision box
+    tau1 = min(max(tau1, cfg.tau_floor), cfg.slot_duration)
+    p1 = min(max(p1, 0.0), 1.0)
     states = [SuState(tau1, p1, cfg.tau_floor, 0.0, 0.0) for _ in range(config.n_su)]
     rng = np.random.default_rng(seed)
     cache: dict[tuple, tuple[float, bool]] = {}

@@ -89,12 +89,14 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     net_interf = np.zeros(S)
     elapsed = np.zeros(S)
     M = schedules.max_stages
-    thresholds = _threshold_table(config, resolved,
-                                  schedules.tau[:, :schedules.n_cols], M)
+    thresholds = _threshold_table(config, resolved, schedules.tau, M)
+    # the schedule's columns padded to M stages with its last one
+    cols = np.minimum(np.arange(M), schedules.n_cols - 1)
+    tau, p = schedules.tau[:, cols], schedules.p[:, cols]
     rt_at = np.zeros((S, M + 1))   # remaining time after stage n; 0 at n = 0
     # per stage, SUs by descending tau; index NS (tau 0) means "none active"
-    by_tau = np.argsort(-schedules.tau, axis=0, kind="stable")
-    tau_desc = np.vstack([schedules.tau[by_tau, np.arange(M)], np.zeros(M)])
+    by_tau = np.argsort(-tau, axis=0, kind="stable")
+    tau_desc = np.vstack([tau[by_tau, np.arange(M)], np.zeros(M)])
 
     for n in range(1, M + 1):
         in_budget = schedules.delta >= n
@@ -106,7 +108,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         u_sense = rng.random((S, NS))
         if not active.any():
             break
-        p_n = schedules.p[:, n - 1]
+        p_n = p[:, n - 1]
 
         # stage timing: longest sensing duration among SUs still searching
         ordered = active[:, by_tau[:, n - 1]]

@@ -311,9 +311,8 @@ class TestAnalyticMisdetection:
     def test_every_frame_matches_stage_profiles(self, monkeypatch, name,
                                                 algorithm):
         # sparse_ns3_np7 starts its tau 6e-20 s below the floor, and
-        # below-floor starts at half the floor: alg2's first frame simulates
-        # stage 1 at the floor while the check is at the SU's own tau, so
-        # the check must not read that frame's table
+        # below-floor starts at half the floor: both starts are projected
+        # onto the floor, so the first frame's table is at the SUs' tau too
         if name == "below-floor":
             sc = load_bundled("adapt_ns3_np7")
             floor = sensing_time_floor(sc.config, sc.qos)
@@ -331,6 +330,16 @@ class TestAnalyticMisdetection:
         monkeypatch.setattr(rsop.adaptive, "_analytic_p_md", check)
         run_adaptive(sc, algorithm, n_frames=10, seed=2)
         assert checked == [True] * 10
+
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_start_below_the_floor_is_projected(self, algorithm):
+        # a start at half the floor used to log, simulate and check frame 1
+        # outside the decision box
+        sc = load_bundled("adapt_ns3_np7")
+        floor = sensing_time_floor(sc.config, sc.qos)
+        sc = replace(sc, adaptive=replace(sc.adaptive, initial_tau=floor / 2))
+        run = run_adaptive(sc, algorithm, n_frames=1, seed=2)
+        assert run.frames[0].tau.tolist() == [floor] * sc.config.n_su
 
 
 class TestFrameEstimate:
@@ -469,8 +478,8 @@ class TestAgainstPerSuReference:
     exactly, every FrameLog field of every frame."""
 
     @pytest.mark.parametrize("algorithm", [1, 2])
-    # sparse_ns3_np7 starts its tau just below the floor, so alg2's first
-    # schedule lifts stage 1 to the floor and the check builds its own row
+    # sparse_ns3_np7 starts its tau just below the floor, which both loops
+    # project onto it
     @pytest.mark.parametrize("name", ["adapt_ns3_np7", "dense_ns20_np5",
                                       "sparse_ns3_np7", "validation_ns5_np100"])
     def test_bundled_scenarios(self, name, algorithm):

@@ -274,29 +274,44 @@ class TestCli:
         ["simulate", "--scenario", "validation_ns2_np5", "--values", "0.1", "0.2"],
         ["simulate", "--scenario", "validation_ns2_np5", "--jobs", "0"],
         ["simulate", "--scenario", "validation_ns2_np5", "--trace", "-1"],
-        ["optimize", "--scenario", "adapt_ns3_np7", "--grid", "4", "4",
-         "--jobs", "0"],
-        ["optimize", "--scenario", "adapt_ns3_np7", "--grid", "4", "4",
-         "--jobs", "-3"],
         ["sweep", "--scenario", "false_alarm_np5", "--p-fa", "--slots", "100"],
         ["sweep", "--scenario", "false_alarm_np5", "--n-su", "--slots", "100"],
         ["subgradient-field", "--scenario", "field_ns5_np5",
          "--taus", "0.02", "--ps", "0.5"],
         ["subgradient-field", "--scenario", "field_ns5_np5",
          "--taus", "0.002", "--ps", "1.5"],
+        ["analyze", "--scenario", "{in}"],
+        ["analyze", "--scenario", "{in}/latin1.yaml"],
+        ["upper-bound", "--scenario", "validation_ns2_np5", "--out", "{in}/file"],
+        ["upper-bound", "--scenario", "validation_ns2_np5",
+         "--out", "{in}/file/sub"],
     ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
             "zero-frames", "zero-realizations", "values-without-axis",
-            "zero-jobs", "negative-trace", "optimize-zero-jobs",
-            "optimize-negative-jobs", "sweep-no-p-fa", "sweep-no-n-su",
-            "field-tau-past-slot", "field-p-past-one"])
+            "zero-jobs", "negative-trace", "sweep-no-p-fa", "sweep-no-n-su",
+            "field-tau-past-slot", "field-p-past-one", "scenario-is-a-directory",
+            "scenario-not-utf8", "out-is-a-file", "out-under-a-file"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
-        rc = main(argv + ["--out", str(tmp_path)])
+        # "{in}" is a directory holding a Latin-1 scenario file and an
+        # empty file; a later --out overrides the default one
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        (inputs / "latin1.yaml").write_bytes("name: caf\xe9\n".encode("latin-1"))
+        (inputs / "file").write_text("")
+        argv = [arg.replace("{in}", str(inputs)) for arg in argv]
+        rc = main(argv[:1] + ["--out", str(out)] + argv[1:])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert not list(tmp_path.iterdir())
+        assert not out.exists()
+        assert sorted(f.name for f in inputs.iterdir()) == ["file", "latin1.yaml"]
+
+    def test_optimize_rejects_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--scenario", "adapt_ns3_np7", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def _subcommands():

@@ -20,55 +20,58 @@ from rsop.optimizer import (
     GridSpec,
     PointEval,
     brute_force_optimize,
-    _evaluate_points,
     evaluate_point,
+    evaluate_points,
     optimize_scenario,
 )
 
 T = 10e-3
 
 
-def stub_evaluator(r_fn, feasible_fn=None):
-    def ev(tau, p):
-        feas = True if feasible_fn is None else feasible_fn(tau, p)
-        return PointEval(tau=tau, p=p, r=r_fn(tau, p), t_i=0.0, p_md_max=0.0,
-                         feasible=feas)
-    return ev
+def stub_points(monkeypatch, r_fn, feasible_fn=None):
+    """Make ``brute_force_optimize`` read columns of ``r_fn(tau, p)`` and
+    ``feasible_fn(tau, p)`` (every point when None) in place of the
+    analyzer's."""
+    def evaluate(config, tau, p, qos, resolved):
+        return {"tau": tau, "p": p,
+                "r": np.array([r_fn(t, q) for t, q in zip(tau, p)]),
+                "t_i": np.zeros(len(tau)), "p_md_max": np.zeros(len(tau)),
+                "feasible": np.array([True if feasible_fn is None
+                                      else feasible_fn(t, q)
+                                      for t, q in zip(tau, p)])}
+    monkeypatch.setattr(optimizer, "evaluate_points", evaluate)
 
 
 class TestBruteForce:
-    def test_monotone_stub_picks_corner(self):
+    def test_monotone_stub_picks_corner(self, monkeypatch):
         grid = GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=2, p_lo=0.1,
                         p_hi=1.0, p_steps=2)
-        res = brute_force_optimize(make_config(), grid, default_qos(),
-                                   evaluator=stub_evaluator(lambda t, p: t * p))
+        stub_points(monkeypatch, lambda t, p: t * p)
+        res = brute_force_optimize(make_config(), grid, default_qos(), None)
         assert (res.tau_star, res.p_star) == (1e-3, 1.0)
         assert res.feasible
 
-    def test_single_feasible_point_wins(self):
+    def test_single_feasible_point_wins(self, monkeypatch):
         grid = GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=3, p_lo=0.1,
                         p_hi=1.0, p_steps=3)
         target = (1e-4, 0.55)
-        res = brute_force_optimize(
-            make_config(), grid, default_qos(),
-            evaluator=stub_evaluator(lambda t, p: 1.0,
-                                     lambda t, p: (t, p) == target))
+        stub_points(monkeypatch, lambda t, p: 1.0, lambda t, p: (t, p) == target)
+        res = brute_force_optimize(make_config(), grid, default_qos(), None)
         assert (res.tau_star, res.p_star) == target
 
-    def test_tie_breaks_toward_small_tau_then_small_p(self):
+    def test_tie_breaks_toward_small_tau_then_small_p(self, monkeypatch):
         grid = GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=3, p_lo=0.1,
                         p_hi=1.0, p_steps=3)
-        res = brute_force_optimize(make_config(), grid, default_qos(),
-                                   evaluator=stub_evaluator(lambda t, p: 7.0))
+        stub_points(monkeypatch, lambda t, p: 7.0)
+        res = brute_force_optimize(make_config(), grid, default_qos(), None)
         assert res.tau_star == 1e-4
         assert res.p_star == 0.1
 
-    def test_all_infeasible_reports_best_r(self):
+    def test_all_infeasible_reports_best_r(self, monkeypatch):
         grid = GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=2, p_lo=0.1,
                         p_hi=1.0, p_steps=2)
-        res = brute_force_optimize(
-            make_config(), grid, default_qos(),
-            evaluator=stub_evaluator(lambda t, p: t + p, lambda t, p: False))
+        stub_points(monkeypatch, lambda t, p: t + p, lambda t, p: False)
+        res = brute_force_optimize(make_config(), grid, default_qos(), None)
         assert not res.feasible
         assert (res.tau_star, res.p_star) == (1e-3, 1.0)
 
@@ -80,8 +83,8 @@ class TestBruteForce:
                           p_hi=1.0, p_steps=5)
         fine = GridSpec(tau_lo=5e-4, tau_hi=4e-3, tau_steps=9, p_lo=0.1,
                         p_hi=1.0, p_steps=9)  # 2n-1 points: superset
-        a = brute_force_optimize(config, coarse, qos, resolved=resolved)
-        b = brute_force_optimize(config, fine, qos, resolved=resolved)
+        a = brute_force_optimize(config, coarse, qos, resolved)
+        b = brute_force_optimize(config, fine, qos, resolved)
         assert b.r_star >= a.r_star - 1e-15
 
     def test_invalid_grid(self):
@@ -89,27 +92,6 @@ class TestBruteForce:
             GridSpec(tau_lo=1e-3, tau_hi=1e-3, tau_steps=4)
         with pytest.raises(EmptyGrid):
             GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=1)
-
-    def test_parallel_matches_serial(self):
-        config = make_config(n_su=3, n_pu=3, presence=0.5)
-        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
-        grid = GridSpec(tau_lo=5e-4, tau_hi=4e-3, tau_steps=6, p_lo=0.1,
-                        p_hi=1.0, p_steps=6)
-        a = brute_force_optimize(config, grid, default_qos(), resolved=resolved)
-        b = brute_force_optimize(config, grid, default_qos(), resolved=resolved,
-                                 n_jobs=4)
-        assert (a.tau_star, a.p_star, a.r_star) == (b.tau_star, b.p_star, b.r_star)
-
-    def test_pool_runs_a_supplied_evaluator(self):
-        grid = GridSpec(tau_lo=1e-4, tau_hi=1e-3, tau_steps=5, p_lo=0.1,
-                        p_hi=1.0, p_steps=7)
-        ev = stub_evaluator(lambda t, p: -(t - 4e-4) ** 2 - (p - 0.6) ** 2,
-                            lambda t, p: p < 0.9)
-        a = brute_force_optimize(make_config(), grid, default_qos(), evaluator=ev)
-        b = brute_force_optimize(make_config(), grid, default_qos(), evaluator=ev,
-                                 n_jobs=3)
-        assert a.table == b.table
-        assert (a.tau_star, a.p_star) == (b.tau_star, b.p_star)
 
 
 class TestEvaluatePoint:
@@ -157,10 +139,10 @@ def grid_points(grid, rows=slice(None)):
 
 
 def assert_points_match(sc, tau, p):
-    """``_evaluate_points`` equals ``evaluate_point`` at every point, field
+    """``evaluate_points`` equals ``evaluate_point`` at every point, field
     for field and bit for bit."""
     resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-    cols = _evaluate_points(sc.config, tau, p, sc.qos, resolved)
+    cols = evaluate_points(sc.config, tau, p, sc.qos, resolved)
     assert list(cols) == [f.name for f in fields(PointEval)]
     assert all(len(c) == len(tau) for c in cols.values())
     for i in range(len(tau)):
@@ -188,7 +170,7 @@ class TestRowMatchesPoints:
         monkeypatch.setattr(optimizer, "analyze",
                             lambda *args: calls.append(args) or analyze(*args))
         ps = grid.p_values()
-        _evaluate_points(sc.config, np.full(len(ps), grid.tau_lo), ps, sc.qos,
+        evaluate_points(sc.config, np.full(len(ps), grid.tau_lo), ps, sc.qos,
                          resolved)
         assert len(calls) == 1
 
@@ -263,7 +245,7 @@ class TestStageBudgetGroups:
             return res
 
         monkeypatch.setattr(optimizer, "analyze", recording)
-        _evaluate_points(sc.config, tau[order], p[order], sc.qos, resolved)
+        evaluate_points(sc.config, tau[order], p[order], sc.qos, resolved)
         assert len(cells) > 1 and max(cells) <= optimizer._CHUNK_CELLS
 
     def test_points_keep_input_order(self):
@@ -272,8 +254,8 @@ class TestStageBudgetGroups:
         tau, p = grid_points(grid)
         order = np.random.default_rng(0).permutation(len(tau))
         resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-        whole = _evaluate_points(sc.config, tau, p, sc.qos, resolved)
-        shuffled = _evaluate_points(sc.config, tau[order], p[order], sc.qos,
+        whole = evaluate_points(sc.config, tau, p, sc.qos, resolved)
+        shuffled = evaluate_points(sc.config, tau[order], p[order], sc.qos,
                                     resolved)
         for name in whole:
             assert np.array_equal(shuffled[name], whole[name][order]), name
@@ -285,7 +267,7 @@ class TestStageBudgetGroups:
                        (np.array([1e-3, np.nan]), np.array([0.5, 0.5])),
                        (np.array([1e-3, 2e-3]), np.array([0.5, 1.5]))):
             with pytest.raises(ScenarioError):
-                _evaluate_points(config, tau, p, default_qos(), resolved)
+                evaluate_points(config, tau, p, default_qos(), resolved)
 
 
 class TestOptResultColumns:
@@ -294,7 +276,7 @@ class TestOptResultColumns:
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
         grid = GridSpec(tau_lo=5e-4, tau_hi=4e-3, tau_steps=4, p_lo=0.1,
                         p_hi=1.0, p_steps=3)
-        res = brute_force_optimize(config, grid, default_qos(), resolved=resolved)
+        res = brute_force_optimize(config, grid, default_qos(), resolved)
         assert res.table is res.table
         assert [pt.tau for pt in res.table] == res.columns["tau"].tolist()
         assert [pt.feasible for pt in res.table] == res.columns["feasible"].tolist()

@@ -173,8 +173,8 @@ class TestThresholdTable:
     @pytest.mark.parametrize("path", ENERGY_SCENARIOS,
                              ids=lambda path: Path(path).stem)
     def test_equals_the_per_stage_su_evaluation(self, path):
-        # evaluated once per distinct stage column and channel class, against
-        # every (stage, SU) row evaluated on its own; stage n reads row
+        # evaluated once per stage column and channel class, against every
+        # (stage, SU) row evaluated on its own; stage n reads row and column
         # min(n, n_cols) - 1
         sc = load_scenario(path)
         config, ns = sc.config, sc.config.n_su
@@ -187,14 +187,14 @@ class TestThresholdTable:
         for sched in (SuSchedules.homogeneous(config, sc.params),
                       SuSchedules.from_per_su(config, tau[:, 0], np.full(ns, 0.5)),
                       SuSchedules.from_stage_table(config, tau, np.full((ns, 3), 0.5))):
-            table = _threshold_table(config, resolved,
-                                     sched.tau[:, :sched.n_cols], sched.max_stages)
+            table = _threshold_table(config, resolved, sched.tau,
+                                     sched.max_stages)
             assert table.shape == (sched.n_cols, ns, 2, ns + 1, config.n_pu)
             for n, j in np.ndindex(sched.max_stages, ns):
-                row = misdetection_prob(lam, sched.tau[j, n], f_s, gamma)
-                row[0, 0] = false_alarm_prob(lam, sched.tau[j, n], f_s)
-                assert np.array_equal(table[min(n + 1, sched.n_cols) - 1, j],
-                                      row)
+                col = min(n + 1, sched.n_cols) - 1
+                row = misdetection_prob(lam, sched.tau[j, col], f_s, gamma)
+                row[0, 0] = false_alarm_prob(lam, sched.tau[j, col], f_s)
+                assert np.array_equal(table[col, j], row)
 
     def test_explicit_cells_follow_the_stage(self):
         config = make_config(n_su=2, n_pu=3)
@@ -292,7 +292,7 @@ class TestSchedules:
         config = make_config(n_su=3, n_pu=10)
         sched = SuSchedules.from_per_su(config, [1e-3, 2e-3, 4e-3], [0.5, 0.5, 0.5])
         assert sched.delta.tolist() == [9, 4, 2]
-        assert sched.tau.shape == (3, 9)
+        assert sched.tau.shape == sched.p.shape == (3, 1)  # not padded
 
     def test_stage_table_padding(self):
         config = make_config(n_su=2, n_pu=10)
@@ -300,7 +300,31 @@ class TestSchedules:
         p = [[0.5, 0.6], [0.5, 0.6]]
         sched = SuSchedules.from_stage_table(config, tau, p)
         assert sched.max_stages == 9
-        assert sched.tau[0, -1] == 0.5e-3  # edge padded
+        # stages 3..9 read the last column; no padded copy is stored
+        assert sched.n_cols == 2
+        assert sched.tau.tolist() == tau and sched.p.tolist() == p
+
+    def test_one_column_equals_the_column_padded_by_hand(self):
+        sc = load_scenario(bundled_scenarios()["dense_ns20_np5"])
+        config, ns = sc.config, sc.config.n_su
+        resolved = resolve_detector(config, sc.detector, sc.qos, sc.params.tau)
+        rng = np.random.default_rng(4)
+        tau = sc.params.tau * rng.uniform(0.5, 1.5, ns)
+        p = rng.uniform(0.2, 1.0, ns)
+        one = SuSchedules.from_per_su(config, tau, p)
+        stages = one.max_stages
+        padded = SuSchedules.from_stage_table(
+            config, np.repeat(tau[:, None], stages, axis=1),
+            np.repeat(p[:, None], stages, axis=1))
+        assert (one.n_cols, padded.n_cols) == (1, stages) and stages > 2
+        a = simulate_slots(config, one, resolved, 500, np.random.default_rng(9))
+        b = simulate_slots(config, padded, resolved, 500,
+                           np.random.default_rng(9))
+        assert a.tx_stage.max() > 2
+        for field in dataclasses.fields(SlotBatch):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
 
     def test_heterogeneous_taus_align_to_longest(self):
         # one slow sensor stretches everyone's stage; the fast SU still gets
