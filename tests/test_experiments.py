@@ -307,9 +307,11 @@ class TestCli:
         assert not out.exists()
         assert sorted(f.name for f in inputs.iterdir()) == ["file", "latin1.yaml"]
 
-    def test_optimize_rejects_jobs(self, capsys):
+    @pytest.mark.parametrize("jobs", ["0", "-3"],
+                             ids=["zero-jobs", "negative-jobs"])
+    def test_optimize_rejects_jobs(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--scenario", "adapt_ns3_np7", "--jobs", "2"])
+            main(["optimize", "--scenario", "adapt_ns3_np7", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
