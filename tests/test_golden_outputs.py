@@ -63,6 +63,10 @@ CASES = {
                                  "--algorithm", "1", "--frames", "40"],
     "adapt_alg2_adapt_ns3_np7": ["adapt", "--scenario", "adapt_ns3_np7",
                                  "--algorithm", "2", "--frames", "40"],
+    # an explicit detector over multi-stage budgets: the misdetection check
+    # takes stage_profiles, and every SU its own budget
+    "adapt_alg2_false_alarm_np5": ["adapt", "--scenario", "false_alarm_np5",
+                                   "--algorithm", "2", "--frames", "40"],
     "subgradient_field_adapt_ns3_np7": ["subgradient-field", "--scenario",
                                         "adapt_ns3_np7", "--taus", "0.002",
                                         "--ps", "0.5", "--realizations", "200"],
@@ -77,6 +81,8 @@ CASES = {
                                    "--axis", "tau"],
     "analyze_tau_mixed_ns8_np6": ["analyze", "--scenario", MIXED,
                                   "--axis", "tau"],
+    "analyze_tau_false_alarm_np5": ["analyze", "--scenario", "false_alarm_np5",
+                                    "--axis", "tau"],
     "sweep_false_alarm_np5": ["sweep", "--scenario", "false_alarm_np5",
                               "--slots", "2000"],
     "ppersistent_compare_adapt_ns3_np7": ["ppersistent-compare", "--scenario",
