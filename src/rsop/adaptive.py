@@ -45,6 +45,7 @@ from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
 from .detector import sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
+from .optimizer import evaluate_points
 from .simulator import BLOCK_SLOTS, SlotBatch, SuSchedules, simulate_slots
 
 
@@ -306,8 +307,8 @@ class FrameLog:
     g_norm_sq: float            # ||stacked subgradient||^2 this frame
     network_throughput: float   # frame-mean simulated network throughput
     interference: float         # frame-mean simulated network interference
-    f_visited: float = float("nan")  # analyzer objective -r at the visited point
-    f_best: float = float("nan")     # running best feasible objective
+    f_visited: float = float("nan")  # mean analyzer -r over the feasible points
+    f_best: float = float("nan")     # running best f_visited
 
 
 @dataclass
@@ -355,10 +356,8 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
     an energy detector: a ``simulator`` threshold table whose stage-1 row is
     at sensing times ``tau``, such as the one of the frame just simulated.
     Then the stage-1 P_fa and P_md are read from that row, and only the
-    mean-field stage 2 takes a detector pass, through the same
-    ``stage2_detection`` as ``stage_profiles``, to the same bits.  Explicit
-    detectors always take ``stage_profiles``, which evaluates no detector
-    formula for them.
+    mean-field stage 2 takes a detector pass, through ``stage2_detection``
+    as in ``stage_profiles``, to the same bits.
     """
     deltas = np.asarray(deltas)
     ns = int(deltas.max())
@@ -374,14 +373,11 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
     checks[..., 0] = stage1[:, 0]
     np.subtract(1.0, stage1[:, 1], out=checks[..., 1])
     if ns > 1:
-        terms = resolved.terms(config)
-        checks[..., 2] = stage2_detection(config, rep, terms.lam, terms.presence,
-                                          tau, p, checks[..., 0], checks[..., 1])
-    # range-checked once, as stage_profiles checks its tables; with one
-    # stage, every SU's budget covers it
+        checks[..., 2] = stage2_detection(config, resolved, tau, p,
+                                          checks[..., 0], checks[..., 1])
+    # range-checked once, as stage_profiles checks its tables
     checks = _clamp01(checks, "p_fa and p_d")
-    return worst_misdetection(checks[..., 1:], np.minimum(deltas, 2)
-                              if ns > 1 else None)
+    return worst_misdetection(checks[..., 1:], np.minimum(deltas, 2))
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -399,9 +395,9 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     spreads a per-stage schedule inside each slot.  Updates are synchronous at
     frame boundaries and SUs share nothing but the air, so each frame runs
     the misdetection check, the estimate and the update once, as arrays over
-    the SUs.  With ``track_objective`` every visited point is also scored by
-    the analyzer (feasible points only) to maintain the running-best
-    objective that the convergence bound speaks about.
+    the SUs.  With ``track_objective`` each frame's objective, the mean -r of
+    its feasible points (``optimizer.evaluate_points``), and its running best,
+    the objective the convergence bound speaks about, are logged too.
     """
     if algorithm not in (1, 2):
         raise ScenarioError("algorithm must be 1 or 2")
@@ -418,19 +414,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
                                   config.n_su)
     rng = np.random.default_rng(seed)
 
-    analyze_cache: dict[tuple, tuple[float, bool]] = {}
-
-    def objective(tau: float, p: float) -> tuple[float, bool]:
-        key = (round(tau, 15), round(p, 15))
-        if key not in analyze_cache:
-            res = analyze(config, SensingParams(tau=tau, p=p), resolved)
-            feas = (res.interference <= qos.t_i_max
-                    and res.p_md_max <= qos.p_md_max)
-            analyze_cache[key] = (-res.throughput, feas)
-        return analyze_cache[key]
-
     frames: list[FrameLog] = []
-    f_best = math.inf
+    f_best = math.nan  # until a frame has a feasible point
     for _ in range(n_frames):
         # delta(tau), once per frame; alg2's schedule budgets its stage 1,
         # which is tau
@@ -451,13 +436,12 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
                               batch._loop.thresholds)
         est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
 
-        f_visited = float("nan")
+        f_visited = math.nan
         if track_objective:
-            vals = [f_val for f_val, feas in map(objective, state.tau, state.p)
-                    if feas]
-            if vals:
-                f_visited = float(np.mean(vals))
-                f_best = min(f_best, f_visited)
+            cols = evaluate_points(config, state.tau, state.p, qos, resolved)
+            if cols["feasible"].any():
+                f_visited = float(np.mean(-cols["r"][cols["feasible"]]))
+        f_best = float(np.fmin(f_best, f_visited))
 
         new_state, rec = alg1_update(state, est, qos, cfg)
         frames.append(FrameLog(
@@ -475,7 +459,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
                                      / cfg.n_ep),  # the mean over the frame
             interference=est.t_i_est,  # the frame is the whole batch
             f_visited=f_visited,
-            f_best=f_best if f_best < math.inf else float("nan"),
+            f_best=f_best,
         ))
         state = new_state
 

@@ -39,7 +39,7 @@ with the class index only where a caller reads a per-channel table (``p_d``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,49 +126,34 @@ class _PerChannel:
 # Detector resolution and stage profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetectorTerms:
-    """An energy detector's terms on one network that depend on neither tau
-    nor p, per channel class (see ``ResolvedDetector.terms``)."""
-
-    lam: np.ndarray       # (n_classes,) normalized threshold
-    presence: np.ndarray  # (n_classes,) PU presence probability
-    # detector.tail_terms at the realized SNR of every (PU present, SUs
-    # transmitting there 0..N_s, class): the simulator's threshold cells
-    realized: tuple[np.ndarray, np.ndarray]
-
-
 @dataclass
 class ResolvedDetector:
-    """Detector with the threshold pinned; shared by analyzer and simulator."""
+    """Threshold-pinned detector of one network; shared by analyzer and simulator."""
 
     mode: str                                # "energy" | "explicit"
     classes: ChannelClasses                  # the chain's channel classes
     lambda_norm: np.ndarray | None = None    # per-channel normalized threshold
+    # energy mode: detector.tail_terms at the realized SNR of every (PU
+    # present, SUs transmitting there 0..N_s, class), the simulator's cells
+    realized: tuple[np.ndarray, np.ndarray] | None = None
     p_fa: float | None = None                # explicit mode
     p_d_stages: np.ndarray | None = None     # explicit mode, indexed by stage
-    # (config, DetectorTerms) of the last network ``terms`` was asked for
-    _terms: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def explicit_p_d(self, stage):
         """Explicit-mode detection probability at 1-based ``stage`` (or array
         of stages); stages past the listed ones repeat the last entry."""
         return self.p_d_stages[np.minimum(stage, len(self.p_d_stages)) - 1]
 
-    def terms(self, config: NetworkConfig) -> DetectorTerms:
-        """This energy detector's tau- and p-free terms on ``config``, built
-        on the first call for that config object and kept, so a run of many
-        frames or blocks builds them once."""
-        if self._terms is None or self._terms[0] is not config:
-            rep = self.classes.rep
-            lam = self.lambda_norm[rep]
-            gamma = received_snr(config, np.arange(2)[:, None, None],
-                                 np.arange(config.n_su + 1)[:, None], rep)
-            self._terms = (config, DetectorTerms(
-                lam=lam, presence=config.presence_prob[rep],
-                realized=tail_terms(lam, gamma)))
-        return self._terms[1]
+    def check_network(self, config: NetworkConfig):
+        """Raise ``ScenarioError`` unless ``config`` has the channels and, for
+        the energy detector's realized table, the SUs resolved for."""
+        if self.classes.of.size != config.n_pu:
+            raise ScenarioError(f"detector resolved for {self.classes.of.size} "
+                                f"channels, network has {config.n_pu}")
+        n_su = None if self.realized is None else self.realized[0].shape[1] - 1
+        if n_su not in (None, config.n_su):
+            raise ScenarioError(f"detector resolved for {n_su} SUs, network "
+                                f"has {config.n_su}")
 
 
 def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
@@ -180,7 +165,8 @@ def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
     (default: the nominal tau) against the stage-1 SNR so that either the
     stage-1 detection hits ``qos.p_d_min`` or the false alarm hits
     ``qos.p_fa_max``; the threshold is then held fixed for every (tau, p)
-    evaluated afterwards.  The channel classes are fixed here too.
+    evaluated afterwards.  The channel classes are fixed here too, and the
+    energy detector's tail terms at every realized SNR the simulator meets.
     """
     if detector.mode == "explicit":
         p_d = np.atleast_1d(np.asarray(detector.p_d, dtype=float))
@@ -204,9 +190,11 @@ def resolve_detector(config: NetworkConfig, detector: DetectorSpec,
                                                 qos.p_fa_max)),
             )
         lam = np.atleast_1d(lam)
-    return ResolvedDetector(mode="energy",
-                            classes=ChannelClasses.of_channels(config, lam),
-                            lambda_norm=lam)
+    classes = ChannelClasses.of_channels(config, lam)
+    gamma = received_snr(config, np.arange(2)[:, None, None],
+                         np.arange(config.n_su + 1)[:, None], classes.rep)
+    return ResolvedDetector(mode="energy", classes=classes, lambda_norm=lam,
+                            realized=tail_terms(lam[classes.rep], gamma))
 
 
 @dataclass
@@ -224,10 +212,6 @@ class StageProfiles:
 
     p_fa = _PerChannel(axis=-1)
     p_d = _PerChannel()
-
-    @property
-    def p_md(self) -> np.ndarray:
-        return 1.0 - self.p_d
 
 
 @dataclass
@@ -262,15 +246,13 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     (detection saturates); p enters only through stage 2.  ``params.tau``
     is a scalar, or an array aligned with ``params.p`` (one point per
     entry, e.g. per SU); an array tau gives ``p_fa`` a leading point axis
-    too.  The tau-only terms (P_fa and the
-    stage-1 P_d) are evaluated once per run of equal consecutive tau, e.g.
-    once per tau row of a grid.  Each class is evaluated at its
-    representative channel; the finished tables are range-checked once.
+    too.  The tau-only terms (P_fa and the stage-1 P_d) are evaluated once
+    per run of equal consecutive tau, e.g. once per tau row of a grid.  Each
+    class is evaluated at its representative channel; the finished tables
+    are range-checked once.
     """
+    resolved.check_network(config)
     classes = resolved.classes
-    if classes.of.size != config.n_pu:
-        raise ScenarioError(f"detector resolved for {classes.of.size} channels, "
-                            f"network has {config.n_pu}")
     nc, ns = classes.rep.size, n_stages
     points = np.shape(params.p)
     if resolved.mode == "explicit":
@@ -289,31 +271,31 @@ def stage_profiles(config: NetworkConfig, params: SensingParams,
     p_d = np.zeros(points + (nc, ns))
     p_d[..., 0] = detection_prob(lam, tau_rows, f_s, config.snr_stage1[rep])[row_of]
     if ns > 1:
-        p_d[..., 1:] = stage2_detection(
-            config, rep, lam, config.presence_prob[rep], params.tau, params.p,
-            p_fa, p_d[..., 0])[..., None]
+        p_d[..., 1:] = stage2_detection(config, resolved, params.tau, params.p,
+                                        p_fa, p_d[..., 0])[..., None]
     return StageProfiles(class_p_fa=_clamp01(p_fa, "p_fa"),
                          class_p_d=_clamp01(p_d, "p_d"), n_stages=ns,
                          classes=classes)
 
 
-def stage2_detection(config: NetworkConfig, rep, lam, presence, tau, p,
-                     p_fa, p_d1):
-    """Mean-field stage-2 detection probability of the classes whose
-    representative channels are ``rep``, normalized thresholds ``lam`` and
-    PU presence probabilities ``presence``, from their stage-1 P_fa and P_d
-    (arrays of shape (..., n_classes)) at sensing time ``tau`` and sensing
+def stage2_detection(config: NetworkConfig, resolved: ResolvedDetector, tau,
+                     p, p_fa, p_d1):
+    """Mean-field stage-2 detection probability of the energy detector
+    ``resolved``'s channel classes, from their stage-1 P_fa and P_d (arrays
+    of shape (..., n_classes)) at sensing time ``tau`` and sensing
     probability ``p`` (shape (...)).
 
     The detector is evaluated at the mean SNR gamma2, which adds the
     mean-field count of stage-1 transmitters, (N_s p / N_p)(1 - q_m1), with
     tau and p as columns against the per-class terms."""
+    rep = resolved.classes.rep
+    presence = config.presence_prob[rep]
     q1 = _handoff_prob(presence, p_fa, p_d1)
     p = np.asarray(p)[..., None]
     gamma2 = received_snr(config, presence,
                           (config.n_su * p / config.n_pu) * (1.0 - q1), rep)
-    return detection_prob(lam, np.asarray(tau)[..., None], config.sampling_freq,
-                          gamma2)
+    return detection_prob(resolved.lambda_norm[rep], np.asarray(tau)[..., None],
+                          config.sampling_freq, gamma2)
 
 
 def _tau_runs(tau):
@@ -413,7 +395,7 @@ class ChainDistribution:
 
 def state_distribution(config: NetworkConfig, params: SensingParams,
                        profiles: StageProfiles, occupancy: OccupancyTable,
-                       deltas=None) -> ChainDistribution:
+                       deltas) -> ChainDistribution:
     """Occupation probabilities of HO_n, m^(n), T_n, I_n and TE.
 
     An SU reaches HO_n with the handoff population's share N_HO^(n) / N_s and
@@ -421,16 +403,16 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
     T_n when the channel is free and no false alarm fires, I_n when it is
     busy and missed; what reaches the last stage and does not leave there
     terminates.  The stage totals weight each class by its channel count.
-    ``deltas``, each point's stage budget, ends a point's walk before the
-    tables do: its stages past delta probe nothing, and it terminates from
-    HO_delta.  By default every point uses every stage of the tables.
+    ``deltas``, each point's stage budget (one for a tau row), ends a
+    point's walk where its budget does, which may be before the tables end:
+    its stages past delta probe nothing, and it terminates from HO_delta.
     """
     classes = occupancy.classes
     pi_ho = occupancy.n_ho / config.n_su
+    deltas = np.broadcast_to(deltas, pi_ho.shape[:-1])
     share = np.asarray(params.p, dtype=float)[..., None] / config.n_pu
     probe = share * pi_ho
-    if deltas is not None:
-        probe[np.arange(pi_ho.shape[-1]) >= np.asarray(deltas)[..., None]] = 0.0
+    probe[np.arange(pi_ho.shape[-1]) >= deltas[..., None]] = 0.0
     occ = occupancy.class_occ
     # a read-only view: every class is probed alike
     pi_ch = np.broadcast_to(probe[..., None, :], occ.shape)
@@ -438,33 +420,28 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
     p_i = pi_ch * occ * (1.0 - profiles.class_p_d)
     size = classes.size[:, None]
     pi_t, pi_i = (size * p_t).sum(axis=-2), (size * p_i).sum(axis=-2)
-    if deltas is None:
-        pi_te = pi_ho[..., -1] - pi_t[..., -1] - pi_i[..., -1]
-    else:
-        # numpy adds the classes of a one-stage table pairwise (from 8 classes
-        # on), not in turn as in a stage column of a longer one: one-stage
-        # points sum as a call of their budget alone does
-        lone = np.asarray(deltas) == 1
-        pi_t[lone, :1], pi_i[lone, :1] = ((size * t[lone][..., :1]).sum(axis=-2)
-                                          for t in (p_t, p_i))
-        last = np.asarray(deltas)[..., None] - 1
-        pi_te = (np.take_along_axis(pi_ho, last, -1)
-                 - np.take_along_axis(pi_t, last, -1)
-                 - np.take_along_axis(pi_i, last, -1))[..., 0]
+    # numpy adds the classes of a one-stage table pairwise (from 8 classes
+    # on), not in turn as in a stage column of a longer one: one-stage
+    # points sum as a call of their budget alone does
+    lone = deltas == 1
+    pi_t[lone, :1], pi_i[lone, :1] = ((size * t[lone][..., :1]).sum(axis=-2)
+                                      for t in (p_t, p_i))
+    last = deltas[..., None] - 1
+    pi_te = (np.take_along_axis(pi_ho, last, -1)
+             - np.take_along_axis(pi_t, last, -1)
+             - np.take_along_axis(pi_i, last, -1))[..., 0]
     return ChainDistribution(pi_ho=pi_ho, class_pi_channel=pi_ch, class_p_t=p_t,
                              class_p_i=p_i, pi_t=pi_t, pi_i=pi_i, pi_te=pi_te,
                              classes=classes)
 
 
-def worst_misdetection(class_p_d: np.ndarray, deltas=None):
+def worst_misdetection(class_p_d: np.ndarray, deltas):
     """Max over classes and each point's first ``deltas`` stages of the
-    misdetection 1 - P_d, from a (..., n_classes, n_stages) table; by default
-    over every stage."""
+    misdetection 1 - P_d, from a (..., n_classes, n_stages) table."""
     p_md = 1.0 - class_p_d
-    if deltas is not None:
-        # p_md is a clamped table's complement, finite and >= +0.0, so the
-        # stages past delta become +0.0 and drop out of the max
-        p_md *= np.arange(p_md.shape[-1]) < np.asarray(deltas)[..., None, None]
+    # p_md is a clamped table's complement, finite and >= +0.0, so the
+    # stages past delta become +0.0 and drop out of the max
+    p_md *= np.arange(p_md.shape[-1]) < np.asarray(deltas)[..., None, None]
     # method-form reduction over one axis of the fresh (contiguous) table:
     # this runs once per adaptive frame
     return p_md.reshape(p_md.shape[:-2] + (-1,)).max(axis=-1)
@@ -519,7 +496,7 @@ class ChainResult:
 def _channel_sum(table: np.ndarray, classes: ChannelClasses):
     """Sum over (channel, stage) of a (..., n_classes, n_stages) class table,
     each class weighted by its channel count."""
-    return (classes.size[:, None] * table).sum(axis=(-2, -1))[()]
+    return (classes.size[:, None] * table).sum(axis=(-2, -1))
 
 
 def _remaining_times(config: NetworkConfig, params: SensingParams,
@@ -562,26 +539,18 @@ def analyze(config: NetworkConfig, params: SensingParams,
     deltas = max_sensing_stages(config.slot_duration, params.tau,
                                 config.handoff_time, config.n_pu)
     n_stages = int(np.max(deltas))
-    # the budgets of points that stop before the tables end; None if none do
-    budgets = None if np.all(deltas == n_stages) else deltas
     profiles = stage_profiles(config, params, resolved, n_stages)
     occupancy = occupancy_evolution(config, params, profiles)
-    dist = state_distribution(config, params, profiles, occupancy, budgets)
+    dist = state_distribution(config, params, profiles, occupancy, deltas)
     leak = np.max(np.abs(dist.disposition_total() - 1.0))
     if leak > _CLAMP_TOL:
         raise RsopError(f"chain disposition leaks {leak:.3e} of probability mass")
 
-    classes = dist.classes
     no_tx = _no_tx_matrix(dist)
     success = dist.class_p_t * no_tx ** (config.n_su - 1)
     no_interf = (1.0 - dist.class_p_i) ** config.n_su
-
-    if budgets is None:
-        r = avg_throughput(config, params, success, classes)
-        t_i = avg_interference(config, params, no_interf, classes)
-    else:
-        r, t_i = _metrics_by_budget(config, params, budgets, success, no_interf,
-                                    classes)
+    r, t_i = _metrics_by_budget(config, params, deltas, success, no_interf,
+                                dist.classes)
     return ChainResult(
         params=params,
         n_stages=n_stages,
@@ -595,21 +564,22 @@ def analyze(config: NetworkConfig, params: SensingParams,
         throughput=r,
         network_throughput=config.n_su * r,
         interference=t_i,
-        p_md_max=worst_misdetection(profiles.class_p_d, budgets),
-        classes=classes,
+        p_md_max=worst_misdetection(profiles.class_p_d, deltas),
+        classes=dist.classes,
     )
 
 
 def _metrics_by_budget(config: NetworkConfig, params: SensingParams, deltas,
                        success: np.ndarray, no_interf: np.ndarray,
                        classes: ChannelClasses):
-    """r and t_I of aligned points of several budgets, one budget group at a
-    time over a contiguous copy of its first delta stages, so each sum adds
-    in the order of a call at that budget alone."""
-    tau, p = np.ravel(params.tau), np.ravel(params.p)
-    flat = np.ravel(deltas)
-    cells = success.shape[-2:]
-    success, no_interf = (t.reshape((-1,) + cells) for t in (success, no_interf))
+    """r and t_I of every point (a tau row's tau and budget hold for each of
+    its points), one budget group at a time over a contiguous copy of its
+    first delta stages, so each sum adds as in a call at that budget alone."""
+    shape = np.shape(params.p)
+    tau, p, flat = (np.broadcast_to(a, shape).ravel()
+                    for a in (params.tau, params.p, deltas))
+    success, no_interf = (t.reshape((-1,) + t.shape[-2:])
+                          for t in (success, no_interf))
     r, t_i = np.empty((2, flat.size))
     # the distinct budgets; np.unique would import numpy.ma on first use
     for delta in np.flatnonzero(np.bincount(flat)).tolist():
@@ -618,7 +588,7 @@ def _metrics_by_budget(config: NetworkConfig, params: SensingParams, deltas,
         r[idx] = avg_throughput(config, group, success[idx, :, :delta], classes)
         t_i[idx] = avg_interference(config, group, no_interf[idx, :, :delta],
                                     classes)
-    return r.reshape(np.shape(deltas)), t_i.reshape(np.shape(deltas))
+    return r.reshape(shape)[()], t_i.reshape(shape)[()]
 
 
 def analyze_scenario(scenario, tau: float | None = None,

@@ -5,7 +5,7 @@ A scenario file is a small key/value tree with four mandatory sections
 section.  Durations and frequencies may carry unit suffixes ("10 ms",
 "6.857 MHz"); everything is normalized to seconds / Hz on load.  The keys of
 each section are the fields of its dataclass below; unknown keys anywhere in
-the tree are rejected.
+the tree, and keys given twice in one mapping, are rejected.
 """
 
 from __future__ import annotations
@@ -357,17 +357,37 @@ def scenario_from_dict(doc: dict, name: str = "<inline>") -> Scenario:
     return _build(Scenario, doc, "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, but a key given twice in one mapping is an error."""
+
+    def construct_mapping(self, node, deep=False):
+        # the mapping's own keys: a merged key ("<<") may be overridden
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        keys = [self.construct_object(key) for key in own]
+        again = [i for i, key in enumerate(keys) if key in keys[:i]]
+        if again:
+            twice = list(dict.fromkeys(keys[i] for i in again))
+            raise yaml.constructor.ConstructorError(
+                None, None, f"duplicate key(s) {twice}", own[again[0]].start_mark)
+        return mapping
+
+
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file.  Rejects unknown keys."""
+    """Load and validate a scenario file; rejects unknown and repeated keys."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: parse error: {exc}") from exc
+        # one line: the problem and its place, without PyYAML's excerpt
+        mark = getattr(exc, "problem_mark", None)
+        what = (f" at line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+                if mark else ": " + " ".join(str(exc).split()))
+        raise ScenarioError(f"{path}: parse error{what}") from exc
     try:
         return scenario_from_dict(doc, name=path.stem)
     except ScenarioError as exc:

@@ -12,10 +12,10 @@ only on those, the PU state and that count, so each call evaluates the
 detector's tail in one pass over a table of those cells, for every distinct
 stage column of the schedule and channel class: the idle cell (PU absent, no
 earlier sender) is the cell at SNR 0, whose tail is P_fa, and the busy cells
-take its complement, P_md.  The cells' realized SNRs and the tail's
-tau-free factors come from the resolved detector, which builds them once per
-network (:meth:`rsop.chain.ResolvedDetector.terms`), so a call evaluates
-only their value at its taus (:func:`rsop.detector.tail_at`).  Every probe
+take its complement, P_md.  The tail's tau-free factors at the cells'
+realized SNRs are built once, when the detector is resolved for the network
+(``rsop.chain.ResolvedDetector.realized``), so a call evaluates only their
+value at its taus (:func:`rsop.detector.tail_at`).  Every probe
 reads its threshold with one gather, and the adaptive loop's misdetection
 check reads the table's stage-1 row.
 
@@ -232,6 +232,7 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
     u >= P_fa, that is when (u < row[cell]) == busy.  So the busy cells hold
     P_md at the cell's SNR and the idle cell (PU absent, count 0) holds P_fa.
     """
+    resolved.check_network(config)
     ns = tau.shape[0]
     if resolved.mode == "explicit":
         p_md = 1.0 - resolved.p_d_stages[:n_stages]
@@ -240,10 +241,10 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
         table[:, :, 0, 0] = resolved.p_fa
         return table
     # one tail over every cell, from the detector's per-class terms at the
-    # realized SNR of every state (built once per network): the idle cell's
+    # realized SNR of every state (built at resolution): the idle cell's
     # gamma is 0, so its tail is P_fa; the busy cells take its complement
-    tail = tail_at(resolved.terms(config).realized,
-                   tau.T[:, :, None, None, None], config.sampling_freq)
+    tail = tail_at(resolved.realized, tau.T[:, :, None, None, None],
+                   config.sampling_freq)
     table = 1.0 - tail
     table[:, :, 0, 0] = tail[:, :, 0, 0]
     # (column, SU, 2, N_s + 1, channel) from the classes; take() makes it

@@ -38,7 +38,7 @@ def p_md_of_su(config, resolved, tau: float, p: float) -> float:
                                 config.handoff_time, config.n_pu)
     prof = stage_profiles(config, SensingParams(tau=float(tau), p=float(p)),
                           resolved, stages)
-    return float(np.max(prof.p_md))
+    return float(np.max(1.0 - prof.p_d))
 
 
 def stage_schedule_of_su(s: SuState, delta: int, cfg):

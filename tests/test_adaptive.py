@@ -506,12 +506,15 @@ class TestAgainstPerSuReference:
 
     @pytest.mark.parametrize("algorithm", [1, 2])
     def test_track_objective(self, algorithm):
-        sc = TestClosedLoop().scenario()
-        got = run_adaptive(sc, algorithm, n_frames=30, seed=3, track_objective=True)
-        want = run_adaptive_per_su(sc, algorithm, n_frames=30, seed=3,
-                                   track_objective=True)
-        assert not math.isnan(want.frames[-1].f_best)
-        _assert_runs_equal(got, want)
+        # an explicit and an energy detector; the reference scores each SU's
+        # point by its own scalar analyze call
+        for sc in (TestClosedLoop().scenario(), load_bundled("adapt_ns3_np7")):
+            got = run_adaptive(sc, algorithm, n_frames=30, seed=3,
+                               track_objective=True)
+            want = run_adaptive_per_su(sc, algorithm, n_frames=30, seed=3,
+                                       track_objective=True)
+            assert not math.isnan(want.frames[-1].f_best)
+            _assert_runs_equal(got, want)
 
 
 class TestDetectorPasses:
@@ -568,11 +571,12 @@ class TestFrameInvariantWork:
         assert len(calls) == 1400
 
     @pytest.mark.parametrize("algorithm", [1, 2])
-    def test_realized_snr_table_built_on_the_first_frame(self, monkeypatch,
-                                                         algorithm):
+    def test_realized_snr_never_evaluated_in_a_frame(self, monkeypatch,
+                                                     algorithm):
         # the threshold table's realized SNR and tail factors depend on
-        # neither tau nor p; the check's mean-field stage 2 evaluates the
-        # SNR anew every frame, outside the simulator
+        # neither tau nor p, so resolve_detector builds them before the first
+        # frame; the check's mean-field stage 2 evaluates the SNR anew every
+        # frame, outside the simulator
         frame, inside, calls = [0], [False], []
         snr, simulate = rsop.detector.received_snr, rsop.adaptive.simulate_slots
 
@@ -594,7 +598,7 @@ class TestFrameInvariantWork:
         run_adaptive(load_bundled("adapt_ns3_np7"), algorithm, n_frames=20,
                      seed=0)
         assert frame[0] == 20
-        assert calls == [0]
+        assert calls == []
 
 
 def test_subgradient_field_rejects_unequal_probe_lengths():

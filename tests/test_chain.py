@@ -88,7 +88,7 @@ class TestStateDistribution:
     def test_idle_all_terminate(self):
         config = make_config(n_su=3, n_pu=2)
         params, prof, occ = tables(config, 1e-3, 0.0, 0.1, 0.9, 3)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         assert dist.pi_te == pytest.approx(1.0)
         assert np.allclose(dist.pi_t, 0) and np.allclose(dist.pi_i, 0)
 
@@ -96,20 +96,20 @@ class TestStateDistribution:
         config = make_config(n_su=1, n_pu=1, presence=0.0)
         for p in (0.3, 0.7, 1.0):
             params, prof, occ = tables(config, 5.2e-3, p, 0.0, 0.9, 1)
-            dist = state_distribution(config, params, prof, occ)
+            dist = state_distribution(config, params, prof, occ, prof.n_stages)
             assert dist.pi_t[0] == pytest.approx(p)
 
     def test_two_channel_stage1_hand_value(self):
         config = make_config(n_su=2, n_pu=2, presence=0.5)
         params, prof, occ = tables(config, 3e-3, 1.0, 0.1, 0.9, 2)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         assert dist.pi_t[0] == pytest.approx(0.45)
         assert dist.pi_ho[0] == 1.0
 
     def test_disposition_completeness(self):
         config = make_config(n_su=4, n_pu=3, presence=[0.2, 0.5, 0.9])
         params, prof, occ = tables(config, 8e-4, 0.65, 0.2, 0.8, 6)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         assert dist.disposition_total() == pytest.approx(1.0, abs=1e-9)
         # pruned chains conserve mass only together with the blocked share
         for m in range(3):
@@ -122,7 +122,7 @@ class TestStateDistribution:
     def test_entry_tables_carry_the_stage_totals(self):
         config = make_config(n_su=4, n_pu=3, presence=[0.2, 0.5, 0.9])
         params, prof, occ = tables(config, 8e-4, 0.65, 0.2, (0.8, 0.9, 0.95), 6)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         assert np.array_equal(dist.pi_t, dist.p_t.sum(axis=0))
         assert np.array_equal(dist.pi_i, dist.p_i.sum(axis=0))
         # T and I entries are exactly the probes that do not hand off
@@ -191,7 +191,7 @@ class TestPrunedNoTx:
     def test_matches_fast_path(self):
         config = make_config(n_su=5, n_pu=4, presence=[0.1, 0.45, 0.7, 0.95])
         params, prof, occ = tables(config, 6e-4, 0.55, 0.25, 0.85, 7)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         fast = dist.classes.expand(_no_tx_matrix(dist))
         for m in range(4):
             for n in range(1, 8):
@@ -203,7 +203,7 @@ class TestSuccessAndMetrics:
     def test_lone_su_has_no_competition(self):
         config = make_config(n_su=1, n_pu=2, presence=0.5)
         params, prof, occ = tables(config, 3e-3, 0.8, 0.1, 0.9, 2)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         p_t = dist.pi_channel[0, 0] * 0.5 * 0.9
         assert success_prob(config, prof, occ, dist, 0, 1, no_tx=0.123) == \
             pytest.approx(p_t)
@@ -211,7 +211,7 @@ class TestSuccessAndMetrics:
     def test_blocked_competitors_kill_success(self):
         config = make_config(n_su=3, n_pu=2, presence=0.5)
         params, prof, occ = tables(config, 3e-3, 0.8, 0.1, 0.9, 2)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         assert success_prob(config, prof, occ, dist, 0, 1, no_tx=0.0) == 0.0
 
     def test_pair_collision_hand_case(self):
@@ -219,7 +219,7 @@ class TestSuccessAndMetrics:
         # the rival picked the other channel
         config = make_config(n_su=2, n_pu=2, presence=0.0)
         params, prof, occ = tables(config, 5.2e-3, 1.0, 0.0, 0.9, 1)
-        dist = state_distribution(config, params, prof, occ)
+        dist = state_distribution(config, params, prof, occ, prof.n_stages)
         y = pruned_no_tx_prob(config, params, prof, occ, 0, 1)
         q = success_prob(config, prof, occ, dist, 0, 1, y)
         assert y == pytest.approx(0.5)

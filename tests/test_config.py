@@ -183,6 +183,39 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="bad.yaml"):
             load_scenario(path)
 
+    def test_parse_error_is_one_line_naming_its_place(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("network: [1, 2\nsensing: {\n")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == (f"{path}: parse error at line 2, column 8: "
+                                  "expected ',' or ']', but got ':'")
+
+    def test_parse_error_without_a_place_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text('name: "\x01"\n')  # PyYAML's message has two lines
+        with pytest.raises(ScenarioError, match="parse error: unacceptable") as exc:
+            load_scenario(path)
+        assert "\n" not in str(exc.value)
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        # the safe loader alone keeps the last value, p = 0.8
+        path = tmp_path / "twice.yaml"
+        text = yaml.safe_dump(GOOD, sort_keys=False)
+        path.write_text(text.replace("  p: 0.8\n", "  p: 0.7\n  p: 0.8\n"))
+        line = text.splitlines().index("  p: 0.8") + 2  # the second p, 1-based
+        with pytest.raises(ScenarioError, match=rf"parse error at line {line}, "
+                           r"column 3: duplicate key\(s\) \['p'\]$"):
+            load_scenario(path)
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        # YAML's merge key: the mapping's own p overrides the merged one
+        path = tmp_path / "merged.yaml"
+        text = yaml.safe_dump(GOOD, sort_keys=False)
+        path.write_text(text.replace("  tau: 1 ms\n  p: 0.8\n",
+                                     "  <<: {tau: 1 ms, p: 0.5}\n  p: 0.8\n"))
+        assert load_scenario(path).params == SensingParams(1e-3, 0.8)
+
 
 class TestInvariants:
     def test_probability_ranges(self):

@@ -285,17 +285,25 @@ class TestCli:
         ["upper-bound", "--scenario", "validation_ns2_np5", "--out", "{in}/file"],
         ["upper-bound", "--scenario", "validation_ns2_np5",
          "--out", "{in}/file/sub"],
+        ["analyze", "--scenario", "{in}/malformed.yaml"],
+        ["analyze", "--scenario", "{in}/duplicate.yaml"],
     ], ids=["negative-seed", "axis-without-values", "taus-ps-mismatch",
             "zero-frames", "zero-realizations", "values-without-axis",
             "zero-jobs", "negative-trace", "sweep-no-p-fa", "sweep-no-n-su",
             "field-tau-past-slot", "field-p-past-one", "scenario-is-a-directory",
-            "scenario-not-utf8", "out-is-a-file", "out-under-a-file"])
+            "scenario-not-utf8", "out-is-a-file", "out-under-a-file",
+            "scenario-malformed", "scenario-duplicate-key"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv):
-        # "{in}" is a directory holding a Latin-1 scenario file and an
-        # empty file; a later --out overrides the default one
+        # "{in}" is a directory holding a Latin-1 scenario file, a malformed
+        # one, one that gives p twice and an empty file; a later --out
+        # overrides the default one
         inputs, out = tmp_path / "in", tmp_path / "out"
         inputs.mkdir()
         (inputs / "latin1.yaml").write_bytes("name: caf\xe9\n".encode("latin-1"))
+        (inputs / "malformed.yaml").write_text("network: [1, 2\nsensing: {\n")
+        nominal = Path(bundled_scenario_path("validation_ns2_np5")).read_text()
+        (inputs / "duplicate.yaml").write_text(
+            nominal.replace("  p: 0.3\n", "  p: 0.7\n  p: 0.3\n"))
         (inputs / "file").write_text("")
         argv = [arg.replace("{in}", str(inputs)) for arg in argv]
         rc = main(argv[:1] + ["--out", str(out)] + argv[1:])
@@ -305,7 +313,8 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
-        assert sorted(f.name for f in inputs.iterdir()) == ["file", "latin1.yaml"]
+        assert sorted(f.name for f in inputs.iterdir()) == [
+            "duplicate.yaml", "file", "latin1.yaml", "malformed.yaml"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"],
                              ids=["zero-jobs", "negative-jobs"])

@@ -6,11 +6,12 @@ import pytest
 
 import simulator_reference
 from conftest import explicit_detector, make_config
-from rsop.chain import resolve_detector
+from rsop.chain import analyze, resolve_detector
 from rsop.config import (
     DetectorSpec,
     SensingParams,
     bundled_scenarios,
+    load_bundled,
     load_scenario,
 )
 from rsop.detector import false_alarm_prob, misdetection_prob, received_snr
@@ -414,6 +415,28 @@ class TestSimulateSlotsInput:
         assert batch.delay is batch.delay
         assert batch.success is batch.success
         assert isinstance(batch.pu_busy_fraction, float)
+
+    @pytest.mark.parametrize("name, cut", [
+        ("dense_ns20_np5", {"n_su": 5}),
+        ("dense_ns20_np5", {"n_pu": 4}),
+        ("validation_ns2_np5", {"n_pu": 4}),
+    ], ids=["energy-other-n-su", "energy-other-n-pu", "explicit-other-n-pu"])
+    def test_detector_of_another_network_is_rejected(self, name, cut):
+        # an energy detector's realized-SNR table has a row per count of SUs
+        # of the network it was resolved for, and every detector's channel
+        # classes a channel index; a cut network must not read them
+        sc = load_bundled(name)
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        n_pu = cut.get("n_pu", sc.config.n_pu)
+        config = dataclasses.replace(
+            sc.config, **cut, presence_prob=sc.config.presence_prob[:n_pu],
+            pu_power=sc.config.pu_power[:n_pu])
+        schedules = SuSchedules.homogeneous(config, sc.params)
+        with pytest.raises(ScenarioError, match="detector resolved for"):
+            simulate_slots(config, schedules, resolved, 10,
+                           np.random.default_rng(0))
+        with pytest.raises(ScenarioError, match="detector resolved for"):
+            analyze(config, sc.params, resolved)
 
 
 def simulate_like_reference(config, sched, resolved, n_slots, protocol,
