@@ -19,12 +19,12 @@ interference follow from per-state occupation probabilities plus the
 probability a competitor never transmits on a given channel from a given
 stage on (the disposition total of a chain pruned of that channel's exits,
 in closed form).  Aligned arrays ``params.tau`` and ``params.p`` evaluate
-many points (tau_i, p_i) at once, of any stage budgets delta(tau) (an array
-``p`` with a scalar ``tau`` is a tau row): tables gain a leading point axis
-(``...`` below) and run to the longest budget, metrics are arrays.  The walk
-is elementwise per point, so each point's first delta stages are those of a
-call at its budget alone; every reduction over stages stops at the point's own
-delta, and a point's stages past it hold no probes and no exits.
+many points (tau_i, p_i) at once, each of its own stage budget delta(tau)
+(an array ``p`` with a scalar ``tau`` is a tau row): tables gain a leading
+point axis (``...`` below) and run to the longest budget, metrics are arrays.
+The walk is elementwise per point, so each point's first delta stages are
+those of a call at its budget alone; every reduction over stages stops at the
+point's own delta, and a point's stages past it hold no probes and no exits.
 
 Channels meet only in sums: the handoff population's sum over channels of q,
 and the sums over (channel, stage) in r and t_I.  Channels with equal
@@ -528,7 +528,7 @@ def avg_interference(config: NetworkConfig, params: SensingParams,
 def analyze(config: NetworkConfig, params: SensingParams,
             resolved: ResolvedDetector) -> ChainResult:
     """Full analytic evaluation of one (tau, p) point, a tau row, or aligned
-    (tau, p) arrays of any stage budgets delta(tau) (deterministic).
+    (tau, p) arrays of mixed stage budget delta(tau) (deterministic).
 
     One stage walk serves every point, to the longest budget; each point's
     metrics equal those of a call at its budget alone, bit for bit."""
@@ -581,7 +581,7 @@ def _metrics_by_budget(config: NetworkConfig, params: SensingParams, deltas,
     success, no_interf = (t.reshape((-1,) + t.shape[-2:])
                           for t in (success, no_interf))
     r, t_i = np.empty((2, flat.size))
-    # the distinct budgets; np.unique would import numpy.ma on first use
+    # the distinct deltas; np.unique would import numpy.ma on first use
     for delta in np.flatnonzero(np.bincount(flat)).tolist():
         idx = np.flatnonzero(flat == delta)
         group = SensingParams(tau[idx], p[idx])
