@@ -89,6 +89,17 @@ CASES = {
                                           "adapt_ns3_np7", "--slots", "2000"],
     "upper_bound_validation_ns5_np20": ["upper-bound", "--scenario",
                                         "validation_ns5_np20"],
+    # three replications, merged across replications
+    "simulate_validation_ns5_np20_reps3": ["simulate", "--scenario",
+                                           "validation_ns5_np20", "--slots",
+                                           "2000", "--reps", "3"],
+    # an explicit detector: the stepped point's misdetection check
+    "subgradient_field_false_alarm_np5": ["subgradient-field", "--scenario",
+                                          "false_alarm_np5", "--taus", "0.002",
+                                          "--ps", "0.3", "--realizations",
+                                          "200"],
+    "adapt_alg1_false_alarm_np5": ["adapt", "--scenario", "false_alarm_np5",
+                                   "--algorithm", "1", "--frames", "40"],
 }
 
 
