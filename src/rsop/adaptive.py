@@ -11,11 +11,10 @@ The SUs update independently and in lockstep, so the closed loop holds their
 state as (N_s,) arrays: each frame makes one simulator call, one
 misdetection check for every SU (each SU masked to its own delta(tau)
 stages), one estimate, one update and, for fine tuning, one broadcast of the
-per-stage tables.  The check reads the stage-1 P_fa and P_md from the
-threshold table the simulator has just built at the same tau, so with the
-energy detector a frame evaluates Q in two passes: the table and the
-check's mean-field stage 2.  Called with one SU's floats, the same functions
-give that SU's view.
+per-stage tables.  The check reads the threshold table the simulator has
+just built at the same tau, so with the energy detector a frame evaluates
+Q in two passes: the table and the check's mean-field stage 2.  Called with
+one SU's floats, the estimate and the update give that SU's view.
 
 The update is a projected stochastic subgradient step, so the classic
 square-summable step-size machinery applies; the diagnostics here implement
@@ -38,8 +37,6 @@ from .chain import (
     analyze,
     resolve_detector,
     stage2_detection,
-    stage_profiles,
-    worst_misdetection,
 )
 from .config import NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
@@ -153,8 +150,7 @@ def frame_estimate(batch: SlotBatch, su, n_ep: int, p_md) -> FrameEstimate:
     SUs (arrays in that order), with ``p_md`` to match.  Throughput comes
     from each SU's own ACKs.  The interference estimate is the frame mean of
     the network interference sample; an SU cannot observe PU overlap on its
-    own, so the simulator acts as the reporting oracle (the per-SU caused
-    share is also in the batch for diagnostics).
+    own, so the simulator acts as the reporting oracle.
     """
     if n_ep < 1:
         raise ScenarioError(f"n_ep must be >= 1, got {n_ep}")
@@ -300,13 +296,12 @@ class FrameLog:
     tau: np.ndarray
     p: np.ndarray
     r_est: np.ndarray
-    t_i_est: float
+    t_i_est: float              # frame-mean simulated network interference
     improved: np.ndarray
     flip_tau: np.ndarray
     flip_p: np.ndarray
     g_norm_sq: float            # ||stacked subgradient||^2 this frame
     network_throughput: float   # frame-mean simulated network throughput
-    interference: float         # frame-mean simulated network interference
     f_visited: float = float("nan")  # mean analyzer -r over the feasible points
     f_best: float = float("nan")     # running best f_visited
 
@@ -346,38 +341,33 @@ def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
 
 
 def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
-                   deltas, thresholds=None):
+                   deltas, thresholds):
     """Worst-stage misdetection each SU computes locally for its current tau:
     the ``p_md_max`` of ``analyze``, over the same ``deltas`` = delta(tau) stages.
 
-    Scalars give one SU's value, aligned (N_s,) arrays every SU's value; the
-    stages past an SU's own delta do not count.  One ``stage_profiles`` call
-    over the longest budget gives them, unless ``thresholds`` is given for
-    an energy detector: a ``simulator`` threshold table whose stage-1 row is
-    at sensing times ``tau``, such as the one of the frame just simulated.
-    Then the stage-1 P_fa and P_md are read from that row, and only the
-    mean-field stage 2 takes a detector pass, through ``stage2_detection``
-    as in ``stage_profiles``, to the same bits.
+    ``thresholds`` is the class table (``simulator._threshold_table``) of
+    a frame simulated at ``tau`` and ``p`` (scalars or one entry per SU);
+    the result holds every SU's value.  An explicit detector's rows are its
+    listed stages, so the check is the max of the lone-PU cells over each
+    SU's first delta rows.  An energy detector's row 0 is stage 1, and every
+    later stage repeats the mean-field stage 2, which takes one detector
+    pass through ``stage2_detection``, as in the chain analyzer, to the
+    same bits.
     """
     deltas = np.asarray(deltas)
-    ns = int(deltas.max())
-    if thresholds is None or resolved.mode != "energy":
-        prof = stage_profiles(config, SensingParams(tau=tau, p=p), resolved, ns)
-        return worst_misdetection(prof.class_p_d, deltas)
-    rep = resolved.classes.rep
-    # (SU, class, [P_fa, stage-1 P_d, stage-2 P_d]); stages past 2 repeat
-    # stage 2, so two stages give the same worst case
-    checks = np.empty(deltas.shape + (rep.size, min(ns, 2) + 1))
-    # row 0's idle cell holds P_fa, its lone-PU cell P_md = 1 - P_d
-    stage1 = thresholds[0, :, :, 0].take(rep, axis=-1)
-    checks[..., 0] = stage1[:, 0]
-    np.subtract(1.0, stage1[:, 1], out=checks[..., 1])
-    if ns > 1:
-        checks[..., 2] = stage2_detection(config, resolved, tau, p,
-                                          checks[..., 0], checks[..., 1])
-    # range-checked once, as stage_profiles checks its tables
-    checks = _clamp01(checks, "p_fa and p_d")
-    return worst_misdetection(checks[..., 1:], np.minimum(deltas, 2))
+    # (row, SU, class) P_md of a lone PU: the PU present, no earlier sender
+    p_md = thresholds[:, :, 1, 0]
+    if resolved.mode == "energy":
+        p_md = p_md[:1]
+        if deltas.max() > 1:
+            # row 0's idle cell holds P_fa, its lone-PU cell P_md = 1 - P_d
+            p_d2 = stage2_detection(config, resolved, tau, p,
+                                    thresholds[0, :, 0, 0], 1.0 - p_md[0])
+            p_md = np.stack([p_md[0], 1.0 - p_d2])
+    in_budget = np.arange(len(p_md))[:, None] < deltas  # (row, SU)
+    # range-checked once, as the chain analyzer checks its tables
+    return _clamp01(p_md.max(axis=(0, 2), where=in_budget[..., None],
+                             initial=0.0), "p_md")
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -430,8 +420,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
             deltas = schedules.delta
 
         batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
-        # the check reads stage 1 from the frame's threshold table, whose
-        # stage-1 row is at the SUs' tau
+        # the check reads the frame's threshold table, whose stage-1 row is
+        # at the SUs' tau
         p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas,
                               batch._loop.thresholds)
         est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
@@ -457,7 +447,6 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
             g_norm_sq=sum((rec.g_tau**2 + rec.g_p**2).tolist()),
             network_throughput=float(batch.throughput.sum(axis=1).sum()
                                      / cfg.n_ep),  # the mean over the frame
-            interference=est.t_i_est,  # the frame is the whole batch
             f_visited=f_visited,
             f_best=f_best,
         ))
@@ -465,7 +454,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
 
     window = frames[(3 * len(frames)) // 4:]
     net = np.array([f.network_throughput for f in window])
-    interf = np.array([f.interference for f in window])
+    interf = np.array([f.t_i_est for f in window])
     return AdaptiveRun(
         frames=frames,
         converged_network_throughput=float(net.mean()),
@@ -521,7 +510,9 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
 
     def frame_means(tau: float, p: float, count: int):
         """Per-realization (r per SU, interference), simulated in blocks of
-        whole frames of at most BLOCK_SLOTS slots, so memory is bounded."""
+        whole frames of at most BLOCK_SLOTS slots, so memory is bounded, and
+        the last block's stage-loop state (``_LoopState``), whose threshold
+        table is at (tau, p)."""
         schedules = SuSchedules.from_per_su(
             config, np.full(config.n_su, tau), np.full(config.n_su, p))
         r, t = [], []
@@ -533,7 +524,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
                      .mean(axis=1))
             t.append(batch.network_interference.reshape(frames, cfg.n_ep)
                      .mean(axis=1))
-        return np.concatenate(r), np.concatenate(t)
+        return np.concatenate(r), np.concatenate(t), batch._loop
 
     out = []
     for tau, p in zip(taus, ps):
@@ -544,10 +535,10 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
                 alpha0 = cfg.alpha(1)
                 tau2, p2 = _project(tau + s_tau * cfg.delta_tau * alpha0,
                                     p + s_p * cfg.delta_p * alpha0, cfg)
-                r_a, _ = frame_means(tau, p, per_quadrant)
-                r_b, t_b = frame_means(tau2, p2, per_quadrant)
-                p_md = _analytic_p_md(config, resolved, tau2, p2, max_sensing_stages(
-                    config.slot_duration, tau2, config.handoff_time, config.n_pu))
+                r_a, _, _ = frame_means(tau, p, per_quadrant)
+                r_b, t_b, loop = frame_means(tau2, p2, per_quadrant)
+                p_md = _analytic_p_md(config, resolved, tau2, p2, loop.delta,
+                                      loop.thresholds)
                 improved = _improved(r_b, r_a, t_b[:, None], p_md, qos)
                 _, g_tau = _raw_step(improved, tau2 >= tau, cfg.delta_tau)
                 _, g_p = _raw_step(improved, p2 >= p, cfg.delta_p)

@@ -157,12 +157,12 @@ def brute_force_optimize(config: NetworkConfig, grid: GridSpec,
                      columns=cols)
 
 
-def optimize_scenario(scenario, grid: GridSpec | None = None,
-                      tau_steps: int = 64, p_steps: int = 64) -> OptResult:
-    """Grid-optimize a scenario with its own QoS and calibrated detector."""
+def optimize_scenario(scenario, tau_steps: int = 64,
+                      p_steps: int = 64) -> OptResult:
+    """Grid-optimize a scenario over its default grid, with its own QoS and
+    calibrated detector."""
     resolved = resolve_detector(scenario.config, scenario.detector, scenario.qos,
                                 scenario.params.tau)
-    if grid is None:
-        grid = GridSpec.default_for(scenario.config, scenario.qos,
-                                    tau_steps=tau_steps, p_steps=p_steps)
+    grid = GridSpec.default_for(scenario.config, scenario.qos,
+                                tau_steps=tau_steps, p_steps=p_steps)
     return brute_force_optimize(scenario.config, grid, scenario.qos, resolved)

@@ -15,9 +15,10 @@ earlier sender) is the cell at SNR 0, whose tail is P_fa, and the busy cells
 take its complement, P_md.  The tail's tau-free factors at the cells'
 realized SNRs are built once, when the detector is resolved for the network
 (``rsop.chain.ResolvedDetector.realized``), so a call evaluates only their
-value at its taus (:func:`rsop.detector.tail_at`).  Every probe
-reads its threshold with one gather, and the adaptive loop's misdetection
-check reads the table's stage-1 row.
+value at its taus (:func:`rsop.detector.tail_at`).  The class table is
+expanded to the channels once per call, so every probe reads its threshold
+with one gather; the adaptive loop's misdetection check reads the class
+table's lone-PU cells.
 
 Each (slot, channel) cell carries a state code (pu * (N_s + 1) + SUs
 transmitting there) * N_p + channel: the channel is idle below N_p, and the
@@ -36,9 +37,10 @@ transmitting (about one in ten) once, as a flat index, and records their
 channel, stage, interference and occupancy by index rather than with masked
 passes over the whole grid.  A replication runs as consecutive batches
 of at most ``BLOCK_SLOTS`` (8192) slots on one generator, folded into one
-(count, mean, M2) reducer, so its memory is bounded by the block size and not
-by the number of slots.  Replications are embarrassingly parallel with
-independent seeded streams and order-independent aggregation.
+(count, mean, M2) reducer of the means ``RunMetrics`` reports, so its memory
+is bounded by the block size and not by the number of slots.  Replications
+are embarrassingly parallel with independent seeded streams and
+order-independent aggregation.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ class _OnFirstRead:
 
 class _LoopState(NamedTuple):
     """What ``simulate_slots``' stage loop leaves for the fields built on
-    first read, and its threshold table, whose stage-1 row the adaptive
-    loop's misdetection check reads."""
+    first read, and its threshold table by channel class, which the
+    adaptive loop's misdetection check reads."""
 
     # (slot, SU) final state code (pu * (N_s + 1) + SUs there) * N_p of the
     # channel the SU transmitted on; garbage where it did not
@@ -175,7 +177,7 @@ class _LoopState(NamedTuple):
     tx_rt: np.ndarray    # (slot, SU) time left after the transmit stage; 0 if none
     pu: np.ndarray       # (slot, channel) PU present
     delta: np.ndarray    # (SU,) stage budget
-    thresholds: np.ndarray  # the schedule's ``_threshold_table``
+    thresholds: np.ndarray  # the schedule's ``_threshold_table``, by class
     slot: float          # T
     n_pu: int
     n_su: int
@@ -204,8 +206,6 @@ class SlotBatch:
     tx_stage: np.ndarray            # int, 0 when the SU never transmitted
     tx_channel: np.ndarray          # int, -1 when the SU never transmitted
     network_interference: np.ndarray  # (n_slots,) per-slot normalized t_I sample
-    su_interference: np.ndarray = _OnFirstRead(  # per-SU caused interference sample
-        lambda b, s: b.interfered_entry * (s.tx_rt / (s.slot * s.n_pu)))
     overhead: np.ndarray            # channels actually sensed
     handoffs: np.ndarray = _OnFirstRead(  # stage boundaries crossed
         lambda b, s: (b.tx_stage == 0) * s.delta.astype(np.int32)
@@ -218,15 +218,15 @@ class SlotBatch:
 
 def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
                      tau: np.ndarray, n_stages: int) -> np.ndarray:
-    """Sensing thresholds, shape (L, N_s, 2, N_s + 1, N_p), by (stage row,
-    SU, PU present, SUs transmitting there from earlier stages, channel);
-    stage n reads row min(n, L) - 1.
+    """Sensing thresholds, shape (L, N_s, 2, N_s + 1, classes), by (stage
+    row, SU, PU present, SUs transmitting there from earlier stages,
+    channel class); stage n reads row min(n, L) - 1.  Channels of one class
+    share their thresholds, so ``resolved.classes.of`` expands the table to
+    the channels.
 
     The energy detector has one row per column of the (N_s, C) sensing
-    times ``tau`` (a schedule's stages past C repeat stage C), evaluated
-    once per channel class, as channels of one class share their
-    thresholds.  The explicit detector has one row per listed stage, at
-    most ``n_stages``.
+    times ``tau`` (a schedule's stages past C repeat stage C).  The
+    explicit detector has one row per listed stage, at most ``n_stages``.
 
     A probe decides "free" when the channel is busy and u < P_md, or idle and
     u >= P_fa, that is when (u < row[cell]) == busy.  So the busy cells hold
@@ -236,7 +236,7 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
     ns = tau.shape[0]
     if resolved.mode == "explicit":
         p_md = 1.0 - resolved.p_d_stages[:n_stages]
-        table = np.empty((p_md.size, ns, 2, ns + 1, config.n_pu))
+        table = np.empty((p_md.size, ns, 2, ns + 1, resolved.classes.rep.size))
         table[...] = p_md[:, None, None, None, None]
         table[:, :, 0, 0] = resolved.p_fa
         return table
@@ -247,9 +247,7 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
                    config.sampling_freq)
     table = 1.0 - tail
     table[:, :, 0, 0] = tail[:, :, 0, 0]
-    # (column, SU, 2, N_s + 1, channel) from the classes; take() makes it
-    # C-contiguous, so each stage's flat gather reads it without a copy
-    return table.take(resolved.classes.of, axis=-1)
+    return table
 
 
 def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
@@ -288,7 +286,10 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     mark = np.empty(S * NP, dtype=np.intp)
     slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
     su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
-    thresholds = _threshold_table(config, resolved, schedules.tau, M)
+    class_table = _threshold_table(config, resolved, schedules.tau, M)
+    # by channel; take() makes it C-contiguous, so each stage's flat gather
+    # reads it without a copy
+    thresholds = class_table.take(resolved.classes.of, axis=-1)
     L = len(thresholds)
 
     searching = np.ones((S, NS), dtype=bool)
@@ -402,7 +403,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         overhead=overhead,
     )
     batch._loop = _LoopState(at_tx=at_tx, tx_rt=tx_rt, pu=pu,
-                             delta=schedules.delta, thresholds=thresholds,
+                             delta=schedules.delta, thresholds=class_table,
                              slot=T, n_pu=NP, n_su=NS)
     return batch
 
@@ -415,15 +416,12 @@ class RunMetrics:
     n_reps: int
     throughput: float              # per-SU mean ACKed throughput (units of C_R)
     network_throughput: float      # summed over SUs
-    per_su_throughput: np.ndarray  # (n_su,)
     interference: float            # normalized network interference time
-    su_caused_interference: float  # per-SU mean caused interference
     sensing_overhead: float        # channels sensed per SU per slot
     handoffs: float                # stage boundaries crossed per SU per slot
     delay: float                   # seconds before first transmission
     success_rate: float            # P(an SU transmits successfully in a slot)
     collision_rate: float          # P(an SU's transmission overlaps another SU)
-    interference_entry_rate: float  # P(an SU starts transmitting on a busy channel)
     ci_network_throughput: float = float("nan")  # 1.96 SE over replications
     ci_interference: float = float("nan")
     se_network_throughput: float = float("nan")  # SE of the mean
@@ -434,16 +432,14 @@ class RunMetrics:
 # they average.
 _BATCH_MEANS = {
     "interference": "network_interference",
-    "su_caused_interference": "su_interference",
     "sensing_overhead": "overhead",
     "handoffs": "handoffs",
     "delay": "delay",
     "success_rate": "success",
     "collision_rate": "collided",
-    "interference_entry_rate": "interfered_entry",
 }
-# The scalar means a _Moments vector holds, before the per-SU throughput, and
-# the rows of those whose standard error is reported.
+# The means a _Moments vector holds, and the rows of those whose standard
+# error is reported.
 _MEAN_FIELDS = ("throughput", "network_throughput", *_BATCH_MEANS)
 _SPREAD = ("network_throughput", "interference")
 _SPREAD_ROWS = [_MEAN_FIELDS.index(f) for f in _SPREAD]
@@ -464,11 +460,11 @@ def _mean(a: np.ndarray) -> float:
 class _Moments:
     """Sample count, means and sums of squared deviations (M2) of a run.
 
-    ``mean`` holds the _MEAN_FIELDS, then the per-SU throughput; ``m2`` the
-    spread of the _SPREAD samples (per slot within a replication, per
-    replication across them).  Blocks merge with the pairwise update of Chan,
-    Golub and LeVeque (Welford's update when one side is a single sample), so
-    a run of any length keeps one block of slots in memory.
+    ``mean`` holds the _MEAN_FIELDS; ``m2`` the spread of the _SPREAD
+    samples (per slot within a replication, per replication across them).
+    Blocks merge with the pairwise update of Chan, Golub and LeVeque
+    (Welford's update when one side is a single sample), so a run of any
+    length keeps one block of slots in memory.
     """
 
     n: int
@@ -485,15 +481,15 @@ class _Moments:
         per_su = batch.throughput.mean(axis=0)
         means = [per_su.mean(), per_su.sum(),
                  *(_mean(getattr(batch, a)) for a in _BATCH_MEANS.values())]
-        return cls._of(np.concatenate([means, per_su]),
+        return cls._of(np.array(means),
                        np.stack([batch.throughput.sum(axis=1),
                                  batch.network_interference]))
 
     @classmethod
     def of_replications(cls, reps: list["RunMetrics"]) -> "_Moments":
         # one contiguous row per field, so each mean is that of a 1-D array
-        samples = np.array([[*(getattr(r, f) for f in _MEAN_FIELDS),
-                             *r.per_su_throughput] for r in reps]).T.copy()
+        samples = np.array([[getattr(r, f) for f in _MEAN_FIELDS]
+                            for r in reps]).T.copy()
         return cls._of(samples.mean(axis=1), samples[_SPREAD_ROWS])
 
     def merge(self, other: "_Moments") -> "_Moments":
@@ -507,12 +503,10 @@ class _Moments:
         """Means, standard errors of the mean and 1.96-SE half-widths."""
         se = ([float(v) for v in np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)]
               if self.n > 1 else [float("nan")] * len(_SPREAD))
-        k = len(_MEAN_FIELDS)
         return RunMetrics(
             n_slots=n_slots,
             n_reps=n_reps,
-            per_su_throughput=self.mean[k:],
-            **{f: float(v) for f, v in zip(_MEAN_FIELDS, self.mean[:k])},
+            **{f: float(v) for f, v in zip(_MEAN_FIELDS, self.mean)},
             **{f"se_{f}": v for f, v in zip(_SPREAD, se)},
             **{f"ci_{f}": 1.96 * v for f, v in zip(_SPREAD, se)},
         )

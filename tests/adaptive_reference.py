@@ -131,7 +131,6 @@ def run_adaptive_per_su(scenario, algorithm: int = 1, n_frames: int = 500,
             flip_p=np.array(flip_p),
             g_norm_sq=float(sum(a**2 + b**2 for a, b in zip(g_tau, g_p))),
             network_throughput=float(batch.throughput.sum(axis=1).mean()),
-            interference=float(batch.network_interference.mean()),
             f_visited=f_visited,
             f_best=f_best if f_best < math.inf else float("nan"),
         ))
@@ -139,7 +138,7 @@ def run_adaptive_per_su(scenario, algorithm: int = 1, n_frames: int = 500,
 
     window = frames[(3 * len(frames)) // 4:]
     net = np.array([f.network_throughput for f in window])
-    interf = np.array([f.interference for f in window])
+    interf = np.array([f.t_i_est for f in window])
 
     def se(x):
         return float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else float("nan")

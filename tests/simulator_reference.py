@@ -181,7 +181,6 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         tx_stage=tx_stage,
         tx_channel=tx_channel,
         network_interference=net_interf,
-        su_interference=np.where(interfered_entry, tx_rt / (T * NP), 0.0),
         overhead=overhead,
         handoffs=handoffs,
         delay=delay,

@@ -26,7 +26,8 @@ from rsop.adaptive import (
 import rsop.adaptive
 import rsop.core
 import rsop.detector
-from rsop.chain import analyze, resolve_detector
+from rsop.chain import (analyze, resolve_detector, stage_profiles,
+                        worst_misdetection)
 from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams, load_bundled
 from rsop.core import max_sensing_stages
 from rsop.detector import sensing_time_floor
@@ -261,6 +262,21 @@ DETECTORS = [
 DETECTOR_IDS = ["explicit-list", "saturating", "pfa-max"]
 
 
+def p_md_of_frame(config, resolved, taus, ps):
+    """``_analytic_p_md`` of SUs at ``taus`` and ``ps`` from the threshold
+    table of a frame simulated there, over their own delta(tau) stages."""
+    deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
+    table = _threshold_table(config, resolved, np.reshape(taus, (-1, 1)),
+                             deltas.max())
+    return _analytic_p_md(config, resolved, taus, ps, deltas, table)
+
+
+def analyzer_p_md(config, resolved, taus, ps):
+    """``analyze``'s p_md_max at each SU's point, one scalar call each."""
+    return [analyze(config, SensingParams(float(tau), float(p)),
+                    resolved).p_md_max for tau, p in zip(taus, ps)]
+
+
 class TestAnalyticMisdetection:
     @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
     def test_matches_the_analyzer(self, detector):
@@ -271,8 +287,9 @@ class TestAnalyticMisdetection:
         for tau in (6e-3, 3e-3, 1e-3):
             for p in (0.3, 0.9):
                 expect = analyze(config, SensingParams(tau, p), resolved).p_md_max
-                delta = max_sensing_stages(T, tau, config.handoff_time, config.n_pu)
-                assert _analytic_p_md(config, resolved, tau, p, delta) == expect
+                got = p_md_of_frame(config, resolved, np.full(20, tau),
+                                    np.full(20, p))
+                assert got.tolist() == [expect] * 20
 
     @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
     def test_arrays_match_the_analyzer_per_point(self, detector):
@@ -283,10 +300,8 @@ class TestAnalyticMisdetection:
         ps = np.array([0.3, 0.9, 0.5, 0.9, 0.1, 0.3])
         deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
         assert deltas.min() == 1 and deltas.max() == 9
-        got = _analytic_p_md(config, resolved, taus, ps, deltas)
-        assert got.shape == taus.shape
-        for tau, p, value in zip(taus, ps, got):
-            assert value == analyze(config, SensingParams(tau, p), resolved).p_md_max
+        got = p_md_of_frame(config, resolved, taus, ps)
+        assert got.tolist() == analyzer_p_md(config, resolved, taus, ps)
 
     @pytest.mark.parametrize("detector", DETECTORS, ids=DETECTOR_IDS)
     @pytest.mark.parametrize("taus", [[6e-3, 1e-3, 3e-3, 6e-3, 1.5e-3, 1e-3],
@@ -294,25 +309,27 @@ class TestAnalyticMisdetection:
                              ids=["budgets-1-to-9", "one-stage"])
     def test_threshold_table_gives_the_same_bits(self, detector, taus):
         # stage 1 read from the frame's threshold table, stage 2 evaluated
-        # anew: the bits of the stage_profiles path
+        # anew: the bits of the chain's own stage profiles
         config = make_config(n_su=20, n_pu=10, presence=0.5)
         resolved = resolve_detector(config, detector, default_qos(), 1e-3)
         taus = np.array(taus)
         ps = np.linspace(0.1, 0.9, taus.size)
         deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
-        table = _threshold_table(config, resolved, taus[:, None], deltas.max())
-        got = _analytic_p_md(config, resolved, taus, ps, deltas, table)
-        want = _analytic_p_md(config, resolved, taus, ps, deltas)
+        prof = stage_profiles(config, SensingParams(taus, ps), resolved,
+                              deltas.max())
+        want = worst_misdetection(prof.class_p_d, deltas)
+        got = p_md_of_frame(config, resolved, taus, ps)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("algorithm", [1, 2])
     @pytest.mark.parametrize("name", ["adapt_ns3_np7", "sparse_ns3_np7",
-                                      "below-floor"])
-    def test_every_frame_matches_stage_profiles(self, monkeypatch, name,
-                                                algorithm):
+                                      "false_alarm_np5", "below-floor"])
+    def test_every_frame_matches_the_analyzer(self, monkeypatch, name,
+                                              algorithm):
         # sparse_ns3_np7 starts its tau 6e-20 s below the floor, and
         # below-floor starts at half the floor: both starts are projected
-        # onto the floor, so the first frame's table is at the SUs' tau too
+        # onto the floor, so the first frame's table is at the SUs' tau too;
+        # false_alarm_np5 has an explicit detector over several stages
         if name == "below-floor":
             sc = load_bundled("adapt_ns3_np7")
             floor = sensing_time_floor(sc.config, sc.qos)
@@ -321,15 +338,37 @@ class TestAnalyticMisdetection:
             sc = load_bundled(name)
         checked = []
 
-        def check(config, resolved, tau, p, deltas, thresholds=None):
+        def check(config, resolved, tau, p, deltas, thresholds):
             got = _analytic_p_md(config, resolved, tau, p, deltas, thresholds)
-            want = _analytic_p_md(config, resolved, tau, p, deltas)
-            checked.append(got.tobytes() == want.tobytes())
+            checked.append(got.tolist() == analyzer_p_md(config, resolved,
+                                                         tau, p))
             return got
 
         monkeypatch.setattr(rsop.adaptive, "_analytic_p_md", check)
         run_adaptive(sc, algorithm, n_frames=10, seed=2)
         assert checked == [True] * 10
+
+    @pytest.mark.parametrize("name", ["adapt_ns3_np7", "false_alarm_np5"])
+    def test_probe_check_matches_the_analyzer(self, monkeypatch, name):
+        # the check at each probe's stepped point reads the table of the
+        # frames simulated there, one value per SU
+        sc = load_bundled(name)
+        stepped = []
+
+        def check(config, resolved, tau, p, deltas, thresholds):
+            got = _analytic_p_md(config, resolved, tau, p, deltas, thresholds)
+            n_su = config.n_su
+            want = analyzer_p_md(config, resolved, [tau] * n_su, [p] * n_su)
+            stepped.append((tau, p, got.tolist() == want))
+            return got
+
+        monkeypatch.setattr(rsop.adaptive, "_analytic_p_md", check)
+        subgradient_field(sc, [3e-3], [0.5], n_realizations=8, seed=1)
+        cfg = rsop.adaptive._adaptive_cfg(sc, resolve_detector(
+            sc.config, sc.detector, sc.qos, sc.params.tau))
+        assert sorted(stepped) == sorted(
+            (3e-3 + s_tau * cfg.delta_tau, 0.5 + s_p * cfg.delta_p, True)
+            for s_tau in (1, -1) for s_p in (1, -1))
 
     @pytest.mark.parametrize("algorithm", [1, 2])
     def test_start_below_the_floor_is_projected(self, algorithm):

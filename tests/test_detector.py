@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import default_qos, make_config
 from rsop.detector import (
     detection_prob,
     false_alarm_prob,
@@ -14,6 +14,7 @@ from rsop.detector import (
     q_function,
     q_inverse,
     received_snr,
+    sensing_time_floor,
     threshold_for_detection,
     threshold_for_false_alarm,
 )
@@ -203,6 +204,20 @@ class TestMinSensingTime:
     def test_degenerate_snr(self):
         with pytest.raises(DegenerateSnr):
             min_sensing_time(0.0, F_S, 0.1, 0.9)
+
+    @pytest.mark.parametrize("fs", [F_S, 49.0], ids=["6.857MHz", "49Hz"])
+    def test_floor_is_at_least_one_sample(self, fs):
+        # a strong PU meets both caps in under one sample (0.04 samples at
+        # SNR 100), and 1/f_s rounds to just under one at 49 Hz
+        qos = default_qos()
+        config = make_config(pu_power=100.0, fs=fs)
+        assert min_sensing_time(100.0, fs, 0.1, 0.9) * fs < 1.0
+        floor = sensing_time_floor(config, qos)
+        assert floor * fs >= 1.0 and floor <= 1.0 / fs * (1 + 1e-15)
+        # a weak PU's floor is its minimum sensing time
+        config = make_config(pu_power=0.02, fs=fs)
+        assert sensing_time_floor(config, qos) == min_sensing_time(
+            0.02, fs, 0.1, 0.9)
 
 
 class TestStageSnr:

@@ -395,6 +395,22 @@ class TestCliOptions:
         assert captured.err.splitlines() == [f"error: {path}: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--grid", "8", "8"], ["analyze", "--axis", "tau"],
+        ["adapt", "--frames", "5"]], ids=["optimize", "analyze-tau", "adapt"])
+    def test_high_snr_floor_is_one_sample(self, tmp_path, argv):
+        # at SNR 10 both error caps hold in half a sample, so the default tau
+        # grid and the adaptive floor start at one sample; the adaptive
+        # start lies below it and is projected onto it
+        doc = yaml.safe_load(Path(bundled_scenario_path("adapt_ns3_np7"))
+                             .read_text())
+        doc["network"]["pu_power"] = 10
+        doc["adaptive"]["initial_tau"] = 1e-7
+        path = tmp_path / "strong.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main([argv[0], "--scenario", str(path), *argv[1:],
+                     "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("key,value,message", [
         ("delta_tau", "-1 ms", "delta_tau=-0.001 must be >= 0"),
         ("delta_p_fine", -0.5, "delta_p_fine=-0.5 must be >= 0"),

@@ -89,7 +89,7 @@ class TestDeterminismContracts:
         b = run_replication(config, schedules, resolved, "modified", 600, 42)
         assert a.network_throughput == b.network_throughput
         assert a.interference == b.interference
-        assert np.array_equal(a.per_su_throughput, b.per_su_throughput)
+        assert a.throughput == b.throughput
 
     def test_protocols_share_transmission_trajectories(self):
         # equal seeds: the conventional variant senses more but transmits
@@ -134,14 +134,10 @@ class TestDeterminismContracts:
                          base_seed=13)
         assert (mc.n_slots, mc.n_reps) == (250, 3)
         for field in ("throughput", "network_throughput", "interference",
-                      "su_caused_interference", "sensing_overhead", "handoffs",
-                      "delay", "success_rate", "collision_rate",
-                      "interference_entry_rate"):
+                      "sensing_overhead", "handoffs", "delay", "success_rate",
+                      "collision_rate"):
             assert getattr(mc, field) == pytest.approx(
                 np.mean([getattr(r, field) for r in reps]), rel=1e-12, abs=0.0)
-        assert np.allclose(mc.per_su_throughput,
-                           np.mean([r.per_su_throughput for r in reps], axis=0),
-                           rtol=1e-12, atol=0.0)
         for se_field, field in (("se_network_throughput", "network_throughput"),
                                 ("se_interference", "interference")):
             samples = np.array([getattr(r, field) for r in reps])
@@ -159,7 +155,8 @@ class TestThresholdTable:
             config, DetectorSpec(mode="energy", threshold=1.02), None, 1e-3)
         # heterogeneous per-stage tau: every (stage, SU) cell differs
         tau = np.array([[1e-4, 2e-4], [3e-4, 5e-4], [7e-4, 6e-4]])
-        table = _threshold_table(config, resolved, tau, 2)
+        table = _threshold_table(config, resolved, tau, 2).take(
+            resolved.classes.of, axis=-1)
         assert table.shape == (2, 3, 2, 4, 4)
         lam, f_s = resolved.lambda_norm, config.sampling_freq
         for n, j, pu, count, m in np.ndindex(table.shape):
@@ -189,7 +186,8 @@ class TestThresholdTable:
                       SuSchedules.from_per_su(config, tau[:, 0], np.full(ns, 0.5)),
                       SuSchedules.from_stage_table(config, tau, np.full((ns, 3), 0.5))):
             table = _threshold_table(config, resolved, sched.tau,
-                                     sched.max_stages)
+                                     sched.max_stages).take(
+                                         resolved.classes.of, axis=-1)
             assert table.shape == (sched.n_cols, ns, 2, ns + 1, config.n_pu)
             for n, j in np.ndindex(sched.max_stages, ns):
                 col = min(n + 1, sched.n_cols) - 1
@@ -202,7 +200,8 @@ class TestThresholdTable:
         resolved = resolve_detector(
             config, explicit_detector(0.15, [0.6, 0.8, 0.95]), None, 1e-3)
         # one row per listed stage; stage n reads row min(n, 3) - 1
-        table = _threshold_table(config, resolved, np.full((2, 5), 1e-3), 5)
+        table = _threshold_table(config, resolved, np.full((2, 5), 1e-3),
+                                 5).take(resolved.classes.of, axis=-1)
         assert table.shape == (3, 2, 2, 3, 3)
         for n, p_d in ((1, 0.6), (2, 0.8), (3, 0.95), (4, 0.95), (5, 0.95)):
             for j, pu, count, m in np.ndindex(table.shape[1:]):
@@ -224,10 +223,7 @@ class TestStreaming:
             direct = _Moments.of_batch(batch).metrics(n_slots, 1)
             for field in dataclasses.fields(run):
                 a, b = getattr(run, field.name), getattr(direct, field.name)
-                if field.name == "per_su_throughput":
-                    assert np.array_equal(a, b)
-                else:
-                    assert a == b or (np.isnan(a) and np.isnan(b))
+                assert a == b or (np.isnan(a) and np.isnan(b))
 
     def test_blocks_merge_like_one_batch(self):
         # three full blocks plus a remainder against the concatenated batch
@@ -248,15 +244,12 @@ class TestStreaming:
         direct = _Moments.of_batch(whole).metrics(n_slots, 1)
         assert run.n_slots == direct.n_slots == n_slots
         for field in ("throughput", "network_throughput", "interference",
-                      "su_caused_interference", "sensing_overhead", "handoffs",
-                      "delay", "success_rate", "collision_rate",
-                      "interference_entry_rate", "se_network_throughput",
+                      "sensing_overhead", "handoffs", "delay", "success_rate",
+                      "collision_rate", "se_network_throughput",
                       "se_interference", "ci_network_throughput",
                       "ci_interference"):
             assert getattr(run, field) == pytest.approx(
                 getattr(direct, field), rel=1e-12, abs=0.0)
-        assert np.allclose(run.per_su_throughput, direct.per_su_throughput,
-                           rtol=1e-12, atol=0.0)
 
 
 class TestStatistics:
