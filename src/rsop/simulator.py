@@ -33,14 +33,14 @@ time mask.
 
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  Each stage finds the cells that start
-transmitting (about one in ten) once, as a flat index, and records their
-channel, stage, interference and occupancy by index rather than with masked
-passes over the whole grid.  A replication runs as consecutive batches
-of at most ``BLOCK_SLOTS`` (8192) slots on one generator, folded into one
-(count, mean, M2) reducer of the means ``RunMetrics`` reports, so its memory
-is bounded by the block size and not by the number of slots.  Replications
-are embarrassingly parallel with independent seeded streams and
-order-independent aggregation.
+transmitting (a quarter to two thirds at stage 1, 1-18% later) once, as a
+flat index, and records their channel, stage, interference and occupancy by
+index rather than with masked passes over the whole grid.  A replication's
+consecutive batches of at most ``BLOCK_SLOTS`` (8192) slots share a generator
+and one ``StageBuffers`` set and fold into one (count, mean, M2) reducer of
+the means ``RunMetrics`` reports, so its memory is bounded by the block size
+and its heap keeps its pages.  Replications are embarrassingly parallel with
+independent seeded streams and order-independent aggregation.
 """
 
 from __future__ import annotations
@@ -166,6 +166,22 @@ class _OnFirstRead:
         obj.__dict__[self.name] = value
 
 
+class StageBuffers:
+    """Named arrays ``simulate_slots`` writes into (stage-loop state and
+    temporaries, batch arrays); a call with fewer slots takes the first rows.
+    A set serves one replication, so one thread; see ``SlotBatch``."""
+
+    def __call__(self, name: str, shape: tuple, dtype=float, fill=None):
+        array = self.__dict__.get(name)
+        if array is None or len(array) < shape[0] or array.shape[1:] != shape[1:]:
+            array = self.__dict__[name] = np.empty(shape, dtype)
+        elif len(array) > shape[0]:
+            array = array[:shape[0]]
+        if fill is not None:
+            array.fill(fill)
+        return array
+
+
 class _LoopState(NamedTuple):
     """What ``simulate_slots``' stage loop leaves for the fields built on
     first read, and its threshold table by channel class, which the
@@ -181,6 +197,24 @@ class _LoopState(NamedTuple):
     slot: float          # T
     n_pu: int
     n_su: int
+    out: object          # the call's temporaries (see simulate_slots)
+
+    def means(self, b: "SlotBatch") -> dict:
+        """``_Moments``' means, first-read fields from counts and sums."""
+        grid, size = b.tx_stage.shape, b.tx_stage.size
+        tx = np.greater(b.tx_stage, 0, self.out("busy", grid, bool))
+        alone = self.out("free", grid, bool)
+        idle, busy = (np.count_nonzero(np.logical_and(  # PU absent, present
+            np.equal(self.at_tx, code, alone), tx, alone))
+            for code in (self.n_pu, (self.n_su + 2) * self.n_pu))
+        waited = int((len(tx) - np.count_nonzero(tx, axis=0)) @ self.delta)
+        return {"network_interference": b.network_interference.mean(),
+                "overhead": int(b.overhead.sum()) / size,
+                "handoffs": (waited + int(b.tx_stage.sum()) - size) / size,
+                "delay": np.subtract(  # delay's own values: mean() gives its bits
+                    self.slot, self.tx_rt, self.out("u_sense", grid)).mean(),
+                "success": idle / size,
+                "collided": (np.count_nonzero(tx) - idle - busy) / size}
 
 
 @dataclass(kw_only=True)
@@ -190,7 +224,8 @@ class SlotBatch:
     ``simulate_slots`` fills the throughput, the interference sample and
     the stage loop's own arrays, and leaves the ``_OnFirstRead`` fields as
     None: each is built from the loop's final state when first read.  A
-    batch given every field (blocks joined by hand, say) builds none."""
+    batch given every field (blocks joined by hand, say) builds none.  With
+    ``buffers``, a batch and its first-read fields last to the set's next call."""
 
     throughput: np.ndarray          # ACKed normalized throughput
     success: np.ndarray = _OnFirstRead(  # bool; code N_p: PU absent, SU alone
@@ -252,8 +287,8 @@ def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
 
 def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
                    resolved: ResolvedDetector, n_slots: int,
-                   rng: np.random.Generator,
-                   protocol: str = "modified") -> SlotBatch:
+                   rng: np.random.Generator, protocol: str = "modified",
+                   buffers: StageBuffers | None = None) -> SlotBatch:
     """Simulate ``n_slots`` independent slots for all SUs.
 
     Every stage the loop enters draws its variates for the full (slot, SU)
@@ -265,7 +300,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     the transmit decision.  Both consume the same draws, so at equal seeds
     they produce identical transmission trajectories and differ only in
     sensing overhead.  The batch fields nothing in the adaptive loop reads
-    are built on first read (see ``SlotBatch``).
+    are built on first read (see ``SlotBatch``, also for ``buffers``).
     """
     if protocol not in ("modified", "conventional"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
@@ -277,13 +312,17 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     M = schedules.max_stages
     C = schedules.n_cols
     modified = protocol == "modified"
+    # an out of None allocates; without ``buffers`` the state gets a new set
+    buf, out = (StageBuffers(), lambda *_: None) if buffers is None else (buffers,) * 2
 
-    pu = rng.random((S, NP)) < config.presence_prob
+    pu = np.less(rng.random((S, NP), np.float64, out("u_pu", (S, NP))),
+                 config.presence_prob, out("pu", (S, NP), bool))
     # flat (slot, channel) cell code (pu * K + SUs transmitting there) * N_p
     # + channel: below N_p is idle, and the code is the cell's offset in an
     # SU's threshold row.  ``mark`` is scratch space over the same index.
-    cell = (pu * (K * NP) + np.arange(NP)).ravel()
-    mark = np.empty(S * NP, dtype=np.intp)
+    cell = np.multiply(pu, K * NP, out("cell", (S, NP), np.intp))
+    cell = np.add(cell, np.arange(NP), cell).ravel()
+    mark = buf("mark", (S * NP,), bool)
     slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
     su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
     class_table = _threshold_table(config, resolved, schedules.tau, M)
@@ -292,16 +331,22 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     thresholds = class_table.take(resolved.classes.of, axis=-1)
     L = len(thresholds)
 
-    searching = np.ones((S, NS), dtype=bool)
-    tx_channel = np.full((S, NS), -1, dtype=np.int32)
-    tx_stage = np.zeros((S, NS), dtype=np.int32)
-    interfered_entry = np.zeros((S, NS), dtype=bool)
-    overhead = np.zeros((S, NS), dtype=np.int32)
-    net_interf = np.zeros(S)
+    searching = buf("searching", (S, NS), bool, True)
+    tx_channel = buf("tx_channel", (S, NS), np.int32, -1)
+    tx_stage = buf("tx_stage", (S, NS), np.int32, 0)
+    interfered_entry = buf("interfered_entry", (S, NS), bool, False)
+    overhead = buf("overhead", (S, NS), np.int32, 0)
+    net_interf = buf("net_interf", (S,), float, 0.0)
     # every slot's clock: one float while every stage so far lasted a tau
     # shared by all SUs, an (S,) array from the first stage that did not
     elapsed = 0.0
-    rt_at = np.zeros((S, M + 1))  # remaining time after stage n; 0 at n = 0
+    rt_at = buf("rt_at", (S, M + 1), float, 0.0)  # time left after stage n
+    # temporaries; u_gate's takes the thresholds too, free's will_tx, active's new_tx
+    u_gate_o, u_sense_o = out("u_gate", (S, NS)), out("u_sense", (S, NS))
+    flat_o, code_o = out("flat", (S, NS), np.intp), out("code", (S, NS), np.intp)
+    active_o, ordered_o, gate_o, senses_o, busy_o, free_o = (
+        out(k, (S, NS), bool)
+        for k in ("active", "ordered", "gate", "senses", "busy", "free"))
     every_su = int(schedules.delta.min())  # stages every SU's budget reaches
     if every_su < M:  # row n - 1: delta >= n
         in_budget = schedules.delta > np.arange(M)[:, None]
@@ -317,12 +362,13 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     bound = 0.0
 
     for n in range(1, M + 1):
-        active = searching if n <= every_su else searching & in_budget[n - 1]
+        active = (searching if n <= every_su
+                  else np.bitwise_and(searching, in_budget[n - 1], active_o))
         # Every stage entered draws for the full (S, NS) grid, so the stream
         # depends on the realized trajectories only through the last stage.
-        u_gate = rng.random((S, NS))
-        ch = rng.integers(NP, size=(S, NS))  # the stream of integers(0, NP)
-        u_sense = rng.random((S, NS))
+        u_gate = rng.random((S, NS), np.float64, u_gate_o)
+        ch = rng.integers(NP, size=(S, NS), dtype=np.int32)  # same draw as int64
+        u_sense = rng.random((S, NS), np.float64, u_sense_o)
         if not np.count_nonzero(active):  # cheaper than .any() at this size
             break
         col = min(n, C) - 1
@@ -339,63 +385,71 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         if shared_tau[col]:
             elapsed += tau_desc[col, 0]
         else:
-            ordered = active.take(by_tau[col], axis=1)
+            ordered = active.take(by_tau[col], 1, ordered_o, "clip")
             elapsed += tau_desc[col].take(ordered.argmax(axis=1))
         bound += tau_desc[col, 0]
         in_time = T - bound > 0.0
         rt = rt_at[:, n]
-        np.subtract(T, elapsed, out=rt)
+        np.subtract(T, elapsed, rt)
         if not in_time:
             np.maximum(rt, 0.0, out=rt)
 
-        gate = u_gate < p_by_stage[col]
-        senses = active & gate if modified else active
-        flat = slot_base + ch
-        code = cell.take(flat)
-        busy = code >= NP
+        gate = np.less(u_gate, p_by_stage[col], gate_o)
+        senses = np.bitwise_and(active, gate, senses_o) if modified else active
+        flat = np.add(slot_base, ch, flat_o)
+        code = cell.take(flat, None, code_o, "clip")  # every index in range
+        busy = np.greater_equal(code, NP, busy_o)
         code += su_base
-        decided_free = (u_sense < thresholds[min(n, L) - 1].take(code)) == busy
-        will_tx = senses & decided_free
+        row = thresholds[min(n, L) - 1].take(code, None, u_gate_o, "clip")
+        decided_free = np.equal(np.less(u_sense, row, free_o), busy, free_o)
+        will_tx = np.bitwise_and(senses, decided_free, free_o)
         if not modified:
             will_tx &= gate
 
         overhead += senses
-        new_tx = will_tx if in_time else will_tx & (rt > 0.0)[:, None]
+        new_tx = (will_tx if in_time
+                  else np.bitwise_and(will_tx, (rt > 0.0)[:, None], active_o))
         # the flat (slot, SU) cells that start transmitting, in row-major
-        # order; about one in ten, so they are written by index
+        # order, written by index
         starts = new_tx.ravel().nonzero()[0]
         tx_channel.put(starts, ch.take(starts))
+        ch = None  # freed first: the index arrays below reuse its space
         tx_stage.put(starts, n)
         entered_at = flat.take(starts)  # their flat (slot, channel) cells
 
         started_busy = busy.take(starts)
         if np.count_nonzero(started_busy):
             interfered_entry.put(starts.compress(started_busy), True)
-            # busy channels entered, once per (slot, channel): of repeated
-            # indices, only the one whose mark survives is counted
-            hit = entered_at.compress(started_busy)
-            k = np.arange(hit.size)
-            mark.put(hit, k)
-            entered = np.bincount(hit.compress(mark.take(hit) == k) // NP,
-                                  minlength=S)
+            # busy channels entered, counted once per (slot, channel)
+            mark.fill(False)
+            mark.put(entered_at.compress(started_busy), True)
+            entered = mark.reshape(S, NP).sum(axis=1)
             net_interf += entered * rt / (T * NP)
 
         # SUs that decided to transmit stop searching, also those that ran
         # out of slot time; will_tx lies inside searching, so ^= clears it.
         searching ^= will_tx
         np.add.at(cell, entered_at, NP)
+        # freed before the next draws: piled up at the heap top, a stage's
+        # arrays would let malloc trim it and the next stage fault it back in
+        starts = entered_at = started_busy = None
     # the last stage's (S, N_s) temporaries go before the batch is built
-    u_gate = ch = u_sense = flat = code = busy = active = gate = None
+    u_gate = ch = u_sense = flat = code = busy = active = gate = row = None
     ordered = senses = decided_free = will_tx = new_tx = None
 
-    tx_rt = rt_at.take(np.arange(0, S * (M + 1), M + 1)[:, None] + tx_stage)
+    at_rt = np.add(np.arange(0, S * (M + 1), M + 1)[:, None], tx_stage, flat_o)
+    tx_rt = rt_at.take(at_rt, None, out("tx_rt", (S, NS)), "clip")
     # state code of the channel each SU transmitted on, N_p when the PU was
     # absent and the SU alone; garbage where it did not transmit, but there
     # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
-    at_tx = cell.take(slot_base + tx_channel)
+    at_tx = cell.take(np.add(slot_base, tx_channel, code_o), None,
+                      out("at_tx", (S, NS), np.intp), "wrap")
     at_tx -= tx_channel
+    throughput = np.multiply(tx_rt, config.tx_rate, out("throughput", (S, NS)))
+    throughput /= T
+    throughput *= np.equal(at_tx, NP, busy_o)
     batch = SlotBatch(
-        throughput=(at_tx == NP) * (tx_rt * config.tx_rate / T),
+        throughput=throughput,
         interfered_entry=interfered_entry,
         tx_stage=tx_stage,
         tx_channel=tx_channel,
@@ -404,7 +458,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     )
     batch._loop = _LoopState(at_tx=at_tx, tx_rt=tx_rt, pu=pu,
                              delta=schedules.delta, thresholds=class_table,
-                             slot=T, n_pu=NP, n_su=NS)
+                             slot=T, n_pu=NP, n_su=NS, out=out)
     return batch
 
 
@@ -445,17 +499,6 @@ _SPREAD = ("network_throughput", "interference")
 _SPREAD_ROWS = [_MEAN_FIELDS.index(f) for f in _SPREAD]
 
 
-def _mean(a: np.ndarray) -> float:
-    """``a.mean()`` to the bit, from a count or an integer sum where ``a``
-    holds bools or integers: the sum is exact below 2**53, as is mean()'s
-    float64 sum of them, and one division rounds both alike."""
-    if a.dtype == bool:
-        return np.count_nonzero(a) / a.size
-    if a.dtype.kind == "i":
-        return int(a.sum()) / a.size
-    return a.mean()
-
-
 @dataclass
 class _Moments:
     """Sample count, means and sums of squared deviations (M2) of a run.
@@ -479,8 +522,11 @@ class _Moments:
     @classmethod
     def of_batch(cls, batch: SlotBatch) -> "_Moments":
         per_su = batch.throughput.mean(axis=0)
+        loop = getattr(batch, "_loop", None)
+        field = (loop.means(batch) if loop else
+                 {a: getattr(batch, a).mean() for a in _BATCH_MEANS.values()})
         means = [per_su.mean(), per_su.sum(),
-                 *(_mean(getattr(batch, a)) for a in _BATCH_MEANS.values())]
+                 *(field[a] for a in _BATCH_MEANS.values())]
         return cls._of(np.array(means),
                        np.stack([batch.throughput.sum(axis=1),
                                  batch.network_interference]))
@@ -518,24 +564,18 @@ def run_replication(config: NetworkConfig, schedules: SuSchedules,
     """One seeded replication; deterministic given the seed.
 
     The slots run as consecutive ``simulate_slots`` calls of at most
-    BLOCK_SLOTS slots on one generator, folded into one reducer, so memory
-    is bounded by the block size.  A run of at most BLOCK_SLOTS slots is one
-    call, and its metrics are those of that batch."""
+    BLOCK_SLOTS slots on one generator and one ``StageBuffers`` set, folded
+    into one reducer, so memory is bounded by the block size.  A run of at
+    most BLOCK_SLOTS slots is one call, with that batch's metrics."""
     if n_slots < 1:
         raise ScenarioError("n_slots must be >= 1")
     rng = np.random.default_rng(seed)
+    buffers = StageBuffers()
     total = None
     for start in range(0, n_slots, BLOCK_SLOTS):
-        # ``batch`` keeps the previous block alive until the next one exists
-        # and its fields are built (``of_batch`` reads them): freed first, it
-        # lets malloc trim the heap, and each block then faults its pages in
-        # afresh (6x the page faults, 1.5x the time).
-        current = simulate_slots(config, schedules, resolved,
-                                 min(BLOCK_SLOTS, n_slots - start), rng,
-                                 protocol=protocol)
-        block = _Moments.of_batch(current)
-        current._loop = None  # every field it needs is built
-        batch = current
+        block = _Moments.of_batch(simulate_slots(
+            config, schedules, resolved, min(BLOCK_SLOTS, n_slots - start),
+            rng, protocol=protocol, buffers=buffers))
         total = block if total is None else total.merge(block)
     return total.metrics(n_slots, 1)
 

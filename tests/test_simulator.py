@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from rsop.detector import false_alarm_prob, misdetection_prob, received_snr
 from rsop.errors import ScenarioError
 from rsop.simulator import (
     BLOCK_SLOTS,
+    RunMetrics,
     SlotBatch,
+    StageBuffers,
     SuSchedules,
     _Moments,
     _threshold_table,
@@ -250,6 +253,100 @@ class TestStreaming:
                       "ci_interference"):
             assert getattr(run, field) == pytest.approx(
                 getattr(direct, field), rel=1e-12, abs=0.0)
+
+
+def _built(batch: SlotBatch) -> SlotBatch:
+    """A copy of ``batch`` with every field built, which ``_Moments.of_batch``
+    reduces field by field, as it does any batch joined by hand."""
+    return SlotBatch(**{
+        f.name: np.copy(getattr(batch, f.name))
+        if f.name != "pu_busy_fraction" else batch.pu_busy_fraction
+        for f in dataclasses.fields(SlotBatch)})
+
+
+def _assert_same_batch(got: SlotBatch, want: SlotBatch, at=None):
+    for field in dataclasses.fields(SlotBatch):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, (at, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (at, field.name)
+
+
+class TestStageBuffers:
+    """A replication's blocks write into one ``StageBuffers`` set and reduce
+    their first-read fields unbuilt; calls without a set own their arrays."""
+
+    @staticmethod
+    def setup_dense(tau_factor=1.0):
+        sc = load_bundled("dense_ns20_np5")
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        params = SensingParams(tau=sc.params.tau * tau_factor, p=sc.params.p)
+        return sc.config, SuSchedules.homogeneous(sc.config, params), resolved
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    @pytest.mark.parametrize("kind", ["homogeneous", "mixed-tau"])
+    @pytest.mark.parametrize("name", ["dense_ns20_np5", "false_alarm_np5"])
+    def test_replication_equals_fresh_blocks_reduced_by_field(self, name, kind,
+                                                              protocol):
+        # energy and explicit detector; three blocks, the last one partial
+        sc = load_bundled(name)
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        sched = TestAgainstReference.schedule_kinds(sc)[kind]
+        n_slots = 2 * BLOCK_SLOTS + 123
+        got = run_replication(sc.config, sched, resolved, protocol, n_slots, 21)
+        rng = np.random.default_rng(21)
+        total = None
+        for start in range(0, n_slots, BLOCK_SLOTS):
+            block = _Moments.of_batch(_built(simulate_slots(
+                sc.config, sched, resolved, min(BLOCK_SLOTS, n_slots - start),
+                rng, protocol=protocol)))
+            total = block if total is None else total.merge(block)
+        want = total.metrics(n_slots, 1)
+        for field in dataclasses.fields(RunMetrics):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_one_set_serves_schedules_of_other_stage_counts(self):
+        config, five, resolved = self.setup_dense()
+        _, two, _ = self.setup_dense(tau_factor=4.0)
+        assert (five.max_stages, two.max_stages) == (5, 2)
+        buffers = StageBuffers()
+        for sched, n_slots, seed in ((five, 300, 1), (two, 500, 2),
+                                     (two, 120, 3), (five, 300, 4)):
+            got = simulate_slots(config, sched, resolved, n_slots,
+                                 np.random.default_rng(seed), buffers=buffers)
+            want = simulate_slots(config, sched, resolved, n_slots,
+                                  np.random.default_rng(seed))
+            a, b = _Moments.of_batch(got), _Moments.of_batch(want)
+            assert a.n == b.n and a.mean.tobytes() == b.mean.tobytes()
+            assert a.m2.tobytes() == b.m2.tobytes()
+            _assert_same_batch(got, want, (n_slots, seed))
+
+    def test_batch_without_a_set_is_unchanged_by_later_calls(self):
+        config, sched, resolved = self.setup_dense()
+        want = _built(simulate_slots(config, sched, resolved, 700,
+                                     np.random.default_rng(6)))
+        batch = simulate_slots(config, sched, resolved, 700,
+                               np.random.default_rng(6))
+        # later calls of every kind, before any of its fields is built
+        simulate_slots(config, sched, resolved, 700, np.random.default_rng(7))
+        simulate_slots(config, sched, resolved, 700, np.random.default_rng(8),
+                       buffers=StageBuffers())
+        run_replication(config, sched, resolved, "modified", 900, 9)
+        _assert_same_batch(batch, want)
+
+    def test_replication_memory_is_one_block_of_buffers(self):
+        # numpy reports its data allocations to tracemalloc; in units of one
+        # float64 (slot, SU) block, fresh temporaries every block peaked at
+        # 15.1, and one set with the stage's index arrays peaks at 11.7
+        config, sched, resolved = self.setup_dense()
+        tracemalloc.start()
+        try:
+            run_replication(config, sched, resolved, "modified",
+                            3 * BLOCK_SLOTS + 123, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = BLOCK_SLOTS * config.n_su * 8
+        assert 5 * block < peak < 13.5 * block
 
 
 class TestStatistics:
