@@ -43,7 +43,7 @@ from .core import max_sensing_stages
 from .detector import sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
 from .optimizer import evaluate_points
-from .simulator import BLOCK_SLOTS, SlotBatch, SuSchedules, simulate_slots
+from .simulator import BLOCK_SLOTS, SlotBatch, StageBuffers, SuSchedules, simulate_slots
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +403,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
     state = AdaptiveState.initial(*_project(tau1, p1, cfg), cfg.tau_floor,
                                   config.n_su)
     rng = np.random.default_rng(seed)
+    buffers = StageBuffers()  # every frame's batch is read before the next
 
     frames: list[FrameLog] = []
     f_best = math.nan  # until a frame has a feasible point
@@ -419,7 +420,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
             schedules = SuSchedules.from_per_su(config, state.tau, state.p)
             deltas = schedules.delta
 
-        batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng)
+        batch = simulate_slots(config, schedules, resolved, cfg.n_ep, rng, buffers=buffers)
         # the check reads the frame's threshold table, whose stage-1 row is
         # at the SUs' tau
         p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas,

@@ -169,14 +169,17 @@ class _OnFirstRead:
 class StageBuffers:
     """Named arrays ``simulate_slots`` writes into (stage-loop state and
     temporaries, batch arrays); a call with fewer slots takes the first rows.
-    A set serves one replication, so one thread; see ``SlotBatch``."""
+    A set serves one run (a replication, an adaptive run), so one thread;
+    see ``SlotBatch``.  A call given none makes its own."""
 
     def __call__(self, name: str, shape: tuple, dtype=float, fill=None):
         array = self.__dict__.get(name)
-        if array is None or len(array) < shape[0] or array.shape[1:] != shape[1:]:
-            array = self.__dict__[name] = np.empty(shape, dtype)
-        elif len(array) > shape[0]:
-            array = array[:shape[0]]
+        if array is None or array.shape != shape:
+            if (array is None or len(array) < shape[0]
+                    or array.shape[1:] != shape[1:]):
+                array = self.__dict__[name] = np.empty(shape, dtype)
+            else:
+                array = array[:shape[0]]
         if fill is not None:
             array.fill(fill)
         return array
@@ -185,7 +188,8 @@ class StageBuffers:
 class _LoopState(NamedTuple):
     """What ``simulate_slots``' stage loop leaves for the fields built on
     first read, and its threshold table by channel class, which the
-    adaptive loop's misdetection check reads."""
+    adaptive loop's misdetection check reads.  The first-read fields and
+    ``means`` share its definitions; those given an ``out`` write into it."""
 
     # (slot, SU) final state code (pu * (N_s + 1) + SUs there) * N_p of the
     # channel the SU transmitted on; garbage where it did not
@@ -197,24 +201,35 @@ class _LoopState(NamedTuple):
     slot: float          # T
     n_pu: int
     n_su: int
-    out: object          # the call's temporaries (see simulate_slots)
+    buffers: StageBuffers  # the call's set
+
+    def alone(self, tx, pu: int, out=None):
+        """The SUs of ``tx`` alone on their channel, whose PU is absent
+        (``pu`` 0) or present (1): state code (pu * (N_s + 1) + 1) * N_p."""
+        code = (pu * (self.n_su + 1) + 1) * self.n_pu
+        return np.logical_and(np.equal(self.at_tx, code, out), tx, out)
+
+    def handoffs(self, tx, tx_stage):
+        """Stage boundaries crossed: the transmit stage, or the budget where
+        the SU never transmitted (not ``tx``), less one."""
+        return np.where(tx, tx_stage, self.delta.astype(np.int32)) - 1
+
+    def delay(self, out=None):
+        return np.subtract(self.slot, self.tx_rt, out)
 
     def means(self, b: "SlotBatch") -> dict:
-        """``_Moments``' means, first-read fields from counts and sums."""
-        grid, size = b.tx_stage.shape, b.tx_stage.size
-        tx = np.greater(b.tx_stage, 0, self.out("busy", grid, bool))
-        alone = self.out("free", grid, bool)
-        idle, busy = (np.count_nonzero(np.logical_and(  # PU absent, present
-            np.equal(self.at_tx, code, alone), tx, alone))
-            for code in (self.n_pu, (self.n_su + 2) * self.n_pu))
-        waited = int((len(tx) - np.count_nonzero(tx, axis=0)) @ self.delta)
-        return {"network_interference": b.network_interference.mean(),
-                "overhead": int(b.overhead.sum()) / size,
-                "handoffs": (waited + int(b.tx_stage.sum()) - size) / size,
-                "delay": np.subtract(  # delay's own values: mean() gives its bits
-                    self.slot, self.tx_rt, self.out("u_sense", grid)).mean(),
-                "success": idle / size,
-                "collided": (np.count_nonzero(tx) - idle - busy) / size}
+        """The first-read fields' means, from counts and integer sums
+        (``mean()``'s bits, exact below 2**53), none of them allocated."""
+        grid, size, buf = b.tx_stage.shape, b.tx_stage.size, self.buffers
+        tx = np.greater(b.tx_stage, 0, buf("busy", grid, bool))  # transmitted
+        success, alone_busy = (np.count_nonzero(self.alone(
+            tx, pu, buf("free", grid, bool))) for pu in (0, 1))
+        return {"success": success / size,  # collided: transmitted, not alone
+                "collided": (np.count_nonzero(tx) - success - alone_busy) / size,
+                # the sum of ``handoffs`` by SU: building them takes 3x as long
+                "handoffs": (int((len(tx) - np.count_nonzero(tx, axis=0)) @ self.delta)
+                             + int(b.tx_stage.sum()) - size) / size,
+                "delay": self.delay(buf("u_sense", grid)).mean()}
 
 
 @dataclass(kw_only=True)
@@ -228,25 +243,22 @@ class SlotBatch:
     ``buffers``, a batch and its first-read fields last to the set's next call."""
 
     throughput: np.ndarray          # ACKed normalized throughput
-    success: np.ndarray = _OnFirstRead(  # bool; code N_p: PU absent, SU alone
-        lambda b, s: b.transmitted & (s.at_tx == s.n_pu))
+    success: np.ndarray = _OnFirstRead(  # bool; alone on the channel, PU absent
+        lambda b, s: s.alone(b.transmitted, 0))
     transmitted: np.ndarray = _OnFirstRead(  # bool, entered a transmit/interfere state
         lambda b, s: b.tx_stage > 0)
     interfered_entry: np.ndarray    # bool, started transmitting on a busy channel
     collided: np.ndarray = _OnFirstRead(  # bool, overlapped another SU
-        # 2 or more SUs on the channel: neither code N_p nor (N_s + 2) N_p,
-        # an SU alone with the PU absent or present
-        lambda b, s: b.transmitted & (s.at_tx != s.n_pu)
-        & (s.at_tx != (s.n_su + 2) * s.n_pu))
+        # transmitted and not alone: the alone sets lie in it, apart
+        lambda b, s: b.transmitted ^ b.success ^ s.alone(b.transmitted, 1))
     tx_stage: np.ndarray            # int, 0 when the SU never transmitted
     tx_channel: np.ndarray          # int, -1 when the SU never transmitted
     network_interference: np.ndarray  # (n_slots,) per-slot normalized t_I sample
     overhead: np.ndarray            # channels actually sensed
     handoffs: np.ndarray = _OnFirstRead(  # stage boundaries crossed
-        lambda b, s: (b.tx_stage == 0) * s.delta.astype(np.int32)
-        + b.tx_stage - 1)
+        lambda b, s: s.handoffs(b.transmitted, b.tx_stage))
     delay: np.ndarray = _OnFirstRead(  # seconds before transmission (T if none)
-        lambda b, s: s.slot - s.tx_rt)
+        lambda b, s: s.delay())
     pu_busy_fraction: float = _OnFirstRead(  # realized PU duty cycle (diagnostic)
         lambda b, s: np.count_nonzero(s.pu) / s.pu.size)
 
@@ -312,17 +324,16 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     M = schedules.max_stages
     C = schedules.n_cols
     modified = protocol == "modified"
-    # an out of None allocates; without ``buffers`` the state gets a new set
-    buf, out = (StageBuffers(), lambda *_: None) if buffers is None else (buffers,) * 2
+    buf = StageBuffers() if buffers is None else buffers
 
-    pu = np.less(rng.random((S, NP), np.float64, out("u_pu", (S, NP))),
-                 config.presence_prob, out("pu", (S, NP), bool))
+    pu = np.less(rng.random((S, NP), np.float64, buf("u_pu", (S, NP))),
+                 config.presence_prob, buf("pu", (S, NP), bool))
     # flat (slot, channel) cell code (pu * K + SUs transmitting there) * N_p
     # + channel: below N_p is idle, and the code is the cell's offset in an
     # SU's threshold row.  ``mark`` is scratch space over the same index.
-    cell = np.multiply(pu, K * NP, out("cell", (S, NP), np.intp))
+    cell = np.multiply(pu, K * NP, buf("cell", (S, NP), np.intp))
     cell = np.add(cell, np.arange(NP), cell).ravel()
-    mark = buf("mark", (S * NP,), bool)
+    mark = buf("mark", (S * NP,), np.int32)
     slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
     su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
     class_table = _threshold_table(config, resolved, schedules.tau, M)
@@ -342,11 +353,10 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     elapsed = 0.0
     rt_at = buf("rt_at", (S, M + 1), float, 0.0)  # time left after stage n
     # temporaries; u_gate's takes the thresholds too, free's will_tx, active's new_tx
-    u_gate_o, u_sense_o = out("u_gate", (S, NS)), out("u_sense", (S, NS))
-    flat_o, code_o = out("flat", (S, NS), np.intp), out("code", (S, NS), np.intp)
-    active_o, ordered_o, gate_o, senses_o, busy_o, free_o = (
-        out(k, (S, NS), bool)
-        for k in ("active", "ordered", "gate", "senses", "busy", "free"))
+    u_gate_o, u_sense_o = buf("u_gate", (S, NS)), buf("u_sense", (S, NS))
+    flat_o, code_o = buf("flat", (S, NS), np.intp), buf("code", (S, NS), np.intp)
+    active_o, ordered_o, gate_o, senses_o, busy_o, free_o = (buf(name, (S, NS), bool)
+        for name in ("active", "ordered", "gate", "senses", "busy", "free"))
     every_su = int(schedules.delta.min())  # stages every SU's budget reaches
     if every_su < M:  # row n - 1: delta >= n
         in_budget = schedules.delta > np.arange(M)[:, None]
@@ -420,10 +430,13 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         started_busy = busy.take(starts)
         if np.count_nonzero(started_busy):
             interfered_entry.put(starts.compress(started_busy), True)
-            # busy channels entered, counted once per (slot, channel)
-            mark.fill(False)
-            mark.put(entered_at.compress(started_busy), True)
-            entered = mark.reshape(S, NP).sum(axis=1)
+            # busy channels entered, once per (slot, channel): of repeated
+            # indices, only the one whose mark survives is counted
+            hit = entered_at.compress(started_busy)
+            k = np.arange(hit.size, dtype=np.int32)
+            mark.put(hit, k)
+            entered = np.bincount(hit.compress(mark.take(hit) == k) // NP,
+                                  minlength=S)
             net_interf += entered * rt / (T * NP)
 
         # SUs that decided to transmit stop searching, also those that ran
@@ -432,20 +445,17 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         np.add.at(cell, entered_at, NP)
         # freed before the next draws: piled up at the heap top, a stage's
         # arrays would let malloc trim it and the next stage fault it back in
-        starts = entered_at = started_busy = None
-    # the last stage's (S, N_s) temporaries go before the batch is built
-    u_gate = ch = u_sense = flat = code = busy = active = gate = row = None
-    ordered = senses = decided_free = will_tx = new_tx = None
+        starts = entered_at = started_busy = hit = k = None
 
     at_rt = np.add(np.arange(0, S * (M + 1), M + 1)[:, None], tx_stage, flat_o)
-    tx_rt = rt_at.take(at_rt, None, out("tx_rt", (S, NS)), "clip")
+    tx_rt = rt_at.take(at_rt, None, buf("tx_rt", (S, NS)), "clip")
     # state code of the channel each SU transmitted on, N_p when the PU was
     # absent and the SU alone; garbage where it did not transmit, but there
     # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
     at_tx = cell.take(np.add(slot_base, tx_channel, code_o), None,
-                      out("at_tx", (S, NS), np.intp), "wrap")
+                      buf("at_tx", (S, NS), np.intp), "wrap")
     at_tx -= tx_channel
-    throughput = np.multiply(tx_rt, config.tx_rate, out("throughput", (S, NS)))
+    throughput = np.multiply(tx_rt, config.tx_rate, buf("throughput", (S, NS)))
     throughput /= T
     throughput *= np.equal(at_tx, NP, busy_o)
     batch = SlotBatch(
@@ -458,7 +468,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     )
     batch._loop = _LoopState(at_tx=at_tx, tx_rt=tx_rt, pu=pu,
                              delta=schedules.delta, thresholds=class_table,
-                             slot=T, n_pu=NP, n_su=NS, out=out)
+                             slot=T, n_pu=NP, n_su=NS, buffers=buf)
     return batch
 
 
@@ -523,10 +533,10 @@ class _Moments:
     def of_batch(cls, batch: SlotBatch) -> "_Moments":
         per_su = batch.throughput.mean(axis=0)
         loop = getattr(batch, "_loop", None)
-        field = (loop.means(batch) if loop else
-                 {a: getattr(batch, a).mean() for a in _BATCH_MEANS.values()})
+        unbuilt = loop.means(batch) if loop else {}
         means = [per_su.mean(), per_su.sum(),
-                 *(field[a] for a in _BATCH_MEANS.values())]
+                 *(unbuilt[a] if a in unbuilt else getattr(batch, a).mean()
+                   for a in _BATCH_MEANS.values())]
         return cls._of(np.array(means),
                        np.stack([batch.throughput.sum(axis=1),
                                  batch.network_interference]))

@@ -52,3 +52,33 @@ def test_quartiles_are_those_perfbench_reports():
                                 DECLARED)
     assert one["work_per_s"]["base_quartiles"] == [3.0, 3.0]
     assert one["peak_rss_mb"]["wins"] == 0
+
+
+def test_each_workload_keeps_the_base_and_length_of_its_own_runs(
+        tmp_path, monkeypatch):
+    # no harness runs and no export: a fake run reads its side in the value
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: f"commit-{rev}")
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda tree, workload, seed, seconds: {
+                            m["name"]: float(tree == bench_pairs.ROOT)
+                            for m in bench_pairs.json.loads(
+                                (bench_pairs.ROOT / "BENCHMARK.json")
+                                .read_text())["end_to_end"]})
+    out = tmp_path / "pairs.json"
+    common = ["--pairs", "2", "--first-seed", "5", "--out", str(out)]
+    assert bench_pairs.main(["--base", "A", "--workload", "grid",
+                             "--seconds", "8", *common]) == 0
+    assert bench_pairs.main(["--base", "B", "--workload", "mc_dense",
+                             "--seconds", "1", *common]) == 0
+    got = bench_pairs.json.loads(out.read_text())["workloads"]
+    assert (got["grid"]["base"], got["grid"]["seconds"]) == ("commit-A", 8.0)
+    assert (got["mc_dense"]["base"], got["mc_dense"]["seconds"]) == ("commit-B", 1.0)
+    assert got["grid"]["first"] == ["base", "change"]
+    assert got["mc_dense"]["metrics"]["work_per_s"]["change"] == [1.0, 1.0]
+
+
+def test_base_is_required():
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "grid", "--pairs", "1",
+                          "--first-seed", "1", "--seconds", "1",
+                          "--out", "unused.json"])

@@ -7,12 +7,13 @@ once in the checkout, ``--pairs`` times per workload: one seed per pair
 and the side that runs first flipped from one pair to the next.  For every
 workload and end-to-end metric of ``BENCHMARK.json`` it writes each run's
 value, both sides' medians and quartiles and the change's wins (ties count
-for neither) to ``--out``; workloads already in that file and not run again
-are kept.  Stops with exit status 1 at the first run that fails or reports
-a failed output check.  Run from anywhere:
+for neither) to ``--out``, with the base commit, run length, Python version
+and core count of that workload's runs; workloads already in that file and
+not run again are kept with their own.  Stops with exit status 1 at the
+first run that fails or reports a failed output check.  Run from anywhere:
 
-    python3 tools/bench_pairs.py --workload mc_dense --pairs 10 \\
-        --first-seed 9101 --seconds 8 --out BENCH.json
+    python3 tools/bench_pairs.py --base HEAD~1 --workload mc_dense \\
+        --pairs 10 --first-seed 9101 --seconds 8 --out BENCH.json
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--base", default="HEAD",
-                    help="git revision to compare against (default HEAD)")
+    ap.add_argument("--base", required=True,
+                    help="git revision to compare the working tree against")
     args = ap.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
@@ -102,8 +103,6 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         commit = export(args.base, tmp)
-        doc.update(base=commit, python=platform.python_version(),
-                   cpus=os.cpu_count(), seconds=args.seconds)
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
@@ -116,6 +115,8 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 print(json.dumps({"workload": workload, **pair}), flush=True)
             doc.setdefault("workloads", {})[workload] = {
+                "base": commit, "seconds": args.seconds,
+                "python": platform.python_version(), "cpus": os.cpu_count(),
                 "seeds": [p["seed"] for p in pairs],
                 "first": [p["first"] for p in pairs],
                 "metrics": summarize(pairs, declared)}
