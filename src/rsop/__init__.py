@@ -16,6 +16,7 @@ Scenario files and the experiment front end live in :mod:`rsop.config` and
 """
 
 from .config import (
+    AdaptiveConfig,
     NetworkConfig,
     SensingParams,
     QosConstraints,
@@ -49,7 +50,6 @@ from .optimizer import (
     OptResult,
 )
 from .adaptive import (
-    AdaptiveConfig,
     AdaptiveState,
     alg1_update,
     alg2_stage_schedule,

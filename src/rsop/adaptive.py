@@ -26,7 +26,7 @@ analytic objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random  # loaded here, not lazily on the first generator
@@ -38,7 +38,7 @@ from .chain import (
     resolve_detector,
     stage2_detection,
 )
-from .config import NetworkConfig, QosConstraints, SensingParams
+from .config import AdaptiveConfig, NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
 from .detector import sensing_time_floor
 from .errors import InvalidSchedule, ScenarioError, ShortFrame
@@ -75,24 +75,6 @@ def check_step_schedule(alphas) -> None:
 # ---------------------------------------------------------------------------
 # Per-SU state and the coarse update
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AdaptiveConfig:
-    """Algorithm constants shared by every SU."""
-
-    n_ep: int = 50                 # slots per frame
-    delta_tau: float = 1e-4        # coarse tau increment (seconds); 0.01 T default
-    delta_p: float = 0.025         # coarse p increment
-    delta_tau_fine: float = 1e-4   # per-stage tau decrement (fine tuning)
-    delta_p_fine: float = 0.025    # per-stage p increment (fine tuning)
-    tau_floor: float = 0.0         # projection floor for tau (tau_min)
-    slot_duration: float = 0.01    # projection ceiling for tau
-    alpha: object = harmonic_alpha  # diminishing step-size schedule k -> alpha_k
-
-    def __post_init__(self):
-        if self.n_ep < 1:
-            raise ScenarioError("n_ep must be >= 1")
-
 
 @dataclass
 class AdaptiveState:
@@ -182,18 +164,19 @@ def _raw_step(improved, grew, delta: float):
     return flip, delta * (2 * flip - 1)
 
 
-def _project(tau, p, cfg: AdaptiveConfig):
-    """Projection of (tau, p) onto the box [tau_floor, T] x [0, 1]."""
-    return (np.minimum(np.maximum(tau, cfg.tau_floor), cfg.slot_duration),
+def _project(tau, p, tau_min: float, slot_duration: float):
+    """Projection of (tau, p) onto the box [tau_min, T] x [0, 1]."""
+    return (np.minimum(np.maximum(tau, tau_min), slot_duration),
             np.minimum(np.maximum(p, 0.0), 1.0))
 
 
 def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
-                cfg: AdaptiveConfig) -> tuple[AdaptiveState, UpdateRecord]:
+                cfg: AdaptiveConfig, slot_duration: float
+                ) -> tuple[AdaptiveState, UpdateRecord]:
     """One coarse update of every SU's (tau, p) from frame-k estimates.
 
-    Each coordinate moves by alpha_k times its raw step (``_raw_step``), then
-    is projected onto the box.
+    Each coordinate moves by alpha_k = 1/k times its raw step
+    (``_raw_step``), then is projected onto the box [tau_min, T] x [0, 1].
     """
     improved = _improved(est.r_est, state.prev_r_est, est.t_i_est, est.p_md, qos)
     tau_grew = state.tau >= state.prev_tau
@@ -201,8 +184,9 @@ def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
     flip_tau, g_tau = _raw_step(improved, tau_grew, cfg.delta_tau)
     flip_p, g_p = _raw_step(improved, p_grew, cfg.delta_p)
 
-    alpha = cfg.alpha(state.k)
-    tau_next, p_next = _project(state.tau - g_tau * alpha, state.p - g_p * alpha, cfg)
+    alpha = harmonic_alpha(state.k)
+    tau_next, p_next = _project(state.tau - g_tau * alpha, state.p - g_p * alpha,
+                                cfg.tau_min, slot_duration)
 
     record = UpdateRecord(k=state.k, improved=improved, tau_grew=tau_grew,
                           p_grew=p_grew, flip_tau=flip_tau, flip_p=flip_p,
@@ -226,7 +210,7 @@ def alg2_stage_schedule(state: AdaptiveState, delta,
     if (delta < 1).any():
         raise ScenarioError("delta must be >= 1")
     n = np.minimum(np.arange(delta.max()), delta[..., None] - 1)
-    tau = np.maximum(cfg.tau_floor,
+    tau = np.maximum(cfg.tau_min,
                      np.asarray(state.tau)[..., None] - n * cfg.delta_tau_fine)
     p = np.minimum(1.0, np.asarray(state.p)[..., None] + n * cfg.delta_p_fine)
     return tau, p
@@ -319,24 +303,29 @@ class AdaptiveRun:
     final_p: np.ndarray
 
 
-def _adaptive_cfg(scenario, resolved: ResolvedDetector) -> AdaptiveConfig:
-    ad = scenario.adaptive
-    cfg = scenario.config
-    t = cfg.slot_duration
-    if ad.tau_min is not None:
-        floor = ad.tau_min
-    elif resolved.mode == "energy":
-        floor = sensing_time_floor(cfg, scenario.qos)
-    else:
-        floor = 1.0 / cfg.sampling_freq  # tau has no sensing effect; one sample
-    return AdaptiveConfig(
-        n_ep=ad.n_ep,
+def _adaptive_cfg(scenario) -> AdaptiveConfig:
+    """The scenario's adaptive constants with every ``None`` filled in: both
+    tau increments 0.01 T; the floor ``tau_min`` the QoS minimum sensing time
+    of an energy detector, one sample of an explicit one (tau has no sensing
+    effect), and never above T; the start the nominal (tau, p), projected
+    onto the decision box, as every later point is.  The scenario's own
+    section is left as loaded."""
+    ad, config = scenario.adaptive, scenario.config
+    t = config.slot_duration
+    tau_min = ad.tau_min
+    if tau_min is None:
+        floor = (sensing_time_floor(config, scenario.qos)
+                 if scenario.detector.mode == "energy" else config.one_sample)
+        tau_min = min(floor, t)
+    tau1, p1 = _project(
+        ad.initial_tau if ad.initial_tau is not None else scenario.params.tau,
+        ad.initial_p if ad.initial_p is not None else scenario.params.p,
+        tau_min, t)
+    return replace(
+        ad,
         delta_tau=ad.delta_tau if ad.delta_tau is not None else 0.01 * t,
-        delta_p=ad.delta_p,
         delta_tau_fine=ad.delta_tau_fine if ad.delta_tau_fine is not None else 0.01 * t,
-        delta_p_fine=ad.delta_p_fine,
-        tau_floor=min(floor, t),
-        slot_duration=t,
+        initial_tau=float(tau1), initial_p=float(p1), tau_min=tau_min,
     )
 
 
@@ -395,12 +384,8 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
         raise ScenarioError(f"n_frames must be >= 1, got {n_frames}")
     config, qos = scenario.config, scenario.qos
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
-    cfg = _adaptive_cfg(scenario, resolved)
-    ad = scenario.adaptive
-    tau1 = ad.initial_tau if ad.initial_tau is not None else scenario.params.tau
-    p1 = ad.initial_p if ad.initial_p is not None else scenario.params.p
-    # the start lies in the decision box, as every later point does
-    state = AdaptiveState.initial(*_project(tau1, p1, cfg), cfg.tau_floor,
+    cfg = _adaptive_cfg(scenario)
+    state = AdaptiveState.initial(cfg.initial_tau, cfg.initial_p, cfg.tau_min,
                                   config.n_su)
     rng = np.random.default_rng(seed)
     buffers = StageBuffers()  # every frame's batch is read before the next
@@ -434,7 +419,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
                 f_visited = float(np.mean(-cols["r"][cols["feasible"]]))
         f_best = float(np.fmin(f_best, f_visited))
 
-        new_state, rec = alg1_update(state, est, qos, cfg)
+        new_state, rec = alg1_update(state, est, qos, cfg, config.slot_duration)
         frames.append(FrameLog(
             k=rec.k,
             tau=state.tau,
@@ -501,7 +486,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
             f"and {len(ps)} ps")
     config, qos = scenario.config, scenario.qos
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
-    cfg = _adaptive_cfg(scenario, resolved)
+    cfg = _adaptive_cfg(scenario)
     per_quadrant = n_realizations // 4
     frames_per_block = max(1, BLOCK_SLOTS // cfg.n_ep)
     rng = np.random.default_rng(seed)
@@ -533,9 +518,9 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
         g_samples = []
         for s_tau in (1.0, -1.0):
             for s_p in (1.0, -1.0):
-                alpha0 = cfg.alpha(1)
-                tau2, p2 = _project(tau + s_tau * cfg.delta_tau * alpha0,
-                                    p + s_p * cfg.delta_p * alpha0, cfg)
+                tau2, p2 = _project(tau + s_tau * cfg.delta_tau,
+                                    p + s_p * cfg.delta_p, cfg.tau_min,
+                                    config.slot_duration)
                 r_a, _, _ = frame_means(tau, p, per_quadrant)
                 r_b, t_b, loop = frame_means(tau2, p2, per_quadrant)
                 p_md = _analytic_p_md(config, resolved, tau2, p2, loop.delta,

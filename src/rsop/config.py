@@ -139,6 +139,15 @@ class NetworkConfig:
             raise ScenarioError("all powers must be positive")
 
     @property
+    def one_sample(self) -> float:
+        """The shortest sensing time: 1/f_s, moved up one ulp where it
+        rounds to just under one sample."""
+        one = 1.0 / self.sampling_freq
+        if one * self.sampling_freq < 1.0:
+            one = float(np.nextafter(one, np.inf))
+        return one
+
+    @property
     def snr_stage1(self) -> np.ndarray:
         """Per-channel received SNR when only the PU occupies the channel."""
         return self.pu_power / self.noise_power
@@ -228,8 +237,11 @@ class DetectorSpec:
 
 
 @dataclass
-class AdaptiveDefaults:
-    """Per-scenario defaults for the distributed adaptation algorithms."""
+class AdaptiveConfig:
+    """Constants of the distributed adaptation algorithms, shared by every SU.
+
+    A loaded scenario keeps its ``None``s; ``adaptive._adaptive_cfg`` fills
+    them in.  The step size is the fixed harmonic alpha_k = 1/k."""
 
     n_ep: int = 50                  # slots per frame (estimation period)
     delta_tau: float | None = None  # coarse tau increment, defaults to 0.01 T
@@ -238,22 +250,24 @@ class AdaptiveDefaults:
     delta_p_fine: float = 0.025          # per-stage p increment (Algorithm 2)
     initial_tau: float | None = None     # tau^1; defaults to the nominal tau
     initial_p: float | None = None       # p^1; defaults to the nominal p
-    tau_min: float | None = None         # floor; defaults to the Eq.-style minimum
-                                         # sensing time for the stage-1 SNR
+    tau_min: float | None = None         # floor in [one sample, T]; defaults to the
+                                         # QoS minimum sensing time (energy mode)
 
-    def validate(self, slot_duration: float):
+    def validate(self, config: NetworkConfig):
         """Range-check every given value; NaN is out of range."""
+        t = config.slot_duration
         if not self.n_ep >= 1:
             raise ScenarioError(f"n_ep={self.n_ep} must be >= 1")
         for key in ("delta_tau", "delta_p", "delta_tau_fine", "delta_p_fine"):
             value = getattr(self, key)
             if value is not None and not value >= 0:
                 raise ScenarioError(f"{key}={value} must be >= 0")
-        for key in ("initial_tau", "tau_min"):
-            value = getattr(self, key)
-            if value is not None and not 0 < value <= slot_duration:
-                raise ScenarioError(f"{key}={value} outside (0, "
-                                    f"T={slot_duration}]")
+        if self.initial_tau is not None and not 0 < self.initial_tau <= t:
+            raise ScenarioError(f"initial_tau={self.initial_tau} outside (0, T={t}]")
+        # a floor under one sample would stop the run at its first frame
+        if self.tau_min is not None and not config.one_sample <= self.tau_min <= t:
+            raise ScenarioError(f"tau_min={self.tau_min} outside "
+                                f"[one sample={config.one_sample}, T={t}]")
         if self.initial_p is not None and not 0 <= self.initial_p <= 1:
             raise ScenarioError(f"initial_p={self.initial_p} outside [0, 1]")
 
@@ -267,12 +281,12 @@ class Scenario:
     params: SensingParams
     qos: QosConstraints
     detector: DetectorSpec
-    adaptive: AdaptiveDefaults = field(default_factory=AdaptiveDefaults)
+    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     notes: str = ""
 
     def __post_init__(self):
         self.params.validate(self.config.slot_duration)
-        self.adaptive.validate(self.config.slot_duration)
+        self.adaptive.validate(self.config)
         if (
             self.detector.mode == "energy"
             and self.detector.threshold is None

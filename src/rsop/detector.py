@@ -155,12 +155,9 @@ def min_sensing_time(gamma, f_s, p_fa_max: float, p_d_min: float):
 def sensing_time_floor(config, qos) -> float:
     """Max over channels of :func:`min_sensing_time` at the stage-1 SNR, and
     at least one sample: a strong PU meets both caps in less than one."""
-    f_s = config.sampling_freq
-    one = 1.0 / f_s
-    if one * f_s < 1.0:  # rounded to just under one sample
-        one = float(np.nextafter(one, np.inf))
-    return max(float(np.max(min_sensing_time(config.snr_stage1, f_s,
-                                             qos.p_fa_max, qos.p_d_min))), one)
+    return max(float(np.max(min_sensing_time(config.snr_stage1, config.sampling_freq,
+                                             qos.p_fa_max, qos.p_d_min))),
+               config.one_sample)
 
 
 def received_snr(config, pu_present, senders, channels=slice(None)):

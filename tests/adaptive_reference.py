@@ -44,22 +44,23 @@ def p_md_of_su(config, resolved, tau: float, p: float) -> float:
 def stage_schedule_of_su(s: SuState, delta: int, cfg):
     """One SU's fine-tuned schedule over its own delta stages."""
     n = np.arange(delta)
-    tau = np.maximum(cfg.tau_floor, s.tau - n * cfg.delta_tau_fine)
+    tau = np.maximum(cfg.tau_min, s.tau - n * cfg.delta_tau_fine)
     p = np.minimum(1.0, s.p + n * cfg.delta_p_fine)
     return tau, p
 
 
 def update_su(s: SuState, k: int, r_est: float, t_i_est: float, p_md: float,
-              qos, cfg):
-    """One SU's coarse update: (new state, improved, flip_tau, flip_p, g_tau, g_p)."""
+              qos, cfg, slot_duration: float):
+    """One SU's coarse update, step 1/k: (new state, improved, flip_tau,
+    flip_p, g_tau, g_p)."""
     improved = (r_est >= s.prev_r_est and t_i_est <= qos.t_i_max
                 and p_md <= qos.p_md_max)
     flip_tau = improved != (s.tau >= s.prev_tau)
     flip_p = improved != (s.p >= s.prev_p)
     g_tau = cfg.delta_tau * (1 if flip_tau else -1)
     g_p = cfg.delta_p * (1 if flip_p else -1)
-    alpha = cfg.alpha(k)
-    new = SuState(tau=min(max(s.tau - g_tau * alpha, cfg.tau_floor), cfg.slot_duration),
+    alpha = 1.0 / k
+    new = SuState(tau=min(max(s.tau - g_tau * alpha, cfg.tau_min), slot_duration),
                   p=min(max(s.p - g_p * alpha, 0.0), 1.0),
                   prev_tau=s.tau, prev_p=s.p, prev_r_est=r_est)
     return new, improved, flip_tau, flip_p, g_tau, g_p
@@ -69,14 +70,9 @@ def run_adaptive_per_su(scenario, algorithm: int = 1, n_frames: int = 500,
                         seed=0, track_objective: bool = False) -> AdaptiveRun:
     config, qos = scenario.config, scenario.qos
     resolved = resolve_detector(config, scenario.detector, qos, scenario.params.tau)
-    cfg = _adaptive_cfg(scenario, resolved)
-    ad = scenario.adaptive
-    tau1 = ad.initial_tau if ad.initial_tau is not None else scenario.params.tau
-    p1 = ad.initial_p if ad.initial_p is not None else scenario.params.p
-    # the start projected onto the decision box
-    tau1 = min(max(tau1, cfg.tau_floor), cfg.slot_duration)
-    p1 = min(max(p1, 0.0), 1.0)
-    states = [SuState(tau1, p1, cfg.tau_floor, 0.0, 0.0) for _ in range(config.n_su)]
+    cfg = _adaptive_cfg(scenario)  # its start lies in the decision box
+    states = [SuState(cfg.initial_tau, cfg.initial_p, cfg.tau_min, 0.0, 0.0)
+              for _ in range(config.n_su)]
     rng = np.random.default_rng(seed)
     cache: dict[tuple, tuple[float, bool]] = {}
 
@@ -123,7 +119,8 @@ def run_adaptive_per_su(scenario, algorithm: int = 1, n_frames: int = 500,
         for j, s in enumerate(states):
             r_est = float(batch.throughput[:cfg.n_ep, j].mean())
             p_md = p_md_of_su(config, resolved, s.tau, s.p)
-            outcomes.append((r_est, *update_su(s, k, r_est, t_i_est, p_md, qos, cfg)))
+            outcomes.append((r_est, *update_su(s, k, r_est, t_i_est, p_md, qos, cfg,
+                                                config.slot_duration)))
         r_est, new_states, improved, flip_tau, flip_p, g_tau, g_p = zip(*outcomes)
         frames.append(FrameLog(
             k=k, tau=taus, p=ps, r_est=np.array(r_est), t_i_est=t_i_est,

@@ -9,7 +9,6 @@ import pytest
 from adaptive_reference import run_adaptive_per_su
 from conftest import default_qos, explicit_detector, make_config, make_scenario
 from rsop.adaptive import (
-    AdaptiveConfig,
     AdaptiveState,
     FrameEstimate,
     _analytic_p_md,
@@ -28,7 +27,7 @@ import rsop.core
 import rsop.detector
 from rsop.chain import (analyze, resolve_detector, stage_profiles,
                         worst_misdetection)
-from rsop.config import AdaptiveDefaults, DetectorSpec, SensingParams, load_bundled
+from rsop.config import AdaptiveConfig, DetectorSpec, SensingParams, load_bundled
 from rsop.core import max_sensing_stages
 from rsop.detector import sensing_time_floor
 from rsop.errors import InvalidSchedule, ScenarioError, ShortFrame
@@ -39,7 +38,7 @@ T = 10e-3
 
 def cfg(**overrides):
     values = dict(n_ep=10, delta_tau=1e-4, delta_p=0.025, delta_tau_fine=1e-4,
-                  delta_p_fine=0.025, tau_floor=0.0, slot_duration=T)
+                  delta_p_fine=0.025, tau_min=0.0)
     values.update(overrides)
     return AdaptiveConfig(**values)
 
@@ -50,10 +49,10 @@ def estimate(r=0.5, t_i=0.0, p_md=0.05):
 
 class TestCoarseUpdate:
     def test_zero_step_is_inert(self):
-        c = cfg(alpha=lambda k: 0.0)
+        c = cfg(delta_tau=0.0, delta_p=0.0)
         state = AdaptiveState(tau=1e-3, p=0.5, prev_tau=9e-4, prev_p=0.4,
                               prev_r_est=0.3)
-        new, _ = alg1_update(state, estimate(r=0.1), default_qos(), c)
+        new, _ = alg1_update(state, estimate(r=0.1), default_qos(), c, T)
         assert (new.tau, new.p) == (1e-3, 0.5)
 
     def test_improvement_keeps_direction(self):
@@ -61,7 +60,7 @@ class TestCoarseUpdate:
         c = cfg()
         state = AdaptiveState(tau=1e-3, p=0.5, prev_tau=9e-4, prev_p=0.5,
                               prev_r_est=0.3, k=1)
-        new, rec = alg1_update(state, estimate(r=0.4), default_qos(), c)
+        new, rec = alg1_update(state, estimate(r=0.4), default_qos(), c, T)
         assert rec.improved and rec.tau_grew and not rec.flip_tau
         assert new.tau == pytest.approx(1e-3 + 1e-4)
 
@@ -69,7 +68,7 @@ class TestCoarseUpdate:
         c = cfg()
         state = AdaptiveState(tau=1e-3, p=0.5, prev_tau=9e-4, prev_p=0.5,
                               prev_r_est=0.3, k=1)
-        new, rec = alg1_update(state, estimate(r=0.2), default_qos(), c)
+        new, rec = alg1_update(state, estimate(r=0.2), default_qos(), c, T)
         assert not rec.improved and rec.flip_tau
         assert new.tau == pytest.approx(1e-3 - 1e-4)
 
@@ -77,31 +76,31 @@ class TestCoarseUpdate:
         c = cfg()
         state = AdaptiveState(tau=1e-3, p=0.5, prev_tau=9e-4, prev_p=0.5,
                               prev_r_est=0.3, k=1)
-        _, rec = alg1_update(state, estimate(r=0.3), default_qos(), c)
+        _, rec = alg1_update(state, estimate(r=0.3), default_qos(), c, T)
         assert rec.improved
 
     def test_constraint_violation_negates_improvement(self):
         c = cfg()
         state = AdaptiveState(tau=1e-3, p=0.5, prev_tau=9e-4, prev_p=0.5,
                               prev_r_est=0.3, k=1)
-        _, rec = alg1_update(state, estimate(r=0.4, t_i=0.2), default_qos(), c)
+        _, rec = alg1_update(state, estimate(r=0.4, t_i=0.2), default_qos(), c, T)
         assert not rec.improved
-        _, rec = alg1_update(state, estimate(r=0.4, p_md=0.9), default_qos(), c)
+        _, rec = alg1_update(state, estimate(r=0.4, p_md=0.9), default_qos(), c, T)
         assert not rec.improved
 
     def test_projection_at_ceiling(self):
         c = cfg()
         state = AdaptiveState(tau=T, p=1.0, prev_tau=T - 1e-4, prev_p=0.9,
                               prev_r_est=0.1, k=1)
-        new, _ = alg1_update(state, estimate(r=0.2), default_qos(), c)
+        new, _ = alg1_update(state, estimate(r=0.2), default_qos(), c, T)
         assert new.tau == T
         assert new.p == 1.0
 
     def test_projection_at_floor(self):
-        c = cfg(tau_floor=5e-4)
+        c = cfg(tau_min=5e-4)
         state = AdaptiveState(tau=5e-4, p=0.0, prev_tau=6e-4, prev_p=0.1,
                               prev_r_est=0.5, k=1)
-        new, _ = alg1_update(state, estimate(r=0.1), default_qos(), c)
+        new, _ = alg1_update(state, estimate(r=0.1), default_qos(), c, T)
         assert new.tau >= 5e-4
         assert new.p >= 0.0
 
@@ -109,7 +108,7 @@ class TestCoarseUpdate:
         c = cfg()
         state = AdaptiveState(tau=1e-3, p=0.5, prev_tau=9e-4, prev_p=0.5,
                               prev_r_est=0.3, k=4)
-        new, _ = alg1_update(state, estimate(r=0.4), default_qos(), c)
+        new, _ = alg1_update(state, estimate(r=0.4), default_qos(), c, T)
         assert new.tau == pytest.approx(1e-3 + 1e-4 / 4)
 
 
@@ -122,14 +121,14 @@ class TestFineSchedule:
         assert np.allclose(tau, 1.2e-3) and np.allclose(p, 0.4)
 
     def test_floor_active_everywhere(self):
-        c = cfg(tau_floor=1e-3)
+        c = cfg(tau_min=1e-3)
         state = AdaptiveState(tau=1e-3, p=0.4, prev_tau=1e-3, prev_p=0.4,
                               prev_r_est=0.0)
         tau, _ = alg2_stage_schedule(state, 5, c)
         assert np.allclose(tau, 1e-3)
 
     def test_hand_schedule(self):
-        c = cfg(delta_tau_fine=1e-4, tau_floor=5e-4)
+        c = cfg(delta_tau_fine=1e-4, tau_min=5e-4)
         state = AdaptiveState(tau=1e-3, p=0.2, prev_tau=1e-3, prev_p=0.2,
                               prev_r_est=0.0)
         tau, p = alg2_stage_schedule(state, 8, c)
@@ -223,7 +222,7 @@ class TestClosedLoop:
         defaults = dict(n_ep=20, initial_tau=2e-3, initial_p=0.5)
         defaults.update(adaptive)
         return make_scenario(config, 2e-3, 0.5, explicit_detector(0.1, 0.9),
-                             adaptive=AdaptiveDefaults(**defaults))
+                             adaptive=AdaptiveConfig(**defaults))
 
     def test_iterates_stay_in_box(self):
         run = run_adaptive(self.scenario(), algorithm=1, n_frames=60, seed=0)
@@ -252,6 +251,59 @@ class TestClosedLoop:
         best = [fl.f_best for fl in run.frames if not math.isnan(fl.f_best)]
         assert best, "no feasible visited points recorded"
         assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
+
+
+RESOLVER_DETECTORS = {
+    "energy": DetectorSpec(mode="energy", calibration="pd_min", calibrate_tau=1e-3),
+    "explicit": explicit_detector(0.1, 0.9),
+}
+GIVEN = dict(delta_tau=2e-4, delta_tau_fine=3e-5, tau_min=5e-4,
+             initial_tau=2e-3, initial_p=0.3)
+
+
+class TestResolver:
+    """``_adaptive_cfg`` fills every ``None`` of the scenario's adaptive
+    section and leaves the section as loaded."""
+
+    @staticmethod
+    def resolve(detector, pu_power=0.1, **adaptive):
+        config = make_config(n_su=2, n_pu=3, pu_power=pu_power)
+        sc = make_scenario(config, 1e-3, 0.6, RESOLVER_DETECTORS[detector],
+                           adaptive=AdaptiveConfig(**adaptive))
+        loaded = replace(sc.adaptive)
+        cfg = rsop.adaptive._adaptive_cfg(sc)
+        assert sc.adaptive == loaded
+        assert None not in [getattr(cfg, f.name) for f in fields(cfg)]
+        return sc, cfg
+
+    @pytest.mark.parametrize("detector", list(RESOLVER_DETECTORS))
+    @pytest.mark.parametrize("key", list(GIVEN))
+    @pytest.mark.parametrize("given", [True, False], ids=["given", "none"])
+    def test_each_key(self, detector, key, given):
+        sc, cfg = self.resolve(detector, **({key: GIVEN[key]} if given else {}))
+        floor = (sensing_time_floor(sc.config, sc.qos) if detector == "energy"
+                 else sc.config.one_sample)
+        # a given value differs from its default, and both floors lie under
+        # the nominal start
+        assert floor < GIVEN["tau_min"] < sc.params.tau
+        default = {"delta_tau": 0.01 * T, "delta_tau_fine": 0.01 * T,
+                   "tau_min": floor, "initial_tau": 1e-3, "initial_p": 0.6}
+        want = {**default, key: GIVEN[key]} if given else default
+        assert {k: getattr(cfg, k) for k in GIVEN} == want
+        # the keys with a default of their own come through as they are
+        assert (cfg.n_ep, cfg.delta_p, cfg.delta_p_fine) == (50, 0.025, 0.025)
+
+    @pytest.mark.parametrize("detector", list(RESOLVER_DETECTORS))
+    def test_start_below_the_floor_is_projected(self, detector):
+        _, cfg = self.resolve(detector, tau_min=5e-4, initial_tau=1e-4)
+        assert (cfg.tau_min, cfg.initial_tau) == (5e-4, 5e-4)
+
+    def test_floor_above_t_is_capped(self):
+        # at SNR 1e-3 both error caps need about 0.96 s of sensing: the floor
+        # and the start (nominal tau 1 ms) are both T
+        sc, cfg = self.resolve("energy", pu_power=1e-3)
+        assert sensing_time_floor(sc.config, sc.qos) > T
+        assert (cfg.tau_min, cfg.initial_tau) == (T, T)
 
 
 DETECTORS = [
@@ -364,8 +416,7 @@ class TestAnalyticMisdetection:
 
         monkeypatch.setattr(rsop.adaptive, "_analytic_p_md", check)
         subgradient_field(sc, [3e-3], [0.5], n_realizations=8, seed=1)
-        cfg = rsop.adaptive._adaptive_cfg(sc, resolve_detector(
-            sc.config, sc.detector, sc.qos, sc.params.tau))
+        cfg = rsop.adaptive._adaptive_cfg(sc)
         assert sorted(stepped) == sorted(
             (3e-3 + s_tau * cfg.delta_tau, 0.5 + s_p * cfg.delta_p, True)
             for s_tau in (1, -1) for s_p in (1, -1))
@@ -464,14 +515,14 @@ class TestArrayViews:
                               prev_r_est=np.array([0.3, 0.3, 0.1, 0.5]), k=3)
         est = FrameEstimate(r_est=np.array([0.4, 0.2, 0.3, 0.5]), t_i_est=0.01,
                             p_md=np.array([0.05, 0.05, 0.5, 0.1]))
-        new, rec = alg1_update(state, est, default_qos(), c)
+        new, rec = alg1_update(state, est, default_qos(), c, T)
         for j in range(4):
             one_state = AdaptiveState(*(float(getattr(state, f)[j]) for f in
                                         ("tau", "p", "prev_tau", "prev_p",
                                          "prev_r_est")), k=3)
             one_est = FrameEstimate(float(est.r_est[j]), est.t_i_est,
                                     float(est.p_md[j]))
-            one_new, one_rec = alg1_update(one_state, one_est, default_qos(), c)
+            one_new, one_rec = alg1_update(one_state, one_est, default_qos(), c, T)
             for f in ("tau", "p", "prev_tau", "prev_p", "prev_r_est"):
                 assert getattr(new, f)[j] == getattr(one_new, f), f
             for f in ("improved", "tau_grew", "p_grew", "flip_tau", "flip_p",
@@ -480,7 +531,7 @@ class TestArrayViews:
             assert new.k == one_new.k == 4 and rec.k == one_rec.k == 3
 
     def test_alg2_stage_tables_pad_each_su_with_its_last_stage(self):
-        c = cfg(tau_floor=5e-4)
+        c = cfg(tau_min=5e-4)
         state = AdaptiveState(tau=np.array([1e-3, 6e-4, 2e-3]),
                               p=np.array([0.2, 0.98, 0.5]),
                               prev_tau=np.zeros(3), prev_p=np.zeros(3),

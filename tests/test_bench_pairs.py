@@ -1,7 +1,10 @@
-"""The summary of ``tools/bench_pairs.py`` on synthetic pairs; the tool's
-runs of the benchmark harness are not exercised here."""
+"""The summary and the ways out of ``tools/bench_pairs.py``, on synthetic
+pairs and a fake harness; the benchmark harness itself is not run here."""
 
 import importlib.util
+import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,69 @@ def test_base_is_required():
         bench_pairs.main(["--workload", "grid", "--pairs", "1",
                           "--first-seed", "1", "--seconds", "1",
                           "--out", "unused.json"])
+
+
+def test_sigterm_removes_the_exported_tree(tmp_path, monkeypatch):
+    # SIGTERM during the export: main's handler turns it into SystemExit,
+    # whose way out removes the tree, and the previous handler comes back
+    trees = []
+
+    def terminated(rev, dest):
+        trees.append(dest)
+        (dest / "perfbench").mkdir()
+        signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+
+    before = signal.getsignal(signal.SIGTERM)
+    monkeypatch.setattr(bench_pairs, "export", terminated)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--base", "HEAD", "--workload", "grid", "--pairs", "1",
+                          "--first-seed", "1", "--seconds", "1",
+                          "--out", str(tmp_path / "pairs.json")])
+    assert stop.value.code == 128 + signal.SIGTERM
+    assert trees and not trees[0].exists()
+    assert not (tmp_path / "pairs.json").exists()
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_stopped_run_takes_its_worker_with_it(tmp_path):
+    # a fake harness that starts a worker and waits on it, as perfbench's
+    # does; a worker left running would write into a tree being removed
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import subprocess, sys\n"
+        "worker = subprocess.Popen([sys.executable, '-c',"
+        " 'import time; time.sleep(60)'])\n"
+        "open('worker.pid', 'w').write(str(worker.pid))\n"
+        "worker.wait()\n")
+
+    def stop(signum, frame):
+        raise SystemExit(1)
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(SystemExit):
+            bench_pairs.run_once(tmp_path, "grid", 1, 1.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pid = int((tmp_path / "worker.pid").read_text())
+    try:
+        for _ in range(50):  # SIGKILL is delivered, not awaited
+            if not _alive(pid):
+                break
+            time.sleep(0.1)
+        assert not _alive(pid)
+    finally:
+        if _alive(pid):
+            os.kill(pid, signal.SIGKILL)

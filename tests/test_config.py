@@ -161,6 +161,36 @@ class TestSchema:
         with pytest.raises(ScenarioError, match=f"^{key}="):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("adaptive", [
+        {"tau_min": "10 ns"},
+        {"tau_min": "10 ns", "initial_tau": "10 ns"},
+    ], ids=["floor", "floor-and-start"])
+    def test_energy_tau_min_under_one_sample_names_its_key(self, adaptive):
+        # an energy detector senses for tau f_s samples, so a floor under one
+        # sample used to load and stop the run at its first frame
+        doc = deep(GOOD)
+        doc["detector"] = {"mode": "energy"}
+        doc["adaptive"] = adaptive
+        with pytest.raises(ScenarioError, match=r"^tau_min=.* outside "
+                           r"\[one sample=1\.45836\d*e-07, T=0\.01\]$"):
+            scenario_from_dict(doc)
+
+    def test_tau_min_may_be_one_sample(self):
+        # the edge is the clamped one sample, which at 49 Hz is one ulp above
+        # the rounded 1/f_s
+        for f_s in (6.857e6, 49.0):
+            doc = deep(GOOD)
+            doc["network"]["sampling_freq"] = f_s
+            doc["network"]["slot_duration"] = 1.0
+            doc["sensing"]["tau"] = 0.5
+            one = scenario_from_dict(doc).config.one_sample
+            assert one * f_s >= 1.0 and one <= 1.0 / f_s * (1 + 1e-15)
+            doc["adaptive"] = {"tau_min": one}
+            assert scenario_from_dict(doc).adaptive.tau_min == one
+            doc["adaptive"] = {"tau_min": float(np.nextafter(one, 0.0))}
+            with pytest.raises(ScenarioError, match="^tau_min="):
+                scenario_from_dict(doc)
+
     def test_adaptive_range_edges_load(self):
         # zero increments switch a step off; tau may reach T, p either end
         doc = deep(GOOD)

@@ -414,7 +414,11 @@ class TestCliOptions:
     @pytest.mark.parametrize("key,value,message", [
         ("delta_tau", "-1 ms", "delta_tau=-0.001 must be >= 0"),
         ("delta_p_fine", -0.5, "delta_p_fine=-0.5 must be >= 0"),
-        ("tau_min", 1.0, "tau_min=1.0 outside (0, T=0.01]"),
+        ("tau_min", 1.0,
+         "tau_min=1.0 outside [one sample=1.4583637159107482e-07, T=0.01]"),
+        # under one sample: it used to load and stop the run at frame 1
+        ("tau_min", 1e-8,
+         "tau_min=1e-08 outside [one sample=1.4583637159107482e-07, T=0.01]"),
     ])
     def test_adaptive_value_out_of_range_stops_adapt(self, tmp_path, capsys,
                                                      key, value, message):

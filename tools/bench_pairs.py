@@ -10,7 +10,9 @@ value, both sides' medians and quartiles and the change's wins (ties count
 for neither) to ``--out``, with the base commit, run length, Python version
 and core count of that workload's runs; workloads already in that file and
 not run again are kept with their own.  Stops with exit status 1 at the
-first run that fails or reports a failed output check.  Run from anywhere:
+first run that fails or reports a failed output check.  Stopped by SIGTERM
+or Ctrl-C, it kills the run in progress with its workers and removes its
+exported tree, as it does on any other exit.  Run from anywhere:
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload mc_dense \\
         --pairs 10 --first-seed 9101 --seconds 8 --out BENCH.json
@@ -24,6 +26,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -65,14 +68,22 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True)
+    # a process group of its own: the harness runs each repetition in a
+    # worker process, which must stop with it
+    with subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
     result = None
-    if proc.returncode == 0 and proc.stdout.strip():
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if proc.returncode == 0 and stdout.strip():
+        result = json.loads(stdout.strip().splitlines()[-1])
     if result is None or not result["correct"]:
         raise RuntimeError(f"{workload} seed {seed} in {tree} did not pass:\n"
-                           f"{proc.stdout}{proc.stderr}")
+                           f"{stdout}{stderr}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -85,6 +96,12 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return commit
+
+
+def _exit_on_signal(signum, frame):
+    """SIGTERM as ``SystemExit``: ``run_once`` kills its run and the
+    ``finally`` in ``main`` runs, where the default action would skip both."""
+    sys.exit(128 + signum)
 
 
 def main(argv=None) -> int:
@@ -100,6 +117,7 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         commit = export(args.base, tmp)
@@ -125,6 +143,7 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
