@@ -16,16 +16,18 @@ just built at the same tau, so with the energy detector a frame evaluates
 Q in two passes: the table and the check's mean-field stage 2.  Called with
 one SU's floats, the estimate and the update give that SU's view.
 
-The update is a projected stochastic subgradient step, so the classic
-square-summable step-size machinery applies; the diagnostics here implement
-its norm identity, convergence bound, and a Monte Carlo check that the mean
-update direction at a point aligns with the (numerical) gradient of the
-analytic objective.
+The update is a projected stochastic subgradient step with the harmonic
+step alpha_k = 1/k (square-summable, not summable).  The diagnostics here
+implement its norm identity, the subgradient-method bound at that step
+(Boyd, Xiao and Mutapcic, *Subgradient Methods*, 2003), and a Monte Carlo
+check that the mean update direction at a point aligns with the (numerical)
+gradient of the analytic objective.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from .chain import (
     analyze,
     resolve_detector,
     stage2_detection,
+    worst_misdetection,
 )
 from .config import AdaptiveConfig, NetworkConfig, QosConstraints, SensingParams
 from .core import max_sensing_stages
@@ -47,29 +50,16 @@ from .simulator import BLOCK_SLOTS, SlotBatch, StageBuffers, SuSchedules, simula
 
 
 # ---------------------------------------------------------------------------
-# Step-size schedules
+# Step size
 # ---------------------------------------------------------------------------
 
 def harmonic_alpha(k):
-    """The default diminishing step size, alpha_k = 1/k (entrywise for an
+    """The loop's diminishing step size, alpha_k = 1/k (entrywise for an
     array of k)."""
     return 1.0 / k
 
 
-def check_step_schedule(alphas) -> None:
-    """Sanity-check a finite prefix of a step-size schedule.
-
-    Steps must be nonnegative and decay fast enough that the square sum looks
-    convergent while the plain sum keeps growing; a finite prefix can only be
-    screened heuristically, which is all this does."""
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise InvalidSchedule("schedule prefix must be a 1-D array with >= 2 entries")
-    if np.any(a < 0):
-        raise InvalidSchedule("step sizes must be nonnegative")
-    half = a.size // 2
-    if np.sum(a[half:] ** 2) >= np.sum(a[:half] ** 2):
-        raise InvalidSchedule("square sum does not look convergent")
+_HARMONIC_SQUARE_SUM = math.pi**2 / 6.0  # sum_{i>=1} alpha_i^2
 
 
 # ---------------------------------------------------------------------------
@@ -232,39 +222,37 @@ def convergence_constants(n_su: int, slot_duration: float, delta_tau: float,
     return g2, r2
 
 
-def _step_prefix(alpha, k: int) -> tuple[np.ndarray, float]:
-    """(alpha_1..alpha_k, sum_{i=1..inf} alpha_i^2) for a schedule spec.
-
-    ``alpha`` is either the string "harmonic" (exact tail pi^2/6) or a
-    sequence of at least k steps that passes :func:`check_step_schedule`,
-    whose square sum is estimated from the given prefix."""
-    if k < 1:
-        raise InvalidSchedule("k must be >= 1")
-    if isinstance(alpha, str):
-        if alpha != "harmonic":
-            raise InvalidSchedule(f"unknown schedule {alpha!r}")
-        return harmonic_alpha(np.arange(1, k + 1)), math.pi**2 / 6.0
-    a = np.asarray(alpha, dtype=float)
-    if a.size < k:
-        raise InvalidSchedule(f"schedule prefix shorter than k={k}")
-    check_step_schedule(a)
-    return a[:k], float(np.sum(a**2))
+def _harmonic_steps(k) -> np.ndarray:
+    """alpha_1..alpha_k, for ``k`` a whole number >= 1."""
+    if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 1):
+        raise InvalidSchedule(f"k must be a whole number >= 1, got {k!r}")
+    return harmonic_alpha(np.arange(1, int(k) + 1))
 
 
-def convergence_bound(g2: float, r2: float, alpha, k: int) -> float:
-    """Bound on E|f_best^k - f*|: (R^2 + G^2 sum alpha_i^2) / (2 sum_{i<=k} alpha_i)."""
-    a, total_sq = _step_prefix(alpha, k)
-    return (r2 + g2 * total_sq) / (2.0 * float(np.sum(a)))
+def _check_constant(name: str, value) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidSchedule(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def corollary_check(g2: float, epsilon: float, alpha, k: int) -> bool:
-    """Whether sum_{i<=k} alpha_i (2 eps - G^2 alpha_i) >= 0.
+def convergence_bound(g2: float, r2: float, k: int) -> float:
+    """Bound on E|f_best^k - f*| after ``k`` harmonic steps:
+    (R^2 + G^2 sum_{i>=1} alpha_i^2) / (2 sum_{i<=k} alpha_i)."""
+    _check_constant("g2", g2)
+    _check_constant("r2", r2)
+    a = _harmonic_steps(k)
+    return (r2 + g2 * _HARMONIC_SQUARE_SUM) / (2.0 * float(np.sum(a)))
+
+
+def corollary_check(g2: float, epsilon: float, k: int) -> bool:
+    """Whether sum_{i<=k} alpha_i (2 eps - G^2 alpha_i) >= 0 at the harmonic
+    step.
 
     This is the parameter condition under which the convergence bound can be
     pushed below ``epsilon``."""
-    if epsilon <= 0:
-        raise InvalidSchedule("epsilon must be positive")
-    a, _ = _step_prefix(alpha, k)
+    _check_constant("g2", g2)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidSchedule(f"epsilon must be finite and > 0, got {epsilon!r}")
+    a = _harmonic_steps(k)
     return bool(np.sum(a * (2.0 * epsilon - g2 * a)) >= 0.0)
 
 
@@ -353,10 +341,9 @@ def _analytic_p_md(config: NetworkConfig, resolved: ResolvedDetector, tau, p,
             p_d2 = stage2_detection(config, resolved, tau, p,
                                     thresholds[0, :, 0, 0], 1.0 - p_md[0])
             p_md = np.stack([p_md[0], 1.0 - p_d2])
-    in_budget = np.arange(len(p_md))[:, None] < deltas  # (row, SU)
-    # range-checked once, as the chain analyzer checks its tables
-    return _clamp01(p_md.max(axis=(0, 2), where=in_budget[..., None],
-                             initial=0.0), "p_md")
+    # (SU, class, row), a view; range-checked once, as the chain analyzer
+    # checks its tables
+    return _clamp01(worst_misdetection(p_md.transpose(1, 2, 0), deltas), "p_md")
 
 
 def _standard_error(samples: np.ndarray) -> float:

@@ -104,22 +104,36 @@ class ChannelClasses:
         return np.take(table, self.of, axis=axis)
 
 
-class _PerChannel:
-    """Per-channel view of the class table ``class_<name>`` (class axis
-    ``axis``), expanded through the owner's ``classes`` on first read."""
+class _OnFirstRead:
+    """An attribute that ``build(owner)`` makes on its first read, kept for
+    later reads: the chain's per-channel views (``_per_channel``), and the
+    ``SlotBatch`` fields ``simulate_slots`` leaves unset (None).  A value
+    set by hand is never built.  Read on the class it is None, the default
+    of a dataclass field."""
 
-    def __init__(self, axis: int = -2):
-        self.axis = axis
+    def __init__(self, build):
+        self.build = build
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return self
-        view = obj.classes.expand(getattr(obj, "class_" + self.name), self.axis)
-        obj.__dict__[self.name] = view  # later reads find the built view
-        return view
+            return None
+        value = obj.__dict__.get(self.name)
+        if value is None:
+            value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+def _per_channel(name: str, axis: int = -2) -> _OnFirstRead:
+    """Per-channel view of the owner's class table ``class_<name>`` (class
+    axis ``axis``), expanded through its ``classes``."""
+    return _OnFirstRead(lambda obj: obj.classes.expand(
+        getattr(obj, "class_" + name), axis))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +224,8 @@ class StageProfiles:
     n_stages: int
     classes: ChannelClasses
 
-    p_fa = _PerChannel(axis=-1)
-    p_d = _PerChannel()
+    p_fa = _per_channel("p_fa", axis=-1)
+    p_d = _per_channel("p_d")
 
 
 @dataclass
@@ -232,8 +246,8 @@ class OccupancyTable:
     class_q: np.ndarray
     classes: ChannelClasses
 
-    occ = _PerChannel()
-    q = _PerChannel()
+    occ = _per_channel("occ")
+    q = _per_channel("q")
 
 
 def stage_profiles(config: NetworkConfig, params: SensingParams,
@@ -385,9 +399,9 @@ class ChainDistribution:
     pi_te: float | np.ndarray  # probability of terminating without transmitting
     classes: ChannelClasses
 
-    pi_channel = _PerChannel()
-    p_t = _PerChannel()
-    p_i = _PerChannel()
+    pi_channel = _per_channel("pi_channel")
+    p_t = _per_channel("p_t")
+    p_i = _per_channel("p_i")
 
     def disposition_total(self) -> float | np.ndarray:
         return self.pi_te + self.pi_t.sum(axis=-1) + self.pi_i.sum(axis=-1)
@@ -435,16 +449,12 @@ def state_distribution(config: NetworkConfig, params: SensingParams,
                              classes=classes)
 
 
-def worst_misdetection(class_p_d: np.ndarray, deltas):
-    """Max over classes and each point's first ``deltas`` stages of the
-    misdetection 1 - P_d, from a (..., n_classes, n_stages) table."""
-    p_md = 1.0 - class_p_d
-    # p_md is a clamped table's complement, finite and >= +0.0, so the
-    # stages past delta become +0.0 and drop out of the max
-    p_md *= np.arange(p_md.shape[-1]) < np.asarray(deltas)[..., None, None]
-    # method-form reduction over one axis of the fresh (contiguous) table:
-    # this runs once per adaptive frame
-    return p_md.reshape(p_md.shape[:-2] + (-1,)).max(axis=-1)
+def worst_misdetection(p_md: np.ndarray, deltas):
+    """Max over classes and each point's first ``deltas`` stages of a
+    (..., n_classes, n_stages) misdetection table; stages past a point's
+    delta do not enter its max."""
+    in_budget = np.arange(p_md.shape[-1]) < np.asarray(deltas)[..., None, None]
+    return p_md.max(axis=(-2, -1), where=in_budget, initial=0.0)
 
 
 def _no_tx_matrix(dist: ChainDistribution) -> np.ndarray:
@@ -488,9 +498,9 @@ class ChainResult:
     p_md_max: float            # max over (m, n) of misdetection
     classes: ChannelClasses
 
-    no_tx = _PerChannel()
-    success = _PerChannel()
-    no_interf = _PerChannel()
+    no_tx = _per_channel("no_tx")
+    success = _per_channel("success")
+    no_interf = _per_channel("no_interf")
 
 
 def _channel_sum(table: np.ndarray, classes: ChannelClasses):
@@ -564,7 +574,7 @@ def analyze(config: NetworkConfig, params: SensingParams,
         throughput=r,
         network_throughput=config.n_su * r,
         interference=t_i,
-        p_md_max=worst_misdetection(profiles.class_p_d, deltas),
+        p_md_max=worst_misdetection(1.0 - profiles.class_p_d, deltas),
         classes=dist.classes,
     )
 

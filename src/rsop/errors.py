@@ -26,7 +26,8 @@ class EmptyGrid(RsopError):
 
 
 class InvalidSchedule(RsopError):
-    """Step-size schedule violates the square-summable / non-summable rules."""
+    """Convergence diagnostics given constants, a tolerance or a step count
+    outside their domain."""
 
 
 class ShortFrame(RsopError):

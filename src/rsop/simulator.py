@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.random  # loaded here, not lazily on the first generator
 
-from .chain import ResolvedDetector, resolve_detector
+from .chain import ResolvedDetector, _OnFirstRead, resolve_detector
 from .config import NetworkConfig, SensingParams
 from .core import max_sensing_stages
 from .detector import tail_at
@@ -141,31 +141,6 @@ def _reject_entry(name: str, table: np.ndarray, valid: np.ndarray,
                         f"{stage + 1} outside {interval}")
 
 
-class _OnFirstRead:
-    """A ``SlotBatch`` field that ``simulate_slots`` leaves unset (None):
-    ``build(batch, loop)`` makes it from the batch and the stage loop's
-    final state (``_LoopState``) on the first read, the way chain results
-    build their per-channel views.  A batch given every field never builds
-    one."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        value = obj.__dict__[self.name]
-        if value is None:
-            value = obj.__dict__[self.name] = self.build(obj, obj._loop)
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 class StageBuffers:
     """Named arrays ``simulate_slots`` writes into (stage-loop state and
     temporaries, batch arrays); a call with fewer slots takes the first rows.
@@ -244,23 +219,23 @@ class SlotBatch:
 
     throughput: np.ndarray          # ACKed normalized throughput
     success: np.ndarray = _OnFirstRead(  # bool; alone on the channel, PU absent
-        lambda b, s: s.alone(b.transmitted, 0))
+        lambda b: b._loop.alone(b.transmitted, 0))
     transmitted: np.ndarray = _OnFirstRead(  # bool, entered a transmit/interfere state
-        lambda b, s: b.tx_stage > 0)
+        lambda b: b.tx_stage > 0)
     interfered_entry: np.ndarray    # bool, started transmitting on a busy channel
     collided: np.ndarray = _OnFirstRead(  # bool, overlapped another SU
         # transmitted and not alone: the alone sets lie in it, apart
-        lambda b, s: b.transmitted ^ b.success ^ s.alone(b.transmitted, 1))
+        lambda b: b.transmitted ^ b.success ^ b._loop.alone(b.transmitted, 1))
     tx_stage: np.ndarray            # int, 0 when the SU never transmitted
     tx_channel: np.ndarray          # int, -1 when the SU never transmitted
     network_interference: np.ndarray  # (n_slots,) per-slot normalized t_I sample
     overhead: np.ndarray            # channels actually sensed
     handoffs: np.ndarray = _OnFirstRead(  # stage boundaries crossed
-        lambda b, s: s.handoffs(b.transmitted, b.tx_stage))
+        lambda b: b._loop.handoffs(b.transmitted, b.tx_stage))
     delay: np.ndarray = _OnFirstRead(  # seconds before transmission (T if none)
-        lambda b, s: s.delay())
+        lambda b: b._loop.delay())
     pu_busy_fraction: float = _OnFirstRead(  # realized PU duty cycle (diagnostic)
-        lambda b, s: np.count_nonzero(s.pu) / s.pu.size)
+        lambda b: np.count_nonzero(b._loop.pu) / b._loop.pu.size)
 
 
 def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,

@@ -231,18 +231,18 @@ def test_criterion_08_convergence_machinery():
     for fl in run.frames:
         if np.isnan(fl.f_best):
             continue
-        bound = convergence_bound(g2, r2, "harmonic", fl.k)
+        bound = convergence_bound(g2, r2, fl.k)
         assert abs(fl.f_best - f_star) <= bound, (fl.k, fl.f_best, f_star, bound)
         checked += 1
     assert checked > 250
 
     # (c) corollary partial sums match hand arithmetic
-    assert corollary_check(0.0, 1e-9, "harmonic", 1)
+    assert corollary_check(0.0, 1e-9, 1)
     assert corollary_check(convergence_constants(20, T, 1e-4, 0.025)[0],
-                           100.0, "harmonic", 3)
+                           100.0, 3)
     g2_dense = convergence_constants(20, T, 1e-4, 0.025)[0]
-    assert not corollary_check(g2_dense, 1e-3, "harmonic", 1)
-    assert corollary_check(g2_dense, 1e-3, "harmonic", 60_000)
+    assert not corollary_check(g2_dense, 1e-3, 1)
+    assert corollary_check(g2_dense, 1e-3, 60_000)
     _report(8, f"norm identity on {len(run.frames)} frames; bound held at "
                f"{checked} frames; corollary arithmetic verified")
 

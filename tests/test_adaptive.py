@@ -14,7 +14,6 @@ from rsop.adaptive import (
     _analytic_p_md,
     alg1_update,
     alg2_stage_schedule,
-    check_step_schedule,
     convergence_bound,
     convergence_constants,
     corollary_check,
@@ -160,60 +159,73 @@ class TestConvergenceMath:
 
     def test_bound_hand_value(self):
         # G=R=1, harmonic steps, k=1: (1 + pi^2/6) / 2
-        val = convergence_bound(1.0, 1.0, "harmonic", 1)
+        val = convergence_bound(1.0, 1.0, 1)
         assert val == pytest.approx((1 + math.pi**2 / 6) / 2)
         assert val == pytest.approx(1.3225, abs=1e-4)
 
     def test_bound_vanishes_in_k(self):
-        vals = [convergence_bound(1.0, 1.0, "harmonic", k)
+        vals = [convergence_bound(1.0, 1.0, k)
                 for k in (1, 10, 1000, 100000)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.25
 
     def test_bound_linear_in_r2(self):
-        lo = convergence_bound(0.0, 1.0, "harmonic", 5)
-        hi = convergence_bound(0.0, 2.0, "harmonic", 5)
+        lo = convergence_bound(0.0, 1.0, 5)
+        hi = convergence_bound(0.0, 2.0, 5)
         assert hi == pytest.approx(2 * lo)
 
-    def test_custom_schedule(self):
-        alphas = 1.0 / np.arange(1, 2001) ** 0.75
-        val = convergence_bound(1.0, 1.0, alphas, 100)
-        assert val > 0
+    @pytest.mark.parametrize("g2, r2", [(math.nan, 1.0), (-5.0, 1.0),
+                                        (math.inf, 1.0), (1.0, math.nan),
+                                        (1.0, -1.0), (1.0, math.inf)],
+                             ids=["g2-nan", "g2-negative", "g2-inf", "r2-nan",
+                                  "r2-negative", "r2-inf"])
+    def test_rejects_bad_constants(self, g2, r2):
+        with pytest.raises(InvalidSchedule, match="must be finite and >= 0"):
+            convergence_bound(g2, r2, 3)
 
-    def test_invalid_schedules(self):
-        with pytest.raises(InvalidSchedule):
-            convergence_bound(1.0, 1.0, np.ones(50), 10)  # square sum diverges
-        with pytest.raises(InvalidSchedule):
-            convergence_bound(1.0, 1.0, "geometric", 10)
-        with pytest.raises(InvalidSchedule):
-            check_step_schedule(np.array([0.5, -0.1, 0.2]))
+    @pytest.mark.parametrize("k", [0, -1, 2.5, math.nan, math.inf, "3"],
+                             ids=["zero", "negative", "fraction", "nan", "inf",
+                                  "string"])
+    def test_rejects_bad_step_count(self, k):
+        with pytest.raises(InvalidSchedule, match="k must be a whole number"):
+            convergence_bound(1.0, 1.0, k)
+
+    def test_whole_float_step_count(self):
+        assert convergence_bound(1.0, 1.0, 3.0) == convergence_bound(1.0, 1.0, 3)
 
 
 class TestCorollary:
     def test_zero_increments_always_hold(self):
         g2, _ = convergence_constants(20, T, 0.0, 0.0)
-        assert corollary_check(g2, 1e-9, "harmonic", 1)
+        assert corollary_check(g2, 1e-9, 1)
 
     def test_huge_epsilon_holds(self):
         g2, _ = convergence_constants(20, T, 1e-4, 0.025)
-        assert corollary_check(g2, 100.0, "harmonic", 3)
+        assert corollary_check(g2, 100.0, 3)
 
     def test_partial_sum_crossover(self):
         # term 1 = 2e-3 - 1.25e-2 < 0, so false at k=1; the harmonic sum
         # eventually dominates the square sum
         g2, _ = convergence_constants(20, T, 1e-4, 0.025)
-        assert not corollary_check(g2, 1e-3, "harmonic", 1)
-        assert corollary_check(g2, 1e-3, "harmonic", 60_000)
+        assert not corollary_check(g2, 1e-3, 1)
+        assert corollary_check(g2, 1e-3, 60_000)
 
-    def test_screens_the_schedule_like_the_bound(self):
-        # a schedule the bound rejects gets no verdict either
-        g2, _ = convergence_constants(20, T, 1e-4, 0.025)
-        for alpha, k in ((np.ones(50), 10), (np.ones(5), 10), ("geometric", 3),
-                         ("harmonic", 0)):
-            with pytest.raises(InvalidSchedule):
-                convergence_bound(g2, 1.0, alpha, k)
-            with pytest.raises(InvalidSchedule):
-                corollary_check(g2, 1e-3, alpha, k)
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1e-3, math.inf],
+                             ids=["nan", "zero", "negative", "inf"])
+    def test_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(InvalidSchedule, match="epsilon must be finite and > 0"):
+            corollary_check(1.0, epsilon, 3)
+
+    @pytest.mark.parametrize("g2", [math.nan, -5.0, math.inf],
+                             ids=["nan", "negative", "inf"])
+    def test_rejects_bad_g2(self, g2):
+        with pytest.raises(InvalidSchedule, match="g2 must be finite and >= 0"):
+            corollary_check(g2, 1e-3, 3)
+
+    @pytest.mark.parametrize("k", [0, 2.5], ids=["zero", "fraction"])
+    def test_rejects_bad_step_count(self, k):
+        with pytest.raises(InvalidSchedule, match="k must be a whole number"):
+            corollary_check(1.0, 1e-3, k)
 
 
 class TestClosedLoop:
@@ -369,7 +381,7 @@ class TestAnalyticMisdetection:
         deltas = max_sensing_stages(T, taus, config.handoff_time, config.n_pu)
         prof = stage_profiles(config, SensingParams(taus, ps), resolved,
                               deltas.max())
-        want = worst_misdetection(prof.class_p_d, deltas)
+        want = worst_misdetection(1.0 - prof.class_p_d, deltas)
         got = p_md_of_frame(config, resolved, taus, ps)
         assert got.tobytes() == want.tobytes()
 

@@ -14,8 +14,10 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-DECLARED = [{"name": "work_per_s", "unit": "items/s", "better": "higher"},
-            {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+DECLARED = [{"name": "work_per_s", "unit": "items/s", "better": "higher",
+             "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+             "bound": 0.05}]
 
 
 def pairs_of(base, change):
@@ -55,6 +57,57 @@ def test_quartiles_are_those_perfbench_reports():
                                 DECLARED)
     assert one["work_per_s"]["base_quartiles"] == [3.0, 3.0]
     assert one["peak_rss_mb"]["wins"] == 0
+
+
+def verdicts(base, change, name="work_per_s"):
+    """The verdicts of one metric, the other reading the same on both sides."""
+    got = bench_pairs.summarize(pairs_of(
+        [{"work_per_s": v, "peak_rss_mb": v} for v in base],
+        [{"work_per_s": v, "peak_rss_mb": v} for v in change]), DECLARED)[name]
+    return {k: got[k] for k in ("gain", "beyond_bound", "unresolved")}
+
+
+# ten base runs of median 100.25 and quartile spread 101.0 - 99.875 = 1.125
+STEADY = [100.0, 101.0, 99.0, 102.0, 100.0, 101.0, 99.5, 100.5, 101.0, 100.0]
+
+
+def test_gain_needs_nine_wins_in_ten_beyond_the_base_spread():
+    ahead = [v + 2.0 for v in STEADY]  # 10/10 wins, medians 2.0 apart
+    assert verdicts(STEADY, ahead) == {"gain": True, "beyond_bound": False,
+                                       "unresolved": False}
+    nine = ahead[:9] + [STEADY[9] - 1.0]
+    assert verdicts(STEADY, nine)["gain"]
+    eight = ahead[:8] + [v - 1.0 for v in STEADY[8:]]
+    assert not verdicts(STEADY, eight)["gain"]
+    # every pair won, but by less than the base's own spread
+    near = [v + 0.4 for v in STEADY]
+    assert not verdicts(STEADY, near)["gain"]
+    # lower is better: the same runs are a gain in memory the other way round
+    assert verdicts(ahead, STEADY, "peak_rss_mb")["gain"]
+    assert not verdicts(STEADY, ahead, "peak_rss_mb")["gain"]
+
+
+def test_beyond_bound_is_relative_to_the_base_median():
+    # work_per_s may lose 25% of its median, peak_rss_mb 5%
+    assert verdicts(STEADY, [v * 0.70 for v in STEADY])["beyond_bound"]
+    assert not verdicts(STEADY, [v * 0.80 for v in STEADY])["beyond_bound"]
+    assert verdicts(STEADY, [v * 1.06 for v in STEADY],
+                    "peak_rss_mb")["beyond_bound"]
+    assert not verdicts(STEADY, [v * 1.04 for v in STEADY],
+                        "peak_rss_mb")["beyond_bound"]
+    assert not verdicts(STEADY, [v * 0.70 for v in STEADY],
+                        "peak_rss_mb")["beyond_bound"]
+
+
+def test_unresolved_where_the_base_spreads_wider_than_the_bound():
+    # memory's bound is 5% of the median: a spread of 1.125 is within it
+    assert not verdicts(STEADY, STEADY, "peak_rss_mb")["unresolved"]
+    wide = [90.0, 110.0, 95.0, 105.0, 100.0, 92.0, 108.0, 97.0, 103.0, 100.0]
+    assert verdicts(wide, wide, "peak_rss_mb")["unresolved"]
+    # unless every change run beats every base run
+    assert not verdicts(wide, [v - 30.0 for v in wide],
+                        "peak_rss_mb")["unresolved"]
+    assert verdicts(wide, [v - 15.0 for v in wide], "peak_rss_mb")["unresolved"]
 
 
 def test_each_workload_keeps_the_base_and_length_of_its_own_runs(

@@ -18,6 +18,7 @@ from rsop.chain import (
     resolve_detector,
     stage_profiles,
     state_distribution,
+    worst_misdetection,
 )
 from rsop.config import (
     DetectorSpec,
@@ -420,14 +421,52 @@ class TestChannelClasses:
                                        getattr(unlumped, name),
                                        rtol=LUMPED_RTOL, atol=0, err_msg=name)
 
-    def test_per_channel_views_are_built_once(self):
-        config = make_config(n_su=3, n_pu=4, presence=[0.2, 0.5, 0.2, 0.5])
-        resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
+    @pytest.mark.parametrize("owner, name, axis", [
+        ("profiles", "p_fa", -1), ("profiles", "p_d", -2),
+        ("occupancy", "occ", -2), ("occupancy", "q", -2),
+        ("dist", "pi_channel", -2), ("dist", "p_t", -2), ("dist", "p_i", -2),
+        (None, "no_tx", -2), (None, "success", -2), (None, "no_interf", -2),
+    ])
+    def test_per_channel_views_are_built_once(self, owner, name, axis):
+        # two classes of unequal presence, PU power and threshold: every view
+        # must expand its own class table along its own axis
+        config = make_config(n_su=3, n_pu=4, presence=[0.2, 0.5, 0.2, 0.5],
+                             pu_power=[0.1, 0.3, 0.1, 0.3])
+        detector = DetectorSpec(mode="energy", calibration="pd_min",
+                                calibrate_tau=1e-3)
+        resolved = resolve_detector(config, detector, default_qos(), 1e-3)
         res = analyze(config, SensingParams(1e-3, 0.6), resolved)
-        assert res.class_success.shape == (2, res.n_stages)
-        assert res.success.shape == (4, res.n_stages)
-        assert res.success is res.success
-        assert np.array_equal(res.success[2], res.class_success[res.classes.of[2]])
+        obj = res if owner is None else getattr(res, owner)
+        table = getattr(obj, "class_" + name)
+        assert table.shape[axis] == 2
+        view = getattr(obj, name)
+        assert view.shape[axis] == 4
+        assert np.array_equal(view, res.classes.expand(table, axis))
+        assert getattr(obj, name) is view
+
+    def test_worst_misdetection_ignores_stages_past_delta(self):
+        p_md = np.zeros((2, 3, 4))
+        p_md[0, 1, 2] = 0.9   # the first stage past point 0's delta of 2
+        p_md[0, 2, 1] = 0.4
+        p_md[1, 0, 3] = 0.7   # within point 1's delta of 4
+        got = worst_misdetection(p_md, np.array([2, 4]))
+        assert got.tolist() == [0.4, 0.7]
+        assert worst_misdetection(p_md[0], 2) == 0.4
+
+    @pytest.mark.parametrize("shape", [(3, 5), (6, 3, 5), (2, 4, 3, 9)])
+    def test_worst_misdetection_matches_the_masked_product(self, shape):
+        # the earlier form: stages past delta multiplied to +0.0, then the
+        # max over (class, stage)
+        rng = np.random.default_rng(len(shape))
+        p_md = rng.random(shape)
+        deltas = rng.integers(1, shape[-1] + 1, size=shape[:-2])
+        masked = p_md * (np.arange(shape[-1]) < deltas[..., None, None])
+        want = masked.reshape(shape[:-2] + (-1,)).max(axis=-1)
+        assert worst_misdetection(p_md, deltas).tobytes() == want.tobytes()
+        # the adaptive check's layout: a transposed (stage-first) view
+        staged = np.ascontiguousarray(np.moveaxis(p_md, -1, 0))
+        view = np.moveaxis(staged, 0, -1)
+        assert worst_misdetection(view, deltas).tobytes() == want.tobytes()
 
     def test_detector_of_another_network_is_rejected(self):
         resolved = resolve_detector(make_config(n_pu=3), explicit_detector(0.1, 0.9),

@@ -6,11 +6,12 @@ once in the checkout, ``--pairs`` times per workload: one seed per pair
 (``--first-seed``, then the next ones), identical arguments on both sides,
 and the side that runs first flipped from one pair to the next.  For every
 workload and end-to-end metric of ``BENCHMARK.json`` it writes each run's
-value, both sides' medians and quartiles and the change's wins (ties count
-for neither) to ``--out``, with the base commit, run length, Python version
-and core count of that workload's runs; workloads already in that file and
-not run again are kept with their own.  Stops with exit status 1 at the
-first run that fails or reports a failed output check.  Stopped by SIGTERM
+value, both sides' medians and quartiles, the change's wins (ties count
+for neither) and three verdicts (``summarize``) to ``--out``, with the base
+commit, run length, Python version and core count of that workload's runs;
+workloads already in that file and not run again are kept with their own.
+Stops with exit status 1 at the first run that fails or reports a failed
+output check.  Stopped by SIGTERM
 or Ctrl-C, it kills the run in progress with its workers and removes its
 exported tree, as it does on any other exit.  Run from anywhere:
 
@@ -41,7 +42,15 @@ from run import quartiles  # noqa: E402  (the harness's own quartiles)
 
 def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     """Per end-to-end metric: every run's value, each side's median and
-    quartiles, and the pairs in which the change reads better.
+    quartiles, the pairs in which the change reads better, and three
+    verdicts:
+
+    - ``gain``: the change wins at least 9/10 of the pairs, and its median
+      is better than the base's by more than the base's quartile spread;
+    - ``beyond_bound``: the change's median is worse than the base's by
+      more than the relative ``bound``;
+    - ``unresolved``: the base's quartile spread exceeds ``bound`` times its
+      median, and not every change run beats every base run.
 
     ``pairs`` holds one dict per pair with the metric values of each side
     under ``"base"`` and ``"change"``; ``declared`` is ``BENCHMARK.json``'s
@@ -53,14 +62,24 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
         change = [p["change"][name] for p in pairs]
         wins = sum((c > b) if higher else (c < b)
                    for b, c in zip(base, change))
+        base_median, change_median = (statistics.median(base),
+                                      statistics.median(change))
+        low, high = quartiles(base)
+        # how much better the change's median reads, in the metric's unit
+        better = (change_median - base_median) * (1 if higher else -1)
+        limit = metric["bound"] * abs(base_median)
+        beats_all = (min(change) > max(base) if higher
+                     else max(change) < min(base))
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "base": base, "change": change,
-            "base_median": statistics.median(base),
-            "change_median": statistics.median(change),
-            "base_quartiles": list(quartiles(base)),
+            "base_median": base_median, "change_median": change_median,
+            "base_quartiles": [low, high],
             "change_quartiles": list(quartiles(change)),
             "wins": wins, "pairs": len(pairs),
+            "gain": 10 * wins >= 9 * len(pairs) and better > high - low,
+            "beyond_bound": -better > limit,
+            "unresolved": high - low > limit and not beats_all,
         }
     return out
 
