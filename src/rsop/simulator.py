@@ -34,19 +34,32 @@ time mask.
 Slots are i.i.d., so a batch is simulated as vectorized (slot, SU) arrays with
 a short loop over sensing stages.  Each stage finds the cells that start
 transmitting (a quarter to two thirds at stage 1, 1-18% later) once, as a
-flat index, and records their channel, stage, interference and occupancy by
-index rather than with masked passes over the whole grid.  A replication's
-consecutive batches of at most ``BLOCK_SLOTS`` (8192) slots share a generator
-and one ``StageBuffers`` set and fold into one (count, mean, M2) reducer of
-the means ``RunMetrics`` reports, so its memory is bounded by the block size
-and its heap keeps its pages.  Replications are embarrassingly parallel with
-independent seeded streams and order-independent aggregation.
+flat index, and records their (slot, channel) cell, stage, interference and
+occupancy by index rather than with masked passes over the whole grid.  A
+replication's consecutive batches of at most ``BLOCK_SLOTS`` (8192) slots
+share a generator and one ``StageBuffers`` set and fold into one (count,
+mean, M2) reducer of the means ``RunMetrics`` reports, so its memory is
+bounded by the block size and its heap keeps its pages.
+
+Which draws are made is known before the outcomes that use them: a stage
+that has SUs searching is followed, within the budget, by one more stage's
+draws, and each block opens with the same four.  So the loop asks for every
+draw as soon as it knows it will be made, and a replication whose first
+block holds at least ``DRAW_AHEAD_CELLS`` (slot, SU) cells has one worker
+thread make them (numpy releases the interpreter lock while it fills), in
+the stream's order, while the loop works on the other core: every output
+bit is the same as with the draws made in the loop.  Replications are
+embarrassingly parallel with independent seeded streams and
+order-independent aggregation; with ``monte_carlo(n_jobs > 1)`` each
+replication has its own draw worker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +73,10 @@ from .errors import ScenarioError
 
 # Slots per simulate_slots call in a replication; a longer run is streamed.
 BLOCK_SLOTS = 8192
+# (slot, SU) cells of a replication's first block from which its draws are
+# made ahead on a worker thread; below it the hand-offs cost more than the
+# overlap saves.
+DRAW_AHEAD_CELLS = 2**16
 
 
 @dataclass
@@ -144,8 +161,11 @@ def _reject_entry(name: str, table: np.ndarray, valid: np.ndarray,
 class StageBuffers:
     """Named arrays ``simulate_slots`` writes into (stage-loop state and
     temporaries, batch arrays); a call with fewer slots takes the first rows.
-    A set serves one run (a replication, an adaptive run), so one thread;
-    see ``SlotBatch``.  A call given none makes its own."""
+    A set serves one run (a replication, an adaptive run) and one thread,
+    but for the run's draw worker (see ``_Draws``), which writes the draw
+    buffers ``u_pu``, ``u_gate`` and ``u_sense``, each once the loop is done
+    with it; no batch field lies in them.  See ``SlotBatch``.  A call given
+    none makes its own."""
 
     def __call__(self, name: str, shape: tuple, dtype=float, fill=None):
         array = self.__dict__.get(name)
@@ -160,6 +180,50 @@ class StageBuffers:
         return array
 
 
+def _made(draw):
+    """A draw made on the spot is its own handle."""
+    return draw
+
+
+class _Draws:
+    """A run's generator calls, made in the order they are asked for.
+
+    ``random`` and ``integers`` take the generator's arguments and return a
+    handle to the draw; ``get`` turns the handle into the array.  Built on a
+    bare generator, each call is made on the spot and is its own handle.
+    Given a one-thread ``pool``, each call is queued there and runs while
+    the caller works; ``get`` waits for it and raises its error.  Either way
+    the generator sees the calls in the order they are asked for, so one
+    that asks in the stream's order gets the same stream, bit for bit.
+    ``blocks`` are the slot counts of the run's later ``simulate_slots``
+    calls: each call asks for the next one's ``opening`` draws when its
+    stage loop ends."""
+
+    def __init__(self, rng, pool=None, blocks=()):
+        if pool is None:
+            self.random, self.integers, self.get = rng.random, rng.integers, _made
+        else:
+            self.random = partial(pool.submit, rng.random)
+            self.integers = partial(pool.submit, rng.integers)
+            self.get = Future.result
+        self._blocks = iter(blocks)
+        self.opening = None  # handles of the next call's opening draws
+
+    def open_block(self, u_pu: np.ndarray, u_gate: np.ndarray,
+                   u_sense: np.ndarray) -> tuple:
+        """Ask for the draws every block opens with, into its buffers: the
+        (slot, channel) PU states, then stage 1's gate, channel and sensing
+        variates.  Returns their handles."""
+        return (self.random(u_pu.shape, np.float64, u_pu),
+                self.random(u_gate.shape, np.float64, u_gate),
+                # the same draw as int64
+                self.integers(u_pu.shape[1], size=u_gate.shape, dtype=np.int32),
+                self.random(u_sense.shape, np.float64, u_sense))
+
+    def next_block(self) -> int | None:
+        return next(self._blocks, None)
+
+
 class _LoopState(NamedTuple):
     """What ``simulate_slots``' stage loop leaves for the fields built on
     first read, and its threshold table by channel class, which the
@@ -167,7 +231,8 @@ class _LoopState(NamedTuple):
     ``means`` share its definitions; those given an ``out`` write into it."""
 
     # (slot, SU) final state code (pu * (N_s + 1) + SUs there) * N_p of the
-    # channel the SU transmitted on; garbage where it did not
+    # channel the SU transmitted on; garbage where it did not.  In the
+    # call's ``code`` buffer.
     at_tx: np.ndarray
     tx_rt: np.ndarray    # (slot, SU) time left after the transmit stage; 0 if none
     pu: np.ndarray       # (slot, channel) PU present
@@ -204,7 +269,7 @@ class _LoopState(NamedTuple):
                 # the sum of ``handoffs`` by SU: building them takes 3x as long
                 "handoffs": (int((len(tx) - np.count_nonzero(tx, axis=0)) @ self.delta)
                              + int(b.tx_stage.sum()) - size) / size,
-                "delay": self.delay(buf("u_sense", grid)).mean()}
+                "delay": self.delay(buf("delay", grid)).mean()}
 
 
 @dataclass(kw_only=True)
@@ -288,6 +353,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     they produce identical transmission trajectories and differ only in
     sensing overhead.  The batch fields nothing in the adaptive loop reads
     are built on first read (see ``SlotBatch``, also for ``buffers``).
+    ``run_replication`` passes a ``_Draws`` helper as ``rng``, which makes
+    the draws ahead on its worker thread when it has one.
     """
     if protocol not in ("modified", "conventional"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
@@ -300,9 +367,17 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     C = schedules.n_cols
     modified = protocol == "modified"
     buf = StageBuffers() if buffers is None else buffers
+    draws = rng if isinstance(rng, _Draws) else _Draws(rng)
+    get = draws.get
+    # ``draws`` alone writes these, each once the loop is done with it
+    u_gate_o, u_sense_o = buf("u_gate", (S, NS)), buf("u_sense", (S, NS))
+    # handles of the draws asked for, the next stage's in the loop; the
+    # run's previous call may have asked for these
+    u_pu, u_gate, ch, u_sense = (draws.opening or draws.open_block(
+        buf("u_pu", (S, NP)), u_gate_o, u_sense_o))
+    draws.opening = None
 
-    pu = np.less(rng.random((S, NP), np.float64, buf("u_pu", (S, NP))),
-                 config.presence_prob, buf("pu", (S, NP), bool))
+    pu = np.less(get(u_pu), config.presence_prob, buf("pu", (S, NP), bool))
     # flat (slot, channel) cell code (pu * K + SUs transmitting there) * N_p
     # + channel: below N_p is idle, and the code is the cell's offset in an
     # SU's threshold row.  ``mark`` is scratch space over the same index.
@@ -318,7 +393,10 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     L = len(thresholds)
 
     searching = buf("searching", (S, NS), bool, True)
-    tx_channel = buf("tx_channel", (S, NS), np.int32, -1)
+    # the flat (slot, channel) cell each SU transmitted on, channel -1 where
+    # it did not: made the channels after the loop
+    tx_cell = buf("tx_channel", (S, NS), np.int32)
+    tx_cell[...] = slot_base - 1
     tx_stage = buf("tx_stage", (S, NS), np.int32, 0)
     interfered_entry = buf("interfered_entry", (S, NS), bool, False)
     overhead = buf("overhead", (S, NS), np.int32, 0)
@@ -327,8 +405,9 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     # shared by all SUs, an (S,) array from the first stage that did not
     elapsed = 0.0
     rt_at = buf("rt_at", (S, M + 1), float, 0.0)  # time left after stage n
-    # temporaries; u_gate's takes the thresholds too, free's will_tx, active's new_tx
-    u_gate_o, u_sense_o = buf("u_gate", (S, NS)), buf("u_sense", (S, NS))
+    # temporaries; free's takes will_tx too, active's new_tx, and tx_rt's,
+    # written after the loop, each stage's thresholds
+    tx_rt_o = buf("tx_rt", (S, NS))
     flat_o, code_o = buf("flat", (S, NS), np.intp), buf("code", (S, NS), np.intp)
     active_o, ordered_o, gate_o, senses_o, busy_o, free_o = (buf(name, (S, NS), bool)
         for name in ("active", "ordered", "gate", "senses", "busy", "free"))
@@ -350,13 +429,19 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         active = (searching if n <= every_su
                   else np.bitwise_and(searching, in_budget[n - 1], active_o))
         # Every stage entered draws for the full (S, NS) grid, so the stream
-        # depends on the realized trajectories only through the last stage.
-        u_gate = rng.random((S, NS), np.float64, u_gate_o)
-        ch = rng.integers(NP, size=(S, NS), dtype=np.int32)  # same draw as int64
-        u_sense = rng.random((S, NS), np.float64, u_sense_o)
+        # depends on the realized trajectories only through the last stage:
+        # stage n + 1's draws are asked for once stage n has SUs searching.
         if not np.count_nonzero(active):  # cheaper than .any() at this size
+            for made in (u_gate, ch, u_sense):  # read, so a failed draw raises
+                get(made)
             break
         col = min(n, C) - 1
+        gate = np.less(get(u_gate), p_by_stage[col], gate_o)
+        flat = np.add(slot_base, get(ch), flat_o)  # the channels probed
+        ch = None  # freed before the next one is drawn
+        if n < M:
+            u_gate = draws.random((S, NS), np.float64, u_gate_o)
+            ch = draws.integers(NP, size=(S, NS), dtype=np.int32)
 
         # Stage timing: longest sensing duration among SUs still searching.
         # A slot with none (argmax 0: the longest tau) has finished for good,
@@ -379,14 +464,14 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         if not in_time:
             np.maximum(rt, 0.0, out=rt)
 
-        gate = np.less(u_gate, p_by_stage[col], gate_o)
         senses = np.bitwise_and(active, gate, senses_o) if modified else active
-        flat = np.add(slot_base, ch, flat_o)
         code = cell.take(flat, None, code_o, "clip")  # every index in range
         busy = np.greater_equal(code, NP, busy_o)
         code += su_base
-        row = thresholds[min(n, L) - 1].take(code, None, u_gate_o, "clip")
-        decided_free = np.equal(np.less(u_sense, row, free_o), busy, free_o)
+        row = thresholds[min(n, L) - 1].take(code, None, tx_rt_o, "clip")
+        decided_free = np.equal(np.less(get(u_sense), row, free_o), busy, free_o)
+        if n < M:
+            u_sense = draws.random((S, NS), np.float64, u_sense_o)
         will_tx = np.bitwise_and(senses, decided_free, free_o)
         if not modified:
             will_tx &= gate
@@ -397,10 +482,9 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # the flat (slot, SU) cells that start transmitting, in row-major
         # order, written by index
         starts = new_tx.ravel().nonzero()[0]
-        tx_channel.put(starts, ch.take(starts))
-        ch = None  # freed first: the index arrays below reuse its space
         tx_stage.put(starts, n)
         entered_at = flat.take(starts)  # their flat (slot, channel) cells
+        tx_cell.put(starts, entered_at)
 
         started_busy = busy.take(starts)
         if np.count_nonzero(started_busy):
@@ -418,17 +502,22 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # out of slot time; will_tx lies inside searching, so ^= clears it.
         searching ^= will_tx
         np.add.at(cell, entered_at, NP)
-        # freed before the next draws: piled up at the heap top, a stage's
+        # freed before the next stage: piled up at the heap top, a stage's
         # arrays would let malloc trim it and the next stage fault it back in
         starts = entered_at = started_busy = hit = k = None
 
+    following = draws.next_block()
+    if following:  # made while this block is finished and reduced
+        draws.opening = draws.open_block(buf("u_pu", (following, NP)),
+                                         buf("u_gate", (following, NS)),
+                                         buf("u_sense", (following, NS)))
     at_rt = np.add(np.arange(0, S * (M + 1), M + 1)[:, None], tx_stage, flat_o)
-    tx_rt = rt_at.take(at_rt, None, buf("tx_rt", (S, NS)), "clip")
+    tx_rt = rt_at.take(at_rt, None, tx_rt_o, "clip")
     # state code of the channel each SU transmitted on, N_p when the PU was
     # absent and the SU alone; garbage where it did not transmit, but there
     # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
-    at_tx = cell.take(np.add(slot_base, tx_channel, code_o), None,
-                      buf("at_tx", (S, NS), np.intp), "wrap")
+    at_tx = cell.take(tx_cell, None, code_o, "wrap")
+    tx_channel = np.subtract(tx_cell, slot_base, tx_cell, casting="unsafe")
     at_tx -= tx_channel
     throughput = np.multiply(tx_rt, config.tx_rate, buf("throughput", (S, NS)))
     throughput /= T
@@ -551,17 +640,26 @@ def run_replication(config: NetworkConfig, schedules: SuSchedules,
     The slots run as consecutive ``simulate_slots`` calls of at most
     BLOCK_SLOTS slots on one generator and one ``StageBuffers`` set, folded
     into one reducer, so memory is bounded by the block size.  A run of at
-    most BLOCK_SLOTS slots is one call, with that batch's metrics."""
+    most BLOCK_SLOTS slots is one call, with that batch's metrics.  When
+    the first block holds at least DRAW_AHEAD_CELLS (slot, SU) cells, one
+    worker thread, which lives for the call, makes the generator's draws
+    ahead of the loop (see ``_Draws``), in the same order."""
     if n_slots < 1:
         raise ScenarioError("n_slots must be >= 1")
+    blocks = [min(BLOCK_SLOTS, n_slots - start)
+              for start in range(0, n_slots, BLOCK_SLOTS)]
     rng = np.random.default_rng(seed)
     buffers = StageBuffers()
     total = None
-    for start in range(0, n_slots, BLOCK_SLOTS):
-        block = _Moments.of_batch(simulate_slots(
-            config, schedules, resolved, min(BLOCK_SLOTS, n_slots - start),
-            rng, protocol=protocol, buffers=buffers))
-        total = block if total is None else total.merge(block)
+    with (ThreadPoolExecutor(1, "rsop-draws")
+          if blocks[0] * config.n_su >= DRAW_AHEAD_CELLS
+          else nullcontext()) as pool:
+        draws = _Draws(rng, pool, blocks[1:])
+        for size in blocks:
+            block = _Moments.of_batch(simulate_slots(
+                config, schedules, resolved, size, draws, protocol=protocol,
+                buffers=buffers))
+            total = block if total is None else total.merge(block)
     return total.metrics(n_slots, 1)
 
 

@@ -1,10 +1,12 @@
-"""Reference copy of the slot simulator's one-batch step.
+"""Reference copy of the slot simulator's one-batch step and replication.
 
 ``simulate_slots`` and ``_threshold_table`` exactly as they stood before the
 per-call set-up, stage loop and output block were trimmed: every stage
 evaluates the full (slot, SU) arrays and the batch is built whole.  The
 package's ``simulate_slots`` must return the same ``SlotBatch``, field by
 field and dtype by dtype, and leave the generator at the same point.
+``run_replication`` makes every draw on the calling thread, as the package
+did before a worker thread made them ahead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from rsop.chain import ResolvedDetector
 from rsop.config import NetworkConfig
 from rsop.detector import false_alarm_prob, misdetection_prob, received_snr
 from rsop.errors import ScenarioError
-from rsop.simulator import SlotBatch, SuSchedules
+from rsop.simulator import BLOCK_SLOTS, SlotBatch, SuSchedules, _Moments
 
 
 def _threshold_table(config: NetworkConfig, resolved: ResolvedDetector,
@@ -186,3 +188,20 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         delay=delay,
         pu_busy_fraction=np.count_nonzero(pu) / pu.size,
     )
+
+
+def run_replication(config: NetworkConfig, schedules: SuSchedules,
+                    resolved: ResolvedDetector, protocol: str, n_slots: int,
+                    seed):
+    """One replication as consecutive ``simulate_slots`` calls of at most
+    BLOCK_SLOTS slots on one generator, each batch reduced field by field.
+    Returns its ``RunMetrics``, the batches and the generator."""
+    rng = np.random.default_rng(seed)
+    batches = [simulate_slots(config, schedules, resolved,
+                              min(BLOCK_SLOTS, n_slots - start), rng, protocol)
+               for start in range(0, n_slots, BLOCK_SLOTS)]
+    total = None
+    for batch in batches:
+        block = _Moments.of_batch(batch)
+        total = block if total is None else total.merge(block)
+    return total.metrics(n_slots, 1), batches, rng

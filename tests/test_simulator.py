@@ -1,10 +1,13 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsop.simulator
 import simulator_reference
 from conftest import explicit_detector, make_config
 from rsop.chain import analyze, resolve_detector
@@ -19,6 +22,7 @@ from rsop.detector import false_alarm_prob, misdetection_prob, received_snr
 from rsop.errors import ScenarioError
 from rsop.simulator import (
     BLOCK_SLOTS,
+    DRAW_AHEAD_CELLS,
     RunMetrics,
     SlotBatch,
     StageBuffers,
@@ -347,6 +351,172 @@ class TestStageBuffers:
             tracemalloc.stop()
         block = BLOCK_SLOTS * config.n_su * 8
         assert 5 * block < peak < 13.5 * block
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+class _RecordingGenerator:
+    """Forwards ``random`` and ``integers`` to a generator and records the
+    thread of every call; call number ``fail_at`` raises ``_DrawFailed``."""
+
+    def __init__(self, gen, fail_at=None):
+        self.gen, self.fail_at = gen, fail_at
+        self.threads, self.raised = [], None
+
+    def _call(self, fn, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            self.raised = _DrawFailed(self.fail_at)
+            raise self.raised
+        return fn(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._call(self.gen.random, *args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self._call(self.gen.integers, *args, **kwargs)
+
+
+def _replicate_recorded(monkeypatch, config, sched, resolved, protocol,
+                        n_slots, seed, fail_at=None, made=None):
+    """``run_replication`` on a recording generator, also appended to
+    ``made``; returns its metrics, every block's batch built and copied as
+    the call returns, and the generator.  Building the batch while the next
+    block's draws are made ahead checks that no field shares their buffers."""
+    made = [] if made is None else made
+    batches = []
+    default_rng, simulate = np.random.default_rng, simulate_slots
+
+    def recording_rng(*args):
+        made.append(_RecordingGenerator(default_rng(*args), fail_at))
+        return made[-1]
+
+    def copying(*args, **kwargs):
+        batches.append(_built(simulate(*args, **kwargs)))
+        return batches[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording_rng)
+        patch.setattr(rsop.simulator, "simulate_slots", copying)
+        got = run_replication(config, sched, resolved, protocol, n_slots, seed)
+    (gen,) = made
+    return got, batches, gen
+
+
+def _assert_same_metrics(got: RunMetrics, want: RunMetrics):
+    for field in dataclasses.fields(RunMetrics):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
+
+
+class TestDrawAhead:
+    """From DRAW_AHEAD_CELLS cells a block, a replication's draws are made
+    on a worker thread ahead of its stage loop: every bit equals the
+    reference replication, whose draws are made in the loop, and the
+    generator ends at the same point."""
+
+    @staticmethod
+    def stops_at_stage_2():
+        # every probe finds its channel free and every gate passes, so
+        # every SU transmits at stage 1 and stage 2 finds none searching
+        config = make_config(n_su=8, n_pu=4, presence=0.5)
+        schedules, resolved = setup(config, 1e-3, 1.0, 0.0, 0.0)
+        assert schedules.max_stages == 4
+        return config, schedules, resolved
+
+    @pytest.mark.parametrize("protocol", ["modified", "conventional"])
+    def test_blocks_equal_the_reference_replication(self, monkeypatch,
+                                                    protocol):
+        sc = load_bundled("dense_ns20_np5")
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        sched = SuSchedules.homogeneous(sc.config, sc.params)
+        n_slots = 2 * BLOCK_SLOTS + 1000  # the last block is partial
+        want, blocks, rng = simulator_reference.run_replication(
+            sc.config, sched, resolved, protocol, n_slots, 31)
+        got, batches, gen = _replicate_recorded(
+            monkeypatch, sc.config, sched, resolved, protocol, n_slots, 31)
+        assert threading.main_thread() not in gen.threads
+        assert len(batches) == len(blocks) == 3
+        for i, (batch, block) in enumerate(zip(batches, blocks)):
+            _assert_same_batch(batch, block, i)
+        _assert_same_metrics(got, want)
+        assert gen.gen.bit_generator.state == rng.bit_generator.state
+
+    def test_loop_that_stops_before_its_budget(self, monkeypatch):
+        # stage 2 of 4 is entered, draws all three variates and breaks
+        config, sched, resolved = self.stops_at_stage_2()
+        n_slots = 2 * BLOCK_SLOTS + 1000
+        assert BLOCK_SLOTS * config.n_su >= DRAW_AHEAD_CELLS
+        want, blocks, rng = simulator_reference.run_replication(
+            config, sched, resolved, "modified", n_slots, 5)
+        got, batches, gen = _replicate_recorded(
+            monkeypatch, config, sched, resolved, "modified", n_slots, 5)
+        assert all((b.tx_stage == 1).all() for b in batches)
+        # per block: the PU states and two stages of three draws
+        assert len(gen.threads) == 3 * 7
+        assert threading.main_thread() not in gen.threads
+        for i, (batch, block) in enumerate(zip(batches, blocks)):
+            _assert_same_batch(batch, block, i)
+        _assert_same_metrics(got, want)
+        assert gen.gen.bit_generator.state == rng.bit_generator.state
+
+    def test_monte_carlo_threads_equal_the_reference(self):
+        sc = load_bundled("dense_ns20_np5")
+        resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
+        sched = SuSchedules.homogeneous(sc.config, sc.params)
+        n_slots, seeds = BLOCK_SLOTS + 500, np.random.SeedSequence(17).spawn(4)
+        want = _Moments.of_replications([
+            simulator_reference.run_replication(
+                sc.config, sched, resolved, "modified", n_slots, seed)[0]
+            for seed in seeds]).metrics(n_slots, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            # 4 jobs: replications and their draw threads outnumber the cores
+            for n_jobs in (1, 2, 4):
+                got = monte_carlo(sc.config, sched, resolved, "modified",
+                                  n_slots, 4, 17, n_jobs=n_jobs)
+                _assert_same_metrics(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_small_blocks_draw_on_the_calling_thread(self, monkeypatch):
+        config = make_config(n_su=3, n_pu=4, presence=0.4)
+        schedules, resolved = setup(config, 1e-3, 0.7, 0.1, 0.9)
+        assert BLOCK_SLOTS * config.n_su < DRAW_AHEAD_CELLS
+        before = threading.active_count()
+        want, _, rng = simulator_reference.run_replication(
+            config, schedules, resolved, "modified", BLOCK_SLOTS + 10, 2)
+        got, _, gen = _replicate_recorded(
+            monkeypatch, config, schedules, resolved, "modified",
+            BLOCK_SLOTS + 10, 2)
+        assert set(gen.threads) == {threading.current_thread()}
+        _assert_same_metrics(got, want)
+        assert gen.gen.bit_generator.state == rng.bit_generator.state
+        assert threading.active_count() == before
+
+    # per block of the schedule: u_pu, then stages 1 and 2 of (u_gate, ch,
+    # u_sense); 7 is the u_sense of the stage the loop breaks at, 8 and 9
+    # are the second block's, asked for as the first one's loop ends
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 5, 7, 8, 9, 14, None])
+    def test_no_thread_outlives_a_replication(self, monkeypatch, fail_at):
+        config, sched, resolved = self.stops_at_stage_2()
+        before = threading.active_count()
+        if fail_at is None:
+            _, _, gen = _replicate_recorded(monkeypatch, config, sched,
+                                            resolved, "modified",
+                                            BLOCK_SLOTS + 10, 3)
+            assert len(gen.threads) == 14
+        else:
+            made = []
+            with pytest.raises(_DrawFailed) as raised:
+                _replicate_recorded(monkeypatch, config, sched, resolved,
+                                    "modified", BLOCK_SLOTS + 10, 3, fail_at,
+                                    made)
+            assert raised.value is made[0].raised
+        assert threading.active_count() == before
 
 
 class TestStatistics:
