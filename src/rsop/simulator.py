@@ -44,18 +44,20 @@ bounded by the block size and its heap keeps its pages.
 Which draws are made is known before the outcomes that use them: a stage
 that has SUs searching is followed, within the budget, by one more stage's
 draws, and each block opens with the same four.  So the loop asks for every
-draw as soon as it knows it will be made, and a replication whose first
-block holds at least ``DRAW_AHEAD_CELLS`` (slot, SU) cells has one worker
-thread make them (numpy releases the interpreter lock while it fills), in
-the stream's order, while the loop works on the other core: every output
-bit is the same as with the draws made in the loop.  Replications are
-embarrassingly parallel with independent seeded streams and
-order-independent aggregation; with ``monte_carlo(n_jobs > 1)`` each
-replication has its own draw worker.
+draw as soon as it knows it will be made.  A replication run alone, in a
+process that may use more than one CPU, whose first block holds at least
+``DRAW_AHEAD_CELLS`` (slot, SU) cells, has one worker thread make them
+(numpy releases the interpreter lock while it fills), in the stream's
+order, while the loop works on another core: every output bit is the same
+as with the draws made in the loop.  Replications are embarrassingly
+parallel with independent seeded streams and order-independent
+aggregation; ``monte_carlo(n_jobs > 1)`` runs them on ``n_jobs`` threads,
+which make their own draws.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -74,9 +76,9 @@ from .errors import ScenarioError
 # Slots per simulate_slots call in a replication; a longer run is streamed.
 BLOCK_SLOTS = 8192
 # (slot, SU) cells of a replication's first block from which its draws are
-# made ahead on a worker thread; below it the hand-offs cost more than the
-# overlap saves.
-DRAW_AHEAD_CELLS = 2**16
+# made ahead on a worker thread: on a 2-CPU VM, fresh processes unpinned,
+# blocks of 82k-123k cells broke even and 164k-cell ones ran 10-41% faster.
+DRAW_AHEAD_CELLS = 2**17
 
 
 @dataclass
@@ -186,42 +188,35 @@ def _made(draw):
 
 
 class _Draws:
-    """A run's generator calls, made in the order they are asked for.
+    """A replication's generator calls, queued on its one-thread ``pool``.
 
     ``random`` and ``integers`` take the generator's arguments and return a
-    handle to the draw; ``get`` turns the handle into the array.  Built on a
-    bare generator, each call is made on the spot and is its own handle.
-    Given a one-thread ``pool``, each call is queued there and runs while
-    the caller works; ``get`` waits for it and raises its error.  Either way
-    the generator sees the calls in the order they are asked for, so one
-    that asks in the stream's order gets the same stream, bit for bit.
-    ``blocks`` are the slot counts of the run's later ``simulate_slots``
-    calls: each call asks for the next one's ``opening`` draws when its
-    stage loop ends."""
+    future of the draw, which runs while the caller works; ``get`` waits
+    for it and raises its error.  The generator sees the calls in the order
+    they are asked for, so a caller that asks in the stream's order gets
+    the same stream, bit for bit.  ``opening`` holds the futures of the
+    next ``simulate_slots`` call's opening draws (``_open_block``), which
+    the replication asks for before the call."""
 
-    def __init__(self, rng, pool=None, blocks=()):
-        if pool is None:
-            self.random, self.integers, self.get = rng.random, rng.integers, _made
-        else:
-            self.random = partial(pool.submit, rng.random)
-            self.integers = partial(pool.submit, rng.integers)
-            self.get = Future.result
-        self._blocks = iter(blocks)
-        self.opening = None  # handles of the next call's opening draws
+    get = staticmethod(Future.result)
 
-    def open_block(self, u_pu: np.ndarray, u_gate: np.ndarray,
-                   u_sense: np.ndarray) -> tuple:
-        """Ask for the draws every block opens with, into its buffers: the
-        (slot, channel) PU states, then stage 1's gate, channel and sensing
-        variates.  Returns their handles."""
-        return (self.random(u_pu.shape, np.float64, u_pu),
-                self.random(u_gate.shape, np.float64, u_gate),
-                # the same draw as int64
-                self.integers(u_pu.shape[1], size=u_gate.shape, dtype=np.int32),
-                self.random(u_sense.shape, np.float64, u_sense))
+    def __init__(self, rng: np.random.Generator, pool: ThreadPoolExecutor):
+        self.random = partial(pool.submit, rng.random)
+        self.integers = partial(pool.submit, rng.integers)
+        self.opening = None
 
-    def next_block(self) -> int | None:
-        return next(self._blocks, None)
+
+def _open_block(draws, buf: StageBuffers, n_slots: int, n_su: int,
+                n_pu: int) -> tuple:
+    """Ask ``draws`` (a generator or ``_Draws``) for the draws every block
+    opens with, into ``buf``'s draw buffers: the (slot, channel) PU states,
+    then stage 1's gate, channel and sensing variates.  Returns them, or
+    their futures."""
+    grid = (n_slots, n_su)
+    return (draws.random((n_slots, n_pu), np.float64, buf("u_pu", (n_slots, n_pu))),
+            draws.random(grid, np.float64, buf("u_gate", grid)),
+            draws.integers(n_pu, size=grid, dtype=np.int32),  # same draw as int64
+            draws.random(grid, np.float64, buf("u_sense", grid)))
 
 
 class _LoopState(NamedTuple):
@@ -353,8 +348,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     they produce identical transmission trajectories and differ only in
     sensing overhead.  The batch fields nothing in the adaptive loop reads
     are built on first read (see ``SlotBatch``, also for ``buffers``).
-    ``run_replication`` passes a ``_Draws`` helper as ``rng``, which makes
-    the draws ahead on its worker thread when it has one.
+    ``run_replication`` passes a ``_Draws`` as ``rng`` when it has a draw
+    worker.
     """
     if protocol not in ("modified", "conventional"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
@@ -367,15 +362,16 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     C = schedules.n_cols
     modified = protocol == "modified"
     buf = StageBuffers() if buffers is None else buffers
-    draws = rng if isinstance(rng, _Draws) else _Draws(rng)
-    get = draws.get
-    # ``draws`` alone writes these, each once the loop is done with it
+    # handles of the draws asked for, the next stage's in the loop: a bare
+    # generator makes each on the spot, a replication's ``_Draws`` queues
+    # it, and the replication may have asked for this block's opening ones
+    if isinstance(rng, _Draws):
+        get, opening, rng.opening = rng.get, rng.opening, None
+    else:
+        get, opening = _made, None
+    u_pu, u_gate, ch, u_sense = opening or _open_block(rng, buf, S, NS, NP)
+    # the draws alone write these, each once the loop is done with it
     u_gate_o, u_sense_o = buf("u_gate", (S, NS)), buf("u_sense", (S, NS))
-    # handles of the draws asked for, the next stage's in the loop; the
-    # run's previous call may have asked for these
-    u_pu, u_gate, ch, u_sense = (draws.opening or draws.open_block(
-        buf("u_pu", (S, NP)), u_gate_o, u_sense_o))
-    draws.opening = None
 
     pu = np.less(get(u_pu), config.presence_prob, buf("pu", (S, NP), bool))
     # flat (slot, channel) cell code (pu * K + SUs transmitting there) * N_p
@@ -384,7 +380,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     cell = np.multiply(pu, K * NP, buf("cell", (S, NP), np.intp))
     cell = np.add(cell, np.arange(NP), cell).ravel()
     mark = buf("mark", (S * NP,), np.int32)
-    slot_base = np.arange(0, S * NP, NP)[:, None]  # flat (slot, channel) index
+    # flat (slot, channel) index; a flat cell fits in tx_channel's int32
+    slot_base = np.arange(0, S * NP, NP, dtype=np.int32)[:, None]
     su_base = np.arange(0, NS * 2 * K * NP, 2 * K * NP)  # threshold row of each SU
     class_table = _threshold_table(config, resolved, schedules.tau, M)
     # by channel; take() makes it C-contiguous, so each stage's flat gather
@@ -393,10 +390,9 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
     L = len(thresholds)
 
     searching = buf("searching", (S, NS), bool, True)
-    # the flat (slot, channel) cell each SU transmitted on, channel -1 where
-    # it did not: made the channels after the loop
-    tx_cell = buf("tx_channel", (S, NS), np.int32)
-    tx_cell[...] = slot_base - 1
+    # the flat (slot, channel) cell each SU transmitted on, -1 where it did
+    # not: made the channels after the loop
+    tx_cell = buf("tx_channel", (S, NS), np.int32, -1)
     tx_stage = buf("tx_stage", (S, NS), np.int32, 0)
     interfered_entry = buf("interfered_entry", (S, NS), bool, False)
     overhead = buf("overhead", (S, NS), np.int32, 0)
@@ -440,8 +436,8 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         flat = np.add(slot_base, get(ch), flat_o)  # the channels probed
         ch = None  # freed before the next one is drawn
         if n < M:
-            u_gate = draws.random((S, NS), np.float64, u_gate_o)
-            ch = draws.integers(NP, size=(S, NS), dtype=np.int32)
+            u_gate = rng.random((S, NS), np.float64, u_gate_o)
+            ch = rng.integers(NP, size=(S, NS), dtype=np.int32)
 
         # Stage timing: longest sensing duration among SUs still searching.
         # A slot with none (argmax 0: the longest tau) has finished for good,
@@ -471,7 +467,7 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         row = thresholds[min(n, L) - 1].take(code, None, tx_rt_o, "clip")
         decided_free = np.equal(np.less(get(u_sense), row, free_o), busy, free_o)
         if n < M:
-            u_sense = draws.random((S, NS), np.float64, u_sense_o)
+            u_sense = rng.random((S, NS), np.float64, u_sense_o)
         will_tx = np.bitwise_and(senses, decided_free, free_o)
         if not modified:
             will_tx &= gate
@@ -506,18 +502,14 @@ def simulate_slots(config: NetworkConfig, schedules: SuSchedules,
         # arrays would let malloc trim it and the next stage fault it back in
         starts = entered_at = started_busy = hit = k = None
 
-    following = draws.next_block()
-    if following:  # made while this block is finished and reduced
-        draws.opening = draws.open_block(buf("u_pu", (following, NP)),
-                                         buf("u_gate", (following, NS)),
-                                         buf("u_sense", (following, NS)))
     at_rt = np.add(np.arange(0, S * (M + 1), M + 1)[:, None], tx_stage, flat_o)
     tx_rt = rt_at.take(at_rt, None, tx_rt_o, "clip")
     # state code of the channel each SU transmitted on, N_p when the PU was
     # absent and the SU alone; garbage where it did not transmit, but there
     # tx_rt is 0, so the throughput is 0.0 all the same (tx_rate >= 0)
     at_tx = cell.take(tx_cell, None, code_o, "wrap")
-    tx_channel = np.subtract(tx_cell, slot_base, tx_cell, casting="unsafe")
+    # where none transmitted, -1 - slot_base <= -1: clipped back to -1
+    tx_channel = np.maximum(np.subtract(tx_cell, slot_base, tx_cell), -1, out=tx_cell)
     at_tx -= tx_channel
     throughput = np.multiply(tx_rt, config.tx_rate, buf("throughput", (S, NS)))
     throughput /= T
@@ -634,33 +626,47 @@ class _Moments:
 
 def run_replication(config: NetworkConfig, schedules: SuSchedules,
                     resolved: ResolvedDetector, protocol: str, n_slots: int,
-                    seed) -> RunMetrics:
+                    seed, draw_thread: bool = True) -> RunMetrics:
     """One seeded replication; deterministic given the seed.
 
     The slots run as consecutive ``simulate_slots`` calls of at most
     BLOCK_SLOTS slots on one generator and one ``StageBuffers`` set, folded
     into one reducer, so memory is bounded by the block size.  A run of at
-    most BLOCK_SLOTS slots is one call, with that batch's metrics.  When
-    the first block holds at least DRAW_AHEAD_CELLS (slot, SU) cells, one
+    most BLOCK_SLOTS slots is one call, with that batch's metrics.  With
+    ``draw_thread``, in a process that may use more than one CPU, when the
+    first block holds at least DRAW_AHEAD_CELLS (slot, SU) cells, one
     worker thread, which lives for the call, makes the generator's draws
-    ahead of the loop (see ``_Draws``), in the same order."""
+    ahead of the loop (see ``_Draws``), in the same order;
+    ``monte_carlo`` clears it when it runs replications on threads of its
+    own."""
     if n_slots < 1:
         raise ScenarioError("n_slots must be >= 1")
     blocks = [min(BLOCK_SLOTS, n_slots - start)
               for start in range(0, n_slots, BLOCK_SLOTS)]
     rng = np.random.default_rng(seed)
     buffers = StageBuffers()
+    ahead = (draw_thread and blocks[0] * config.n_su >= DRAW_AHEAD_CELLS
+             and _cpus() > 1)
     total = None
-    with (ThreadPoolExecutor(1, "rsop-draws")
-          if blocks[0] * config.n_su >= DRAW_AHEAD_CELLS
-          else nullcontext()) as pool:
-        draws = _Draws(rng, pool, blocks[1:])
-        for size in blocks:
-            block = _Moments.of_batch(simulate_slots(
-                config, schedules, resolved, size, draws, protocol=protocol,
-                buffers=buffers))
+    with ThreadPoolExecutor(1, "rsop-draws") if ahead else nullcontext() as pool:
+        draws = rng if pool is None else _Draws(rng, pool)
+        for size, following in zip(blocks, blocks[1:] + [0]):
+            batch = simulate_slots(config, schedules, resolved, size, draws,
+                                   protocol=protocol, buffers=buffers)
+            if pool and following:  # made while this block is reduced
+                draws.opening = _open_block(draws, buffers, following,
+                                            config.n_su, config.n_pu)
+            block = _Moments.of_batch(batch)
             total = block if total is None else total.merge(block)
     return total.metrics(n_slots, 1)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (all of the machine's where the
+    platform cannot tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
@@ -669,7 +675,10 @@ def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
     """Replicated Monte Carlo with deterministic seeding.
 
     Replication seeds are spawned from ``base_seed``; aggregation runs in
-    replication order, so the result is identical for any ``n_jobs``.
+    replication order, so the result is identical for any ``n_jobs``.  A
+    replication has a draw worker (see ``run_replication``) only with
+    ``n_jobs`` 1: on threads of their own, the replications already fill
+    the cores.
     """
     if n_reps < 1:
         raise ScenarioError("n_reps must be >= 1")
@@ -679,7 +688,7 @@ def monte_carlo(config: NetworkConfig, schedules: SuSchedules,
 
     def one(seq):
         return run_replication(config, schedules, resolved, protocol, n_slots,
-                               seq)
+                               seq, draw_thread=n_jobs == 1)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:

@@ -59,6 +59,27 @@ def test_quartiles_are_those_perfbench_reports():
     assert one["peak_rss_mb"]["wins"] == 0
 
 
+def test_the_rate_as_measured_is_summarized_beside_the_declared_ones():
+    summary = """rsop benchmark: workload mc_dense, seed 1, size full, trace 0: 3 untraced and 0 traced repetitions in 2.5 s
+  slot_steps_per_s 7.92295e+06 slot*SU/s as measured (median of 3; quartiles 6.873e+06 to 8.29622e+06); setup 0.261 s as measured
+  metrics (times at nominal speed):
+  work_per_s       6.22535e+06 items/s
+"""
+    assert float(bench_pairs._MEASURED.search(summary).group(1)) == 7.92295e6
+    got = bench_pairs.summarize(pairs_of(
+        [{"work_per_s": 1.0, "peak_rss_mb": 1.0, "measured_per_s": v}
+         for v in (4.0, 5.0)],
+        [{"work_per_s": 1.0, "peak_rss_mb": 1.0, "measured_per_s": v}
+         for v in (6.0, 3.0)]), DECLARED)
+    measured = got["measured_per_s"]
+    assert (measured["wins"], measured["better"], measured["unit"]) == (1, "higher", "items/s")
+    assert measured["change"] == [6.0, 3.0]
+    # runs without the rate (a fake harness) leave it out
+    assert "measured_per_s" not in bench_pairs.summarize(
+        pairs_of([{"work_per_s": 1.0, "peak_rss_mb": 1.0}],
+                 [{"work_per_s": 1.0, "peak_rss_mb": 1.0}]), DECLARED)
+
+
 def verdicts(base, change, name="work_per_s"):
     """The verdicts of one metric, the other reading the same on both sides."""
     got = bench_pairs.summarize(pairs_of(

@@ -421,7 +421,7 @@ class TestDrawAhead:
     def stops_at_stage_2():
         # every probe finds its channel free and every gate passes, so
         # every SU transmits at stage 1 and stage 2 finds none searching
-        config = make_config(n_su=8, n_pu=4, presence=0.5)
+        config = make_config(n_su=16, n_pu=4, presence=0.5)
         schedules, resolved = setup(config, 1e-3, 1.0, 0.0, 0.0)
         assert schedules.max_stages == 4
         return config, schedules, resolved
@@ -497,9 +497,35 @@ class TestDrawAhead:
         assert gen.gen.bit_generator.state == rng.bit_generator.state
         assert threading.active_count() == before
 
+    def test_one_cpu_draws_on_the_calling_thread(self, monkeypatch):
+        config, sched, resolved = self.stops_at_stage_2()
+        monkeypatch.setattr(rsop.simulator.os, "sched_getaffinity",
+                            lambda pid: {0})
+        _, _, gen = _replicate_recorded(monkeypatch, config, sched, resolved,
+                                        "modified", BLOCK_SLOTS + 10, 3)
+        assert set(gen.threads) == {threading.current_thread()}
+
+    def test_monte_carlo_jobs_make_their_own_draws(self, monkeypatch):
+        # with n_jobs > 1 each replication draws on the thread it runs on
+        config, sched, resolved = self.stops_at_stage_2()
+        made, default_rng = [], np.random.default_rng
+
+        def recording_rng(*args):
+            made.append(_RecordingGenerator(default_rng(*args)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monte_carlo(config, sched, resolved, "modified", BLOCK_SLOTS + 10, 3,
+                    5, n_jobs=2)
+        assert len(made) == 3
+        for gen in made:
+            (thread,) = set(gen.threads)
+            assert thread is not threading.main_thread()
+            assert not thread.name.startswith("rsop-draws")
+
     # per block of the schedule: u_pu, then stages 1 and 2 of (u_gate, ch,
     # u_sense); 7 is the u_sense of the stage the loop breaks at, 8 and 9
-    # are the second block's, asked for as the first one's loop ends
+    # are the second block's, asked for once the first one's call returns
     @pytest.mark.parametrize("fail_at", [1, 2, 3, 5, 7, 8, 9, 14, None])
     def test_no_thread_outlives_a_replication(self, monkeypatch, fail_at):
         config, sched, resolved = self.stops_at_stage_2()

@@ -5,8 +5,10 @@ directory, then runs ``perfbench/run.py`` untraced, once in that tree and
 once in the checkout, ``--pairs`` times per workload: one seed per pair
 (``--first-seed``, then the next ones), identical arguments on both sides,
 and the side that runs first flipped from one pair to the next.  For every
-workload and end-to-end metric of ``BENCHMARK.json`` it writes each run's
-value, both sides' medians and quartiles, the change's wins (ties count
+workload and end-to-end metric of ``BENCHMARK.json``, and for the rate as
+measured (``measured_per_s``: the harness reports ``work_per_s`` at a
+nominal machine speed and prints the unscaled rate in its summary), it
+writes each run's value, both sides' medians and quartiles, the change's wins (ties count
 for neither) and three verdicts (``summarize``) to ``--out``, with the base
 commit, run length, Python version and core count of that workload's runs;
 workloads already in that file and not run again are kept with their own.
@@ -26,6 +28,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import signal
 import statistics
@@ -38,6 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import quartiles  # noqa: E402  (the harness's own quartiles)
+
+# the harness's summary line of the rate as measured, before scaling
+_MEASURED = re.compile(r"^\s+\S+\s+(\S+) \S+/s as measured", re.MULTILINE)
 
 
 def summarize(pairs: list[dict], declared: list[dict]) -> dict:
@@ -54,8 +60,13 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
 
     ``pairs`` holds one dict per pair with the metric values of each side
     under ``"base"`` and ``"change"``; ``declared`` is ``BENCHMARK.json``'s
-    ``end_to_end`` list, whose ``better`` says which direction wins."""
+    ``end_to_end`` list, whose ``better`` says which direction wins.  A
+    ``measured_per_s`` every run holds is summarized as ``work_per_s`` is."""
     out = {}
+    rate = next((m for m in declared if m["name"] == "work_per_s"), None)
+    if rate and all("measured_per_s" in p[side] for p in pairs
+                    for side in ("base", "change")):
+        declared = [*declared, {**rate, "name": "measured_per_s"}]
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         base = [p["base"][name] for p in pairs]
@@ -103,7 +114,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if result is None or not result["correct"]:
         raise RuntimeError(f"{workload} seed {seed} in {tree} did not pass:\n"
                            f"{stdout}{stderr}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    measured = _MEASURED.search(stdout)
+    if measured:
+        values["measured_per_s"] = float(measured.group(1))
+    return values
 
 
 def export(rev: str, dest: Path) -> str:
