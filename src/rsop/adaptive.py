@@ -13,8 +13,7 @@ misdetection check for every SU (each SU masked to its own delta(tau)
 stages), one estimate, one update and, for fine tuning, one broadcast of the
 per-stage tables.  The check reads the threshold table the simulator has
 just built at the same tau, so with the energy detector a frame evaluates
-Q in two passes: the table and the check's mean-field stage 2.  Called with
-one SU's floats, the estimate and the update give that SU's view.
+Q in two passes: the table and the check's mean-field stage 2.
 
 The update is a projected stochastic subgradient step with the harmonic
 step alpha_k = 1/k (square-summable, not summable).  The diagnostics here
@@ -115,14 +114,13 @@ class UpdateRecord:
     g_p: np.ndarray       # +-delta_p
 
 
-def frame_estimate(batch: SlotBatch, su, n_ep: int, p_md) -> FrameEstimate:
-    """Fold one frame of slot outcomes into the SUs' estimates.
+def frame_estimate(batch: SlotBatch, n_ep: int, p_md) -> FrameEstimate:
+    """Fold one frame of slot outcomes into every SU's estimates, in SU
+    order, with ``p_md`` one entry per SU.
 
-    ``su`` is one SU's index (float estimates) or an index array or slice of
-    SUs (arrays in that order), with ``p_md`` to match.  Throughput comes
-    from each SU's own ACKs.  The interference estimate is the frame mean of
-    the network interference sample; an SU cannot observe PU overlap on its
-    own, so the simulator acts as the reporting oracle.
+    Throughput comes from each SU's own ACKs.  The interference estimate is
+    the frame mean of the network interference sample; an SU cannot observe
+    PU overlap on its own, so the simulator acts as the reporting oracle.
     """
     if n_ep < 1:
         raise ScenarioError(f"n_ep must be >= 1, got {n_ep}")
@@ -130,28 +128,12 @@ def frame_estimate(batch: SlotBatch, su, n_ep: int, p_md) -> FrameEstimate:
         raise ShortFrame(f"frame has {batch.throughput.shape[0]} < {n_ep} slots")
     # one contiguous row per SU, so each mean is that of a 1-D array; a
     # mean is sum / n, written out to skip np.mean's wrapper
-    acks = np.ascontiguousarray(batch.throughput[:n_ep].T[su])
+    acks = np.ascontiguousarray(batch.throughput[:n_ep].T)
     return FrameEstimate(
         r_est=acks.sum(axis=-1) / n_ep,
         t_i_est=float(batch.network_interference[:n_ep].sum() / n_ep),
         p_md=p_md,
     )
-
-
-def _improved(r_est, prev_r_est, t_i_est, p_md, qos: QosConstraints):
-    """Event A: throughput did not drop and both caps held.
-
-    Ties (>=) count as improvement.  Works elementwise on arrays too."""
-    return ((r_est >= prev_r_est) & (t_i_est <= qos.t_i_max)
-            & (p_md <= qos.p_md_max))
-
-
-def _raw_step(improved, grew, delta: float):
-    """(flip, g): a coordinate keeps its last direction on improvement and
-    reverses otherwise, so flip = XOR(improved, grew) and the step subtracted
-    from it is g = +-delta.  Works elementwise on arrays too."""
-    flip = improved != grew
-    return flip, delta * (2 * flip - 1)
 
 
 def _project(tau, p, tau_min: float, slot_duration: float):
@@ -165,14 +147,20 @@ def alg1_update(state: AdaptiveState, est: FrameEstimate, qos: QosConstraints,
                 ) -> tuple[AdaptiveState, UpdateRecord]:
     """One coarse update of every SU's (tau, p) from frame-k estimates.
 
-    Each coordinate moves by alpha_k = 1/k times its raw step
-    (``_raw_step``), then is projected onto the box [tau_min, T] x [0, 1].
+    Event A: throughput did not drop (ties count) and both caps held.  A
+    coordinate keeps its last direction on A and reverses otherwise, so its
+    flip is XOR(A, grew) and its raw step g = +-delta; it moves by -alpha_k g,
+    alpha_k = 1/k, and is projected onto the box [tau_min, T] x [0, 1].
+    Arrays of any shapes that broadcast together work elementwise.
     """
-    improved = _improved(est.r_est, state.prev_r_est, est.t_i_est, est.p_md, qos)
+    improved = ((est.r_est >= state.prev_r_est) & (est.t_i_est <= qos.t_i_max)
+                & (est.p_md <= qos.p_md_max))
     tau_grew = state.tau >= state.prev_tau
     p_grew = state.p >= state.prev_p
-    flip_tau, g_tau = _raw_step(improved, tau_grew, cfg.delta_tau)
-    flip_p, g_p = _raw_step(improved, p_grew, cfg.delta_p)
+    flip_tau = improved != tau_grew
+    flip_p = improved != p_grew
+    g_tau = cfg.delta_tau * (2 * flip_tau - 1)
+    g_p = cfg.delta_p * (2 * flip_p - 1)
 
     alpha = harmonic_alpha(state.k)
     tau_next, p_next = _project(state.tau - g_tau * alpha, state.p - g_p * alpha,
@@ -397,7 +385,7 @@ def run_adaptive(scenario, algorithm: int = 1, n_frames: int = 500,
         # at the SUs' tau
         p_md = _analytic_p_md(config, resolved, state.tau, state.p, deltas,
                               batch._loop.thresholds)
-        est = frame_estimate(batch, slice(None), cfg.n_ep, p_md)
+        est = frame_estimate(batch, cfg.n_ep, p_md)
 
         f_visited = math.nan
         if track_objective:
@@ -486,8 +474,7 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
         whole frames of at most BLOCK_SLOTS slots, so memory is bounded, and
         the last block's stage-loop state (``_LoopState``), whose threshold
         table is at (tau, p)."""
-        schedules = SuSchedules.from_per_su(
-            config, np.full(config.n_su, tau), np.full(config.n_su, p))
+        schedules = SuSchedules.from_per_su(config, tau, p)
         r, t = [], []
         for start in range(0, count, frames_per_block):
             frames = min(frames_per_block, count - start)
@@ -512,11 +499,13 @@ def subgradient_field(scenario, taus, ps, n_realizations: int = 5000,
                 r_b, t_b, loop = frame_means(tau2, p2, per_quadrant)
                 p_md = _analytic_p_md(config, resolved, tau2, p2, loop.delta,
                                       loop.thresholds)
-                improved = _improved(r_b, r_a, t_b[:, None], p_md, qos)
-                _, g_tau = _raw_step(improved, tau2 >= tau, cfg.delta_tau)
-                _, g_p = _raw_step(improved, p2 >= p, cfg.delta_p)
-                g_samples.append(np.stack([g_tau.mean(axis=1), g_p.mean(axis=1)],
-                                          axis=1))
+                # one update per (realization, SU): frame a before the
+                # step, frame b after it
+                _, rec = alg1_update(AdaptiveState(tau2, p2, tau, p, r_a),
+                                     FrameEstimate(r_b, t_b[:, None], p_md),
+                                     qos, cfg, config.slot_duration)
+                g_samples.append(np.stack([rec.g_tau.mean(axis=1),
+                                           rec.g_p.mean(axis=1)], axis=1))
         mean_g = np.concatenate(g_samples, axis=0).mean(axis=0)
 
         h_tau, h_p = cfg.delta_tau, cfg.delta_p

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import bundled_scenario_path, bundled_scenarios, load_scenario
+from .config import bundled_scenarios, load_bundled, load_scenario
 from .errors import RsopError, ScenarioError
 from .experiments import (
     run_adapt,
@@ -24,7 +24,7 @@ def _load(arg: str):
     """Scenario from a path, or from a bundled name."""
     if Path(arg).exists():
         return load_scenario(arg)
-    return load_scenario(bundled_scenario_path(arg))
+    return load_bundled(arg)
 
 
 def _add_kind(sub, name: str, run, help: str):

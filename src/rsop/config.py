@@ -300,8 +300,7 @@ class Scenario:
             tau=self.params.tau if tau is None else tau,
             p=self.params.p if p is None else p,
         )
-        params.validate(self.config.slot_duration)
-        return replace(self, params=params)
+        return replace(self, params=params)  # __post_init__ checks them
 
     def content_hash(self) -> str:
         """Stable hash of the name and of every field of the network, sensing,

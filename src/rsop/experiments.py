@@ -83,14 +83,16 @@ class ExperimentOutput:
     files: list[Path]
     summary: dict
 
-    def manifest(self, out_dir: Path, name: str) -> Path:
-        path = Path(out_dir) / f"{name}.manifest.json"
-        doc = {"tool": f"rsop {__version__}",
-               "files": [str(f.name) for f in self.files],
-               "summary": self.summary}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
-        self.files.append(path)
-        return path
+
+def _finish(out_dir: Path, name: str, files: list[Path],
+            summary: dict) -> ExperimentOutput:
+    """Write ``<name>.manifest.json``, which names ``files`` and holds the
+    summary, and return the study's output, the manifest listed last."""
+    path = out_dir / f"{name}.manifest.json"
+    doc = {"tool": f"rsop {__version__}",
+           "files": [str(f.name) for f in files], "summary": summary}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    return ExperimentOutput([*files, path], summary)
 
 
 def chain_detail_columns(result) -> dict[str, np.ndarray]:
@@ -153,12 +155,10 @@ def run_analyze(scenario: Scenario, out_dir, axis: str = "p",
     detail = write_csv(out_dir / "chain_detail.csv", _meta(scenario, seed),
                        chain_detail_columns(nominal_point))
     best = int(np.argmax(network_r))
-    out = ExperimentOutput([path, detail], {
+    return _finish(out_dir, f"analyze_{axis}", [path, detail], {
         "axis": axis, "best_network_r": network_r[best].item(),
         "best_tau": tau[best].item(), "best_p": p[best].item(),
     })
-    out.manifest(out_dir, f"analyze_{axis}")
-    return out
 
 
 # simulation CSV columns and the RunMetrics field each one reads
@@ -204,9 +204,7 @@ def run_simulate(scenario: Scenario, out_dir, axis: str | None = None,
     if trace_rows > 0:
         files.append(_write_trace(scenario, out_dir, seed, protocol,
                                   trace_rows))
-    out = ExperimentOutput(files, {"points": len(runs)})
-    out.manifest(out_dir, name)
-    return out
+    return _finish(out_dir, name, files, {"points": len(runs)})
 
 
 def _write_trace(scenario: Scenario, out_dir: Path, seed, protocol: str,
@@ -214,7 +212,8 @@ def _write_trace(scenario: Scenario, out_dir: Path, seed, protocol: str,
     """Per-slot, per-SU outcome rows from one short replication, capped."""
     resolved = resolve_detector(scenario.config, scenario.detector,
                                 scenario.qos, scenario.params.tau)
-    schedules = SuSchedules.homogeneous(scenario.config, scenario.params)
+    schedules = SuSchedules.from_per_su(scenario.config, scenario.params.tau,
+                                        scenario.params.p)
     n_su = scenario.config.n_su
     n_slots = max(1, (cap + n_su - 1) // n_su)
     batch = simulate_slots(scenario.config, schedules, resolved, n_slots,
@@ -257,9 +256,7 @@ def run_optimize(scenario: Scenario, out_dir, tau_steps: int = 64,
         "network_r_star": scenario.config.n_su * result.r_star,
         "t_i_at_star": result.t_i_at_star, "feasible": result.feasible,
     }
-    out = ExperimentOutput([path], summary)
-    out.manifest(out_dir, "optimize")
-    return out
+    return _finish(out_dir, "optimize", [path], summary)
 
 
 def run_adapt(scenario: Scenario, out_dir, algorithm: int = 1,
@@ -293,9 +290,7 @@ def run_adapt(scenario: Scenario, out_dir, algorithm: int = 1,
         "final_tau_mean": float(run.final_tau.mean()),
         "final_p_mean": float(run.final_p.mean()),
     }
-    out = ExperimentOutput([path], summary)
-    out.manifest(out_dir, f"adapt_alg{algorithm}")
-    return out
+    return _finish(out_dir, f"adapt_alg{algorithm}", [path], summary)
 
 
 def run_false_alarm_sweep(scenario: Scenario, out_dir,
@@ -325,9 +320,7 @@ def run_false_alarm_sweep(scenario: Scenario, out_dir,
                      {"n_su": n_sus, "p_fa": p_fas,
                       **_metric_columns(runs, ["r", "network_r", "t_i",
                                                "se_network_r"])})
-    out = ExperimentOutput([path], {"points": len(runs)})
-    out.manifest(out_dir, "false_alarm_sweep")
-    return out
+    return _finish(out_dir, "false_alarm_sweep", [path], {"points": len(runs)})
 
 
 def run_ppersistent_compare(scenario: Scenario, out_dir, n_slots: int = 60_000,
@@ -343,14 +336,14 @@ def run_ppersistent_compare(scenario: Scenario, out_dir, n_slots: int = 60_000,
                      {"protocol": protocols,
                       **_metric_columns(runs, ["r", "network_r", "overhead",
                                                "t_i", "se_network_r"])})
+    conv_r = conv.network_throughput
     summary = {
         "overhead_reduction": 1.0 - mod.sensing_overhead / conv.sensing_overhead,
-        "throughput_rel_diff": abs(mod.network_throughput - conv.network_throughput)
-        / conv.network_throughput,
+        # null where the conventional network delivered nothing
+        "throughput_rel_diff": (abs(mod.network_throughput - conv_r) / conv_r
+                                if conv_r > 0 else None),
     }
-    out = ExperimentOutput([path], summary)
-    out.manifest(out_dir, "ppersistent")
-    return out
+    return _finish(out_dir, "ppersistent", [path], summary)
 
 
 def run_subgradient_field(scenario: Scenario, out_dir, taus=None, ps=None,
@@ -372,11 +365,9 @@ def run_subgradient_field(scenario: Scenario, out_dir, taus=None, ps=None,
                       "inner": [pt.inner for pt in points],
                       "aligned": [pt.aligned for pt in points]})
     aligned = sum(pt.aligned for pt in points)
-    out = ExperimentOutput([path], {"points": len(points),
-                                    "aligned": aligned,
-                                    "aligned_fraction": aligned / len(points)})
-    out.manifest(out_dir, "subgradient_field")
-    return out
+    return _finish(out_dir, "subgradient_field", [path],
+                   {"points": len(points), "aligned": aligned,
+                    "aligned_fraction": aligned / len(points)})
 
 
 def run_upper_bound(scenario: Scenario, out_dir, seed=0) -> ExperimentOutput:
@@ -387,6 +378,4 @@ def run_upper_bound(scenario: Scenario, out_dir, seed=0) -> ExperimentOutput:
     path = write_csv(out_dir / "upper_bound.csv", _meta(scenario, seed),
                      {"n_su": [scenario.config.n_su],
                       "n_pu": [scenario.config.n_pu], "upper_bound": [bound]})
-    out = ExperimentOutput([path], {"upper_bound": bound})
-    out.manifest(out_dir, "upper_bound")
-    return out
+    return _finish(out_dir, "upper_bound", [path], {"upper_bound": bound})

@@ -68,7 +68,7 @@ import numpy as np
 import numpy.random  # loaded here, not lazily on the first generator
 
 from .chain import ResolvedDetector, _OnFirstRead, resolve_detector
-from .config import NetworkConfig, SensingParams
+from .config import NetworkConfig
 from .core import max_sensing_stages
 from .detector import tail_at
 from .errors import ScenarioError
@@ -108,16 +108,14 @@ class SuSchedules:
         return self.tau.shape[1]
 
     @classmethod
-    def homogeneous(cls, config: NetworkConfig, params: SensingParams) -> "SuSchedules":
-        """Every SU at the same (tau, p)."""
-        return cls.from_stage_table(config, np.full((config.n_su, 1), params.tau),
-                                    np.full((config.n_su, 1), params.p))
-
-    @classmethod
     def from_per_su(cls, config: NetworkConfig, taus, ps) -> "SuSchedules":
-        """One scalar (tau, p) per SU, constant across stages."""
-        return cls.from_stage_table(config, np.reshape(taus, (-1, 1)),
-                                    np.reshape(ps, (-1, 1)))
+        """One (tau, p) per SU, constant across stages; a scalar tau or p is
+        every SU's value."""
+        def column(values):  # (n_su, 1)
+            if np.ndim(values) == 0:
+                return np.full((config.n_su, 1), values, dtype=float)
+            return np.reshape(values, (-1, 1))
+        return cls.from_stage_table(config, column(taus), column(ps))
 
     @classmethod
     def from_stage_table(cls, config: NetworkConfig, tau_table, p_table,
@@ -708,6 +706,6 @@ def simulate_scenario(scenario, n_slots: int, seed, protocol: str = "modified",
     """Scenario-level convenience wrapper around :func:`monte_carlo`."""
     sc = scenario.with_params(tau=tau, p=p)
     resolved = resolve_detector(sc.config, sc.detector, sc.qos, scenario.params.tau)
-    schedules = SuSchedules.homogeneous(sc.config, sc.params)
+    schedules = SuSchedules.from_per_su(sc.config, sc.params.tau, sc.params.p)
     return monte_carlo(sc.config, schedules, resolved, protocol, n_slots,
                        n_reps, seed, n_jobs=n_jobs)

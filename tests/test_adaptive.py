@@ -447,53 +447,41 @@ class TestAnalyticMisdetection:
 class TestFrameEstimate:
     def test_short_frame_rejected(self):
         config = make_config(n_su=2, n_pu=2)
-        from rsop.chain import resolve_detector
-        from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
-        sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 0.5))
+        sched = SuSchedules.from_per_su(config, 1e-3, 0.5)
         batch = simulate_slots(config, sched, resolved, 5,
                                np.random.default_rng(0))
         with pytest.raises(ShortFrame):
-            frame_estimate(batch, 0, 10, p_md=0.1)
+            frame_estimate(batch, 10, p_md=np.full(2, 0.1))
 
     @pytest.mark.parametrize("n_ep", [0, -2])
     def test_empty_frame_rejected(self, n_ep):
         # an empty frame has no mean; it used to give NaN estimates
         config = make_config(n_su=2, n_pu=2)
-        from rsop.chain import resolve_detector
-        from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.1, 0.9), None, 1e-3)
-        sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 0.5))
+        sched = SuSchedules.from_per_su(config, 1e-3, 0.5)
         batch = simulate_slots(config, sched, resolved, 5,
                                np.random.default_rng(0))
         with pytest.raises(ScenarioError):
-            frame_estimate(batch, slice(None), n_ep, p_md=np.zeros(2))
+            frame_estimate(batch, n_ep, p_md=np.zeros(2))
 
     def test_all_failures_give_zero(self):
         config = make_config(n_su=3, n_pu=2, presence=1.0)  # everything busy
-        from rsop.chain import resolve_detector
-        from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.1, 1.0), None, 1e-3)
-        sched = SuSchedules.homogeneous(config, SensingParams(1e-3, 1.0))
+        sched = SuSchedules.from_per_su(config, 1e-3, 1.0)
         batch = simulate_slots(config, sched, resolved, 30,
                                np.random.default_rng(0))
-        est = frame_estimate(batch, 0, 30, p_md=0.0)
-        assert est.r_est == 0.0
+        est = frame_estimate(batch, 30, p_md=np.zeros(3))
+        assert est.r_est.tolist() == [0.0] * 3
 
     def test_every_slot_success_at_stage1(self):
         config = make_config(n_su=1, n_pu=1, presence=0.0)
-        from rsop.chain import resolve_detector
-        from rsop.config import SensingParams
-        from rsop.simulator import SuSchedules, _threshold_table, simulate_slots
         resolved = resolve_detector(config, explicit_detector(0.0, 0.9), None, 2e-3)
-        sched = SuSchedules.homogeneous(config, SensingParams(2e-3, 1.0))
+        sched = SuSchedules.from_per_su(config, 2e-3, 1.0)
         batch = simulate_slots(config, sched, resolved, 25,
                                np.random.default_rng(0))
-        est = frame_estimate(batch, 0, 25, p_md=0.1)
-        assert est.r_est == pytest.approx((T - 2e-3) / T)
+        est = frame_estimate(batch, 25, p_md=np.full(1, 0.1))
+        assert est.r_est == pytest.approx([(T - 2e-3) / T])
 
 
 def _batch(n_su=4, n_pu=3, slots=30, seed=0):
@@ -509,14 +497,15 @@ class TestArrayViews:
     """The array entry points equal their one-SU views, SU by SU."""
 
     def test_frame_estimate(self):
+        # entry j is SU j's own frame mean; the interference is the network's
         batch = _batch()
         p_md = np.array([0.1, 0.2, 0.3, 0.4])
-        every = frame_estimate(batch, slice(None), 25, p_md)
+        every = frame_estimate(batch, 25, p_md)
         for j in range(4):
-            one = frame_estimate(batch, j, 25, p_md[j])
-            assert every.r_est[j] == one.r_est
-            assert every.t_i_est == one.t_i_est
-            assert every.p_md[j] == one.p_md
+            acks = np.ascontiguousarray(batch.throughput[:25, j])
+            assert every.r_est[j] == acks.sum() / 25
+            assert every.p_md[j] == p_md[j]
+        assert every.t_i_est == batch.network_interference[:25].sum() / 25
 
     def test_alg1_update(self):
         c = cfg()

@@ -225,3 +225,23 @@ def test_a_stopped_run_takes_its_worker_with_it(tmp_path):
     finally:
         if _alive(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("option, value", [("--pairs", "0"), ("--pairs", "-2"),
+                                           ("--seconds", "0"),
+                                           ("--seconds", "-1.5"),
+                                           ("--seconds", "nan")])
+def test_no_pairs_or_no_run_time_is_rejected_before_the_export(
+        tmp_path, monkeypatch, capsys, option, value):
+    # --pairs 0 used to export the base tree, then fail in summarize
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda rev, dest: exported.append(dest))
+    args = {"--pairs": "1", "--seconds": "1", option: value}
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--base", "HEAD", "--workload", "grid",
+                          "--first-seed", "1", "--out", str(tmp_path / "p.json"),
+                          *(a for item in args.items() for a in item)])
+    assert stop.value.code == 2
+    assert f"{option}: must be > 0, got {value}" in capsys.readouterr().err
+    assert exported == [] and not (tmp_path / "p.json").exists()

@@ -237,6 +237,16 @@ class TestKinds:
         assert 0.0 < out.summary["overhead_reduction"] < 1.0
         assert out.summary["throughput_rel_diff"] < 0.2
 
+    def test_ppersistent_compare_over_busy_channels(self, tmp_path):
+        # no conventional throughput to compare with: null, not a crash
+        config = make_config(n_su=2, n_pu=3, presence=1.0)
+        sc = make_scenario(config, 5.1e-3, 0.3, explicit_detector(0.1, 0.9))
+        out = run_ppersistent_compare(sc, tmp_path, n_slots=200)
+        assert out.summary["throughput_rel_diff"] is None
+        manifest = json.loads(out.files[-1].read_text())
+        assert manifest["summary"]["throughput_rel_diff"] is None
+        assert out.files[-1].name == "ppersistent.manifest.json"
+
 
 class TestCli:
     def test_analyze_subcommand(self, tmp_path, capsys):
@@ -433,3 +443,40 @@ class TestCliOptions:
         assert rc == 2 and captured.out == ""
         assert captured.err.splitlines() == [f"error: {path}: {message}"]
         assert not (tmp_path / "out").exists()
+
+
+# every study kind at tiny sizes; --scenario and --out are added per run
+_TINY_RUNS = {
+    "analyze": [],
+    "simulate": ["--slots", "200"],
+    "optimize": ["--grid", "4", "4"],
+    "adapt": ["--frames", "4"],
+    "sweep": ["--slots", "200", "--p-fa", "0.1", "--n-su", "3"],
+    "ppersistent-compare": ["--slots", "200"],
+    "subgradient-field": ["--taus", "0.003", "--ps", "0.5",
+                          "--realizations", "8"],
+    "upper-bound": [],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TINY_RUNS))
+@pytest.mark.parametrize("presence", [0.0, 1.0], ids=["idle", "busy"])
+@pytest.mark.parametrize("name", ["adapt_ns3_np7", "validation_ns2_np5"],
+                         ids=["energy", "explicit"])
+def test_every_kind_runs_on_always_idle_and_always_busy_channels(
+        tmp_path, capsys, kind, presence, name):
+    # no PU ever present, or every PU always present: a study either has a
+    # number to give or writes null, never NaN
+    assert set(_TINY_RUNS) == set(_subcommands()) - {"scenarios"}
+    doc = yaml.safe_load(Path(bundled_scenario_path(name)).read_text())
+    doc["network"]["presence_prob"] = presence
+    path = tmp_path / "edge.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main([kind, "--scenario", str(path), "--out", str(out),
+                 *_TINY_RUNS[kind]]) == 0
+    assert "nan" not in capsys.readouterr().out.lower()
+    files = sorted(out.iterdir())
+    assert files
+    for f in files:
+        assert "nan" not in f.read_text().lower(), f.name

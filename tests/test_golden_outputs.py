@@ -100,6 +100,14 @@ CASES = {
                                           "200"],
     "adapt_alg1_false_alarm_np5": ["adapt", "--scenario", "false_alarm_np5",
                                    "--algorithm", "1", "--frames", "40"],
+    # a p sweep: one scenario per value, each SU given the same p
+    "simulate_p_dense_ns20_np5": ["simulate", "--scenario", "dense_ns20_np5",
+                                  "--axis", "p", "--values", "0.3", "0.6",
+                                  "--slots", "2000"],
+    "simulate_conventional_dense_ns20_np5": ["simulate", "--scenario",
+                                             "dense_ns20_np5", "--protocol",
+                                             "conventional", "--slots",
+                                             "2000"],
 }
 
 

@@ -13,7 +13,6 @@ from conftest import explicit_detector, make_config
 from rsop.chain import analyze, resolve_detector
 from rsop.config import (
     DetectorSpec,
-    SensingParams,
     bundled_scenarios,
     load_bundled,
     load_scenario,
@@ -48,7 +47,7 @@ ENERGY_SCENARIOS = sorted(
 
 def setup(config, tau, p, p_fa, p_d):
     resolved = resolve_detector(config, explicit_detector(p_fa, p_d), None, tau)
-    schedules = SuSchedules.homogeneous(config, SensingParams(tau=tau, p=p))
+    schedules = SuSchedules.from_per_su(config, tau, p)
     return schedules, resolved
 
 
@@ -189,7 +188,7 @@ class TestThresholdTable:
                              np.arange(ns + 1)[:, None])
         rng = np.random.default_rng(5)
         tau = sc.params.tau * rng.uniform(0.5, 1.5, (ns, 3))
-        for sched in (SuSchedules.homogeneous(config, sc.params),
+        for sched in (SuSchedules.from_per_su(config, sc.params.tau, sc.params.p),
                       SuSchedules.from_per_su(config, tau[:, 0], np.full(ns, 0.5)),
                       SuSchedules.from_stage_table(config, tau, np.full((ns, 3), 0.5))):
             table = _threshold_table(config, resolved, sched.tau,
@@ -283,8 +282,9 @@ class TestStageBuffers:
     def setup_dense(tau_factor=1.0):
         sc = load_bundled("dense_ns20_np5")
         resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-        params = SensingParams(tau=sc.params.tau * tau_factor, p=sc.params.p)
-        return sc.config, SuSchedules.homogeneous(sc.config, params), resolved
+        schedules = SuSchedules.from_per_su(sc.config, sc.params.tau * tau_factor,
+                                            sc.params.p)
+        return sc.config, schedules, resolved
 
     @pytest.mark.parametrize("protocol", ["modified", "conventional"])
     @pytest.mark.parametrize("kind", ["homogeneous", "mixed-tau"])
@@ -431,7 +431,7 @@ class TestDrawAhead:
                                                     protocol):
         sc = load_bundled("dense_ns20_np5")
         resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-        sched = SuSchedules.homogeneous(sc.config, sc.params)
+        sched = SuSchedules.from_per_su(sc.config, sc.params.tau, sc.params.p)
         n_slots = 2 * BLOCK_SLOTS + 1000  # the last block is partial
         want, blocks, rng = simulator_reference.run_replication(
             sc.config, sched, resolved, protocol, n_slots, 31)
@@ -465,7 +465,7 @@ class TestDrawAhead:
     def test_monte_carlo_threads_equal_the_reference(self):
         sc = load_bundled("dense_ns20_np5")
         resolved = resolve_detector(sc.config, sc.detector, sc.qos, sc.params.tau)
-        sched = SuSchedules.homogeneous(sc.config, sc.params)
+        sched = SuSchedules.from_per_su(sc.config, sc.params.tau, sc.params.p)
         n_slots, seeds = BLOCK_SLOTS + 500, np.random.SeedSequence(17).spawn(4)
         want = _Moments.of_replications([
             simulator_reference.run_replication(
@@ -629,6 +629,24 @@ class TestSchedules:
         with pytest.raises(ScenarioError):
             SuSchedules.from_per_su(config, [1e-3, 1e-3], [0.5, 0.5])
 
+    @pytest.mark.parametrize("taus, ps", [(2e-3, 0.4), (2e-3, [0.4] * 3),
+                                          ([2e-3] * 3, 0.4)])
+    def test_a_scalar_is_every_sus_value(self, taus, ps):
+        config = make_config(n_su=3, n_pu=5)
+        got = SuSchedules.from_per_su(config, taus, ps)
+        want = SuSchedules.from_per_su(config, np.full(3, 2e-3), np.full(3, 0.4))
+        for field in dataclasses.fields(SuSchedules):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            assert x.dtype == y.dtype and x.shape == y.shape, field.name
+            assert x.tobytes() == y.tobytes(), field.name
+
+    @pytest.mark.parametrize("taus, ps", [([2e-3] * 2, 0.4), (2e-3, [0.4] * 4),
+                                          ([2e-3], [0.4])])
+    def test_a_list_of_the_wrong_length_is_rejected(self, taus, ps):
+        config = make_config(n_su=3, n_pu=5)
+        with pytest.raises(ScenarioError):
+            SuSchedules.from_per_su(config, taus, ps)
+
     @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf])
     def test_rejects_p_outside_unit_interval(self, bad):
         # p = 1.5 used to act as p = 1, and NaN as p = 0
@@ -717,7 +735,7 @@ class TestSimulateSlotsInput:
         config = dataclasses.replace(
             sc.config, **cut, presence_prob=sc.config.presence_prob[:n_pu],
             pu_power=sc.config.pu_power[:n_pu])
-        schedules = SuSchedules.homogeneous(config, sc.params)
+        schedules = SuSchedules.from_per_su(config, sc.params.tau, sc.params.p)
         with pytest.raises(ScenarioError, match="detector resolved for"):
             simulate_slots(config, schedules, resolved, 10,
                            np.random.default_rng(0))
@@ -765,7 +783,7 @@ class TestAgainstReference:
         mixed = tau.copy()
         mixed[:, 1] = sc.params.tau
         return {
-            "homogeneous": SuSchedules.homogeneous(config, sc.params),
+            "homogeneous": SuSchedules.from_per_su(config, sc.params.tau, sc.params.p),
             "per-su": SuSchedules.from_per_su(config, tau[:, 0], p[:, 0]),
             "per-stage": SuSchedules.from_stage_table(config, tau, p),
             "mixed-tau": SuSchedules.from_stage_table(config, mixed, p),

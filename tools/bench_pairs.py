@@ -138,12 +138,24 @@ def _exit_on_signal(signum, frame):
     sys.exit(128 + signum)
 
 
+def _positive(kind):
+    """An argparse type: ``kind`` of the text, rejected unless > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    # checked before the export: no pairs leaves nothing to summarize
+    ap.add_argument("--pairs", type=_positive(int), required=True)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seconds", type=_positive(float), required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--base", required=True,
                     help="git revision to compare the working tree against")
